@@ -1,14 +1,50 @@
 //! Property tests for the CoV machinery: bounds, relabeling invariance,
 //! and the degenerate extremes the paper calls out.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
-use dsm_analysis::cov::{identifier_cov, phase_count};
+use dsm_analysis::cov::{identifier_cov, phase_count, PhaseGroups};
 use dsm_analysis::curve::{CovCurve, CurvePoint};
 use dsm_analysis::stats;
 
+/// Reference grouping: an ordered map from phase id to its CPIs in stream
+/// order. Returns (identifier CoV, phase count).
+fn oracle(pairs: &[(u32, f64)]) -> (f64, usize) {
+    let mut groups: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
+    for &(p, cpi) in pairs {
+        groups.entry(p).or_default().push(cpi);
+    }
+    let weighted: Vec<(f64, f64)> = groups
+        .values()
+        .map(|cpis| (stats::cov(cpis), cpis.len() as f64))
+        .collect();
+    (stats::weighted_mean(&weighted), groups.len())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn single_pass_grouping_is_bit_identical_to_ordered_map(
+        dense in prop::collection::vec((0u32..12, 0.01f64..100.0), 0..200),
+        sparse in prop::collection::vec(
+            (prop::sample::select(vec![0u32, 3, 17, 1000, 65_537, u32::MAX]), 0.01f64..100.0),
+            0..60,
+        ),
+    ) {
+        // One scratch reused across streams, as the sweeps reuse it.
+        let mut groups = PhaseGroups::default();
+        for pairs in [&dense, &sparse] {
+            let (cov, count) = groups.cov_and_count(pairs.iter().copied());
+            let (want_cov, want_count) = oracle(pairs);
+            prop_assert_eq!(cov.to_bits(), want_cov.to_bits());
+            prop_assert_eq!(count, want_count);
+            prop_assert_eq!(identifier_cov(pairs).to_bits(), want_cov.to_bits());
+            prop_assert_eq!(phase_count(pairs), want_count);
+        }
+    }
 
     #[test]
     fn identifier_cov_is_nonnegative_and_bounded(

@@ -20,6 +20,7 @@ use dsm_sim::observer::{IntervalStats, SimObserver};
 
 use crate::bbv::BbvAccumulator;
 use crate::ddv::{DdsSample, DdvSnap, DdvState, DegradedCollector};
+use crate::distance::manhattan_concat;
 use crate::footprint::FootprintTable;
 use crate::telem::{DetectorProbes, DetectorTelemetry, MetricsRegistry, Snapshot};
 use crate::working_set::WsSignature;
@@ -340,17 +341,65 @@ impl TraceClassifier {
         thresholds: Thresholds,
         footprint_vectors: usize,
     ) -> Vec<u32> {
-        let mut table = FootprintTable::new(footprint_vectors);
-        records
-            .iter()
-            .map(|r| {
-                let dds_thr = match mode {
-                    DetectorMode::Bbv => None,
-                    DetectorMode::BbvDdv => Some(thresholds.dds),
-                };
-                table.classify(&r.bbv, r.dds, thresholds.bbv, dds_thr).phase_id
-            })
-            .collect()
+        let dds_thr = match mode {
+            DetectorMode::Bbv => None,
+            DetectorMode::BbvDdv => Some(thresholds.dds),
+        };
+        Self::sweep_proc(records, None, &[(thresholds.bbv, dds_thr)], footprint_vectors)
+            .swap_remove(0)
+    }
+
+    /// Lockstep multi-threshold replay: classify one processor's interval
+    /// sequence at every `(bbv_threshold, dds_threshold)` point of `grid`
+    /// (`None` gates on the BBV alone) and return the phase ids per point,
+    /// in `grid` order. `dds` replaces each record's own DDS when given.
+    ///
+    /// One footprint table per grid point advances one interval at a time.
+    /// Every entry is a copy of an earlier record's BBV, so the tables store
+    /// record indices, and interval `i`'s distance to record `j` — which
+    /// does not depend on the threshold — is computed once into a reusable
+    /// row stamped with `i` and shared by every point: each record pair's
+    /// distance is computed at most once per sweep, by the same
+    /// [`manhattan_concat`] pass the online table runs, so the ids are
+    /// bit-identical to replaying each point on its own. Memory is
+    /// O(records + grid × capacity).
+    pub fn sweep_proc(
+        records: &[IntervalRecord],
+        dds: Option<&[f64]>,
+        grid: &[(f64, Option<f64>)],
+        footprint_vectors: usize,
+    ) -> Vec<Vec<u32>> {
+        if let Some(dds) = dds {
+            assert_eq!(records.len(), dds.len());
+        }
+        assert!(u32::try_from(records.len()).is_ok(), "record index must fit an entry");
+        let mut tables: Vec<FootprintTable<u32>> =
+            grid.iter().map(|_| FootprintTable::new(footprint_vectors)).collect();
+        let mut ids: Vec<Vec<u32>> =
+            grid.iter().map(|_| Vec::with_capacity(records.len())).collect();
+        // `row[j] = (i + 1, d(i, j))` once interval `i` has needed record `j`.
+        let mut row: Vec<(u32, f64)> = vec![(0, 0.0); records.len()];
+        for (i, r) in records.iter().enumerate() {
+            let stamp = i as u32 + 1;
+            let d = dds.map_or(r.dds, |dds| dds[i]);
+            for ((table, &(bbv_thr, dds_thr)), out) in tables.iter_mut().zip(grid).zip(&mut ids) {
+                let m = table.classify_with(
+                    |&j| {
+                        let j = j as usize;
+                        if row[j].0 != stamp {
+                            row[j] = (stamp, manhattan_concat(&r.bbv, &[], &records[j].bbv));
+                        }
+                        row[j].1
+                    },
+                    d,
+                    bbv_thr,
+                    dds_thr,
+                    |sig| *sig = i as u32,
+                );
+                out.push(m.phase_id);
+            }
+        }
+        ids
     }
 
     /// Extension (not in the paper): classify on the *concatenation* of
@@ -410,17 +459,13 @@ impl TraceClassifier {
         thresholds: Thresholds,
         footprint_vectors: usize,
     ) -> Vec<u32> {
-        assert_eq!(records.len(), dds.len());
-        let mut table = FootprintTable::new(footprint_vectors);
-        records
-            .iter()
-            .zip(dds)
-            .map(|(r, &d)| {
-                table
-                    .classify(&r.bbv, d, thresholds.bbv, Some(thresholds.dds))
-                    .phase_id
-            })
-            .collect()
+        Self::sweep_proc(
+            records,
+            Some(dds),
+            &[(thresholds.bbv, Some(thresholds.dds))],
+            footprint_vectors,
+        )
+        .swap_remove(0)
     }
 }
 

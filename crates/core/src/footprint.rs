@@ -8,6 +8,13 @@
 //! new entry is allocated (evicting the LRU entry when full) and a fresh
 //! phase id is assigned — so every eviction-and-refill counts as a new
 //! phase, exactly as a hardware table would behave.
+//!
+//! The gate ([`FootprintTable::classify_with`]) is generic over how an
+//! entry stores its signature. Online detectors and the serve path store
+//! the BBV itself (`Box<[f64]>`, the default). The offline threshold sweep
+//! stores the index of the captured record whose BBV it is (`u32`), so one
+//! memoized distance per record pair serves every threshold
+//! ([`crate::detector::TraceClassifier::sweep_proc`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -15,10 +22,12 @@ use crate::distance::{manhattan_concat, relative_diff};
 
 /// One stored signature.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Entry {
-    /// Normalized BBV at allocation time. Boxed slice: entry signatures
-    /// never grow, and the fixed-size buffer is reused across LRU evictions.
-    pub bbv: Box<[f64]>,
+pub struct Entry<S = Box<[f64]>> {
+    /// The signature at allocation time: the normalized BBV (boxed slice:
+    /// entry signatures never grow, and the fixed-size buffer is reused
+    /// across LRU evictions), or the index of the captured record that
+    /// holds it (offline sweeps).
+    pub sig: S,
     /// DDS at allocation time (unused in BBV-only mode).
     pub dds: f64,
     /// Phase identifier assigned when this entry was allocated.
@@ -30,10 +39,10 @@ pub struct Entry {
 impl Entry {
     /// Overwrite with `src`, reusing the signature buffer when lengths match.
     fn copy_from(&mut self, src: &Self) {
-        if self.bbv.len() == src.bbv.len() {
-            self.bbv.copy_from_slice(&src.bbv);
+        if self.sig.len() == src.sig.len() {
+            self.sig.copy_from_slice(&src.sig);
         } else {
-            self.bbv = src.bbv.clone();
+            self.sig = src.sig.clone();
         }
         self.dds = src.dds;
         self.phase_id = src.phase_id;
@@ -54,15 +63,15 @@ pub struct Match {
 
 /// The footprint table of one processor's detector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FootprintTable {
-    entries: Vec<Entry>,
+pub struct FootprintTable<S = Box<[f64]>> {
+    entries: Vec<Entry<S>>,
     capacity: usize,
     clock: u64,
     next_phase_id: u32,
     evictions: u64,
 }
 
-impl FootprintTable {
+impl<S: Default> FootprintTable<S> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         Self {
@@ -74,35 +83,30 @@ impl FootprintTable {
         }
     }
 
-    /// Classify an interval signature.
+    /// The classification gate, over any stored signature type.
     ///
-    /// * `bbv` — the normalized accumulator;
+    /// * `distance` — Manhattan distance from the query to a stored
+    ///   signature;
     /// * `dds` — the interval's DDS;
     /// * `bbv_threshold` — Manhattan-distance threshold;
     /// * `dds_threshold` — `Some(t)` in BBV+DDV mode (relative DDS
-    ///   difference must be `< t`), `None` in BBV-only mode.
-    pub fn classify(&mut self, bbv: &[f64], dds: f64, bbv_threshold: f64, dds_threshold: Option<f64>) -> Match {
-        self.classify_split(bbv, &[], dds, bbv_threshold, dds_threshold)
-    }
-
-    /// [`Self::classify`] over a signature supplied as two segments whose
-    /// logical value is the concatenation `head ++ tail`. The concatenated
-    /// classifier (BBV head, distance-weighted DDV tail) uses this to avoid
-    /// copying the BBV into a combined vector every interval; distances are
-    /// computed by one fused pass per entry ([`manhattan_concat`]), so the
-    /// result is bit-identical to classifying the materialized concatenation.
-    pub fn classify_split(
+    ///   difference must be `< t`), `None` in BBV-only mode;
+    /// * `store` — writes the query's signature into a new entry's slot
+    ///   (a fresh `S::default()` below capacity, the evicted entry's
+    ///   signature once full).
+    #[inline]
+    pub fn classify_with(
         &mut self,
-        head: &[f64],
-        tail: &[f64],
+        mut distance: impl FnMut(&S) -> f64,
         dds: f64,
         bbv_threshold: f64,
         dds_threshold: Option<f64>,
+        store: impl FnOnce(&mut S),
     ) -> Match {
         self.clock += 1;
         let mut best: Option<(usize, f64)> = None;
         for (i, e) in self.entries.iter().enumerate() {
-            let d = manhattan_concat(head, tail, &e.bbv);
+            let d = distance(&e.sig);
             if d >= bbv_threshold {
                 continue;
             }
@@ -124,48 +128,29 @@ impl FootprintTable {
         // Allocate a new entry (LRU eviction when full).
         let phase_id = self.next_phase_id;
         self.next_phase_id += 1;
-        self.alloc_entry(head, tail, dds, phase_id);
-        Match { phase_id, is_new: true, distance: 0.0 }
-    }
-
-    /// Store `head ++ tail` as a new entry. Below capacity this allocates
-    /// (bounded by table size, not by interval count); once the table is
-    /// full, the evicted entry's buffer is reused when the signature length
-    /// is unchanged — the steady-state case — so long runs allocate nothing.
-    fn alloc_entry(&mut self, head: &[f64], tail: &[f64], dds: f64, phase_id: u32) {
-        let concat = |head: &[f64], tail: &[f64]| {
-            let mut sig = Vec::with_capacity(head.len() + tail.len());
-            sig.extend_from_slice(head);
-            sig.extend_from_slice(tail);
-            sig.into_boxed_slice()
-        };
-        if self.entries.len() < self.capacity {
+        let slot = if self.entries.len() < self.capacity {
             self.entries.push(Entry {
-                bbv: concat(head, tail),
+                sig: S::default(),
                 dds,
                 phase_id,
                 last_used: self.clock,
             });
-            return;
-        }
-        let lru = self
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(i, _)| i)
-            .expect("capacity > 0");
-        self.evictions += 1;
-        let e = &mut self.entries[lru];
+            self.entries.len() - 1
+        } else {
+            self.evictions += 1;
+            self.entries
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(i, _)| i)
+                .expect("capacity > 0")
+        };
+        let e = &mut self.entries[slot];
         e.dds = dds;
         e.phase_id = phase_id;
         e.last_used = self.clock;
-        if e.bbv.len() == head.len() + tail.len() {
-            e.bbv[..head.len()].copy_from_slice(head);
-            e.bbv[head.len()..].copy_from_slice(tail);
-        } else {
-            e.bbv = concat(head, tail);
-        }
+        store(&mut e.sig);
+        Match { phase_id, is_new: true, distance: 0.0 }
     }
 
     /// Number of phase ids ever allocated.
@@ -179,12 +164,74 @@ impl FootprintTable {
     }
 
     /// Currently resident entries.
-    pub fn entries(&self) -> &[Entry] {
+    pub fn entries(&self) -> &[Entry<S>] {
         &self.entries
     }
 
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Clear all entries and phase numbering (multiprogramming: "phase
+    /// information associated with threads can be cleared at the expense of
+    /// more tuning").
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.clock = 0;
+        self.next_phase_id = 0;
+        self.evictions = 0;
+    }
+}
+
+impl FootprintTable {
+    /// Classify an interval signature (see [`Self::classify_with`] for the
+    /// parameters).
+    pub fn classify(
+        &mut self,
+        bbv: &[f64],
+        dds: f64,
+        bbv_threshold: f64,
+        dds_threshold: Option<f64>,
+    ) -> Match {
+        self.classify_split(bbv, &[], dds, bbv_threshold, dds_threshold)
+    }
+
+    /// [`Self::classify`] over a signature supplied as two segments whose
+    /// logical value is the concatenation `head ++ tail`. The concatenated
+    /// classifier (BBV head, distance-weighted DDV tail) uses this to avoid
+    /// copying the BBV into a combined vector every interval; distances are
+    /// computed by one fused pass per entry ([`manhattan_concat`]), so the
+    /// result is bit-identical to classifying the materialized concatenation.
+    ///
+    /// A new entry's signature is allocated below capacity (bounded by
+    /// table size, not by interval count); once the table is full, the
+    /// evicted entry's buffer is reused when the signature length is
+    /// unchanged — the steady-state case — so long runs allocate nothing.
+    pub fn classify_split(
+        &mut self,
+        head: &[f64],
+        tail: &[f64],
+        dds: f64,
+        bbv_threshold: f64,
+        dds_threshold: Option<f64>,
+    ) -> Match {
+        self.classify_with(
+            |sig| manhattan_concat(head, tail, sig),
+            dds,
+            bbv_threshold,
+            dds_threshold,
+            |sig| {
+                if sig.len() == head.len() + tail.len() {
+                    sig[..head.len()].copy_from_slice(head);
+                    sig[head.len()..].copy_from_slice(tail);
+                } else {
+                    let mut v = Vec::with_capacity(head.len() + tail.len());
+                    v.extend_from_slice(head);
+                    v.extend_from_slice(tail);
+                    *sig = v.into_boxed_slice();
+                }
+            },
+        )
     }
 
     /// Overwrite this table with `other`, reusing resident entry buffers
@@ -201,16 +248,6 @@ impl FootprintTable {
             dst.copy_from(src);
         }
         self.entries.extend(other.entries[keep..].iter().cloned());
-    }
-
-    /// Clear all entries and phase numbering (multiprogramming: "phase
-    /// information associated with threads can be cleared at the expense of
-    /// more tuning").
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.clock = 0;
-        self.next_phase_id = 0;
-        self.evictions = 0;
     }
 }
 

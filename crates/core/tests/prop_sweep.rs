@@ -1,0 +1,191 @@
+//! Differential suite for the lockstep multi-threshold replay: on random
+//! record streams, `TraceClassifier::sweep_proc` gives exactly the phase ids
+//! of replaying each grid point on its own through a `FootprintTable` that
+//! stores the BBVs themselves — in BBV, BBV+DDV and externally supplied DDS
+//! modes, across exact distance ties, tiny tables that evict on nearly
+//! every interval, thresholds of 0 and above 2, all-zero DDS and a NaN BBV
+//! lane.
+
+use proptest::prelude::*;
+
+use dsm_phase::detector::{DetectorMode, IntervalRecord, Thresholds, TraceClassifier};
+use dsm_phase::footprint::FootprintTable;
+
+const LANES: usize = 4;
+
+fn record(index: usize, bbv: Vec<f64>, dds: f64) -> IntervalRecord {
+    IntervalRecord {
+        proc: 0,
+        index: index as u64,
+        insns: 100,
+        cycles: 150,
+        bbv,
+        fvec: vec![],
+        cvec: vec![],
+        dds,
+        ws_sig: vec![],
+        branches: 1,
+    }
+}
+
+fn normalized(raw: &[f64]) -> Vec<f64> {
+    let total: f64 = raw.iter().sum();
+    raw.iter().map(|x| x / total).collect()
+}
+
+/// One grid point replayed alone, storing each entry's BBV.
+fn replay(
+    records: &[IntervalRecord],
+    dds: Option<&[f64]>,
+    (bbv_thr, dds_thr): (f64, Option<f64>),
+    capacity: usize,
+) -> Vec<u32> {
+    let mut table: FootprintTable = FootprintTable::new(capacity);
+    records
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let d = dds.map_or(r.dds, |dds| dds[i]);
+            table.classify(&r.bbv, d, bbv_thr, dds_thr).phase_id
+        })
+        .collect()
+}
+
+/// A record stream drawn from a small palette of BBVs (so distances tie
+/// exactly) mixed with fresh random ones.
+fn stream(
+    palette: &[Vec<f64>],
+    picks: &[(usize, Vec<f64>, f64)],
+    zero_dds: bool,
+    nan_at: Option<(usize, usize)>,
+) -> Vec<IntervalRecord> {
+    let mut records: Vec<IntervalRecord> = picks
+        .iter()
+        .enumerate()
+        .map(|(i, (pick, raw, dds))| {
+            let bbv = palette
+                .get(*pick)
+                .cloned()
+                .unwrap_or_else(|| normalized(raw));
+            record(i, bbv, if zero_dds { 0.0 } else { *dds })
+        })
+        .collect();
+    if let Some((at, lane)) = nan_at {
+        let n = records.len();
+        records[at % n].bbv[lane % LANES] = f64::NAN;
+    }
+    records
+}
+
+fn bbv_thresholds() -> impl Strategy<Value = f64> {
+    prop::sample::select(vec![0.0, 1e-3, 0.05, 0.2, 0.5, 1.0, 1.9, 2.0, 2.5, 4.0])
+}
+
+fn dds_thresholds() -> impl Strategy<Value = Option<f64>> {
+    prop::sample::select(vec![
+        None,
+        Some(0.0),
+        Some(0.05),
+        Some(0.3),
+        Some(1.0),
+        Some(1.5),
+    ])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn sweep_matches_per_point_replay(
+        palette_raw in prop::collection::vec(prop::collection::vec(0.01f64..1.0, LANES), 1..5),
+        picks in prop::collection::vec(
+            (
+                0usize..8,
+                prop::collection::vec(0.01f64..1.0, LANES),
+                prop::sample::select(vec![0.0, 1.0, 1.2, 5.0, 40.0]),
+            ),
+            1..80,
+        ),
+        grid in prop::collection::vec((bbv_thresholds(), dds_thresholds()), 1..12),
+        capacity in prop::sample::select(vec![1usize, 2, 3, 32]),
+        zero_dds in any::<bool>(),
+        nan_at in prop::option::of((0usize..80, 0usize..LANES)),
+        external in prop::collection::vec(prop::sample::select(vec![0.0, 2.0, 2.1, 9.0]), 80),
+    ) {
+        let palette: Vec<Vec<f64>> = palette_raw.iter().map(|p| normalized(p)).collect();
+        let records = stream(&palette, &picks, zero_dds, nan_at);
+        let external = &external[..records.len()];
+
+        // Records' own DDS (BBV points where the DDS gate is `None`,
+        // BBV+DDV points elsewhere), then an externally supplied DDS.
+        for dds in [None, Some(external)] {
+            let swept = TraceClassifier::sweep_proc(&records, dds, &grid, capacity);
+            prop_assert_eq!(swept.len(), grid.len());
+            for (ids, &point) in swept.iter().zip(&grid) {
+                let want = replay(&records, dds, point, capacity);
+                prop_assert_eq!(ids, &want, "point {:?}", point);
+            }
+        }
+
+        // The one-point entry points agree with the same replay.
+        let (bbv, dds) = grid[0];
+        let thr = Thresholds { bbv, dds: dds.unwrap_or(0.5) };
+        prop_assert_eq!(
+            TraceClassifier::classify_proc(&records, DetectorMode::Bbv, thr, capacity),
+            replay(&records, None, (bbv, None), capacity)
+        );
+        prop_assert_eq!(
+            TraceClassifier::classify_proc(&records, DetectorMode::BbvDdv, thr, capacity),
+            replay(&records, None, (bbv, Some(thr.dds)), capacity)
+        );
+        prop_assert_eq!(
+            TraceClassifier::classify_proc_with_dds(&records, external, thr, capacity),
+            replay(&records, Some(external), (bbv, Some(thr.dds)), capacity)
+        );
+    }
+}
+
+/// Today's NaN behaviour, pinned identically in both paths: a NaN distance
+/// passes every `d >= threshold` test and no real distance compares below
+/// it, so a stored NaN signature captures every later interval, and a NaN
+/// query matches the first resident entry.
+#[test]
+fn nan_lane_behaviour_is_pinned_in_both_paths() {
+    let a = vec![0.7, 0.1, 0.1, 0.1];
+    let b = vec![0.1, 0.7, 0.1, 0.1];
+    let mut nan = a.clone();
+    nan[2] = f64::NAN;
+    let grid = [(0.1, None), (0.1, Some(0.5))];
+
+    let stored_nan: Vec<IntervalRecord> = [nan.clone(), a.clone(), b.clone(), a.clone()]
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| record(i, v, 1.0))
+        .collect();
+    let swept = TraceClassifier::sweep_proc(&stored_nan, None, &grid, 32);
+    for (ids, &point) in swept.iter().zip(&grid) {
+        assert_eq!(ids, &vec![0, 0, 0, 0]);
+        assert_eq!(ids, &replay(&stored_nan, None, point, 32));
+    }
+
+    let nan_query: Vec<IntervalRecord> = [b.clone(), a.clone(), nan, b]
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| record(i, v, 1.0))
+        .collect();
+    let swept = TraceClassifier::sweep_proc(&nan_query, None, &grid, 32);
+    for (ids, &point) in swept.iter().zip(&grid) {
+        assert_eq!(ids, &vec![0, 1, 0, 0]);
+        assert_eq!(ids, &replay(&nan_query, None, point, 32));
+    }
+}
+
+#[test]
+fn empty_stream_and_empty_grid() {
+    assert_eq!(
+        TraceClassifier::sweep_proc(&[], None, &[(0.5, None)], 4),
+        vec![Vec::<u32>::new()]
+    );
+    let records = vec![record(0, vec![1.0, 0.0, 0.0, 0.0], 0.0)];
+    assert!(TraceClassifier::sweep_proc(&records, None, &[], 4).is_empty());
+}

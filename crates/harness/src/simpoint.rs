@@ -11,7 +11,7 @@
 //!    pick one representative interval per cluster
 //!    ([`dsm_simpoint::select`]).
 //! 3. **Checkpoint** — re-run the workload once, snapshotting the complete
-//!    machine + collector state (`DSMCKPT1` codec) at each representative's
+//!    machine + collector state (`DSMCKPT5` codec) at each representative's
 //!    interval boundary; the continuation of this run doubles as a golden
 //!    cross-check against the profiling pass.
 //! 4. **Replay + reconstruct** — decode each checkpoint in a worker
@@ -78,7 +78,7 @@ pub fn capture_with_checkpoints(
 
 /// [`capture_with_checkpoints`] on the sharded parallel core: the run
 /// executes under `shards` shards (conservative window barrier included)
-/// and each checkpoint records the shard count in its `DSMCKPT3` metadata,
+/// and each checkpoint records the shard count in its `DSMCKPT5` metadata,
 /// so [`resume_checkpoint`] re-enables the identical sharded scheduler.
 /// Bit-identical to the serial capture — the round-trip suite pins this.
 pub fn capture_with_checkpoints_sharded(

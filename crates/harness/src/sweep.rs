@@ -7,15 +7,19 @@
 //! reported curve is the set of all grid points (its lower envelope is
 //! taken at plot time).
 //!
-//! Every threshold point is classified independently, so each sweep fans
-//! its inner loop out over [`crate::parallel::par_map`]; results come back
-//! in threshold order, keeping curves byte-identical to a serial run.
+//! The footprint-table sweeps (BBV, BBV+DDV, DDS ablations) replay each
+//! processor once for the whole grid
+//! ([`TraceClassifier::sweep_proc`]): one distance per record pair per
+//! sweep, in memory linear in the records. They fan out over processors
+//! with [`crate::parallel::par_map`]; the other baselines fan out over
+//! thresholds. Either way every point is averaged in processor order, so
+//! curves are byte-identical to a serial run.
 
-use dsm_analysis::cov::{identifier_cov, phase_count};
+use dsm_analysis::cov::PhaseGroups;
 use dsm_analysis::curve::{CovCurve, CurvePoint};
 use dsm_phase::branch_count::BranchCountDetector;
 use dsm_phase::ddv::DdvState;
-use dsm_phase::detector::{DetectorMode, IntervalRecord, Thresholds, TraceClassifier};
+use dsm_phase::detector::{IntervalRecord, TraceClassifier};
 use dsm_phase::working_set::{WorkingSetDetector, WsSignature};
 use dsm_phase::DEFAULT_FOOTPRINT_VECTORS;
 
@@ -37,34 +41,77 @@ pub fn log_spaced(n: usize, lo: f64, hi: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Classify every processor's records at one threshold and aggregate into
-/// one sweep point (mean per-processor identifier CoV and phase count).
+/// `(identifier CoV, phase count)` of one processor's phase ids.
+fn proc_stats(groups: &mut PhaseGroups, ids: &[u32], cpis: &[f64]) -> (f64, f64) {
+    let (cov, phases) = groups.cov_and_count(ids.iter().copied().zip(cpis.iter().copied()));
+    (cov, phases as f64)
+}
+
+/// One sweep point from the `(CoV, phase count)` of every non-empty
+/// processor, in processor order: their means.
+fn curve_point(stats: &[(f64, f64)], bbv_threshold: f64, dds_threshold: Option<f64>) -> CurvePoint {
+    let n = stats.len().max(1) as f64;
+    CurvePoint {
+        phases: stats.iter().map(|s| s.1).sum::<f64>() / n,
+        cov: stats.iter().map(|s| s.0).sum::<f64>() / n,
+        bbv_threshold,
+        dds_threshold,
+    }
+}
+
+fn cpis(records: &[IntervalRecord]) -> Vec<f64> {
+    records.iter().map(IntervalRecord::cpi).collect()
+}
+
+/// Classify every processor's records at one threshold (`classify` gets
+/// the processor index and its records) and aggregate into one sweep point.
 fn point_for<F>(trace: &SystemTrace, classify: F, bbv_thr: f64, dds_thr: Option<f64>) -> CurvePoint
 where
-    F: Fn(&[IntervalRecord]) -> Vec<u32>,
+    F: Fn(usize, &[IntervalRecord]) -> Vec<u32>,
 {
-    let mut covs = Vec::with_capacity(trace.records.len());
-    let mut phase_counts = Vec::with_capacity(trace.records.len());
-    for proc_records in &trace.records {
-        if proc_records.is_empty() {
-            continue;
-        }
-        let ids = classify(proc_records);
-        let pairs: Vec<(u32, f64)> = ids
+    let mut groups = PhaseGroups::default();
+    let stats: Vec<(f64, f64)> = trace
+        .records
+        .iter()
+        .enumerate()
+        .filter(|(_, recs)| !recs.is_empty())
+        .map(|(proc, recs)| proc_stats(&mut groups, &classify(proc, recs), &cpis(recs)))
+        .collect();
+    curve_point(&stats, bbv_thr, dds_thr)
+}
+
+/// A footprint-table curve over `grid`: one lockstep replay per non-empty
+/// processor, fanned out over processors, with `dds[proc]` replacing the
+/// records' own DDS when given.
+fn sweep_curve(
+    trace: &SystemTrace,
+    dds: Option<&[Vec<f64>]>,
+    grid: &[(f64, Option<f64>)],
+    capacity: usize,
+) -> CovCurve {
+    let procs: Vec<usize> = (0..trace.records.len())
+        .filter(|&p| !trace.records[p].is_empty())
+        .collect();
+    let per_proc: Vec<Vec<(f64, f64)>> = par_map(procs, |proc| {
+        let recs = &trace.records[proc];
+        let cpis = cpis(recs);
+        let mut groups = PhaseGroups::default();
+        TraceClassifier::sweep_proc(recs, dds.map(|d| d[proc].as_slice()), grid, capacity)
             .iter()
-            .zip(proc_records)
-            .map(|(&id, r)| (id, r.cpi()))
-            .collect();
-        covs.push(identifier_cov(&pairs));
-        phase_counts.push(phase_count(&pairs) as f64);
-    }
-    let n = covs.len().max(1) as f64;
-    CurvePoint {
-        phases: phase_counts.iter().sum::<f64>() / n,
-        cov: covs.iter().sum::<f64>() / n,
-        bbv_threshold: bbv_thr,
-        dds_threshold: dds_thr,
-    }
+            .map(|ids| proc_stats(&mut groups, ids, &cpis))
+            .collect()
+    });
+    let mut stats = Vec::with_capacity(per_proc.len());
+    let points = grid
+        .iter()
+        .enumerate()
+        .map(|(k, &(bbv_thr, dds_thr))| {
+            stats.clear();
+            stats.extend(per_proc.iter().map(|s| s[k]));
+            curve_point(&stats, bbv_thr, dds_thr)
+        })
+        .collect();
+    CovCurve::new(points)
 }
 
 /// Baseline BBV sweep (Figure 2).
@@ -79,22 +126,11 @@ pub fn bbv_curve_with(trace: &SystemTrace, n_points: usize) -> CovCurve {
 
 /// Baseline BBV sweep with explicit point count and footprint capacity.
 pub fn bbv_curve_cap(trace: &SystemTrace, n_points: usize, capacity: usize) -> CovCurve {
-    let points = par_map(log_spaced(n_points, 1e-3, 2.0), |thr| {
-        point_for(
-            trace,
-            |recs| {
-                TraceClassifier::classify_proc(
-                    recs,
-                    DetectorMode::Bbv,
-                    Thresholds::bbv_only(thr),
-                    capacity,
-                )
-            },
-            thr,
-            None,
-        )
-    });
-    CovCurve::new(points)
+    let grid: Vec<(f64, Option<f64>)> = log_spaced(n_points, 1e-3, 2.0)
+        .into_iter()
+        .map(|thr| (thr, None))
+        .collect();
+    sweep_curve(trace, None, &grid, capacity)
 }
 
 /// BBV+DDV grid sweep (Figure 4).
@@ -114,27 +150,15 @@ pub fn bbv_ddv_curve_cap(
     n_dds: usize,
     capacity: usize,
 ) -> CovCurve {
-    let points = par_map(threshold_grid(n_bbv, n_dds), |(bbv_thr, dds_thr)| {
-        let t = Thresholds {
-            bbv: bbv_thr,
-            dds: dds_thr,
-        };
-        point_for(
-            trace,
-            |recs| TraceClassifier::classify_proc(recs, DetectorMode::BbvDdv, t, capacity),
-            bbv_thr,
-            Some(dds_thr),
-        )
-    });
-    CovCurve::new(points)
+    sweep_curve(trace, None, &threshold_grid(n_bbv, n_dds), capacity)
 }
 
 /// The BBV × DDS threshold grid, flattened in row-major (BBV-outer) order.
-fn threshold_grid(n_bbv: usize, n_dds: usize) -> Vec<(f64, f64)> {
+fn threshold_grid(n_bbv: usize, n_dds: usize) -> Vec<(f64, Option<f64>)> {
     let dds = log_spaced(n_dds, 5e-3, 1.0);
     log_spaced(n_bbv, 1e-3, 2.0)
         .into_iter()
-        .flat_map(|b| dds.iter().map(move |&d| (b, d)))
+        .flat_map(|b| dds.iter().map(move |&d| (b, Some(d))))
         .collect()
 }
 
@@ -151,15 +175,21 @@ pub enum DdsAblation {
     FrequencyOnly,
 }
 
-/// Recompute a record's DDS under an ablated formula.
-pub fn ablated_dds(rec: &IntervalRecord, dist_row: &[f64], which: DdsAblation) -> f64 {
-    let ones_d: Vec<f64> = vec![1.0; rec.fvec.len()];
-    let ones_c: Vec<u64> = vec![1; rec.fvec.len()];
+/// Recompute a record's DDS under an ablated formula. `ones_d` and
+/// `ones_c` are all-ones distance and contention rows at least as long as
+/// the record's frequency vector, built once per trace.
+pub fn ablated_dds(
+    rec: &IntervalRecord,
+    dist_row: &[f64],
+    ones_d: &[f64],
+    ones_c: &[u64],
+    which: DdsAblation,
+) -> f64 {
     match which {
         DdsAblation::Full => DdvState::dds_of(&rec.fvec, dist_row, &rec.cvec),
-        DdsAblation::NoContention => DdvState::dds_of(&rec.fvec, dist_row, &ones_c),
-        DdsAblation::NoDistance => DdvState::dds_of(&rec.fvec, &ones_d, &rec.cvec),
-        DdsAblation::FrequencyOnly => DdvState::dds_of(&rec.fvec, &ones_d, &ones_c),
+        DdsAblation::NoContention => DdvState::dds_of(&rec.fvec, dist_row, ones_c),
+        DdsAblation::NoDistance => DdvState::dds_of(&rec.fvec, ones_d, &rec.cvec),
+        DdsAblation::FrequencyOnly => DdvState::dds_of(&rec.fvec, ones_d, ones_c),
     }
 }
 
@@ -168,52 +198,23 @@ pub fn ablated_dds(rec: &IntervalRecord, dist_row: &[f64], which: DdsAblation) -
 pub fn ablation_curve(trace: &SystemTrace, which: DdsAblation) -> CovCurve {
     let n = trace.config.n_procs;
     let ddv = DdvState::for_hypercube(n);
-    // Ablated DDS values depend only on the records, not on the
-    // thresholds — compute them once, outside the threshold fan-out.
+    let (ones_d, ones_c) = (vec![1.0; n], vec![1; n]);
     let ablated: Vec<Vec<f64>> = trace
         .records
         .iter()
         .enumerate()
         .map(|(proc, recs)| {
             recs.iter()
-                .map(|r| ablated_dds(r, ddv.dist_row(proc), which))
+                .map(|r| ablated_dds(r, ddv.dist_row(proc), &ones_d, &ones_c, which))
                 .collect()
         })
         .collect();
-    let points = par_map(
-        threshold_grid(DDV_GRID_BBV, DDV_GRID_DDS),
-        |(bbv_thr, dds_thr)| {
-            let t = Thresholds {
-                bbv: bbv_thr,
-                dds: dds_thr,
-            };
-            let mut covs = Vec::new();
-            let mut phase_counts = Vec::new();
-            for (recs, dds) in trace.records.iter().zip(&ablated) {
-                if recs.is_empty() {
-                    continue;
-                }
-                let ids = TraceClassifier::classify_proc_with_dds(
-                    recs,
-                    dds,
-                    t,
-                    DEFAULT_FOOTPRINT_VECTORS,
-                );
-                let pairs: Vec<(u32, f64)> =
-                    ids.iter().zip(recs).map(|(&id, r)| (id, r.cpi())).collect();
-                covs.push(identifier_cov(&pairs));
-                phase_counts.push(phase_count(&pairs) as f64);
-            }
-            let n = covs.len().max(1) as f64;
-            CurvePoint {
-                phases: phase_counts.iter().sum::<f64>() / n,
-                cov: covs.iter().sum::<f64>() / n,
-                bbv_threshold: bbv_thr,
-                dds_threshold: Some(dds_thr),
-            }
-        },
-    );
-    CovCurve::new(points)
+    sweep_curve(
+        trace,
+        Some(&ablated),
+        &threshold_grid(DDV_GRID_BBV, DDV_GRID_DDS),
+        DEFAULT_FOOTPRINT_VECTORS,
+    )
 }
 
 /// Vector-DDV extension sweep (X8 in DESIGN.md): classification on the
@@ -225,31 +226,20 @@ pub fn vector_ddv_curve(trace: &SystemTrace, data_weight: f64) -> CovCurve {
     let points = par_map(
         log_spaced(BBV_SWEEP_POINTS, 1e-3, 2.0 * (1.0 + data_weight)),
         |thr| {
-            let mut covs = Vec::new();
-            let mut phase_counts = Vec::new();
-            for (proc, recs) in trace.records.iter().enumerate() {
-                if recs.is_empty() {
-                    continue;
-                }
-                let ids = TraceClassifier::classify_proc_vector_ddv(
-                    recs,
-                    ddv.dist_row(proc),
-                    thr,
-                    data_weight,
-                    DEFAULT_FOOTPRINT_VECTORS,
-                );
-                let pairs: Vec<(u32, f64)> =
-                    ids.iter().zip(recs).map(|(&id, r)| (id, r.cpi())).collect();
-                covs.push(identifier_cov(&pairs));
-                phase_counts.push(phase_count(&pairs) as f64);
-            }
-            let n = covs.len().max(1) as f64;
-            CurvePoint {
-                phases: phase_counts.iter().sum::<f64>() / n,
-                cov: covs.iter().sum::<f64>() / n,
-                bbv_threshold: thr,
-                dds_threshold: None,
-            }
+            point_for(
+                trace,
+                |proc, recs| {
+                    TraceClassifier::classify_proc_vector_ddv(
+                        recs,
+                        ddv.dist_row(proc),
+                        thr,
+                        data_weight,
+                        DEFAULT_FOOTPRINT_VECTORS,
+                    )
+                },
+                thr,
+                None,
+            )
         },
     );
     CovCurve::new(points)
@@ -260,7 +250,7 @@ pub fn working_set_curve(trace: &SystemTrace) -> CovCurve {
     let points = par_map(log_spaced(BBV_SWEEP_POINTS, 1e-3, 1.0), |thr| {
         point_for(
             trace,
-            |recs| {
+            |_, recs| {
                 let mut det = WorkingSetDetector::new(DEFAULT_FOOTPRINT_VECTORS);
                 recs.iter()
                     .map(|r| det.classify(&WsSignature::from_words(r.ws_sig.clone()), thr))
@@ -278,7 +268,7 @@ pub fn branch_count_curve(trace: &SystemTrace) -> CovCurve {
     let points = par_map(log_spaced(BBV_SWEEP_POINTS, 1e-4, 1.0), |thr| {
         point_for(
             trace,
-            |recs| {
+            |_, recs| {
                 let mut det = BranchCountDetector::new(DEFAULT_FOOTPRINT_VECTORS);
                 recs.iter().map(|r| det.classify(r.branches, thr)).collect()
             },
@@ -356,19 +346,11 @@ mod tests {
             branches: 1,
         };
         let dist = [1.0, 3.0];
-        assert_eq!(
-            ablated_dds(&rec, &dist, DdsAblation::Full),
-            2.0 * 10.0 + 3.0 * 3.0 * 20.0
-        );
-        assert_eq!(
-            ablated_dds(&rec, &dist, DdsAblation::NoContention),
-            2.0 + 9.0
-        );
-        assert_eq!(
-            ablated_dds(&rec, &dist, DdsAblation::NoDistance),
-            20.0 + 60.0
-        );
-        assert_eq!(ablated_dds(&rec, &dist, DdsAblation::FrequencyOnly), 5.0);
+        let ablated = |which| ablated_dds(&rec, &dist, &[1.0; 2], &[1; 2], which);
+        assert_eq!(ablated(DdsAblation::Full), 2.0 * 10.0 + 3.0 * 3.0 * 20.0);
+        assert_eq!(ablated(DdsAblation::NoContention), 2.0 + 9.0);
+        assert_eq!(ablated(DdsAblation::NoDistance), 20.0 + 60.0);
+        assert_eq!(ablated(DdsAblation::FrequencyOnly), 5.0);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 
 use std::sync::{Mutex, MutexGuard};
 
+use dsm_analysis::curve::CovCurve;
 use dsm_harness::figures::{figure2_with_report, figure4_with_report};
-use dsm_harness::sweep::{bbv_curve_with, bbv_ddv_curve_with};
+use dsm_harness::sweep::{ablation_curve, bbv_curve_with, bbv_ddv_curve_with, DdsAblation};
 use dsm_harness::trace::{capture, clear_memory_cache};
 use dsm_harness::{parallel, ExperimentConfig};
 use dsm_workloads::{App, Scale};
@@ -81,14 +82,28 @@ fn figures_are_byte_identical_serial_vs_four_jobs() {
 fn sweeps_are_identical_for_any_job_count() {
     let _guard = EngineGuard::take();
     let trace = capture(ExperimentConfig::test(App::Fmm, 4));
+    let curves = || {
+        [
+            bbv_curve_with(&trace, 50),
+            bbv_ddv_curve_with(&trace, 10, 5),
+            ablation_curve(&trace, DdsAblation::NoContention),
+        ]
+    };
+    let bits = |c: &CovCurve| -> Vec<(u64, u64)> {
+        c.points
+            .iter()
+            .map(|p| (p.phases.to_bits(), p.cov.to_bits()))
+            .collect()
+    };
     parallel::set_jobs(1);
-    let bbv_serial = bbv_curve_with(&trace, 50);
-    let ddv_serial = bbv_ddv_curve_with(&trace, 10, 5);
-    parallel::set_jobs(4);
-    let bbv_par = bbv_curve_with(&trace, 50);
-    let ddv_par = bbv_ddv_curve_with(&trace, 10, 5);
-    assert_eq!(bbv_serial.points, bbv_par.points);
-    assert_eq!(ddv_serial.points, ddv_par.points);
+    let serial = curves();
+    for jobs in [2, 4] {
+        parallel::set_jobs(jobs);
+        for (s, p) in serial.iter().zip(curves()) {
+            assert_eq!(s.points, p.points, "{jobs} jobs");
+            assert_eq!(bits(s), bits(&p), "{jobs} jobs");
+        }
+    }
 }
 
 #[test]
