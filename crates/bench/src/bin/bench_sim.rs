@@ -67,9 +67,9 @@ fn read_json(path: &Path) -> Option<Json> {
 }
 
 /// The beyond-paper scaling curve (`current` only): Ocean — the most
-/// interval-dense workload, i.e. the collection-bound regime the sharded
-/// core targets — at each of [`SCALE_PROCS`], reference serial arm vs the
-/// sharded core with hierarchical DDV reduction.
+/// interval-dense workload, i.e. the collection-bound regime the O(n)
+/// aggregate DDV gather targets — at each of [`SCALE_PROCS`], the serial
+/// core with the O(n²) reference gather vs the aggregate gather.
 fn scaling_json(samples: usize) -> Json {
     let points = scale_sweep(App::Ocean, samples);
     Json::obj()
@@ -154,7 +154,7 @@ fn print_summary(doc: &Json) {
                 p.get("n_procs").and_then(Json::as_f64),
                 p.get("speedup").and_then(Json::as_f64),
             ) {
-                println!("scaling: {n}P sharded-vs-reference speedup {s}x");
+                println!("scaling: {n}P aggregate-vs-reference gather speedup {s}x");
             }
         }
     }
@@ -270,7 +270,7 @@ fn check(path: &Path) -> ExitCode {
         None => errors.push("missing `current.diagnose` group".into()),
     }
     // The scaling curve is required in `current` only (baselines recorded
-    // before the sharded core may predate it): every SCALE_PROCS point,
+    // before the curve existed predate it): every SCALE_PROCS point,
     // positive rates in both arms, bit-identity asserted, CoV-of-CPI logged.
     match doc
         .get("current")
@@ -287,7 +287,7 @@ fn check(path: &Path) -> ExitCode {
                     errors.push(format!("`current.scaling` missing the {n}-processor point"));
                     continue;
                 };
-                for key in ["reference_events_per_sec", "sharded_events_per_sec", "speedup"] {
+                for key in ["reference_events_per_sec", "aggregate_events_per_sec", "speedup"] {
                     match p.get(key).and_then(Json::as_f64) {
                         Some(v) if v > 0.0 => {}
                         _ => errors.push(format!(
@@ -297,7 +297,7 @@ fn check(path: &Path) -> ExitCode {
                 }
                 if p.get("bit_identical") != Some(&Json::Bool(true)) {
                     errors.push(format!(
-                        "`current.scaling` {n}P point did not assert sharded/serial bit-identity"
+                        "`current.scaling` {n}P point did not assert aggregate/reference bit-identity"
                     ));
                 }
                 if p.get("cov_cpi").and_then(Json::as_f64).is_none() {

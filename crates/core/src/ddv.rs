@@ -43,8 +43,9 @@
 //! their sum *is* `G` at that point. Differences of u64 sums equal sums of
 //! u64 differences exactly, so the fast gather is bit-identical to the
 //! reference walk — [`DdvState::end_interval_reference_into`] keeps the
-//! O(n²) walk alive purely to pin that equivalence in tests. `F_i` itself
-//! only needs node `i`'s own matrix (one row drain, O(n)).
+//! O(n²) walk alive to pin that equivalence, in tests and as the reference
+//! arm of the harness's scale sweep. `F_i` itself only needs node `i`'s own
+//! matrix (one row drain, O(n)).
 //!
 //! The [`DegradedCollector`] cannot use the aggregate: it must know *which*
 //! node's row arrived, so it keeps the per-matrix walk. A given `DdvState`
@@ -190,58 +191,6 @@ impl DdsSample {
     }
 }
 
-/// How the end-of-interval row collection is organized on the wire.
-///
-/// Either way the *values* gathered are identical (u64 sums are
-/// associative); what changes is the simulated collection shape: the star
-/// funnels `n - 1` rows straight into the requester in one round, the
-/// fan-in tree combines them along a reduction tree so the critical path
-/// grows O(log n) and the root only ever receives `arity` messages. The
-/// shape is accounted in [`DdvState::gather_rounds`]; total vectors on the
-/// wire stay `n - 1` for both (every non-root node sends exactly once).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GatherTopology {
-    /// The paper's all-to-one gather: one round, root fan-in `n - 1`.
-    Star,
-    /// Fan-in reduction tree of the given arity (≥ 2); `ceil(log_a n)`
-    /// rounds, root fan-in ≤ `arity`.
-    Tree { arity: usize },
-}
-
-impl GatherTopology {
-    /// Critical-path rounds to collect `n - 1` remote rows.
-    pub fn depth(self, n: usize) -> u32 {
-        match self {
-            _ if n <= 1 => 0,
-            GatherTopology::Star => 1,
-            GatherTopology::Tree { arity } => {
-                assert!(arity >= 2, "reduction tree needs arity >= 2");
-                // Rounds of a heap-shaped arity-a fan-in tree over n ranks:
-                // every rank (internal ones too) contributes a row, so a
-                // depth-d tree covers 1 + a + ... + a^d ranks.
-                let mut rounds = 0u32;
-                let mut covered = 1usize;
-                let mut level = 1usize;
-                while covered < n {
-                    level = level.saturating_mul(arity);
-                    covered = covered.saturating_add(level);
-                    rounds += 1;
-                }
-                rounds
-            }
-        }
-    }
-
-    /// Messages the requester itself must sink during one gather.
-    pub fn root_fan_in(self, n: usize) -> usize {
-        match self {
-            _ if n <= 1 => 0,
-            GatherTopology::Star => n - 1,
-            GatherTopology::Tree { arity } => arity.min(n - 1),
-        }
-    }
-}
-
 /// System-wide DDV state: one frequency matrix per node plus the
 /// pre-programmed distance matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -254,8 +203,6 @@ pub struct DdvState {
     gsnap: Vec<u64>,
     /// Distance matrix, row-major; `dist[i*n+j]`, 1.0 on the diagonal.
     dist: Vec<f64>,
-    /// Simulated collection shape (cost accounting only; values identical).
-    collection: GatherTopology,
     queries: u64,
     vectors_exchanged: u64,
     gather_rounds: u64,
@@ -277,7 +224,6 @@ impl DdvState {
             gcum: vec![0; n],
             gsnap: vec![0; n * n],
             dist,
-            collection: GatherTopology::Star,
             queries: 0,
             vectors_exchanged: 0,
             gather_rounds: 0,
@@ -311,22 +257,6 @@ impl DdvState {
         self.gcum[home] += 1;
     }
 
-    /// Coordinator half of [`Self::record_access`]: bump only the global
-    /// cumulative vector. The sharded collector calls this on the serial
-    /// side and defers the per-node `mats[p]` bump to the owning shard
-    /// worker ([`FrequencyMatrix::record`] via [`Self::mats_mut`]).
-    #[inline]
-    pub fn record_home_global(&mut self, home: usize) {
-        self.gcum[home] += 1;
-    }
-
-    /// The per-node matrices, for shard workers that update disjoint
-    /// processors in parallel. Combined with [`Self::record_home_global`]
-    /// this reproduces [`Self::record_access`] exactly.
-    pub fn mats_mut(&mut self) -> &mut [FrequencyMatrix] {
-        &mut self.mats
-    }
-
     /// Processor `i` ends an interval: gather all `F_i` rows (zeroing them),
     /// build `C`, and compute the DDS.
     pub fn end_interval(&mut self, i: usize) -> DdsSample {
@@ -344,36 +274,24 @@ impl DdvState {
         sample.fvec.clear();
         sample.fvec.resize(self.n, 0);
         self.mats[i].drain_row_into(i, &mut sample.fvec);
-        self.gather_cvec_into(i, &mut sample.cvec);
-        sample.dds = Self::dds_of(&sample.fvec, &self.dist[i * self.n..(i + 1) * self.n], &sample.cvec);
-    }
-
-    /// Coordinator half of the fast gather: build `C` for requester `i`
-    /// from the aggregate (`C = G - S_i`, then `S_i := G`) and account the
-    /// gather. `F_i` and the DDS are per-processor work the sharded
-    /// collector computes on the owning shard.
-    pub fn gather_cvec_into(&mut self, i: usize, cvec: &mut Vec<u64>) {
-        self.queries += 1;
-        self.vectors_exchanged += (self.n - 1) as u64; // remote rows fetched
-        self.gather_rounds += self.collection.depth(self.n) as u64;
-        cvec.clear();
-        cvec.resize(self.n, 0);
+        self.account_gather();
+        sample.cvec.clear();
+        sample.cvec.resize(self.n, 0);
         let srow = &mut self.gsnap[i * self.n..(i + 1) * self.n];
-        for ((c, &g), s) in cvec.iter_mut().zip(self.gcum.iter()).zip(srow.iter_mut()) {
+        for ((c, &g), s) in sample.cvec.iter_mut().zip(self.gcum.iter()).zip(srow.iter_mut()) {
             *c = g - *s;
             *s = g;
         }
+        sample.dds = Self::dds_of(&sample.fvec, &self.dist[i * self.n..(i + 1) * self.n], &sample.cvec);
     }
 
     /// The pre-optimization reference gather: walk every node's matrix and
-    /// drain its `F_i` row. O(n²) per interval. Kept (and exercised by
-    /// tests) purely to pin the bit-equivalence of the fast aggregate path;
-    /// do not mix both paths on one instance — each maintains snapshot
-    /// state the other does not.
+    /// drain its `F_i` row. O(n²) per interval. Kept to pin the
+    /// bit-equivalence of the fast aggregate path (tests and the scale
+    /// sweep's reference arm); do not mix both paths on one instance — each
+    /// maintains snapshot state the other does not.
     pub fn end_interval_reference_into(&mut self, i: usize, sample: &mut DdsSample) {
-        self.queries += 1;
-        self.vectors_exchanged += (self.n - 1) as u64;
-        self.gather_rounds += self.collection.depth(self.n) as u64;
+        self.account_gather();
         sample.fvec.clear();
         sample.fvec.resize(self.n, 0);
         sample.cvec.clear();
@@ -392,6 +310,13 @@ impl DdvState {
             *c += f;
         }
         sample.dds = Self::dds_of(&sample.fvec, &self.dist[i * self.n..(i + 1) * self.n], &sample.cvec);
+    }
+
+    /// Account one all-to-one gather: `n - 1` remote rows in one round.
+    fn account_gather(&mut self) {
+        self.queries += 1;
+        self.vectors_exchanged += (self.n - 1) as u64;
+        self.gather_rounds += u64::from(self.n > 1);
     }
 
     /// The DDS formula over explicit vectors (exposed for ablations, which
@@ -419,32 +344,10 @@ impl DdvState {
         self.vectors_exchanged
     }
 
-    /// Critical-path collection rounds accumulated across all gathers
-    /// (queries × depth of the configured [`GatherTopology`]).
+    /// Critical-path collection rounds accumulated across all gathers: one
+    /// per gather, since every remote row goes straight to the requester.
     pub fn gather_rounds(&self) -> u64 {
         self.gather_rounds
-    }
-
-    /// The simulated collection shape in force.
-    pub fn collection_topology(&self) -> GatherTopology {
-        self.collection
-    }
-
-    /// Select the simulated collection shape. Gather *values* are
-    /// unaffected (sums are associative); only the round accounting
-    /// changes, so the default star keeps every committed golden intact.
-    pub fn set_collection_topology(&mut self, t: GatherTopology) {
-        if let GatherTopology::Tree { arity } = t {
-            assert!(arity >= 2, "reduction tree needs arity >= 2");
-        }
-        self.collection = t;
-    }
-
-    /// The per-node matrices *and* the shared distance matrix, borrowed
-    /// together (disjoint fields): shard workers mutate disjoint matrices
-    /// while all of them read distance rows for the DDS.
-    pub(crate) fn mats_and_dist(&mut self) -> (&mut [FrequencyMatrix], &[f64]) {
-        (&mut self.mats, &self.dist)
     }
 
     /// Mirror the gather counters into a metrics registry under `prefix`
@@ -498,86 +401,6 @@ impl DdvState {
         self.queries = st.queries;
         self.vectors_exchanged = st.vectors_exchanged;
         self.gather_rounds = st.gather_rounds;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Hierarchical fan-in reduction
-// ---------------------------------------------------------------------------
-
-/// A deterministic fan-in reduction tree over `n` ranks rooted at rank 0.
-///
-/// Rank `r`'s parent is `(r - 1) / arity` — the heap shape — so the tree is
-/// fully determined by `(n, arity)` and every combine is a plain u64 vector
-/// add. Used two ways: as the simulated shape behind
-/// [`GatherTopology::Tree`] (cost accounting), and as the actual combine
-/// order of the sharded collector's drain, where per-shard partial rows
-/// fan into the requester instead of `n - 1` separate messages. Because
-/// u64 addition is commutative and associative, the tree-combined result
-/// is bit-identical to the star gather — pinned by tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReductionTree {
-    n: usize,
-    arity: usize,
-}
-
-impl ReductionTree {
-    pub fn new(n: usize, arity: usize) -> Self {
-        assert!(n > 0, "reduction over zero ranks");
-        assert!(arity >= 2, "reduction tree needs arity >= 2");
-        Self { n, arity }
-    }
-
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Parent rank of `r` (`None` for the root).
-    pub fn parent(&self, r: usize) -> Option<usize> {
-        debug_assert!(r < self.n);
-        if r == 0 {
-            None
-        } else {
-            Some((r - 1) / self.arity)
-        }
-    }
-
-    /// Depth of rank `r` below the root (root = 0): the number of combine
-    /// rounds `r`'s contribution traverses.
-    pub fn depth_of(&self, r: usize) -> u32 {
-        let mut d = 0;
-        let mut cur = r;
-        while let Some(p) = self.parent(cur) {
-            cur = p;
-            d += 1;
-        }
-        d
-    }
-
-    /// Critical-path rounds: the maximum leaf depth.
-    pub fn depth(&self) -> u32 {
-        (0..self.n).map(|r| self.depth_of(r)).max().unwrap_or(0)
-    }
-
-    /// Combine one vector per rank bottom-up along the tree and return the
-    /// root's total. Each rank folds its children's partials into its own
-    /// vector before forwarding — exactly `n - 1` vector messages, like the
-    /// star, but with O(log n) critical path and root fan-in ≤ arity.
-    pub fn reduce(&self, rows: &[Vec<u64>]) -> Vec<u64> {
-        assert_eq!(rows.len(), self.n, "one row per rank");
-        let width = rows.first().map_or(0, |r| r.len());
-        let mut partial: Vec<Vec<u64>> = rows.to_vec();
-        // Children have strictly larger rank indices than their parents, so
-        // a single reverse sweep folds bottom-up.
-        for r in (1..self.n).rev() {
-            assert_eq!(partial[r].len(), width, "ragged reduction rows");
-            let p = self.parent(r).expect("non-root has a parent");
-            let (head, tail) = partial.split_at_mut(r);
-            for (dst, &v) in head[p].iter_mut().zip(tail[0].iter()) {
-                *dst += v;
-            }
-        }
-        partial.swap_remove(0)
     }
 }
 
@@ -665,7 +488,7 @@ impl DegradedCollector {
         let n = self.n;
         assert_eq!(n, ddv.n(), "collector and DDV state sized differently");
         ddv.queries += 1;
-        ddv.gather_rounds += ddv.collection.depth(n) as u64;
+        ddv.gather_rounds += u64::from(n > 1);
         sample.fvec.clear();
         sample.fvec.resize(n, 0);
         sample.cvec.clear();
@@ -839,6 +662,7 @@ mod tests {
         d.end_interval(3);
         assert_eq!(d.queries(), 2);
         assert_eq!(d.vectors_exchanged(), 14);
+        assert_eq!(d.gather_rounds(), 2, "one round per all-to-one gather");
     }
 
     #[test]
@@ -993,81 +817,6 @@ mod tests {
         d.end_interval_into(1, &mut s);
         restored.end_interval_into(1, &mut s2);
         assert_eq!(s, s2);
-    }
-
-    #[test]
-    fn tree_reduce_matches_star_sum() {
-        let mut x = 0xabcdu64;
-        for n in [1usize, 2, 3, 7, 8, 16, 64] {
-            for arity in [2usize, 4, 8] {
-                let rows: Vec<Vec<u64>> = (0..n)
-                    .map(|_| {
-                        (0..5)
-                            .map(|_| {
-                                x = dsm_sim::util::splitmix64(x);
-                                x % 1000
-                            })
-                            .collect()
-                    })
-                    .collect();
-                // Star gather: plain elementwise sum over all ranks.
-                let mut star = vec![0u64; 5];
-                for row in &rows {
-                    for (s, &v) in star.iter_mut().zip(row) {
-                        *s += v;
-                    }
-                }
-                let tree = ReductionTree::new(n, arity);
-                assert_eq!(tree.reduce(&rows), star, "n = {n}, arity = {arity}");
-            }
-        }
-    }
-
-    #[test]
-    fn tree_depth_is_logarithmic() {
-        assert_eq!(GatherTopology::Star.depth(64), 1);
-        assert_eq!(GatherTopology::Tree { arity: 2 }.depth(64), 6);
-        assert_eq!(GatherTopology::Tree { arity: 2 }.depth(128), 7);
-        assert_eq!(GatherTopology::Tree { arity: 4 }.depth(64), 3);
-        assert_eq!(GatherTopology::Tree { arity: 2 }.depth(1), 0);
-        // The concrete tree's critical path matches the accounting model.
-        for n in [2usize, 3, 17, 64, 128] {
-            for arity in [2usize, 4] {
-                let t = ReductionTree::new(n, arity);
-                assert_eq!(
-                    t.depth(),
-                    GatherTopology::Tree { arity }.depth(n),
-                    "n = {n}, arity = {arity}"
-                );
-            }
-        }
-        assert_eq!(GatherTopology::Star.root_fan_in(64), 63);
-        assert_eq!(GatherTopology::Tree { arity: 4 }.root_fan_in(64), 4);
-    }
-
-    #[test]
-    fn tree_topology_changes_rounds_but_not_values() {
-        let mut star = DdvState::for_hypercube(8);
-        let mut tree = DdvState::for_hypercube(8);
-        tree.set_collection_topology(GatherTopology::Tree { arity: 2 });
-        let mut ss = DdsSample::empty();
-        let mut ts = DdsSample::empty();
-        let mut x = 77u64;
-        for step in 0..300 {
-            x = dsm_sim::util::splitmix64(x);
-            let (p, h) = ((x % 8) as usize, ((x >> 11) % 8) as usize);
-            star.record_access(p, h);
-            tree.record_access(p, h);
-            if step % 29 == 0 {
-                let i = ((x >> 22) % 8) as usize;
-                star.end_interval_into(i, &mut ss);
-                tree.end_interval_into(i, &mut ts);
-                assert_eq!(ss, ts, "values identical under both shapes");
-            }
-        }
-        assert_eq!(star.vectors_exchanged(), tree.vectors_exchanged());
-        assert_eq!(star.gather_rounds(), star.queries(), "star: 1 round per gather");
-        assert_eq!(tree.gather_rounds(), 3 * tree.queries(), "arity-2 over 8 ranks: 3 rounds");
     }
 
     #[test]

@@ -170,18 +170,18 @@ impl Default for DetectorGeometry {
 
 /// Records per-interval feature snapshots for offline classification.
 pub struct TraceCollector {
-    pub(crate) geometry: DetectorGeometry,
-    pub(crate) bbv: Vec<BbvAccumulator>,
-    pub(crate) ws: Vec<WsSignature>,
-    pub(crate) branches: Vec<u64>,
-    pub(crate) ddv: DdvState,
+    geometry: DetectorGeometry,
+    bbv: Vec<BbvAccumulator>,
+    ws: Vec<WsSignature>,
+    branches: Vec<u64>,
+    ddv: DdvState,
     /// Captured records, per processor, in interval order.
     pub records: Vec<Vec<IntervalRecord>>,
     /// Use the pre-optimization O(n²) all-to-one gather at interval ends
     /// (the scaling benchmark's reference arm). Must be chosen before the
     /// run — the fast and reference gathers keep different snapshot state
     /// and cannot be mixed on one instance.
-    pub(crate) reference_gather: bool,
+    reference_gather: bool,
 }
 
 impl TraceCollector {
@@ -218,11 +218,6 @@ impl TraceCollector {
 
     pub fn ddv(&self) -> &DdvState {
         &self.ddv
-    }
-
-    /// Mutable DDV state, for pre-run configuration (collection topology).
-    pub fn ddv_mut(&mut self) -> &mut DdvState {
-        &mut self.ddv
     }
 
     /// Switch interval ends to the pre-optimization O(n²) all-to-one

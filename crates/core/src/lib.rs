@@ -14,15 +14,12 @@
 //!   Vector. An n×n frequency matrix counts committed loads/stores by home
 //!   node on behalf of every requester; at interval end the requester
 //!   gathers all rows, sums them into the contention vector `C`, and folds
-//!   frequency × distance × contention into the scalar DDS.
+//!   frequency × distance × contention into the scalar DDS. The gather is
+//!   O(n) per interval (`C = G − S_i` from one global cumulative vector),
+//!   bit-identical to the O(n²) walk kept as the reference.
 //! * [`detector`] — the end-to-end detectors (`BBV` and `BBV+DDV`) as
 //!   simulator observers, plus the offline trace classifier used for
 //!   threshold sweeps (equivalent by construction; see DESIGN.md).
-//! * [`shard_collector`] — the parallel trace-capture path: a serial
-//!   coordinator stages observer events (keeping the O(n) DDV aggregate in
-//!   global order) and host worker threads drain the per-processor work at
-//!   conservative window boundaries, bit-identical to [`detector`]'s serial
-//!   collector at any thread count.
 //! * [`predictor`] — phase predictors (last-phase and run-length Markov),
 //!   the paper's stated future-work direction.
 //! * [`working_set`], [`branch_count`] — the related-work baselines of
@@ -42,7 +39,6 @@ pub mod detector;
 pub mod distance;
 pub mod footprint;
 pub mod predictor;
-pub mod shard_collector;
 pub mod signature;
 pub mod stream;
 pub mod telem;
@@ -55,7 +51,6 @@ pub use detector::{
     OnlineDetector, Thresholds, TraceClassifier, TraceCollector,
 };
 pub use footprint::{FootprintTable, Match};
-pub use shard_collector::{DrainCounters, ShardedCollector};
 pub use signature::{ClassifierBank, IntervalSignature, SignatureExtractor};
 pub use stream::{PhaseStream, StreamError};
 pub use predictor::{LastPhasePredictor, Markov2Predictor, PhasePredictor, RlePredictor};

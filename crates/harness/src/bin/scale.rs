@@ -1,7 +1,6 @@
-//! Scaling-curve sweep: single-run throughput at 16/64/128 processors,
-//! serial reference core (all-to-one gather) vs the sharded parallel core
-//! (conservative windows + O(n) aggregate gather along a binary reduction
-//! tree), plus the window/steal counters and detector CoV of CPI at scale.
+//! Scaling-curve sweep: single-run throughput at 16/64/128 processors on
+//! the serial core, O(n²) reference DDV gather vs the O(n) aggregate gather,
+//! plus the gather counters and detector CoV of CPI at scale.
 //!
 //! Usage: `scale [--samples N] [--app NAME] [--jobs N]` (default 3 samples,
 //! Ocean — the interval-dense workload where the per-interval gather is the
@@ -17,21 +16,16 @@ use dsm_workloads::App;
 
 fn render(points: &[ScalePoint]) -> String {
     let mut t = Table::new(vec![
-        "procs", "shards", "events", "ref ev/s", "sharded ev/s", "speedup", "windows",
-        "stalls", "steals", "rounds", "cov cpi",
+        "procs", "events", "ref ev/s", "aggregate ev/s", "speedup", "rounds", "cov cpi",
     ])
-    .with_title("one-run scaling: serial reference vs sharded core (events/sec)");
+    .with_title("one-run scaling: O(n^2) reference vs O(n) aggregate DDV gather (events/sec)");
     for p in points {
         t.row(vec![
             p.n_procs.to_string(),
-            p.shards.to_string(),
             p.events.to_string(),
             format!("{:.0}", p.reference_events_per_sec),
-            format!("{:.0}", p.sharded_events_per_sec),
+            format!("{:.0}", p.aggregate_events_per_sec),
             format!("{:.2}x", p.speedup),
-            p.windows.to_string(),
-            p.barrier_stalls.to_string(),
-            p.steals.to_string(),
             p.gather_rounds.to_string(),
             format!("{:.3}", p.cov_cpi),
         ]);

@@ -59,29 +59,6 @@ pub fn jobs() -> usize {
     }
 }
 
-/// Host-core budget guard for the sharded core's observer workers: with
-/// [`jobs`] capture workers each potentially running `requested` observer
-/// threads, the product must not exceed the host's available cores. Returns
-/// the clamped thread count (always ≥ 1) and warns on stderr when it had to
-/// clamp.
-pub fn budget_observer_threads(requested: usize) -> usize {
-    let requested = requested.max(1);
-    let allowed = (default_jobs() / jobs()).max(1);
-    if requested > allowed {
-        eprintln!(
-            "warning: --jobs {} x {} observer threads exceeds {} available cores; \
-             clamping observer threads to {}",
-            jobs(),
-            requested,
-            default_jobs(),
-            allowed
-        );
-        allowed
-    } else {
-        requested
-    }
-}
-
 /// Parse `--jobs N` from the command line (or `DSM_JOBS` from the
 /// environment), set the process-wide knob, and return the result.
 pub fn jobs_from_args() -> usize {
@@ -940,17 +917,6 @@ mod tests {
         for j in [1, 2, 4, 13] {
             assert_eq!(par_map_jobs(j, items.clone(), |x| x * 3), expect);
         }
-    }
-
-    #[test]
-    fn budget_guard_clamps_to_host_cores() {
-        // Without touching the process-wide jobs knob: the clamp ceiling is
-        // at most the hardware core count and the result is always >= 1.
-        let clamped = budget_observer_threads(usize::MAX);
-        assert!(clamped >= 1);
-        assert!(clamped <= default_jobs());
-        assert_eq!(budget_observer_threads(0), 1);
-        assert!(budget_observer_threads(1) == 1);
     }
 
     #[test]

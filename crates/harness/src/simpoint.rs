@@ -11,7 +11,7 @@
 //!    pick one representative interval per cluster
 //!    ([`dsm_simpoint::select`]).
 //! 3. **Checkpoint** — re-run the workload once, snapshotting the complete
-//!    machine + collector state (`DSMCKPT5` codec) at each representative's
+//!    machine + collector state (`DSMCKPT6` codec) at each representative's
 //!    interval boundary; the continuation of this run doubles as a golden
 //!    cross-check against the profiling pass.
 //! 4. **Replay + reconstruct** — decode each checkpoint in a worker
@@ -73,23 +73,7 @@ pub fn capture_with_checkpoints(
 ) -> (Vec<(u64, Vec<u8>)>, SystemTrace) {
     let mut sys_cfg = config.system_config();
     sys_cfg.fault = plan;
-    capture_checkpoints_inner(config, sys_cfg, boundaries, false, 0)
-}
-
-/// [`capture_with_checkpoints`] on the sharded parallel core: the run
-/// executes under `shards` shards (conservative window barrier included)
-/// and each checkpoint records the shard count in its `DSMCKPT5` metadata,
-/// so [`resume_checkpoint`] re-enables the identical sharded scheduler.
-/// Bit-identical to the serial capture — the round-trip suite pins this.
-pub fn capture_with_checkpoints_sharded(
-    config: ExperimentConfig,
-    plan: FaultPlan,
-    boundaries: &[u64],
-    shards: usize,
-) -> (Vec<(u64, Vec<u8>)>, SystemTrace) {
-    let mut sys_cfg = config.system_config();
-    sys_cfg.fault = plan;
-    capture_checkpoints_inner(config, sys_cfg, boundaries, false, shards)
+    capture_checkpoints_inner(config, sys_cfg, boundaries, false)
 }
 
 /// [`capture_with_checkpoints`] with an explicit machine configuration —
@@ -100,7 +84,7 @@ pub fn capture_with_checkpoints_cfg(
     sys_cfg: SystemConfig,
     boundaries: &[u64],
 ) -> (Vec<(u64, Vec<u8>)>, SystemTrace) {
-    capture_checkpoints_inner(config, sys_cfg, boundaries, false, 0)
+    capture_checkpoints_inner(config, sys_cfg, boundaries, false)
 }
 
 fn capture_checkpoints_inner(
@@ -108,16 +92,12 @@ fn capture_checkpoints_inner(
     sys_cfg: SystemConfig,
     boundaries: &[u64],
     strip_records: bool,
-    shards: usize,
 ) -> (Vec<(u64, Vec<u8>)>, SystemTrace) {
     let mut sorted: Vec<u64> = boundaries.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
 
     let mut sys = fresh_system(config, sys_cfg.clone());
-    if shards > 1 {
-        sys.enable_sharding(shards);
-    }
     let mut ckpts = Vec::with_capacity(sorted.len());
     for &b in &sorted {
         let reached = sys.run_to_interval(b);
@@ -215,13 +195,6 @@ pub fn resume_checkpoint(ck: &Checkpoint) -> AppSystem {
     collector.import_state(&ck.collector);
 
     let mut sys = System::new(sys_cfg, stream, collector);
-    // Re-enable the captured shard layout first, so the state restore
-    // rebuilds its per-shard scheduler trees from the restored processor
-    // states. The continuation is bit-identical either way (sharded ≡
-    // serial), but the resumed machine must *be* the machine captured.
-    if ck.meta.shards > 1 {
-        sys.enable_sharding(ck.meta.shards);
-    }
     sys.restore_state(&ck.system);
     sys
 }
@@ -313,7 +286,7 @@ pub fn sampled_run(config: ExperimentConfig, plan: FaultPlan) -> SimpointResult 
     let boundaries: Vec<u64> = samples.iter().flatten().map(|u| u.interval as u64).collect();
     let mut ckpt_cfg = config.system_config();
     ckpt_cfg.fault = plan;
-    let (ckpts, golden) = capture_checkpoints_inner(config, ckpt_cfg, &boundaries, true, 0);
+    let (ckpts, golden) = capture_checkpoints_inner(config, ckpt_cfg, &boundaries, true);
     assert_eq!(
         golden.stats, profile.stats,
         "{}: checkpoint pass diverged from profiling pass",
@@ -488,8 +461,6 @@ fn snapshot(
             plan: sys_cfg.fault,
             geometry: sys.observer().geometry(),
             interval_index: boundary,
-            // 0 = the serial core; resume re-enables the same sharding.
-            shards: sys.shard_layout().map_or(0, |l| l.n_shards()),
         },
         system: sys.state_snapshot(),
         collector: sys.observer().export_state(),

@@ -84,84 +84,6 @@ pub fn capture_with(
     }
 }
 
-/// A sharded capture: the trace plus the parallel-core counters the scale
-/// sweep reports.
-#[derive(Debug, Clone)]
-pub struct ShardedCapture {
-    pub trace: SystemTrace,
-    /// Conservative-window counters from the sharded scheduler.
-    pub windows: dsm_sim::shard::WindowCounters,
-    /// Observer drain/steal counters from the sharded collector.
-    pub drains: dsm_phase::DrainCounters,
-    /// Effective shard count the run executed under.
-    pub shards: usize,
-    /// Effective observer worker-thread count (after the host-core budget
-    /// guard — see [`crate::parallel::budget_observer_threads`]).
-    pub threads: usize,
-}
-
-/// Capture under the sharded parallel core: the event loop is partitioned
-/// into `shards` shards advanced under a conservative time-window barrier,
-/// and observer work is drained by `threads` host worker threads at window
-/// boundaries. Bit-identical to [`capture_with_faults`] at any shard and
-/// thread count (the `sharded_differential` suite pins this); `threads` is
-/// clamped so `jobs() × threads` never oversubscribes the host.
-pub fn capture_sharded(
-    config: ExperimentConfig,
-    plan: dsm_sim::config::FaultPlan,
-    shards: usize,
-    threads: usize,
-) -> ShardedCapture {
-    capture_sharded_with(
-        config,
-        plan,
-        shards,
-        crate::parallel::budget_observer_threads(threads),
-    )
-}
-
-/// [`capture_sharded`] without the host-core budget guard: `threads` is
-/// used verbatim. The differential suite uses this to exercise thread
-/// counts above the host's core budget (bit-identity must hold regardless).
-pub fn capture_sharded_with(
-    config: ExperimentConfig,
-    plan: dsm_sim::config::FaultPlan,
-    shards: usize,
-    threads: usize,
-) -> ShardedCapture {
-    let mut sys_cfg = config.system_config();
-    sys_cfg.fault = plan;
-    let stream = make_stream(config.app, config.n_procs, config.scale);
-    let dist = dsm_sim::network::Network::new(sys_cfg.network, config.n_procs).distance_matrix();
-    let collector = dsm_phase::ShardedCollector::new(
-        TraceCollector::new(config.n_procs, dist, DetectorGeometry::default()),
-        threads,
-    );
-    let mut system = System::new(sys_cfg, stream, collector);
-    system.enable_sharding(shards);
-    system.run_to_interval(u64::MAX);
-    let windows = system.window_counters();
-    let shards = system.shard_layout().map_or(1, |l| l.n_shards());
-    let (stats, mut collector) = system.run_to_end();
-    // Force the final drain before reading the counters, so they cover the
-    // whole run.
-    collector.collector();
-    let drains = collector.counters();
-    let inner = collector.into_inner();
-    ShardedCapture {
-        trace: SystemTrace {
-            config,
-            ddv_vectors_exchanged: inner.ddv().vectors_exchanged(),
-            records: inner.records,
-            stats,
-        },
-        windows,
-        drains,
-        shards,
-        threads,
-    }
-}
-
 /// Process-wide in-memory trace cache, keyed by configuration label.
 static CACHE: Mutex<Option<HashMap<String, Arc<SystemTrace>>>> = Mutex::new(None);
 
@@ -239,24 +161,6 @@ mod tests {
         let a = capture_cached(cfg);
         let b = capture_cached(cfg);
         assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn sharded_capture_matches_serial() {
-        let cfg = ExperimentConfig::test(App::Lu, 4);
-        let serial = capture(cfg);
-        let sharded = capture_sharded_with(cfg, dsm_sim::config::FaultPlan::none(), 2, 2);
-        assert_eq!(sharded.trace.stats, serial.stats);
-        assert_eq!(sharded.trace.records, serial.records);
-        assert_eq!(
-            sharded.trace.ddv_vectors_exchanged,
-            serial.ddv_vectors_exchanged
-        );
-        assert_eq!(sharded.shards, 2);
-        assert_eq!(sharded.threads, 2);
-        assert!(sharded.windows.windows > 0);
-        assert!(sharded.windows.lookahead >= 1);
-        assert!(sharded.drains.drains > 0);
     }
 
     #[test]

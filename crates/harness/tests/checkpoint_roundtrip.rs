@@ -9,11 +9,7 @@
 //! checkpointing bugs with sampling noise and the 5 % CPI gate would be
 //! meaningless.
 
-use dsm_harness::simpoint::{
-    capture_with_checkpoints, capture_with_checkpoints_cfg, capture_with_checkpoints_sharded,
-    resume_to_end,
-};
-use dsm_simpoint::codec::Checkpoint;
+use dsm_harness::simpoint::{capture_with_checkpoints, capture_with_checkpoints_cfg, resume_to_end};
 use dsm_harness::ExperimentConfig;
 use dsm_sim::config::FaultPlan;
 use dsm_sim::topology::TopologyKind;
@@ -70,7 +66,7 @@ fn roundtrip_all_workloads_2p_fault_free() {
 
 #[test]
 fn roundtrip_routed_fabric_nondefault_topologies() {
-    // The routed-fabric column: DSMCKPT2 carries the topology and the
+    // The routed-fabric column: the DSMCKPT6 metadata carries the topology and the
     // link-contention flag, and the per-directed-link busy/flit vectors are
     // indexed by that topology's link table — resume must rebuild the same
     // fabric and continue bit-identically, faults included.
@@ -101,47 +97,6 @@ fn roundtrip_routed_fabric_nondefault_topologies() {
                 "{}/{}: records diverged resuming from interval {b}",
                 config.label(),
                 kind.name(),
-            );
-        }
-    }
-}
-
-#[test]
-fn roundtrip_sharded_core_resumes_bit_exactly() {
-    // The sharded-core column: a checkpoint captured mid-run on the sharded
-    // scheduler records its shard count in the DSMCKPT3 metadata, and
-    // resume re-enables the identical sharded machine — per-shard
-    // tournament queues rebuilt from the restored processor states — then
-    // finishes bit-identically to the *serial* straight run (the sharded ≡
-    // serial invariant composed with checkpoint/restore).
-    for (app, shards) in [(App::Lu, 2), (App::Ocean, 4), (App::Art, 16)] {
-        let config = ExperimentConfig::test(app, 16);
-        let plan = FaultPlan::mixed(0x5AD7_C497, 0.02);
-        let serial_golden = {
-            let (_, golden) = capture_with_checkpoints(config, plan, &[1]);
-            golden
-        };
-        let (ckpts, sharded_golden) =
-            capture_with_checkpoints_sharded(config, plan, &[1], shards);
-        assert_eq!(
-            sharded_golden.stats, serial_golden.stats,
-            "{app:?}: sharded capture pass diverged from serial at {shards} shards"
-        );
-        assert_eq!(sharded_golden.records, serial_golden.records);
-        for (b, bytes) in &ckpts {
-            let ck = Checkpoint::decode(bytes).expect("checkpoint decodes");
-            assert_eq!(
-                ck.meta.shards, shards,
-                "{app:?}: DSMCKPT3 metadata lost the shard count"
-            );
-            let resumed = resume_to_end(bytes);
-            assert_eq!(
-                resumed.stats, serial_golden.stats,
-                "{app:?}: stats diverged resuming sharded checkpoint at interval {b}"
-            );
-            assert_eq!(
-                resumed.records, serial_golden.records,
-                "{app:?}: records diverged resuming sharded checkpoint at interval {b}"
             );
         }
     }

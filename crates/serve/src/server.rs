@@ -93,6 +93,10 @@ pub enum ServeError {
     /// Signature's BBV length does not match the tenant's configured
     /// accumulator size.
     BadBbvLen { tenant: TenantId, len: usize, expected: usize },
+    /// A NaN or infinite value in the signature's `field` (`"bbv"` or
+    /// `"dds"`). Every footprint gate skips on `distance >= threshold`, so
+    /// a NaN would match every stored entry and, once stored, every query.
+    NonFinite { tenant: TenantId, field: &'static str },
 }
 
 impl std::fmt::Display for ServeError {
@@ -104,6 +108,9 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::BadBbvLen { tenant, len, expected } => {
                 write!(f, "tenant {tenant}: bbv length {len}, expected {expected}")
+            }
+            ServeError::NonFinite { tenant, field } => {
+                write!(f, "tenant {tenant}: non-finite value in {field}")
             }
         }
     }
@@ -328,6 +335,12 @@ impl PhaseServer {
                 len: sig.bbv.len(),
                 expected: t.cfg.bbv_entries,
             });
+        }
+        if !sig.bbv.iter().all(|x| x.is_finite()) {
+            return Err(ServeError::NonFinite { tenant: id, field: "bbv" });
+        }
+        if !sig.dds.is_finite() {
+            return Err(ServeError::NonFinite { tenant: id, field: "dds" });
         }
         t.stats.offered += 1;
         if let Some(p) = t.probes {

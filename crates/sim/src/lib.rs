@@ -39,7 +39,6 @@ pub mod observer;
 pub mod processor;
 pub mod reconfig;
 pub mod sched;
-pub mod shard;
 pub mod state;
 pub mod stats;
 pub mod system;
@@ -56,7 +55,6 @@ pub use fault::{FaultState, FaultStats};
 pub use event::{Event, InstructionStream};
 pub use observer::{IntervalStats, NullObserver, SimObserver};
 pub use reconfig::{HotPage, Machine, ReconfigStats, DVFS_NOMINAL, PAGE_MIGRATE_STALL_CYCLES};
-pub use shard::{cross_shard_lookahead, ShardLayout, WindowCounters};
 pub use state::SystemState;
 pub use stats::{ProcStats, SystemStats};
 pub use system::System;

@@ -66,8 +66,8 @@ pub struct NetworkStats {
 
 impl NetworkStats {
     /// Merge another stats block into this one (elementwise; the link
-    /// vector grows to the longer of the two). Used when aggregating
-    /// per-shard runs — merging is commutative and associative.
+    /// vector grows to the longer of the two). Merging is commutative
+    /// and associative.
     pub fn absorb(&mut self, other: &NetworkStats) {
         self.msgs += other.msgs;
         self.payload_msgs += other.payload_msgs;

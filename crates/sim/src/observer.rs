@@ -51,14 +51,6 @@ pub trait SimObserver {
 
     /// Processor `proc` finished a sampling interval.
     fn on_interval(&mut self, proc: usize, stats: IntervalStats);
-
-    /// A conservative time window closed (sharded execution only; see
-    /// `dsm_sim::shard`). `window` is the count of windows closed so far
-    /// and `next_horizon` the new window's horizon. This is the cue that
-    /// staged cross-shard observer work may be drained — observation never
-    /// feeds back into execution, so the default is a no-op and ignoring
-    /// windows is always correct.
-    fn on_window_close(&mut self, _window: u64, _next_horizon: u64) {}
 }
 
 /// An observer that ignores everything (pure-timing runs).

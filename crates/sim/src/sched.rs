@@ -106,14 +106,6 @@ impl MinTree {
             Some(w)
         }
     }
-
-    /// The smallest key (`u64::MAX` when every participant is parked).
-    /// O(1); the sharded scheduler's top tournament reads shard minima
-    /// through this on every update.
-    #[inline]
-    pub fn min_key(&self) -> u64 {
-        self.keys[self.win[1] as usize]
-    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use crate::network::Network;
 use crate::observer::{IntervalStats, SimObserver};
 use crate::reconfig::{HotPage, Machine, ReconfigSnap, ReconfigStats, DVFS_NOMINAL};
 use crate::processor::Processor;
-use crate::shard::{cross_shard_lookahead, ShardLayout, Scheduler, WindowCounters, WindowEvent, WindowTracker};
+use crate::sched::MinTree;
 use crate::state::{BarrierSnap, LockSnap, SystemState};
 use crate::stats::SystemStats;
 use crate::telem::{SimProbes, SimTelemetry, Snapshot};
@@ -85,12 +85,8 @@ pub struct System<S: InstructionStream, O: SimObserver> {
     observer: O,
     events_executed: u64,
     /// Indexed scheduler: one key per processor, equal to its cycle while
-    /// runnable and `u64::MAX` while finished or blocked. A flat tree by
-    /// default; the two-level sharded tournament (identical pick order)
-    /// after [`System::enable_sharding`].
-    sched: Scheduler,
-    /// Conservative time-window tracker, present iff sharding is enabled.
-    windows: Option<WindowTracker>,
+    /// runnable and `u64::MAX` while finished or blocked.
+    sched: MinTree,
     /// One fetched-but-not-yet-executed event per processor. The batched
     /// run loop parks an event here when it must execute at the processor's
     /// canonical position in the global `(cycle, id)` order rather than
@@ -141,8 +137,7 @@ impl<S: InstructionStream, O: SimObserver> System<S, O> {
             stream,
             observer,
             events_executed: 0,
-            sched: Scheduler::single(n),
-            windows: None,
+            sched: MinTree::new(n),
             pending: vec![None; n],
             fetched: vec![0; n],
             telem,
@@ -155,62 +150,6 @@ impl<S: InstructionStream, O: SimObserver> System<S, O> {
 
     pub fn config(&self) -> &SystemConfig {
         &self.cfg
-    }
-
-    /// Partition the machine into `shards` contiguous shards: the event
-    /// loop switches to the two-level tournament scheduler (identical
-    /// `(cycle, id)` pick order — execution stays bit-identical to the
-    /// serial core) and advances under conservative time windows whose
-    /// lookahead is the minimum cross-shard delivery latency of the routed
-    /// fabric. Window boundaries are reported to the observer via
-    /// [`SimObserver::on_window_close`] — the drain points for staged
-    /// cross-shard work. Callable at any point (checkpoint restore included);
-    /// scheduler keys are rebuilt from processor state.
-    pub fn enable_sharding(&mut self, shards: usize) {
-        let layout = ShardLayout::contiguous(self.cfg.n_procs, shards);
-        let lookahead = cross_shard_lookahead(&self.net, &layout);
-        self.windows = Some(WindowTracker::new(lookahead, layout.n_shards()));
-        self.sched = Scheduler::sharded(layout);
-        for p in 0..self.cfg.n_procs {
-            self.refresh_key(p);
-        }
-    }
-
-    /// Record every horizon-gated event (property tests; memory-heavy).
-    pub fn enable_window_log(&mut self) {
-        self.windows
-            .as_mut()
-            .expect("enable sharding before window logging")
-            .enable_event_log();
-    }
-
-    /// Counters of the conservative-window run (zeroes when not sharded).
-    pub fn window_counters(&self) -> WindowCounters {
-        self.windows.as_ref().map(|w| w.counters()).unwrap_or_default()
-    }
-
-    /// The shard layout in force, if sharding is enabled.
-    pub fn shard_layout(&self) -> Option<&ShardLayout> {
-        self.sched.layout()
-    }
-
-    /// The per-event window log (requires [`System::enable_window_log`]).
-    pub fn window_events(&self) -> Option<&[WindowEvent]> {
-        self.windows.as_ref().and_then(|w| w.events())
-    }
-
-    /// Gate the pick of processor `p` (scheduler key `key`) through the
-    /// conservative window: close windows the pick crosses (notifying the
-    /// observer — its cue to drain staged work) and account the event to
-    /// `p`'s shard. No-op on the serial core.
-    #[inline]
-    fn window_gate(&mut self, p: usize, key: u64) {
-        if let Some(w) = &mut self.windows {
-            if w.advance_to(key) {
-                self.observer.on_window_close(w.counters().windows, w.horizon());
-            }
-            w.record_event(self.sched.shard_id(p), key);
-        }
     }
 
     pub fn observer(&self) -> &O {
@@ -275,7 +214,6 @@ impl<S: InstructionStream, O: SimObserver> System<S, O> {
         let Some(p) = self.sched.min() else {
             return self.handle_no_runnable();
         };
-        self.window_gate(p, self.sched.key(p));
         let ev = match self.pending[p].take() {
             Some(ev) => ev,
             None => {
@@ -296,7 +234,6 @@ impl<S: InstructionStream, O: SimObserver> System<S, O> {
             return self.handle_no_runnable();
         };
         if let Some(ev) = self.pending[p].take() {
-            self.window_gate(p, self.sched.key(p));
             self.events_executed += 1;
             self.dispatch(p, ev);
             self.refresh_key(p);
@@ -358,7 +295,6 @@ impl<S: InstructionStream, O: SimObserver> System<S, O> {
         if batched > 0 {
             self.pending[p] = Some(tail);
         } else {
-            self.window_gate(p, self.sched.key(p));
             self.events_executed += 1;
             self.dispatch(p, tail);
         }
@@ -737,16 +673,6 @@ impl<S: InstructionStream, O: SimObserver> System<S, O> {
         if let Some(reg) = self.telem.registry_mut() {
             reg.counter_add("sim/events_executed", self.events_executed);
             reg.counter_add("sim/sched/runnable_at_finish", self.sched.runnable() as u64);
-            if let Some(w) = &self.windows {
-                let c = w.counters();
-                reg.counter_add("sim/shard/windows", c.windows);
-                reg.counter_add("sim/shard/barrier_stalls", c.barrier_stalls);
-                reg.counter_add("sim/shard/gated_events", c.gated_events);
-                reg.counter_add("sim/shard/lookahead_cycles", c.lookahead);
-                if let Some(l) = self.sched.layout() {
-                    reg.counter_add("sim/shard/shards", l.n_shards() as u64);
-                }
-            }
             stats.publish(reg);
             self.net.publish_links("sim/network", reg);
         }

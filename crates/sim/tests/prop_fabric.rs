@@ -139,8 +139,8 @@ proptest! {
     }
 
     /// Absorb-merging the stats of two partial runs is commutative and
-    /// equals the elementwise sum — so sharded captures aggregate to the
-    /// same totals regardless of merge order.
+    /// equals the elementwise sum — so partial runs aggregate to the same
+    /// totals regardless of merge order.
     #[test]
     fn absorb_merges_partial_runs(
         kind in kind_strategy(),

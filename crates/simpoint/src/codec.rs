@@ -1,4 +1,4 @@
-//! Versioned, deterministic binary checkpoint codec (`DSMCKPT5`).
+//! Versioned, deterministic binary checkpoint codec (`DSMCKPT6`).
 //!
 //! A checkpoint is the pair (simulator state, detector-collector state) at a
 //! global interval boundary, plus the metadata needed to rebuild the machine
@@ -35,15 +35,16 @@ use dsm_workloads::{App, Scale};
 /// and the per-link flit counters in the network section. Version 3 scales
 /// past 64 nodes: the barrier arrival bitmap became multi-word, the DDV
 /// snapshot carries the O(n) aggregate-gather state (`G`, `S`, round
-/// counter), and the metadata records the shard count the run was captured
-/// under (0 = serial core). Version 4 carries the adaptation subsystem:
+/// counter), and the metadata recorded the shard count of the since-removed
+/// sharded core. Version 4 carries the adaptation subsystem:
 /// per-processor core profiles, home-map migration overrides and touch
 /// counters, the DVFS/reconfiguration snapshot, and an optional
 /// [`AdaptSnap`] so a checkpoint taken mid-tuning resumes the §II protocol
 /// bit-exactly. Version 5 carries the targeted-straggler fault-plan fields
 /// (`slowdown_node`, `slowdown_from_cycle`, `slowdown_until_cycle`) the
-/// diagnostics layer's ground-truth plans use.
-pub const MAGIC: &[u8; 8] = b"DSMCKPT5";
+/// diagnostics layer's ground-truth plans use. Version 6 drops the shard
+/// count from the metadata: there is only the serial core.
+pub const MAGIC: &[u8; 8] = b"DSMCKPT6";
 
 /// The version-independent format prefix shared by every `DSMCKPT` version.
 const MAGIC_FAMILY: &[u8; 7] = b"DSMCKPT";
@@ -55,8 +56,8 @@ pub enum CkptError {
     /// The buffer does not start with [`MAGIC`].
     BadMagic,
     /// A `DSMCKPT` checkpoint of a different version (e.g. a pre-fabric
-    /// `DSMCKPT1` or a pre-sharding `DSMCKPT2` file); re-capture the
-    /// checkpoint with this build.
+    /// `DSMCKPT1` file, or a `DSMCKPT5` file that still carries a shard
+    /// count); re-capture the checkpoint with this build.
     UnsupportedVersion { version: u8 },
     /// The buffer ended before the structure it claims to hold.
     Truncated,
@@ -72,7 +73,7 @@ pub enum CkptError {
 impl std::fmt::Display for CkptError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CkptError::BadMagic => write!(f, "not a DSMCKPT5 checkpoint (bad magic)"),
+            CkptError::BadMagic => write!(f, "not a DSMCKPT6 checkpoint (bad magic)"),
             CkptError::UnsupportedVersion { version } => {
                 write!(f, "unsupported DSMCKPT version {:?}", *version as char)
             }
@@ -105,11 +106,6 @@ pub struct CheckpointMeta {
     pub plan: FaultPlan,
     pub geometry: DetectorGeometry,
     pub interval_index: u64,
-    /// Shard count the capturing run executed under (0 = serial core).
-    /// Informational for resume: sharded execution is bit-identical to
-    /// serial at any shard count, so a resume may pick any sharding — this
-    /// records what produced the snapshot.
-    pub shards: usize,
 }
 
 /// A complete checkpoint: metadata, simulator state, collector state, and
@@ -914,7 +910,7 @@ fn get_adapt(r: &mut R) -> D<AdaptSnap> {
 }
 
 impl Checkpoint {
-    /// Serialize to the `DSMCKPT5` byte format. Deterministic: the same
+    /// Serialize to the `DSMCKPT6` byte format. Deterministic: the same
     /// checkpoint always encodes to the same bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = W { out: Vec::with_capacity(4096) };
@@ -953,7 +949,6 @@ impl Checkpoint {
         w.u64(m.geometry.footprint_vectors as u64);
         w.u64(m.geometry.ws_bits as u64);
         w.u64(m.interval_index);
-        w.u64(m.shards as u64);
         put_system(&mut w, &self.system);
         put_collector(&mut w, &self.collector);
         match &self.adapt {
@@ -966,7 +961,7 @@ impl Checkpoint {
         w.out
     }
 
-    /// Decode a `DSMCKPT5` buffer. Total: any input yields `Ok` or a typed
+    /// Decode a `DSMCKPT6` buffer. Total: any input yields `Ok` or a typed
     /// [`CkptError`]; never panics, never over-allocates on hostile lengths.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CkptError> {
         if bytes.len() < MAGIC.len() || &bytes[..MAGIC_FAMILY.len()] != MAGIC_FAMILY {
@@ -1022,10 +1017,6 @@ impl Checkpoint {
             ws_bits: r.usize_checked("ws_bits")?,
         };
         let interval_index = r.u64()?;
-        let shards = r.usize_checked("shards")?;
-        if shards > n_procs {
-            return Err(CkptError::BadValue { what: "shards" });
-        }
         let system = get_system(&mut r)?;
         if system.procs.len() != n_procs {
             return Err(CkptError::BadValue { what: "system sized for a different machine" });
@@ -1050,7 +1041,6 @@ impl Checkpoint {
                 plan,
                 geometry,
                 interval_index,
-                shards,
             },
             system,
             collector,
@@ -1111,7 +1101,6 @@ mod tests {
                 plan: FaultPlan::mixed(7, 0.01),
                 geometry: DetectorGeometry::default(),
                 interval_index: 7,
-                shards: 0,
             },
             system: SystemState {
                 procs: vec![proc(0), proc(1)],
@@ -1311,6 +1300,7 @@ mod tests {
             (b"DSMCKPT2\x00\x01\x02\x03", b'2'),
             (b"DSMCKPT3\x00\x01\x02\x03", b'3'),
             (b"DSMCKPT4\x00\x01\x02\x03", b'4'),
+            (b"DSMCKPT5\x00\x01\x02\x03", b'5'),
             (b"DSMCKPT9garbage", b'9'),
         ] {
             assert_eq!(

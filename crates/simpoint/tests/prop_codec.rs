@@ -1,4 +1,4 @@
-//! Property tests for the `DSMCKPT5` checkpoint codec: decoding is *total*
+//! Property tests for the `DSMCKPT6` checkpoint codec: decoding is *total*
 //! (any input — random bytes, corrupted checkpoints, truncations — yields a
 //! typed error or a valid checkpoint, never a panic), and the encoding is
 //! canonical (whatever decodes re-encodes to the identical bytes).
@@ -128,7 +128,6 @@ fn synth(seed: u64, n_procs: usize, n_recs: usize) -> Checkpoint {
             plan: if g.u().is_multiple_of(2) { FaultPlan::none() } else { FaultPlan::mixed(g.u(), 0.01) },
             geometry: DetectorGeometry::default(),
             interval_index: g.u() % 64,
-            shards: (g.u() % (n_procs as u64 + 1)) as usize,
         },
         system: SystemState {
             procs,

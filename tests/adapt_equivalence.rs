@@ -12,7 +12,7 @@
 //! 3. **Conservation under faults** — with real actuators reconfiguring
 //!    the machine mid-run under a lossy fault plan, every workload still
 //!    completes and the coherence conservation invariant holds.
-//! 4. **Mid-tuning resume** — a `DSMCKPT5` checkpoint taken inside the
+//! 4. **Mid-tuning resume** — a `DSMCKPT6` checkpoint taken inside the
 //!    exploration of the first phase round-trips through bytes and resumes
 //!    to a bit-exact final state.
 
@@ -191,7 +191,7 @@ fn adaptation_conserves_coherence_under_faults() {
     }
 }
 
-/// `DSMCKPT5` carries the tuning-protocol state: a checkpoint taken
+/// `DSMCKPT6` carries the tuning-protocol state: a checkpoint taken
 /// mid-exploration round-trips through real bytes and resumes bit-exactly.
 #[test]
 fn dsmckpt4_mid_tuning_checkpoint_resumes_bit_exactly() {
@@ -230,7 +230,6 @@ fn dsmckpt4_mid_tuning_checkpoint_resumes_bit_exactly() {
             plan: sys_cfg.fault,
             geometry: Geometry::default(),
             interval_index: first.boundary(),
-            shards: 0,
         },
         system: first.system().state_snapshot(),
         collector: first.system().observer().export_state(),
