@@ -52,7 +52,7 @@ pub trait Actuator {
     fn apply(&mut self, m: &mut dyn Machine, config: usize);
 
     /// Opaque actuator-private state words for checkpointing (empty for the
-    /// stateless built-ins; the hook keeps DSMCKPT5 forward-compatible with
+    /// stateless built-ins; the hook keeps DSMCKPT6 forward-compatible with
     /// stateful actuators).
     fn export(&self) -> Vec<u64> {
         Vec::new()

@@ -4,17 +4,20 @@
 //! reconfiguration module tunes the system … by trying different hardware
 //! configurations at different intervals that belong to the same phase.
 //! Once tuning is complete, the best configuration is selected, and
-//! subsequently applied whenever that phase is predicted." The harness's
-//! `adaptive` module models that protocol abstractly (a synthetic
-//! cost-multiplier per configuration); this crate makes the locked
-//! configuration a **real machine reconfiguration applied mid-run**.
+//! subsequently applied whenever that phase is predicted." This crate holds
+//! the one implementation of that protocol and makes the locked
+//! configuration a **real machine reconfiguration applied mid-run**. The
+//! harness's `adaptive` module drives the same [`Protocol`] over a
+//! synthetic cost surface (one multiplier per configuration) instead of a
+//! simulated machine.
 //!
 //! Three layers:
 //!
-//! * [`protocol`] — the per-phase trial/lock state machine, shared verbatim
-//!   between the abstract and concrete pipelines. Its transition structure
-//!   is positional (score-independent), which is what makes the
-//!   decision-sequence differential between the two pipelines meaningful.
+//! * [`protocol`] — the per-phase trial/lock state machine, the only one
+//!   in the workspace; the abstract and concrete pipelines are drivers
+//!   that score its trials. Its transition structure is positional
+//!   (score-independent), which is what makes the decision-sequence
+//!   differential between the two drivers meaningful.
 //! * [`actuator`] — what a configuration number *means* on the machine:
 //!   phase-guided home-node page migration, DVFS-style stall-scaling
 //!   epochs, or heterogeneous big/little core profiles, all through the
@@ -22,7 +25,7 @@
 //! * [`session`] — the closed loop: simulate an interval, classify it
 //!   online, feed the protocol, reconfigure before the next interval. A
 //!   [`NoopActuator`] session is bit-identical to a plain capture;
-//!   [`AdaptSnap`] rides in `DSMCKPT5` so a checkpoint taken mid-tuning
+//!   [`AdaptSnap`] rides in `DSMCKPT6` so a checkpoint taken mid-tuning
 //!   resumes bit-exactly.
 //!
 //! Degraded intervals — where the availability model says a remote DDV row

@@ -5,16 +5,19 @@
 //! belong to the same phase. Once tuning is complete, the best configuration
 //! is selected, and subsequently applied whenever that phase is predicted."
 //!
-//! [`Protocol`] is the per-phase trial/lock machine behind that sentence,
-//! decoupled from *how* configurations are scored: the abstract harness
-//! pipeline scores with a synthetic cost multiplier, the concrete
+//! [`Protocol`] is the per-phase trial/lock machine behind that sentence —
+//! the only one in the workspace — decoupled from *how* configurations are
+//! scored. Its callers are drivers that own the cost side: the concrete
 //! [`crate::session::AdaptSession`] scores with CPI measured on the real
-//! simulated machine. The transition structure is **positional** — which
-//! config a phase trials next and when it locks depend only on the order of
-//! non-degraded arrivals of that phase, never on the scores — so the two
-//! pipelines emit identical decision sequences on the same classified
-//! stream (scores pick *which* config locks, not *when*). The
-//! `adapt_equivalence` differential suite pins this.
+//! simulated machine, and the harness's abstract `adaptive` pipelines
+//! charge each interval a synthetic cost multiplier for the configuration
+//! [`Protocol::current`] reports and feed that cost back as the score. The
+//! transition structure is **positional** — which config a phase trials
+//! next and when it locks depend only on the order of non-degraded
+//! arrivals of that phase, never on the scores — so every driver emits the
+//! same decision sequence on the same classified stream (scores pick
+//! *which* config locks, not *when*). The `adapt_equivalence` differential
+//! suite pins this.
 //!
 //! Degraded intervals (DDS too stale, classification fell back to BBV-only)
 //! are **never spent as tuning trials**: a trial measured on an interval the
@@ -81,7 +84,7 @@ enum PhaseState {
     Locked(usize),
 }
 
-/// Serializable mirror of one phase's protocol state (DSMCKPT5 carries a
+/// Serializable mirror of one phase's protocol state (DSMCKPT6 carries a
 /// sorted vector of these so a resume continues mid-tuning bit-exactly).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum PhaseStateSnap {
@@ -132,6 +135,16 @@ impl Protocol {
     /// Phases that entered the tuning protocol.
     pub fn retunes(&self) -> u64 {
         self.retunes
+    }
+
+    /// The configuration `phase` runs now: `Trial { config }` while it is
+    /// exploring, `Lock { config }` once tuned, `None` if the protocol has
+    /// never observed it (degraded arrivals create no state).
+    pub fn current(&self, phase: u32) -> Option<DecisionKind> {
+        self.states.get(&phase).map(|s| match *s {
+            PhaseState::Tuning { config, .. } => DecisionKind::Trial { config },
+            PhaseState::Locked(config) => DecisionKind::Lock { config },
+        })
     }
 
     /// Phases whose tuning has completed.
@@ -279,6 +292,18 @@ mod tests {
         // Subsequent intervals run the locked config, no new decisions.
         assert_eq!(p.observe(9, 0, 7.0, false), Some(2));
         assert_eq!(p.decisions().len(), 5);
+    }
+
+    #[test]
+    fn current_reports_the_config_in_force() {
+        let mut p = Protocol::new(TuningPolicy { n_configs: 2, trials_per_config: 1 });
+        assert_eq!(p.current(5), None);
+        p.observe(0, 5, 1.0, true);
+        assert_eq!(p.current(5), None, "a degraded arrival creates no state");
+        p.observe(1, 5, 2.0, false);
+        assert_eq!(p.current(5), Some(DecisionKind::Trial { config: 1 }));
+        p.observe(2, 5, 1.0, false);
+        assert_eq!(p.current(5), Some(DecisionKind::Lock { config: 1 }));
     }
 
     #[test]

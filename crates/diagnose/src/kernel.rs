@@ -376,10 +376,10 @@ mod tests {
             stream(2, &[2, 2, 2], 0.8),
         ];
         let m = distance_matrix(&cfg, &streams);
-        for i in 0..3 {
-            assert_eq!(m[i][i], 0.0);
-            for j in 0..3 {
-                assert_eq!(m[i][j], m[j][i]);
+        for (i, row) in m.iter().enumerate() {
+            assert_eq!(row[i], 0.0);
+            for (j, &d) in row.iter().enumerate() {
+                assert_eq!(d, m[j][i]);
             }
         }
         assert!(m[0][1] > 0.0);

@@ -198,7 +198,7 @@ mod tests {
                         .map(|i| {
                             let lagging = slow
                                 .as_ref()
-                                .map_or(false, |(node, epoch)| *node == p && epoch.contains(&i));
+                                .is_some_and(|(node, epoch)| *node == p && epoch.contains(&i));
                             // Two phases alternating in 4-interval blocks:
                             // every phase recurs outside any one block, so
                             // a slowed block contrasts against clean

@@ -72,10 +72,10 @@ impl DiagnosisSink {
     /// mixing misaligned history.
     pub fn observe(&mut self, c: &ClassifiedInterval) {
         let s = &mut self.streams[c.proc];
-        if s.push(c.clone()).is_err() {
+        if s.push(*c).is_err() {
             self.realigns += 1;
             *s = PhaseStream::new(c.proc);
-            s.push(c.clone()).expect("fresh stream accepts any first index");
+            s.push(*c).expect("fresh stream accepts any first index");
         }
         s.truncate_front(self.window);
         self.observed += 1;
@@ -102,12 +102,12 @@ mod tests {
         let mut sink = DiagnosisSink::new(3, 64, cfg.clone());
         let mut offline: Vec<Vec<ClassifiedInterval>> = vec![Vec::new(); 3];
         for i in 0..20u64 {
-            for p in 0..3usize {
+            for (p, node) in offline.iter_mut().enumerate() {
                 // Node 2 runs 60% slower over a mid-stream epoch.
                 let cpi = if p == 2 && (8..14).contains(&i) { 1.6 } else { 1.0 };
                 let c = ci(p, i, (i / 4) as u32, cpi);
                 sink.observe(&c);
-                offline[p].push(c);
+                node.push(c);
             }
         }
         let streams: Vec<PhaseStream> = offline

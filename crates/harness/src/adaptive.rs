@@ -16,28 +16,16 @@
 //! * **heterogeneous phases → bad locked configurations** (a phase whose
 //!   intervals differ wildly — high CoV — locks a config measured on
 //!   unrepresentative intervals and mispredicts the rest).
+//!
+//! The trial/lock state machine is `dsm_adapt::Protocol`, the same one the
+//! live machine loop runs. The pipelines here are cost-surface drivers:
+//! they charge each interval [`config_multiplier`] for the configuration in
+//! force and hand that cost back to the protocol as the trial score.
 
-use dsm_adapt::{Decision, DecisionKind};
-use dsm_sim::util::{splitmix64, FxHashMap};
+use dsm_adapt::{Decision, DecisionKind, Protocol};
+pub use dsm_adapt::TuningPolicy;
+use dsm_sim::util::splitmix64;
 use serde::{Deserialize, Serialize};
-
-/// Tuning-protocol knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TuningPolicy {
-    /// Number of hardware configurations to explore per phase.
-    pub n_configs: usize,
-    /// Intervals each configuration is tried for.
-    pub trials_per_config: usize,
-}
-
-impl Default for TuningPolicy {
-    fn default() -> Self {
-        Self {
-            n_configs: 4,
-            trials_per_config: 1,
-        }
-    }
-}
 
 /// The hidden performance surface: multiplier applied to an interval's base
 /// cycles when configuration `c` runs during phase-ground `g`.
@@ -78,6 +66,33 @@ pub struct TuningOutcome {
 }
 
 impl TuningOutcome {
+    fn new(total_intervals: usize) -> Self {
+        Self {
+            total_intervals,
+            tuning_intervals: 0,
+            tuned_cycles: 0.0,
+            oracle_cycles: 0.0,
+            untuned_cycles: 0.0,
+        }
+    }
+
+    /// Charge one interval of `cpi × insns` base cycles that ran under
+    /// `config`, plus its oracle and untuned costs. Returns `config`'s
+    /// multiplier, which scaled by `cpi` is the cost the protocol scores.
+    fn charge(&mut self, policy: TuningPolicy, cpi: f64, insns: u64, config: usize) -> f64 {
+        let base = cpi * insns as f64;
+        let behaviour = behaviour_of(cpi);
+        // Oracle: best config for this interval's true behaviour.
+        let oracle = (0..policy.n_configs)
+            .map(|c| config_multiplier(behaviour, c))
+            .fold(f64::INFINITY, f64::min);
+        self.oracle_cycles += base * oracle;
+        self.untuned_cycles += base * config_multiplier(behaviour, 0);
+        let m = config_multiplier(behaviour, config);
+        self.tuned_cycles += base * m;
+        m
+    }
+
     /// Fraction of intervals spent tuning (the CoV-curve x-axis variant).
     pub fn tuning_fraction(&self) -> f64 {
         if self.total_intervals == 0 {
@@ -106,17 +121,13 @@ impl TuningOutcome {
     }
 }
 
-#[derive(Debug, Clone)]
-enum PhaseState {
-    /// Trying configs; accumulated (config, trials, total normalized cost).
-    Tuning {
-        config: usize,
-        trials_left: usize,
-        best: (usize, f64),
-        acc: f64,
-        acc_n: usize,
-    },
-    Locked(usize),
+/// The configuration `phase` runs now; a phase the protocol has never
+/// observed runs the default configuration 0.
+fn config_in_force(protocol: &Protocol, phase: u32) -> usize {
+    match protocol.current(phase) {
+        Some(DecisionKind::Trial { config } | DecisionKind::Lock { config }) => config,
+        None => 0,
+    }
 }
 
 /// One classified interval as the abstract pipeline consumes it.
@@ -139,103 +150,26 @@ pub struct TuningInterval {
 /// return the outcome plus the decision log. This is the canonical entry
 /// point; [`run_tuning`] is the degradation-free wrapper.
 ///
-/// The decision log uses the shared [`Decision`] type, so it is directly
+/// The decision log is `dsm_adapt::Protocol`'s, so it is directly
 /// comparable (via [`Decision::key`]) with the one a concrete
 /// `dsm_adapt::AdaptSession` emits on the same classified stream — the
-/// transition structure is positional, so the two pipelines must agree
-/// even though they score trials differently.
+/// transition structure is positional, so the two pipelines agree even
+/// though they score trials differently.
 pub fn run_tuning_stream(
     stream: &[TuningInterval],
     policy: TuningPolicy,
 ) -> (TuningOutcome, Vec<Decision>) {
-    assert!(policy.n_configs >= 1 && policy.trials_per_config >= 1);
-    let mut states: FxHashMap<u32, PhaseState> = FxHashMap::default();
-    let mut decisions = Vec::new();
-    let mut out = TuningOutcome {
-        total_intervals: stream.len(),
-        tuning_intervals: 0,
-        tuned_cycles: 0.0,
-        oracle_cycles: 0.0,
-        untuned_cycles: 0.0,
-    };
-
+    let mut protocol = Protocol::new(policy);
+    let mut out = TuningOutcome::new(stream.len());
     for &TuningInterval { index, phase, cpi, insns, degraded } in stream {
-        let base = cpi * insns as f64;
-        let behaviour = behaviour_of(cpi);
-        // Oracle: best config for this interval's true behaviour.
-        let oracle = (0..policy.n_configs)
-            .map(|c| config_multiplier(behaviour, c))
-            .fold(f64::INFINITY, f64::min);
-        out.oracle_cycles += base * oracle;
-        out.untuned_cycles += base * config_multiplier(behaviour, 0);
-
-        if degraded {
-            // The interval ran under whatever configuration is in force
-            // (an unseen phase runs the default), but the tuning state is
-            // untouched: no trial consumed, no accumulator update, no
-            // decision, no phase entry created.
-            let current = match states.get(&phase) {
-                Some(PhaseState::Locked(c)) => *c,
-                Some(PhaseState::Tuning { config, .. }) => *config,
-                None => 0,
-            };
-            out.tuned_cycles += base * config_multiplier(behaviour, current);
-            continue;
-        }
-
-        let state = states.entry(phase).or_insert(PhaseState::Tuning {
-            config: 0,
-            trials_left: policy.trials_per_config,
-            best: (0, f64::INFINITY),
-            acc: 0.0,
-            acc_n: 0,
-        });
-        match state {
-            PhaseState::Tuning {
-                config,
-                trials_left,
-                best,
-                acc,
-                acc_n,
-            } => {
-                out.tuning_intervals += 1;
-                decisions.push(Decision {
-                    interval: index,
-                    phase,
-                    kind: DecisionKind::Trial { config: *config },
-                });
-                let m = config_multiplier(behaviour, *config);
-                out.tuned_cycles += base * m;
-                // Measure normalized cost (per-instruction) of this config.
-                *acc += m * cpi;
-                *acc_n += 1;
-                *trials_left -= 1;
-                if *trials_left == 0 {
-                    let mean = *acc / *acc_n as f64;
-                    if mean < best.1 {
-                        *best = (*config, mean);
-                    }
-                    if *config + 1 < policy.n_configs {
-                        *config += 1;
-                        *trials_left = policy.trials_per_config;
-                        *acc = 0.0;
-                        *acc_n = 0;
-                    } else {
-                        let locked = best.0;
-                        *state = PhaseState::Locked(locked);
-                        decisions.push(Decision {
-                            interval: index,
-                            phase,
-                            kind: DecisionKind::Lock { config: locked },
-                        });
-                    }
-                }
-            }
-            PhaseState::Locked(c) => {
-                out.tuned_cycles += base * config_multiplier(behaviour, *c);
-            }
-        }
+        // A degraded interval runs (and is charged) under the configuration
+        // in force, but the protocol skips it.
+        let m = out.charge(policy, cpi, insns, config_in_force(&protocol, phase));
+        protocol.observe(index, phase, m * cpi, degraded);
     }
+    let decisions = protocol.decisions().to_vec();
+    out.tuning_intervals =
+        decisions.iter().filter(|d| matches!(d.kind, DecisionKind::Trial { .. })).count();
     (out, decisions)
 }
 
@@ -267,82 +201,22 @@ pub fn run_tuning_predicted(
     policy: TuningPolicy,
     predictor: &mut dyn dsm_phase::predictor::PhasePredictor,
 ) -> TuningOutcome {
-    assert!(policy.n_configs >= 1 && policy.trials_per_config >= 1);
-    let mut states: FxHashMap<u32, PhaseState> = FxHashMap::default();
-    let mut out = TuningOutcome {
-        total_intervals: stream.len(),
-        tuning_intervals: 0,
-        tuned_cycles: 0.0,
-        oracle_cycles: 0.0,
-        untuned_cycles: 0.0,
-    };
-
-    for &(phase, cpi, insns) in stream {
-        let base = cpi * insns as f64;
-        let behaviour = behaviour_of(cpi);
-        let oracle = (0..policy.n_configs)
-            .map(|c| config_multiplier(behaviour, c))
-            .fold(f64::INFINITY, f64::min);
-        out.oracle_cycles += base * oracle;
-        out.untuned_cycles += base * config_multiplier(behaviour, 0);
-
+    let mut protocol = Protocol::new(policy);
+    let mut out = TuningOutcome::new(stream.len());
+    for (index, &(phase, cpi, insns)) in stream.iter().enumerate() {
         // The hardware applies the configuration of the *predicted* phase
-        // for this interval (default config when nothing is known yet).
+        // (the default config when nothing is known about it yet).
         let predicted = predictor.predict().unwrap_or(phase);
-        let applied_config = match states.get(&predicted) {
-            Some(PhaseState::Locked(c)) => Some(*c),
-            Some(PhaseState::Tuning { config, .. }) => Some(*config),
-            None => None,
-        };
-
-        // Tuning progress is still tracked against the *actual* phase once
-        // the interval completes and is classified.
-        let state = states.entry(phase).or_insert(PhaseState::Tuning {
-            config: 0,
-            trials_left: policy.trials_per_config,
-            best: (0, f64::INFINITY),
-            acc: 0.0,
-            acc_n: 0,
-        });
-        match state {
-            PhaseState::Tuning {
-                config,
-                trials_left,
-                best,
-                acc,
-                acc_n,
-            } => {
-                out.tuning_intervals += 1;
-                let run_config = applied_config.unwrap_or(*config);
-                let m = config_multiplier(behaviour, run_config);
-                out.tuned_cycles += base * m;
-                // Only measurements taken under the phase's own trial
-                // config inform its selection.
-                if run_config == *config {
-                    *acc += m * cpi;
-                    *acc_n += 1;
-                    *trials_left -= 1;
-                    if *trials_left == 0 {
-                        let mean = *acc / (*acc_n).max(1) as f64;
-                        if mean < best.1 {
-                            *best = (*config, mean);
-                        }
-                        if *config + 1 < policy.n_configs {
-                            *config += 1;
-                            *trials_left = policy.trials_per_config;
-                            *acc = 0.0;
-                            *acc_n = 0;
-                        } else {
-                            *state = PhaseState::Locked(best.0);
-                        }
-                    }
-                }
-            }
-            PhaseState::Locked(c) => {
-                let run_config = applied_config.unwrap_or(*c);
-                out.tuned_cycles += base * config_multiplier(behaviour, run_config);
-            }
+        let run_config = config_in_force(&protocol, predicted);
+        if !matches!(protocol.current(phase), Some(DecisionKind::Lock { .. })) {
+            out.tuning_intervals += 1;
         }
+        let m = out.charge(policy, cpi, insns, run_config);
+        // Tuning progress is tracked against the *actual* phase, and only a
+        // measurement taken under the phase's own trial config informs its
+        // selection: any other interval is a spectator.
+        let spectator = run_config != config_in_force(&protocol, phase);
+        protocol.observe(index as u64, phase, m * cpi, spectator);
         predictor.observe(phase);
     }
     out
@@ -351,7 +225,7 @@ pub fn run_tuning_predicted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsm_phase::predictor::{LastPhasePredictor, RlePredictor};
+    use dsm_phase::predictor::{LastPhasePredictor, Markov2Predictor, PhasePredictor, RlePredictor};
 
     fn constant_stream(phase: u32, cpi: f64, n: usize) -> Vec<(u32, f64, u64)> {
         vec![(phase, cpi, 1000); n]
@@ -520,6 +394,28 @@ mod tests {
     }
 
     #[test]
+    fn unseen_predicted_phase_runs_default_config() {
+        // A predictor naming a phase the protocol has never observed makes
+        // the interval run config 0, whatever the actual phase is tuning.
+        struct Phantom;
+        impl PhasePredictor for Phantom {
+            fn predict(&self) -> Option<u32> {
+                Some(99)
+            }
+            fn observe(&mut self, _: u32) {}
+            fn stats(&self) -> (u64, u64) {
+                (0, 0)
+            }
+        }
+        let stream = constant_stream(0, 1.0, 50);
+        let out = run_tuning_predicted(&stream, TuningPolicy::default(), &mut Phantom);
+        assert_eq!(out.tuned_cycles, out.untuned_cycles, "every interval ran config 0");
+        // Phase 0 spends its config-0 trial, then never again runs its own
+        // trial config, so it never locks.
+        assert_eq!(out.tuning_intervals, 50);
+    }
+
+    #[test]
     fn predicted_tuning_on_empty_stream_is_neutral() {
         let mut pred = LastPhasePredictor::new();
         let out = run_tuning_predicted(&[], TuningPolicy::default(), &mut pred);
@@ -593,6 +489,96 @@ mod tests {
         assert_eq!(dec.len(), 5);
         assert_eq!(dec[3].key().0, dec[4].key().0, "lock shares the last trial's interval");
         assert!(matches!(dec[4].kind, DecisionKind::Lock { .. }));
+    }
+
+    /// A seeded classified stream and policy: up to 8 phases in runs, up to
+    /// 300 intervals, 1-5 configs, 1-3 trials, up to 40% degraded.
+    fn seeded_stream(seed: u64) -> (Vec<TuningInterval>, TuningPolicy) {
+        let mut s = seed;
+        let mut next = move || {
+            s = splitmix64(s);
+            s
+        };
+        let n_phases = 1 + next() % 8;
+        let len = next() % 301;
+        let policy = TuningPolicy {
+            n_configs: 1 + (next() % 5) as usize,
+            trials_per_config: 1 + (next() % 3) as usize,
+        };
+        let degraded_ppm = next() % 400_001;
+        let mut phase = 0u64;
+        let stream = (0..len)
+            .map(|index| {
+                if next() % 10 < 3 {
+                    phase = next() % n_phases;
+                }
+                TuningInterval {
+                    index,
+                    phase: phase as u32,
+                    cpi: 0.5 + 0.75 * phase as f64 + (next() % 1000) as f64 / 1000.0,
+                    insns: 1000 + next() % 9000,
+                    degraded: next() % 1_000_000 < degraded_ppm,
+                }
+            })
+            .collect();
+        (stream, policy)
+    }
+
+    /// FNV-1a over every bit of the outcome and every decision.
+    fn outcome_digest(out: &TuningOutcome, decisions: &[Decision]) -> u64 {
+        let mut words = vec![
+            out.total_intervals as u64,
+            out.tuning_intervals as u64,
+            out.tuned_cycles.to_bits(),
+            out.oracle_cycles.to_bits(),
+            out.untuned_cycles.to_bits(),
+        ];
+        for d in decisions {
+            let (kind, config) = match d.kind {
+                DecisionKind::Trial { config } => (0, config),
+                DecisionKind::Lock { config } => (1, config),
+            };
+            words.extend([d.interval, d.phase as u64, kind, config as u64]);
+        }
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        crate::parallel::fnv1a64(&bytes)
+    }
+
+    #[test]
+    fn tuning_outcomes_are_pinned() {
+        // Bit patterns of every outcome and decision over 64 seeded
+        // streams, for the stream pipeline and for the predicted pipeline
+        // under each in-tree predictor.
+        let streams: Vec<_> = (0..64u64).map(seeded_stream).collect();
+        let mut degraded = 0;
+        let mut locks = 0;
+        let mut stream_digests = Vec::new();
+        for (stream, policy) in &streams {
+            let (out, dec) = run_tuning_stream(stream, *policy);
+            degraded += stream.iter().filter(|t| t.degraded).count();
+            locks += dec.iter().filter(|d| matches!(d.kind, DecisionKind::Lock { .. })).count();
+            stream_digests.push(outcome_digest(&out, &dec));
+        }
+        assert!(degraded > 0 && locks > 0, "pin must cover degraded intervals and locks");
+        let combine = |d: &[u64]| {
+            crate::parallel::fnv1a64(&d.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>())
+        };
+        let predicted = |make: &dyn Fn() -> Box<dyn PhasePredictor>| {
+            let digests: Vec<u64> = streams
+                .iter()
+                .map(|(stream, policy)| {
+                    let plain: Vec<(u32, f64, u64)> =
+                        stream.iter().map(|t| (t.phase, t.cpi, t.insns)).collect();
+                    let out = run_tuning_predicted(&plain, *policy, make().as_mut());
+                    outcome_digest(&out, &[])
+                })
+                .collect();
+            combine(&digests)
+        };
+        assert_eq!(combine(&stream_digests), 0xa0eef2a9af3a19cb, "run_tuning_stream");
+        assert_eq!(predicted(&|| Box::new(LastPhasePredictor::new())), 0x0491f44577fc851c, "last-phase");
+        assert_eq!(predicted(&|| Box::new(RlePredictor::new(64))), 0xa109d31d8a6f96c8, "rle(64)");
+        assert_eq!(predicted(&|| Box::new(Markov2Predictor::new())), 0x4fc4e79c9c00c262, "markov2");
     }
 
     #[test]

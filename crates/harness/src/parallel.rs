@@ -12,7 +12,11 @@
 //! 2. **a content-addressed trace store** ([`TraceStore`]) — captured
 //!    [`SystemTrace`]s persisted on disk keyed by a hash of
 //!    `(app, n_procs, scale, interval_base, SystemConfig, DetectorGeometry)`,
-//!    so re-running figures/sweeps/ablations skips simulation entirely;
+//!    so re-running figures/sweeps/ablations skips simulation entirely.
+//!    Entries use the `DSMTRC4` layout ([`encode_trace`]/[`decode_trace`]),
+//!    written over `dsm_simpoint::wire`, the byte layer and shared
+//!    structure encoders of the checkpoint codec; decoding is total and any
+//!    error is a cache miss;
 //! 3. **a run report** ([`RunReport`]) — per-experiment wall time and
 //!    cache hit/miss counters, written as JSON next to the results.
 //!
@@ -27,6 +31,15 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use dsm_phase::detector::DetectorGeometry;
+use dsm_sim::memctrl::MemCtrlStats;
+use dsm_sim::network::NetworkStats;
+use dsm_sim::stats::SystemStats;
+use dsm_simpoint::wire::{
+    get_app, get_directory_stats, get_fault_stats, get_proc_stats, get_reconfig_stats,
+    get_record, get_scale, put_app, put_directory_stats, put_fault_stats, put_proc_stats,
+    put_reconfig_stats, put_record, put_scale, PROC_STATS_BYTES, R, RECORD_MIN_BYTES, W,
+};
+use dsm_simpoint::CkptError;
 
 use crate::experiment::ExperimentConfig;
 use crate::json::Json;
@@ -213,7 +226,7 @@ impl TraceStore {
     /// decode failure (treated as a miss, never an error).
     pub fn load(&self, key: &str) -> Option<SystemTrace> {
         let bytes = std::fs::read(self.path_for(key)).ok()?;
-        codec::decode(&bytes)
+        decode_trace(&bytes).ok()
     }
 
     /// Persist `trace` under `key` (atomic rename, so a concurrent reader
@@ -222,7 +235,7 @@ impl TraceStore {
         std::fs::create_dir_all(&self.dir)?;
         let final_path = self.path_for(key);
         let tmp = self.dir.join(format!(".{key}.tmp-{}", std::process::id()));
-        std::fs::write(&tmp, codec::encode(trace))?;
+        std::fs::write(&tmp, encode_trace(trace))?;
         std::fs::rename(&tmp, &final_path)?;
         Ok(final_path)
     }
@@ -484,425 +497,92 @@ pub fn init_from_args() -> usize {
 // Binary trace codec
 // ---------------------------------------------------------------------------
 
-mod codec {
-    use dsm_phase::detector::IntervalRecord;
-    use dsm_sim::directory::DirectoryStats;
-    use dsm_sim::fault::FaultStats;
-    use dsm_sim::memctrl::MemCtrlStats;
-    use dsm_sim::network::NetworkStats;
-    use dsm_sim::stats::{ProcStats, SystemStats};
-    use dsm_workloads::{App, Scale};
+/// Trace-store entry magic. v2 added `DirectoryStats.nacks` and
+/// `SystemStats.faults` (fault injection); v3 the route-aware fabric
+/// (`NetworkStats.total_flit_hops` and per-link flit counters). Entries of
+/// any other version decode as a cache miss, never a panic.
+const TRACE_MAGIC: &[u8; 8] = b"DSMTRC4\n";
 
-    use crate::experiment::ExperimentConfig;
-    use crate::trace::SystemTrace;
-
-    // v2: DirectoryStats.nacks + SystemStats.faults (fault injection).
-    // v3: route-aware fabric — NetworkStats.total_flit_hops + per-link
-    //     flit counters. Old versions decode as a cache miss, never a panic.
-    const MAGIC: &[u8; 8] = b"DSMTRC4\n";
-
-    fn app_code(app: App) -> u8 {
-        match app {
-            App::Lu => 0,
-            App::Fmm => 1,
-            App::Art => 2,
-            App::Equake => 3,
-            App::Ocean => 4,
+/// Encode `trace` as a `DSMTRC4` trace-store entry: the experiment point,
+/// every interval record, then the run's statistics. Deterministic.
+pub fn encode_trace(trace: &SystemTrace) -> Vec<u8> {
+    let mut w = W::with_magic(TRACE_MAGIC);
+    put_app(&mut w, trace.config.app);
+    put_scale(&mut w, trace.config.scale);
+    w.u64(trace.config.n_procs as u64);
+    w.u64(trace.config.interval_base);
+    w.u64(trace.records.len() as u64);
+    for recs in &trace.records {
+        w.u64(recs.len() as u64);
+        for rec in recs {
+            put_record(&mut w, rec);
         }
     }
+    let s = &trace.stats;
+    w.u64(s.procs.len() as u64);
+    for p in &s.procs {
+        put_proc_stats(&mut w, p);
+    }
+    put_directory_stats(&mut w, &s.directory);
+    put_fault_stats(&mut w, &s.faults);
+    let n = &s.network;
+    for v in [n.msgs, n.payload_msgs, n.total_hops, n.link_wait_cycles, n.total_flit_hops] {
+        w.u64(v);
+    }
+    w.vec_u64(&n.link_flits);
+    w.u64(s.memctrls.len() as u64);
+    for m in &s.memctrls {
+        w.u64(m.requests);
+        w.u64(m.total_queue_delay);
+    }
+    put_reconfig_stats(&mut w, &s.reconfig);
+    w.u64(s.finish_cycle);
+    w.u64(trace.ddv_vectors_exchanged);
+    w.into_bytes()
+}
 
-    fn app_from(code: u8) -> Option<App> {
-        Some(match code {
-            0 => App::Lu,
-            1 => App::Fmm,
-            2 => App::Art,
-            3 => App::Equake,
-            4 => App::Ocean,
-            _ => return None,
+/// Decode a `DSMTRC4` entry. Total: any input yields a trace or a typed
+/// [`CkptError`]; it never panics and never reserves more than the input
+/// could hold.
+pub fn decode_trace(bytes: &[u8]) -> Result<SystemTrace, CkptError> {
+    let mut r = R::new(bytes.strip_prefix(TRACE_MAGIC).ok_or(CkptError::BadMagic)?);
+    let app = get_app(&mut r)?;
+    let scale = get_scale(&mut r)?;
+    let n_procs = r.usize_checked("n_procs")?;
+    let interval_base = r.u64()?;
+    let n = r.len(8)?;
+    let records = (0..n)
+        .map(|_| {
+            let k = r.len(RECORD_MIN_BYTES)?;
+            (0..k).map(|_| get_record(&mut r)).collect()
         })
-    }
-
-    fn scale_code(scale: Scale) -> u8 {
-        match scale {
-            Scale::Test => 0,
-            Scale::Scaled => 1,
-            Scale::Paper => 2,
-        }
-    }
-
-    fn scale_from(code: u8) -> Option<Scale> {
-        Some(match code {
-            0 => Scale::Test,
-            1 => Scale::Scaled,
-            2 => Scale::Paper,
-            _ => return None,
-        })
-    }
-
-    struct Writer {
-        out: Vec<u8>,
-    }
-
-    impl Writer {
-        fn u64(&mut self, x: u64) {
-            self.out.extend_from_slice(&x.to_le_bytes());
-        }
-        fn f64(&mut self, x: f64) {
-            self.u64(x.to_bits());
-        }
-        fn vec_u64(&mut self, v: &[u64]) {
-            self.u64(v.len() as u64);
-            for &x in v {
-                self.u64(x);
-            }
-        }
-        fn vec_f64(&mut self, v: &[f64]) {
-            self.u64(v.len() as u64);
-            for &x in v {
-                self.f64(x);
-            }
-        }
-    }
-
-    struct Reader<'a> {
-        b: &'a [u8],
-        pos: usize,
-    }
-
-    impl Reader<'_> {
-        fn u64(&mut self) -> Option<u64> {
-            let end = self.pos.checked_add(8)?;
-            let bytes = self.b.get(self.pos..end)?;
-            self.pos = end;
-            Some(u64::from_le_bytes(bytes.try_into().ok()?))
-        }
-        fn f64(&mut self) -> Option<f64> {
-            Some(f64::from_bits(self.u64()?))
-        }
-        fn usize(&mut self) -> Option<usize> {
-            usize::try_from(self.u64()?).ok()
-        }
-        fn len(&mut self) -> Option<usize> {
-            let n = self.usize()?;
-            // Guard against corrupt lengths requesting absurd allocations.
-            if n > self.b.len() / 8 + 1 {
-                return None;
-            }
-            Some(n)
-        }
-        fn vec_u64(&mut self) -> Option<Vec<u64>> {
-            let n = self.len()?;
-            (0..n).map(|_| self.u64()).collect()
-        }
-        fn vec_f64(&mut self) -> Option<Vec<f64>> {
-            let n = self.len()?;
-            (0..n).map(|_| self.f64()).collect()
-        }
-    }
-
-    fn write_proc_stats(w: &mut Writer, p: &ProcStats) {
-        // Field-by-field (not memcpy) so layout changes need a conscious
-        // format bump; destructuring makes missed fields a compile error.
-        let ProcStats {
-            cycles,
-            insns,
-            sync_ops,
-            sync_wait_cycles,
-            mem_refs,
-            l1_misses,
-            l2_misses,
-            local_home_misses,
-            remote_home_misses,
-            mem_stall_cycles,
-            contention_cycles,
-            mispredicts,
-            branches,
-            intervals,
-        } = *p;
-        for x in [
-            cycles,
-            insns,
-            sync_ops,
-            sync_wait_cycles,
-            mem_refs,
-            l1_misses,
-            l2_misses,
-            local_home_misses,
-            remote_home_misses,
-            mem_stall_cycles,
-            contention_cycles,
-            mispredicts,
-            branches,
-            intervals,
-        ] {
-            w.u64(x);
-        }
-    }
-
-    fn read_proc_stats(r: &mut Reader) -> Option<ProcStats> {
-        Some(ProcStats {
-            cycles: r.u64()?,
-            insns: r.u64()?,
-            sync_ops: r.u64()?,
-            sync_wait_cycles: r.u64()?,
-            mem_refs: r.u64()?,
-            l1_misses: r.u64()?,
-            l2_misses: r.u64()?,
-            local_home_misses: r.u64()?,
-            remote_home_misses: r.u64()?,
-            mem_stall_cycles: r.u64()?,
-            contention_cycles: r.u64()?,
-            mispredicts: r.u64()?,
-            branches: r.u64()?,
-            intervals: r.u64()?,
-        })
-    }
-
-    pub(super) fn encode(trace: &SystemTrace) -> Vec<u8> {
-        let mut w = Writer {
-            out: Vec::with_capacity(4096),
-        };
-        w.out.extend_from_slice(MAGIC);
-        w.out.push(app_code(trace.config.app));
-        w.out.push(scale_code(trace.config.scale));
-        w.u64(trace.config.n_procs as u64);
-        w.u64(trace.config.interval_base);
-
-        w.u64(trace.records.len() as u64);
-        for proc_records in &trace.records {
-            w.u64(proc_records.len() as u64);
-            for rec in proc_records {
-                let IntervalRecord {
-                    proc,
-                    index,
-                    insns,
-                    cycles,
-                    ref bbv,
-                    ref fvec,
-                    ref cvec,
-                    dds,
-                    ref ws_sig,
-                    branches,
-                } = *rec;
-                w.u64(proc as u64);
-                w.u64(index);
-                w.u64(insns);
-                w.u64(cycles);
-                w.vec_f64(bbv);
-                w.vec_u64(fvec);
-                w.vec_u64(cvec);
-                w.f64(dds);
-                w.vec_u64(ws_sig);
-                w.u64(branches);
-            }
-        }
-
-        let SystemStats {
-            ref procs,
-            ref directory,
-            ref network,
-            ref memctrls,
-            ref faults,
-            reconfig,
-            finish_cycle,
-        } = trace.stats;
-        w.u64(procs.len() as u64);
-        for p in procs {
-            write_proc_stats(&mut w, p);
-        }
-        let DirectoryStats {
-            reads,
-            writes,
-            owner_forwards,
-            invalidations,
-            upgrades,
-            writebacks,
-            nacks,
-        } = *directory;
-        for x in [
-            reads,
-            writes,
-            owner_forwards,
-            invalidations,
-            upgrades,
-            writebacks,
-            nacks,
-        ] {
-            w.u64(x);
-        }
-        let FaultStats {
-            messages,
-            drops,
-            retries,
-            forced_deliveries,
-            duplicates,
-            spikes,
-            spike_cycles,
-            timeout_wait_cycles,
-            slowdown_events,
-            slowdown_cycles,
-        } = *faults;
-        for x in [
-            messages,
-            drops,
-            retries,
-            forced_deliveries,
-            duplicates,
-            spikes,
-            spike_cycles,
-            timeout_wait_cycles,
-            slowdown_events,
-            slowdown_cycles,
-        ] {
-            w.u64(x);
-        }
-        let NetworkStats {
-            msgs,
-            payload_msgs,
-            total_hops,
-            link_wait_cycles,
-            total_flit_hops,
-            ref link_flits,
-        } = *network;
-        for x in [msgs, payload_msgs, total_hops, link_wait_cycles, total_flit_hops] {
-            w.u64(x);
-        }
-        w.vec_u64(link_flits);
-        w.u64(memctrls.len() as u64);
-        for m in memctrls {
-            let MemCtrlStats {
-                requests,
-                total_queue_delay,
-            } = *m;
-            w.u64(requests);
-            w.u64(total_queue_delay);
-        }
-        for x in [
-            reconfig.migrations,
-            reconfig.migration_stall_cycles,
-            reconfig.dvfs_epochs,
-            reconfig.dvfs_extra_cycles,
-            reconfig.dvfs_saved_cycles,
-            reconfig.core_switches,
-        ] {
-            w.u64(x);
-        }
-        w.u64(finish_cycle);
-        w.u64(trace.ddv_vectors_exchanged);
-        w.out
-    }
-
-    pub(super) fn decode(bytes: &[u8]) -> Option<SystemTrace> {
-        if bytes.len() < MAGIC.len() + 2 || &bytes[..MAGIC.len()] != MAGIC {
-            return None;
-        }
-        let app = app_from(bytes[MAGIC.len()])?;
-        let scale = scale_from(bytes[MAGIC.len() + 1])?;
-        let mut r = Reader {
-            b: bytes,
-            pos: MAGIC.len() + 2,
-        };
-        let n_procs = r.usize()?;
-        let interval_base = r.u64()?;
-        let config = ExperimentConfig {
-            app,
-            n_procs,
-            scale,
-            interval_base,
-        };
-
-        let outer = r.len()?;
-        let mut records = Vec::with_capacity(outer);
-        for _ in 0..outer {
-            let count = r.len()?;
-            let mut recs = Vec::with_capacity(count);
-            for _ in 0..count {
-                recs.push(IntervalRecord {
-                    proc: r.usize()?,
-                    index: r.u64()?,
-                    insns: r.u64()?,
-                    cycles: r.u64()?,
-                    bbv: r.vec_f64()?,
-                    fvec: r.vec_u64()?,
-                    cvec: r.vec_u64()?,
-                    dds: r.f64()?,
-                    ws_sig: r.vec_u64()?,
-                    branches: r.u64()?,
-                });
-            }
-            records.push(recs);
-        }
-
-        let n = r.len()?;
-        let mut procs = Vec::with_capacity(n);
-        for _ in 0..n {
-            procs.push(read_proc_stats(&mut r)?);
-        }
-        let directory = DirectoryStats {
-            reads: r.u64()?,
-            writes: r.u64()?,
-            owner_forwards: r.u64()?,
-            invalidations: r.u64()?,
-            upgrades: r.u64()?,
-            writebacks: r.u64()?,
-            nacks: r.u64()?,
-        };
-        let faults = FaultStats {
-            messages: r.u64()?,
-            drops: r.u64()?,
-            retries: r.u64()?,
-            forced_deliveries: r.u64()?,
-            duplicates: r.u64()?,
-            spikes: r.u64()?,
-            spike_cycles: r.u64()?,
-            timeout_wait_cycles: r.u64()?,
-            slowdown_events: r.u64()?,
-            slowdown_cycles: r.u64()?,
-        };
-        let network = NetworkStats {
-            msgs: r.u64()?,
-            payload_msgs: r.u64()?,
-            total_hops: r.u64()?,
-            link_wait_cycles: r.u64()?,
-            total_flit_hops: r.u64()?,
-            link_flits: r.vec_u64()?,
-        };
-        let nm = r.len()?;
-        let mut memctrls = Vec::with_capacity(nm);
-        for _ in 0..nm {
-            memctrls.push(MemCtrlStats {
-                requests: r.u64()?,
-                total_queue_delay: r.u64()?,
-            });
-        }
-        let reconfig = dsm_sim::ReconfigStats {
-            migrations: r.u64()?,
-            migration_stall_cycles: r.u64()?,
-            dvfs_epochs: r.u64()?,
-            dvfs_extra_cycles: r.u64()?,
-            dvfs_saved_cycles: r.u64()?,
-            core_switches: r.u64()?,
-        };
-        let finish_cycle = r.u64()?;
-        let ddv_vectors_exchanged = r.u64()?;
-        if r.pos != bytes.len() {
-            return None;
-        }
-        Some(SystemTrace {
-            config,
-            records,
-            stats: SystemStats {
-                procs,
-                directory,
-                network,
-                memctrls,
-                faults,
-                reconfig,
-                finish_cycle,
-            },
-            ddv_vectors_exchanged,
-        })
-    }
+        .collect::<Result<_, CkptError>>()?;
+    let n = r.len(PROC_STATS_BYTES)?;
+    let procs = (0..n).map(|_| get_proc_stats(&mut r)).collect::<Result<_, _>>()?;
+    let directory = get_directory_stats(&mut r)?;
+    let faults = get_fault_stats(&mut r)?;
+    let network = NetworkStats {
+        msgs: r.u64()?,
+        payload_msgs: r.u64()?,
+        total_hops: r.u64()?,
+        link_wait_cycles: r.u64()?,
+        total_flit_hops: r.u64()?,
+        link_flits: r.vec_u64()?,
+    };
+    let n = r.len(16)?;
+    let memctrls = (0..n)
+        .map(|_| Ok(MemCtrlStats { requests: r.u64()?, total_queue_delay: r.u64()? }))
+        .collect::<Result<_, CkptError>>()?;
+    let reconfig = get_reconfig_stats(&mut r)?;
+    let finish_cycle = r.u64()?;
+    let ddv_vectors_exchanged = r.u64()?;
+    r.finish()?;
+    Ok(SystemTrace {
+        config: ExperimentConfig { app, n_procs, scale, interval_base },
+        records,
+        stats: SystemStats { procs, directory, network, memctrls, faults, reconfig, finish_cycle },
+        ddv_vectors_exchanged,
+    })
 }
 
 #[cfg(test)]
@@ -1010,6 +690,14 @@ mod tests {
         store.clear().unwrap();
         assert!(store.load(&key).is_none());
         let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn dsmtrc4_bytes_are_pinned() {
+        // Any change to this digest is a DSMTRC4 layout change: bump the
+        // magic and `TRACE_FORMAT` instead of editing the pin.
+        let bytes = encode_trace(&trace::capture(ExperimentConfig::test(App::Lu, 2)));
+        assert_eq!((bytes.len(), fnv1a64(&bytes)), (8522, 0xc3e10e93cdf9d771));
     }
 
     #[test]

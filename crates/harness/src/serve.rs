@@ -286,7 +286,7 @@ fn route_drained(
     let per_node = streams.get_mut(&id).expect("streams registered at admit");
     for c in drained {
         per_node[c.proc]
-            .push(c.clone())
+            .push(*c)
             .unwrap_or_else(|e| panic!("tenant {id}: delivery broke stream contiguity: {e:?}"));
         per_node[c.proc].truncate_front(STREAM_WINDOW);
     }

@@ -5,7 +5,7 @@
 //! `DSM_RESULTS_DIR` environment variable for the process.
 
 use dsm_harness::diagnose::{diagnose_app, reports_json, reports_text};
-use dsm_harness::json::{parse, Json};
+use dsm_harness::json::parse;
 use dsm_harness::report;
 use dsm_workloads::App;
 

@@ -161,7 +161,7 @@ fn classifier_bank_is_isolated_under_mixed_degraded_interleavings() {
     let ids: Vec<_> = cfgs.iter().map(|c| srv.admit(*c).unwrap()).collect();
     // Tenant k degrades intervals where (i + k) % (k + 2) == 0 — three
     // different clean/degraded interleavings.
-    let degraded_at = |k: usize, i: u64| (i + k as u64) % (k as u64 + 2) == 0;
+    let degraded_at = |k: usize, i: u64| (i + k as u64).is_multiple_of(k as u64 + 2);
 
     let mut sent: Vec<Vec<IntervalSignature>> = vec![Vec::new(); 3];
     for i in 0..10u64 {

@@ -92,7 +92,7 @@ impl ReconfigStats {
 }
 
 /// Snapshot of the reconfiguration layer (checkpointed as part of
-/// [`crate::state::SystemState`] so DSMCKPT5 resumes mid-tuning
+/// [`crate::state::SystemState`] so DSMCKPT6 resumes mid-tuning
 /// bit-exactly).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReconfigSnap {

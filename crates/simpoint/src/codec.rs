@@ -9,18 +9,18 @@
 //! on for byte-identical artefact reruns.
 //!
 //! Decoding is total: corrupt or truncated input of any shape produces a
-//! typed [`CkptError`], never a panic or an attempted huge allocation. Every
-//! length prefix is validated against the bytes actually remaining before a
-//! buffer is reserved (the same guard idiom as the harness trace codec), and
-//! all enum tags and booleans are range-checked.
+//! typed [`CkptError`], never a panic or an attempted huge allocation. The
+//! byte primitives and the structures this format shares with the harness
+//! trace store (`DSMTRC4`) live in [`crate::wire`]; this module is the
+//! `DSMCKPT6` layout over them.
 
 use dsm_adapt::{
     AdaptSnap, Decision, DecisionKind, ObservedInterval, PhaseSnap, PhaseStateSnap,
 };
 use dsm_phase::ddv::{DdvSnap, FrequencySnap};
-use dsm_phase::detector::{CollectorState, DetectorGeometry, IntervalRecord};
+use dsm_phase::detector::{CollectorState, DetectorGeometry};
 use dsm_sim::config::{CoreConfig, FaultPlan, RetryPolicy};
-use dsm_sim::reconfig::{ReconfigSnap, ReconfigStats};
+use dsm_sim::reconfig::ReconfigSnap;
 use dsm_sim::directory::DirState;
 use dsm_sim::event::Event;
 use dsm_sim::state::{
@@ -29,6 +29,12 @@ use dsm_sim::state::{
 };
 use dsm_sim::topology::TopologyKind;
 use dsm_workloads::{App, Scale};
+
+use crate::wire::{
+    get_app, get_directory_stats, get_fault_stats, get_proc_stats, get_reconfig_stats,
+    get_record, get_scale, put_app, put_directory_stats, put_fault_stats, put_proc_stats,
+    put_reconfig_stats, put_record, put_scale, D, R, RECORD_MIN_BYTES, W,
+};
 
 /// Magic prefix: format name plus version digit. Version 2 added the
 /// route-aware fabric: the topology + link-contention flag in the metadata
@@ -122,182 +128,54 @@ pub struct Checkpoint {
     pub adapt: Option<AdaptSnap>,
 }
 
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
-
-struct W {
-    out: Vec<u8>,
-}
-
-impl W {
-    fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u8(&mut self, v: u8) {
-        self.out.push(v);
-    }
-    fn boolean(&mut self, v: bool) {
-        self.out.push(v as u8);
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn vec_u64(&mut self, v: &[u64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.u64(x);
+fn put_event(w: &mut W, e: &Event) {
+    match *e {
+        Event::End => w.u8(0),
+        Event::Block { bb, insns, taken } => {
+            w.u8(1);
+            w.u64(bb as u64);
+            w.u64(insns as u64);
+            w.boolean(taken);
         }
-    }
-    fn vec_u8(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
-        self.out.extend_from_slice(v);
-    }
-    fn vec_f64(&mut self, v: &[f64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.f64(x);
+        Event::Mem { addr, write } => {
+            w.u8(2);
+            w.u64(addr);
+            w.boolean(write);
         }
-    }
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
+        Event::Fp { ops } => {
+            w.u8(3);
+            w.u64(ops as u64);
         }
-    }
-    fn event(&mut self, e: &Event) {
-        match *e {
-            Event::End => self.u8(0),
-            Event::Block { bb, insns, taken } => {
-                self.u8(1);
-                self.u64(bb as u64);
-                self.u64(insns as u64);
-                self.boolean(taken);
-            }
-            Event::Mem { addr, write } => {
-                self.u8(2);
-                self.u64(addr);
-                self.boolean(write);
-            }
-            Event::Fp { ops } => {
-                self.u8(3);
-                self.u64(ops as u64);
-            }
-            Event::Barrier { id } => {
-                self.u8(4);
-                self.u64(id as u64);
-            }
-            Event::Acquire { lock } => {
-                self.u8(5);
-                self.u64(lock as u64);
-            }
-            Event::Release { lock } => {
-                self.u8(6);
-                self.u64(lock as u64);
-            }
+        Event::Barrier { id } => {
+            w.u8(4);
+            w.u64(id as u64);
+        }
+        Event::Acquire { lock } => {
+            w.u8(5);
+            w.u64(lock as u64);
+        }
+        Event::Release { lock } => {
+            w.u8(6);
+            w.u64(lock as u64);
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Reader
-// ---------------------------------------------------------------------------
-
-struct R<'a> {
-    b: &'a [u8],
-}
-
-type D<T> = Result<T, CkptError>;
-
-impl<'a> R<'a> {
-    fn u64(&mut self) -> D<u64> {
-        if self.b.len() < 8 {
-            return Err(CkptError::Truncated);
-        }
-        let (head, tail) = self.b.split_at(8);
-        self.b = tail;
-        Ok(u64::from_le_bytes(head.try_into().unwrap()))
-    }
-    fn u8(&mut self) -> D<u8> {
-        match self.b.split_first() {
-            Some((&v, tail)) => {
-                self.b = tail;
-                Ok(v)
-            }
-            None => Err(CkptError::Truncated),
-        }
-    }
-    fn boolean(&mut self, what: &'static str) -> D<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            t => Err(CkptError::BadTag { what, tag: t as u64 }),
-        }
-    }
-    fn f64(&mut self) -> D<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn u32_checked(&mut self, what: &'static str) -> D<u32> {
-        let v = self.u64()?;
-        u32::try_from(v).map_err(|_| CkptError::BadValue { what })
-    }
-    fn usize_checked(&mut self, what: &'static str) -> D<usize> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| CkptError::BadValue { what })
-    }
-    /// Length prefix for items at least `min_bytes` each: reject lengths
-    /// that could not possibly fit in the remaining buffer *before*
-    /// reserving space for them.
-    fn len(&mut self, min_bytes: usize) -> D<usize> {
-        let n = self.u64()? as usize;
-        if n > self.b.len() / min_bytes.max(1) + 1 {
-            return Err(CkptError::Truncated);
-        }
-        Ok(n)
-    }
-    fn vec_u64(&mut self) -> D<Vec<u64>> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.u64()).collect()
-    }
-    fn vec_u8(&mut self) -> D<Vec<u8>> {
-        let n = self.len(1)?;
-        if self.b.len() < n {
-            return Err(CkptError::Truncated);
-        }
-        let (head, tail) = self.b.split_at(n);
-        self.b = tail;
-        Ok(head.to_vec())
-    }
-    fn vec_f64(&mut self) -> D<Vec<f64>> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-    fn opt_u64(&mut self, what: &'static str) -> D<Option<u64>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            t => Err(CkptError::BadTag { what, tag: t as u64 }),
-        }
-    }
-    fn event(&mut self) -> D<Event> {
-        Ok(match self.u8()? {
-            0 => Event::End,
-            1 => Event::Block {
-                bb: self.u32_checked("event bb")?,
-                insns: self.u32_checked("event insns")?,
-                taken: self.boolean("event taken")?,
-            },
-            2 => Event::Mem { addr: self.u64()?, write: self.boolean("event write")? },
-            3 => Event::Fp { ops: self.u32_checked("event ops")? },
-            4 => Event::Barrier { id: self.u32_checked("event id")? },
-            5 => Event::Acquire { lock: self.u32_checked("event lock")? },
-            6 => Event::Release { lock: self.u32_checked("event lock")? },
-            t => return Err(CkptError::BadTag { what: "event", tag: t as u64 }),
-        })
-    }
+fn get_event(r: &mut R) -> D<Event> {
+    Ok(match r.u8()? {
+        0 => Event::End,
+        1 => Event::Block {
+            bb: r.u32_checked("event bb")?,
+            insns: r.u32_checked("event insns")?,
+            taken: r.boolean("event taken")?,
+        },
+        2 => Event::Mem { addr: r.u64()?, write: r.boolean("event write")? },
+        3 => Event::Fp { ops: r.u32_checked("event ops")? },
+        4 => Event::Barrier { id: r.u32_checked("event id")? },
+        5 => Event::Acquire { lock: r.u32_checked("event lock")? },
+        6 => Event::Release { lock: r.u32_checked("event lock")? },
+        t => return Err(CkptError::BadTag { what: "event", tag: t as u64 }),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -332,25 +210,7 @@ fn put_proc(w: &mut W, p: &ProcessorState) {
     w.boolean(p.finished);
     w.boolean(p.blocked);
     w.u64(p.blocked_since);
-    let s = &p.stats;
-    for v in [
-        s.cycles,
-        s.insns,
-        s.sync_ops,
-        s.sync_wait_cycles,
-        s.mem_refs,
-        s.l1_misses,
-        s.l2_misses,
-        s.local_home_misses,
-        s.remote_home_misses,
-        s.mem_stall_cycles,
-        s.contention_cycles,
-        s.mispredicts,
-        s.branches,
-        s.intervals,
-    ] {
-        w.u64(v);
-    }
+    put_proc_stats(w, &p.stats);
     put_cache(w, &p.l1);
     put_cache(w, &p.l2);
     w.vec_u8(&p.gshare.table);
@@ -375,22 +235,7 @@ fn get_proc(r: &mut R) -> D<ProcessorState> {
     let finished = r.boolean("proc finished")?;
     let blocked = r.boolean("proc blocked")?;
     let blocked_since = r.u64()?;
-    let stats = dsm_sim::ProcStats {
-        cycles: r.u64()?,
-        insns: r.u64()?,
-        sync_ops: r.u64()?,
-        sync_wait_cycles: r.u64()?,
-        mem_refs: r.u64()?,
-        l1_misses: r.u64()?,
-        l2_misses: r.u64()?,
-        local_home_misses: r.u64()?,
-        remote_home_misses: r.u64()?,
-        mem_stall_cycles: r.u64()?,
-        contention_cycles: r.u64()?,
-        mispredicts: r.u64()?,
-        branches: r.u64()?,
-        intervals: r.u64()?,
-    };
+    let stats = get_proc_stats(r)?;
     let l1 = get_cache(r)?;
     let l2 = get_cache(r)?;
     let table = r.vec_u8()?;
@@ -445,11 +290,7 @@ fn put_system(w: &mut W, s: &SystemState) {
             }
         }
     }
-    let d = &s.directory.stats;
-    for v in [d.reads, d.writes, d.owner_forwards, d.invalidations, d.upgrades, d.writebacks, d.nacks]
-    {
-        w.u64(v);
-    }
+    put_directory_stats(w, &s.directory.stats);
     w.u64(s.network.msgs);
     w.u64(s.network.payload_msgs);
     w.u64(s.network.total_hops);
@@ -490,28 +331,14 @@ fn put_system(w: &mut W, s: &SystemState) {
     w.vec_u64(&s.barrier.arrived);
     w.vec_u64(&s.barrier.arrival_cycle);
     w.u64(s.fault.draws);
-    let f = &s.fault.stats;
-    for v in [
-        f.messages,
-        f.drops,
-        f.retries,
-        f.forced_deliveries,
-        f.duplicates,
-        f.spikes,
-        f.spike_cycles,
-        f.timeout_wait_cycles,
-        f.slowdown_events,
-        f.slowdown_cycles,
-    ] {
-        w.u64(v);
-    }
+    put_fault_stats(w, &s.fault.stats);
     w.u64(s.pending.len() as u64);
     for p in &s.pending {
         match p {
             None => w.u8(0),
             Some(e) => {
                 w.u8(1);
-                w.event(e);
+                put_event(w, e);
             }
         }
     }
@@ -519,17 +346,7 @@ fn put_system(w: &mut W, s: &SystemState) {
     w.vec_u64(&s.fetched);
     // Version 4: DVFS levels and reconfiguration counters.
     w.vec_u64(&s.reconfig.dvfs_num);
-    let rs = &s.reconfig.stats;
-    for v in [
-        rs.migrations,
-        rs.migration_stall_cycles,
-        rs.dvfs_epochs,
-        rs.dvfs_extra_cycles,
-        rs.dvfs_saved_cycles,
-        rs.core_switches,
-    ] {
-        w.u64(v);
-    }
+    put_reconfig_stats(w, &s.reconfig.stats);
 }
 
 fn get_system(r: &mut R) -> D<SystemState> {
@@ -548,15 +365,7 @@ fn get_system(r: &mut R) -> D<SystemState> {
         };
         entries.push((block, state));
     }
-    let stats = dsm_sim::directory::DirectoryStats {
-        reads: r.u64()?,
-        writes: r.u64()?,
-        owner_forwards: r.u64()?,
-        invalidations: r.u64()?,
-        upgrades: r.u64()?,
-        writebacks: r.u64()?,
-        nacks: r.u64()?,
-    };
+    let stats = get_directory_stats(r)?;
     let network = NetworkState {
         msgs: r.u64()?,
         payload_msgs: r.u64()?,
@@ -629,27 +438,13 @@ fn get_system(r: &mut R) -> D<SystemState> {
         arrived: r.vec_u64()?,
         arrival_cycle: r.vec_u64()?,
     };
-    let fault = FaultSnap {
-        draws: r.u64()?,
-        stats: dsm_sim::FaultStats {
-            messages: r.u64()?,
-            drops: r.u64()?,
-            retries: r.u64()?,
-            forced_deliveries: r.u64()?,
-            duplicates: r.u64()?,
-            spikes: r.u64()?,
-            spike_cycles: r.u64()?,
-            timeout_wait_cycles: r.u64()?,
-            slowdown_events: r.u64()?,
-            slowdown_cycles: r.u64()?,
-        },
-    };
+    let fault = FaultSnap { draws: r.u64()?, stats: get_fault_stats(r)? };
     let n_pend = r.len(1)?;
     let pending = (0..n_pend)
         .map(|_| {
             Ok(match r.u8()? {
                 0 => None,
-                1 => Some(r.event()?),
+                1 => Some(get_event(r)?),
                 t => return Err(CkptError::BadTag { what: "pending slot", tag: t as u64 }),
             })
         })
@@ -657,17 +452,7 @@ fn get_system(r: &mut R) -> D<SystemState> {
     let events_executed = r.u64()?;
     let fetched = r.vec_u64()?;
     let dvfs_num = r.vec_u64()?;
-    let reconfig = ReconfigSnap {
-        dvfs_num,
-        stats: ReconfigStats {
-            migrations: r.u64()?,
-            migration_stall_cycles: r.u64()?,
-            dvfs_epochs: r.u64()?,
-            dvfs_extra_cycles: r.u64()?,
-            dvfs_saved_cycles: r.u64()?,
-            core_switches: r.u64()?,
-        },
-    };
+    let reconfig = ReconfigSnap { dvfs_num, stats: get_reconfig_stats(r)? };
     let st = SystemState {
         procs,
         directory: DirectoryState { entries, stats },
@@ -698,34 +483,6 @@ fn get_system(r: &mut R) -> D<SystemState> {
         return Err(CkptError::BadValue { what: "reconfiguration vector lengths" });
     }
     Ok(st)
-}
-
-fn put_record(w: &mut W, rec: &IntervalRecord) {
-    w.u64(rec.proc as u64);
-    w.u64(rec.index);
-    w.u64(rec.insns);
-    w.u64(rec.cycles);
-    w.vec_f64(&rec.bbv);
-    w.vec_u64(&rec.fvec);
-    w.vec_u64(&rec.cvec);
-    w.f64(rec.dds);
-    w.vec_u64(&rec.ws_sig);
-    w.u64(rec.branches);
-}
-
-fn get_record(r: &mut R) -> D<IntervalRecord> {
-    Ok(IntervalRecord {
-        proc: r.usize_checked("record proc")?,
-        index: r.u64()?,
-        insns: r.u64()?,
-        cycles: r.u64()?,
-        bbv: r.vec_f64()?,
-        fvec: r.vec_u64()?,
-        cvec: r.vec_u64()?,
-        dds: r.f64()?,
-        ws_sig: r.vec_u64()?,
-        branches: r.u64()?,
-    })
 }
 
 fn put_collector(w: &mut W, c: &CollectorState) {
@@ -778,7 +535,7 @@ fn get_collector(r: &mut R, n_procs: usize) -> D<CollectorState> {
     let n_rec = r.len(8)?;
     let records = (0..n_rec)
         .map(|_| {
-            let n = r.len(80)?;
+            let n = r.len(RECORD_MIN_BYTES)?;
             (0..n).map(|_| get_record(r)).collect::<D<Vec<_>>>()
         })
         .collect::<D<Vec<_>>>()?;
@@ -913,17 +670,11 @@ impl Checkpoint {
     /// Serialize to the `DSMCKPT6` byte format. Deterministic: the same
     /// checkpoint always encodes to the same bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = W { out: Vec::with_capacity(4096) };
-        w.out.extend_from_slice(MAGIC);
+        let mut w = W::with_magic(MAGIC);
         let m = &self.meta;
-        let app_idx = App::EXTENDED.iter().position(|a| *a == m.app).expect("known app") as u8;
-        w.u8(app_idx);
+        put_app(&mut w, m.app);
         w.u64(m.n_procs as u64);
-        w.u8(match m.scale {
-            Scale::Test => 0,
-            Scale::Scaled => 1,
-            Scale::Paper => 2,
-        });
+        put_scale(&mut w, m.scale);
         w.u64(m.interval_base);
         let topo_idx =
             TopologyKind::ALL.iter().position(|k| *k == m.topology).expect("known topology") as u8;
@@ -958,7 +709,7 @@ impl Checkpoint {
                 put_adapt(&mut w, a);
             }
         }
-        w.out
+        w.into_bytes()
     }
 
     /// Decode a `DSMCKPT6` buffer. Total: any input yields `Ok` or a typed
@@ -971,21 +722,13 @@ impl Checkpoint {
         if version != MAGIC[MAGIC_FAMILY.len()] {
             return Err(CkptError::UnsupportedVersion { version });
         }
-        let mut r = R { b: &bytes[MAGIC.len()..] };
-        let app_tag = r.u8()?;
-        let app = *App::EXTENDED
-            .get(app_tag as usize)
-            .ok_or(CkptError::BadTag { what: "app", tag: app_tag as u64 })?;
+        let mut r = R::new(&bytes[MAGIC.len()..]);
+        let app = get_app(&mut r)?;
         let n_procs = r.usize_checked("n_procs")?;
         if n_procs == 0 || n_procs > 4096 {
             return Err(CkptError::BadValue { what: "n_procs" });
         }
-        let scale = match r.u8()? {
-            0 => Scale::Test,
-            1 => Scale::Scaled,
-            2 => Scale::Paper,
-            t => return Err(CkptError::BadTag { what: "scale", tag: t as u64 }),
-        };
+        let scale = get_scale(&mut r)?;
         let interval_base = r.u64()?;
         let topo_tag = r.u8()?;
         let topology = *TopologyKind::ALL
@@ -1027,9 +770,7 @@ impl Checkpoint {
             1 => Some(get_adapt(&mut r)?),
             t => return Err(CkptError::BadTag { what: "adapt presence", tag: t as u64 }),
         };
-        if !r.b.is_empty() {
-            return Err(CkptError::TrailingBytes);
-        }
+        r.finish()?;
         Ok(Checkpoint {
             meta: CheckpointMeta {
                 app,
@@ -1052,7 +793,9 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsm_phase::detector::IntervalRecord;
     use dsm_sim::directory::DirectoryStats;
+    use dsm_sim::reconfig::ReconfigStats;
     use dsm_sim::{FaultStats, ProcStats};
 
     fn sample_checkpoint() -> Checkpoint {
@@ -1217,6 +960,23 @@ mod tests {
             retunes: 2,
             actuator: vec![7, 9],
         }
+    }
+
+    /// FNV-1a 64, as the harness trace store keys entries.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        // Any change to these digests is a DSMCKPT6 layout change: bump the
+        // version digit instead of editing the pin.
+        let plain = sample_checkpoint().encode();
+        assert_eq!((plain.len(), fnv1a64(&plain)), (2267, 0x88ffe2da4b7c8c36));
+        let mut ck = sample_checkpoint();
+        ck.adapt = Some(sample_adapt());
+        let with_adapt = ck.encode();
+        assert_eq!((with_adapt.len(), fnv1a64(&with_adapt)), (2538, 0xf6521e10f7e38f64));
     }
 
     #[test]

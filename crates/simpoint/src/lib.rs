@@ -11,6 +11,9 @@
 //!   boundary, with the metadata needed to rebuild the machine and
 //!   fast-forward a fresh instruction stream to the same position. Decoding
 //!   is total — corrupt input yields a typed error, never a panic.
+//! * [`wire`] — the byte layer under both binary formats: total
+//!   little-endian primitives plus the structure encoders the checkpoint
+//!   codec shares with the harness trace store.
 //! * [`select`] — per-interval BBV ⊕ data-distribution signatures from a
 //!   profiling pass, clustered by deterministic k-means (k-means++ seeding,
 //!   Manhattan distance) with a BIC-style `k` sweep; each cluster's
@@ -28,6 +31,7 @@
 pub mod codec;
 pub mod reconstruct;
 pub mod select;
+pub mod wire;
 
 pub use codec::{Checkpoint, CheckpointMeta, CkptError, MAGIC};
 pub use reconstruct::{

@@ -4,11 +4,12 @@
 //!    is bit-identical to a plain capture: same machine statistics, same
 //!    observer stream, zero reconfiguration counters. Classification and
 //!    the tuning protocol run, but the machine never notices.
-//! 2. **Abstract/concrete agreement** — the §II protocol implemented twice
-//!    (the abstract cost-surface loop in `dsm_harness::adaptive` and the
-//!    live machine loop in `dsm_adapt`) produces *identical decision-key
-//!    sequences* on the same classified stream, degraded intervals
-//!    included.
+//! 2. **Abstract/concrete agreement** — the one §II protocol
+//!    (`dsm_adapt::Protocol`) driven two ways (by the abstract cost-surface
+//!    loop in `dsm_harness::adaptive` and by the live machine loop in
+//!    `dsm_adapt`) produces *identical decision-key sequences* on the same
+//!    classified stream, degraded intervals included: only the scores
+//!    differ.
 //! 3. **Conservation under faults** — with real actuators reconfiguring
 //!    the machine mid-run under a lossy fault plan, every workload still
 //!    completes and the coherence conservation invariant holds.
@@ -20,7 +21,7 @@ use dsm_adapt::{
     AdaptConfig, AdaptSession, Decision, DvfsActuator, HeteroActuator, MigrationActuator,
     NoopActuator,
 };
-use dsm_phase_detection::harness::adaptive::{run_tuning_stream, TuningInterval, TuningPolicy};
+use dsm_phase_detection::harness::adaptive::{run_tuning_stream, TuningInterval};
 use dsm_phase_detection::harness::trace::capture_with_faults;
 use dsm_phase_detection::phase::detector::AvailabilityModel;
 use dsm_phase_detection::phase::detector::DetectorGeometry as Geometry;
@@ -113,11 +114,7 @@ fn abstract_and_concrete_protocols_agree_on_decision_keys() {
                 degraded: o.degraded,
             })
             .collect();
-        let policy = TuningPolicy {
-            n_configs: adapt_cfg.policy.n_configs,
-            trials_per_config: adapt_cfg.policy.trials_per_config,
-        };
-        let (abstract_outcome, abstract_decisions) = run_tuning_stream(&stream, policy);
+        let (abstract_outcome, abstract_decisions) = run_tuning_stream(&stream, adapt_cfg.policy);
 
         let keys = |d: &[Decision]| d.iter().map(Decision::key).collect::<Vec<_>>();
         assert_eq!(
@@ -130,7 +127,7 @@ fn abstract_and_concrete_protocols_agree_on_decision_keys() {
             .filter(|d| matches!(d.kind, dsm_adapt::DecisionKind::Trial { .. }))
             .count());
 
-        // Degraded intervals are spectators in both implementations: no
+        // Degraded intervals are spectators in both drivers: no
         // decision may sit on a degraded interval's index.
         let degraded: Vec<u64> =
             out.stream.iter().filter(|o| o.degraded).map(|o| o.index).collect();
@@ -194,7 +191,7 @@ fn adaptation_conserves_coherence_under_faults() {
 /// `DSMCKPT6` carries the tuning-protocol state: a checkpoint taken
 /// mid-exploration round-trips through real bytes and resumes bit-exactly.
 #[test]
-fn dsmckpt4_mid_tuning_checkpoint_resumes_bit_exactly() {
+fn dsmckpt6_mid_tuning_checkpoint_resumes_bit_exactly() {
     let app = App::Lu;
     let n = 2usize;
     let cfg = ExperimentConfig::test(app, n);
