@@ -26,10 +26,9 @@ pub struct DetectorContext {
 impl DetectorContext {
     /// Capture processor `proc`'s state from a running detector.
     pub fn save(detector: &mut OnlineDetector, proc: usize) -> Self {
-        let (bbv, _, tables) = detector.parts_mut();
         Self {
-            accumulator: bbv[proc].clone(),
-            footprint: tables[proc].clone(),
+            accumulator: detector.gather.bbv[proc].clone(),
+            footprint: detector.bank.table(proc).clone(),
         }
     }
 
@@ -37,9 +36,8 @@ impl DetectorContext {
     /// reusing its buffers: repeated save/restore cycles (one per context
     /// switch) allocate nothing once sizes reach steady state.
     pub fn save_into(&mut self, detector: &mut OnlineDetector, proc: usize) {
-        let (bbv, _, tables) = detector.parts_mut();
-        self.accumulator.copy_from(&bbv[proc]);
-        self.footprint.copy_from(&tables[proc]);
+        self.accumulator.copy_from(&detector.gather.bbv[proc]);
+        self.footprint.copy_from(detector.bank.table(proc));
     }
 
     /// Restore this snapshot into processor `proc` of a detector (the
@@ -48,9 +46,8 @@ impl DetectorContext {
     /// staleness state of a deadline-degraded gather is forgotten: cached
     /// stale rows belong to the outgoing thread's access pattern.
     pub fn restore(&self, detector: &mut OnlineDetector, proc: usize) {
-        let (bbv, _, tables) = detector.parts_mut();
-        bbv[proc].copy_from(&self.accumulator);
-        tables[proc].copy_from(&self.footprint);
+        detector.gather.bbv[proc].copy_from(&self.accumulator);
+        detector.bank.tables_mut()[proc].copy_from(&self.footprint);
         detector.reset_staleness(proc);
     }
 

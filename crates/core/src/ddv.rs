@@ -51,8 +51,9 @@
 //! node's row arrived, so it keeps the per-matrix walk. A given `DdvState`
 //! instance must therefore stick to one gather style — mixing the fast
 //! path with the reference/degraded walks on one instance desynchronizes
-//! `S_i` (the detectors never mix them; each picks a style at
-//! construction).
+//! `S_i`. The observers never call these gathers themselves: they run the
+//! crate's one shared gather (in [`crate::signature`]), whose style is an
+//! enum chosen at construction with no way to change it afterwards.
 
 use serde::{Deserialize, Serialize};
 
@@ -191,6 +192,19 @@ impl DdsSample {
     }
 }
 
+/// The n×n hypercube distance matrix `1 + hops`, row-major (1 on the
+/// diagonal), for `n` a power of two.
+pub fn hypercube_distance(n: usize) -> Vec<f64> {
+    assert!(n.is_power_of_two());
+    let mut dist = vec![0.0; n * n];
+    for i in 0..n {
+        for j in 0..n {
+            dist[i * n + j] = if i == j { 1.0 } else { 1.0 + ((i ^ j) as u64).count_ones() as f64 };
+        }
+    }
+    dist
+}
+
 /// System-wide DDV state: one frequency matrix per node plus the
 /// pre-programmed distance matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -232,18 +246,7 @@ impl DdvState {
 
     /// Convenience: build with the hypercube distance matrix `1 + hops`.
     pub fn for_hypercube(n: usize) -> Self {
-        assert!(n.is_power_of_two());
-        let mut dist = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                dist[i * n + j] = if i == j {
-                    1.0
-                } else {
-                    1.0 + ((i ^ j) as u64).count_ones() as f64
-                };
-            }
-        }
-        Self::new(n, dist)
+        Self::new(n, hypercube_distance(n))
     }
 
     pub fn n(&self) -> usize {

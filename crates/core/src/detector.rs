@@ -19,9 +19,10 @@ use serde::{Deserialize, Serialize};
 use dsm_sim::observer::{IntervalStats, SimObserver};
 
 use crate::bbv::BbvAccumulator;
-use crate::ddv::{DdsSample, DdvSnap, DdvState, DegradedCollector};
+use crate::ddv::{hypercube_distance, DdvSnap, DdvState};
 use crate::distance::manhattan_concat;
 use crate::footprint::FootprintTable;
+use crate::signature::{ClassifierBank, Gather, GatherStyle};
 use crate::telem::{DetectorProbes, DetectorTelemetry, MetricsRegistry, Snapshot};
 use crate::working_set::WsSignature;
 use crate::{DEFAULT_BBV_ENTRIES, DEFAULT_FOOTPRINT_VECTORS};
@@ -75,12 +76,9 @@ pub struct IntervalRecord {
 }
 
 impl IntervalRecord {
+    /// Cycles per (non-sync) instruction: [`IntervalStats::cpi`] itself.
     pub fn cpi(&self) -> f64 {
-        if self.insns == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / self.insns as f64
-        }
+        IntervalStats { index: self.index, insns: self.insns, cycles: self.cycles }.cpi()
     }
 }
 
@@ -171,44 +169,52 @@ impl Default for DetectorGeometry {
 /// Records per-interval feature snapshots for offline classification.
 pub struct TraceCollector {
     geometry: DetectorGeometry,
-    bbv: Vec<BbvAccumulator>,
+    gather: Gather,
     ws: Vec<WsSignature>,
     branches: Vec<u64>,
-    ddv: DdvState,
     /// Captured records, per processor, in interval order.
     pub records: Vec<Vec<IntervalRecord>>,
-    /// Use the pre-optimization O(n²) all-to-one gather at interval ends
-    /// (the scaling benchmark's reference arm). Must be chosen before the
-    /// run — the fast and reference gathers keep different snapshot state
-    /// and cannot be mixed on one instance.
-    reference_gather: bool,
 }
 
 impl TraceCollector {
     /// `dist` is the n×n DDV distance matrix (see
     /// [`dsm_sim::network::Network::distance_matrix`]).
     pub fn new(n_procs: usize, dist: Vec<f64>, geometry: DetectorGeometry) -> Self {
-        Self {
-            bbv: (0..n_procs).map(|_| BbvAccumulator::new(geometry.bbv_entries)).collect(),
-            ws: (0..n_procs).map(|_| WsSignature::new(geometry.ws_bits)).collect(),
-            branches: vec![0; n_procs],
-            ddv: DdvState::new(n_procs, dist),
-            records: vec![Vec::new(); n_procs],
-            geometry,
-            reference_gather: false,
-        }
+        Self::with_style(n_procs, dist, geometry, GatherStyle::Aggregate)
+    }
+
+    /// A collector whose interval ends run the O(n²) all-to-one walk
+    /// ([`DdvState::end_interval_reference_into`]) instead of the O(n)
+    /// aggregate gather: the scaling benchmark's reference arm. Its records
+    /// are bit-identical to [`TraceCollector::new`]'s.
+    pub fn with_reference_gather(
+        n_procs: usize,
+        dist: Vec<f64>,
+        geometry: DetectorGeometry,
+    ) -> Self {
+        Self::with_style(n_procs, dist, geometry, GatherStyle::Reference)
     }
 
     /// Hypercube convenience constructor.
     pub fn for_hypercube(n_procs: usize, geometry: DetectorGeometry) -> Self {
+        Self::new(n_procs, hypercube_distance(n_procs), geometry)
+    }
+
+    fn with_style(
+        n_procs: usize,
+        dist: Vec<f64>,
+        geometry: DetectorGeometry,
+        style: GatherStyle,
+    ) -> Self {
+        // Allocated in this order on purpose: the time to free a captured
+        // trace is measurably sensitive to the heap layout it leaves behind.
+        let bbv = (0..n_procs).map(|_| BbvAccumulator::new(geometry.bbv_entries)).collect();
         Self {
-            bbv: (0..n_procs).map(|_| BbvAccumulator::new(geometry.bbv_entries)).collect(),
             ws: (0..n_procs).map(|_| WsSignature::new(geometry.ws_bits)).collect(),
             branches: vec![0; n_procs],
-            ddv: DdvState::for_hypercube(n_procs),
+            gather: Gather::new(bbv, DdvState::new(n_procs, dist), style),
             records: vec![Vec::new(); n_procs],
             geometry,
-            reference_gather: false,
         }
     }
 
@@ -217,15 +223,7 @@ impl TraceCollector {
     }
 
     pub fn ddv(&self) -> &DdvState {
-        &self.ddv
-    }
-
-    /// Switch interval ends to the pre-optimization O(n²) all-to-one
-    /// gather ([`DdvState::end_interval_reference_into`]). The scaling
-    /// benchmark's reference arm; set before the run and never mid-run
-    /// (the two gather styles keep different snapshot state).
-    pub fn set_reference_gather(&mut self, on: bool) {
-        self.reference_gather = on;
+        &self.gather.ddv
     }
 
     /// Total intervals captured across all processors.
@@ -237,10 +235,10 @@ impl TraceCollector {
     /// captured records — for checkpointing.
     pub fn export_state(&self) -> CollectorState {
         CollectorState {
-            bbv: self.bbv.iter().map(|b| b.raw().to_vec()).collect(),
+            bbv: self.gather.bbv.iter().map(|b| b.raw().to_vec()).collect(),
             ws: self.ws.iter().map(|w| w.words().to_vec()).collect(),
             branches: self.branches.clone(),
-            ddv: self.ddv.export_state(),
+            ddv: self.gather.ddv.export_state(),
             records: self.records.clone(),
         }
     }
@@ -248,9 +246,9 @@ impl TraceCollector {
     /// Restore state captured by [`TraceCollector::export_state`] into a
     /// collector built with the same geometry and processor count.
     pub fn import_state(&mut self, st: &CollectorState) {
-        assert_eq!(st.bbv.len(), self.bbv.len(), "collector snapshot is for a different machine");
-        assert_eq!(st.ws.len(), self.ws.len(), "collector snapshot is for a different machine");
-        for (b, raw) in self.bbv.iter_mut().zip(&st.bbv) {
+        let same_machine = st.bbv.len() == self.ws.len() && st.ws.len() == self.ws.len();
+        assert!(same_machine, "collector snapshot is for a different machine");
+        for (b, raw) in self.gather.bbv.iter_mut().zip(&st.bbv) {
             assert_eq!(raw.len(), b.len(), "collector snapshot has a different BBV geometry");
             *b = BbvAccumulator::from_raw(raw.clone());
         }
@@ -259,7 +257,7 @@ impl TraceCollector {
             *w = WsSignature::from_words(words.clone());
         }
         self.branches.copy_from_slice(&st.branches);
-        self.ddv.import_state(&st.ddv);
+        self.gather.ddv.import_state(&st.ddv);
         self.records = st.records.clone();
     }
 }
@@ -284,37 +282,31 @@ pub struct CollectorState {
 impl SimObserver for TraceCollector {
     #[inline]
     fn on_block_commit(&mut self, proc: usize, bb: u32, insns: u32) {
-        self.bbv[proc].record(bb, insns);
+        self.gather.record_block(proc, bb, insns);
         self.ws[proc].insert(bb);
         self.branches[proc] += 1;
     }
 
     #[inline]
     fn on_mem_commit(&mut self, proc: usize, home: usize, _addr: u64, _write: bool) {
-        self.ddv.record_access(proc, home);
+        self.gather.record_mem(proc, home);
     }
 
     fn on_interval(&mut self, proc: usize, stats: IntervalStats) {
-        let sample = if self.reference_gather {
-            let mut s = DdsSample::empty();
-            self.ddv.end_interval_reference_into(proc, &mut s);
-            s
-        } else {
-            self.ddv.end_interval(proc)
-        };
+        self.gather.end_interval(proc, stats.index);
+        let g = &mut self.gather;
         self.records[proc].push(IntervalRecord {
             proc,
             index: stats.index,
             insns: stats.insns,
             cycles: stats.cycles,
-            bbv: self.bbv[proc].normalized(),
-            fvec: sample.fvec,
-            cvec: sample.cvec,
-            dds: sample.dds,
+            bbv: std::mem::take(&mut g.bbv_out),
+            fvec: std::mem::take(&mut g.sample.fvec),
+            cvec: std::mem::take(&mut g.sample.cvec),
+            dds: g.sample.dds,
             ws_sig: self.ws[proc].words().to_vec(),
             branches: self.branches[proc],
         });
-        self.bbv[proc].reset();
         self.ws[proc].clear();
         self.branches[proc] = 0;
     }
@@ -470,24 +462,17 @@ impl TraceClassifier {
 
 /// Classifies intervals as they complete, like the paper's hardware.
 ///
-/// Internally this is the gather half (BBV accumulators + DDV state) fused
-/// with a [`crate::signature::ClassifierBank`] — the same kernel
-/// `dsm-serve` runs per tenant, so in-simulator and served classification
-/// are bit-identical by construction.
+/// Internally this is the crate's shared gather half (see
+/// [`crate::signature`]) composed with a [`ClassifierBank`] — the same
+/// kernel `dsm-serve` runs per tenant, so in-simulator and served
+/// classification are bit-identical by construction. The gather's reusable
+/// buffers keep the end-of-interval path (DDV query + BBV normalization +
+/// table lookup) allocation-free in steady state.
 pub struct OnlineDetector {
-    bbv: Vec<BbvAccumulator>,
-    ddv: DdvState,
-    bank: crate::signature::ClassifierBank,
-    /// Deadline-degraded row gathering; `None` on a reliable system (the
-    /// gather then takes the exact paper path with no staleness tracking).
-    availability: Option<(AvailabilityModel, DegradedCollector)>,
+    pub(crate) gather: Gather,
+    pub(crate) bank: ClassifierBank,
     /// Classified intervals, per processor, in order.
     pub classified: Vec<Vec<ClassifiedInterval>>,
-    /// Reusable per-interval buffers: the end-of-interval hot path
-    /// (DDV query + BBV normalization + table lookup) allocates nothing
-    /// in steady state.
-    scratch_bbv: Vec<f64>,
-    scratch_sample: DdsSample,
     /// Telemetry recorder (no-op stub unless the `telemetry` feature is on).
     telem: DetectorTelemetry,
     probes: DetectorProbes,
@@ -504,25 +489,8 @@ impl OnlineDetector {
         thresholds: Thresholds,
         geometry: DetectorGeometry,
     ) -> Self {
-        let mut telem = DetectorTelemetry::new(n_procs);
-        let probes = DetectorProbes::register(&mut telem, n_procs);
-        Self {
-            bbv: (0..n_procs).map(|_| BbvAccumulator::new(geometry.bbv_entries)).collect(),
-            ddv: DdvState::new(n_procs, dist),
-            bank: crate::signature::ClassifierBank::new(
-                n_procs,
-                mode,
-                thresholds,
-                geometry.footprint_vectors,
-            ),
-            availability: None,
-            classified: vec![Vec::new(); n_procs],
-            scratch_bbv: Vec::new(),
-            scratch_sample: DdsSample::empty(),
-            telem,
-            probes,
-            cum_cycles: vec![0; n_procs],
-        }
+        let model = AvailabilityModel::reliable();
+        Self::with_availability(n_procs, dist, mode, thresholds, geometry, model)
     }
 
     /// A detector whose DDV row gathers are subject to `model`'s collection
@@ -536,11 +504,18 @@ impl OnlineDetector {
         geometry: DetectorGeometry,
         model: AvailabilityModel,
     ) -> Self {
-        let mut d = Self::new(n_procs, dist, mode, thresholds, geometry);
-        if model.miss_ppm > 0 {
-            d.availability = Some((model, DegradedCollector::new(n_procs)));
+        let mut telem = DetectorTelemetry::new(n_procs);
+        let probes = DetectorProbes::register(&mut telem, n_procs);
+        let style = GatherStyle::for_availability(n_procs, model);
+        let bbv = (0..n_procs).map(|_| BbvAccumulator::new(geometry.bbv_entries)).collect();
+        Self {
+            gather: Gather::new(bbv, DdvState::new(n_procs, dist), style),
+            bank: ClassifierBank::new(n_procs, mode, thresholds, geometry.footprint_vectors),
+            classified: vec![Vec::new(); n_procs],
+            telem,
+            probes,
+            cum_cycles: vec![0; n_procs],
         }
-        d
     }
 
     pub fn mode(&self) -> DetectorMode {
@@ -553,20 +528,18 @@ impl OnlineDetector {
 
     /// The availability model in force, if any.
     pub fn availability(&self) -> Option<&AvailabilityModel> {
-        self.availability.as_ref().map(|(m, _)| m)
+        self.gather.deadline().map(|(m, _)| m)
     }
 
     /// Total DDV rows substituted from stale caches so far.
     pub fn rows_substituted(&self) -> u64 {
-        self.availability.as_ref().map_or(0, |(_, c)| c.substitutions())
+        self.gather.deadline().map_or(0, |(_, c)| c.substitutions())
     }
 
     /// Forget processor `proc`'s staleness state (context switch: the
     /// incoming thread must not inherit the outgoing thread's stale rows).
     pub fn reset_staleness(&mut self, proc: usize) {
-        if let Some((_, c)) = &mut self.availability {
-            c.reset_requester(proc);
-        }
+        self.gather.reset_staleness(proc);
     }
 
     /// The footprint table of one processor (inspection / persistence).
@@ -605,51 +578,29 @@ impl OnlineDetector {
         reg.counter_add("detector/new_phases", new_phases);
         reg.counter_add("detector/degraded_intervals", degraded);
         reg.counter_add("detector/rows_substituted", self.rows_substituted());
-        self.ddv.publish_metrics("detector/ddv", reg);
-    }
-
-    /// Access to mutable internals for context save/restore.
-    pub(crate) fn parts_mut(
-        &mut self,
-    ) -> (&mut Vec<BbvAccumulator>, &mut DdvState, &mut Vec<FootprintTable>) {
-        (&mut self.bbv, &mut self.ddv, self.bank.tables_mut())
+        self.gather.ddv.publish_metrics("detector/ddv", reg);
     }
 }
 
 impl SimObserver for OnlineDetector {
     #[inline]
     fn on_block_commit(&mut self, proc: usize, bb: u32, insns: u32) {
-        self.bbv[proc].record(bb, insns);
+        self.gather.record_block(proc, bb, insns);
     }
 
     #[inline]
     fn on_mem_commit(&mut self, proc: usize, home: usize, _addr: u64, _write: bool) {
-        self.ddv.record_access(proc, home);
+        self.gather.record_mem(proc, home);
     }
 
     fn on_interval(&mut self, proc: usize, stats: IntervalStats) {
-        let degraded = match &mut self.availability {
-            None => {
-                self.ddv.end_interval_into(proc, &mut self.scratch_sample);
-                false
-            }
-            Some((model, coll)) => {
-                let staleness = coll.end_interval_into(
-                    &mut self.ddv,
-                    proc,
-                    &mut self.scratch_sample,
-                    |q| !model.row_missed(proc, q, stats.index),
-                );
-                staleness > model.max_staleness
-            }
-        };
-        self.bbv[proc].normalized_into(&mut self.scratch_bbv);
+        let degraded = self.gather.end_interval(proc, stats.index);
         let c = self.bank.classify_raw(
             proc,
             stats.index,
             stats.cpi(),
-            &self.scratch_bbv,
-            self.scratch_sample.dds,
+            &self.gather.bbv_out,
+            self.gather.sample.dds,
             degraded,
         );
         // Classification span on the processor's cumulative interval clock
@@ -665,7 +616,6 @@ impl SimObserver for OnlineDetector {
             self.telem.add(self.probes.degraded, 1);
         }
         self.classified[proc].push(c);
-        self.bbv[proc].reset();
     }
 }
 

@@ -1,8 +1,7 @@
 //! The classifier extraction seam: interval signatures on the wire and the
 //! classification kernel behind them.
 //!
-//! The paper's detector has two halves that until now lived fused inside
-//! [`OnlineDetector`](crate::detector::OnlineDetector):
+//! The paper's detector has two halves:
 //!
 //! 1. **gather** — accumulate the BBV, collect the DDV rows at the interval
 //!    boundary, fold them into the DDS (and, under an
@@ -13,8 +12,11 @@
 //! The gather half is tied to the simulated machine (it *is* the hardware
 //! the paper describes); the classify half is pure state-plus-arithmetic
 //! and is exactly what a phase-detection *service* runs on behalf of many
-//! tenants. This module splits them:
+//! tenants. Each half is written once, here:
 //!
+//! * `Gather` (crate-private) — the gather half, run by every observer:
+//!   the online detector, the [`SignatureExtractor`] and the trace
+//!   collector. Its style is fixed when it is built.
 //! * [`IntervalSignature`] — everything the gather half produces for one
 //!   completed interval: the normalized BBV, the DDS, the interval's
 //!   instruction/cycle counts, and the staleness verdict. This is the unit
@@ -69,15 +71,10 @@ pub struct IntervalSignature {
 }
 
 impl IntervalSignature {
-    /// Cycles per (non-sync) instruction — same formula as
-    /// [`IntervalStats::cpi`], so a signature round-trip preserves the CPI
-    /// bit-for-bit.
+    /// Cycles per (non-sync) instruction: [`IntervalStats::cpi`] itself, so
+    /// a signature round-trip preserves the CPI bit-for-bit.
     pub fn cpi(&self) -> f64 {
-        if self.insns == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / self.insns as f64
-        }
+        IntervalStats { index: self.index, insns: self.insns, cycles: self.cycles }.cpi()
     }
 
     /// Build a signature from a captured [`IntervalRecord`] (trace replay:
@@ -191,32 +188,112 @@ impl ClassifierBank {
     }
 }
 
-/// The gather half of the online detector as a standalone observer: it
-/// accumulates BBVs and DDV state exactly like
+/// How the DDV rows are collected at an interval end. Fixed when the
+/// [`Gather`] is built: the styles keep different snapshot state in the
+/// [`DdvState`], so one instance must never mix them.
+pub(crate) enum GatherStyle {
+    /// The O(n) aggregate gather.
+    Aggregate,
+    /// The O(n²) walk over every node's matrix (the scale sweep's reference).
+    Reference,
+    /// Every remote row is subject to the model's collection deadline.
+    Deadline(AvailabilityModel, DegradedCollector),
+}
+
+impl GatherStyle {
+    /// The deadline walk when rows can miss under `model`, else the aggregate.
+    pub(crate) fn for_availability(n_procs: usize, model: AvailabilityModel) -> Self {
+        if model.miss_ppm > 0 {
+            Self::Deadline(model, DegradedCollector::new(n_procs))
+        } else {
+            Self::Aggregate
+        }
+    }
+}
+
+/// The gather half every observer runs: per-processor BBV accumulators
+/// and the DDV state, folded at each interval end into a normalized BBV, a
+/// [`DdsSample`] and a staleness verdict, all in reusable buffers.
+pub(crate) struct Gather {
+    pub(crate) bbv: Vec<BbvAccumulator>,
+    pub(crate) ddv: DdvState,
+    style: GatherStyle,
+    /// The last completed interval's normalized BBV.
+    pub(crate) bbv_out: Vec<f64>,
+    /// The last completed interval's `F_i`, `C` and DDS.
+    pub(crate) sample: DdsSample,
+}
+
+impl Gather {
+    /// A gather over one accumulator per processor of `ddv`'s machine.
+    pub(crate) fn new(bbv: Vec<BbvAccumulator>, ddv: DdvState, style: GatherStyle) -> Self {
+        Self { bbv, ddv, style, bbv_out: Vec::new(), sample: DdsSample::empty() }
+    }
+
+    #[inline]
+    pub(crate) fn record_block(&mut self, proc: usize, bb: u32, insns: u32) {
+        self.bbv[proc].record(bb, insns);
+    }
+
+    #[inline]
+    pub(crate) fn record_mem(&mut self, proc: usize, home: usize) {
+        self.ddv.record_access(proc, home);
+    }
+
+    /// End `proc`'s interval `index`: gather its DDV rows into
+    /// [`Self::sample`], normalize its BBV into [`Self::bbv_out`] and start
+    /// the next interval. Returns true when the DDS is too stale to trust.
+    pub(crate) fn end_interval(&mut self, proc: usize, index: u64) -> bool {
+        let degraded = match &mut self.style {
+            GatherStyle::Aggregate => {
+                self.ddv.end_interval_into(proc, &mut self.sample);
+                false
+            }
+            GatherStyle::Reference => {
+                self.ddv.end_interval_reference_into(proc, &mut self.sample);
+                false
+            }
+            GatherStyle::Deadline(model, coll) => {
+                let staleness = coll.end_interval_into(&mut self.ddv, proc, &mut self.sample, |q| {
+                    !model.row_missed(proc, q, index)
+                });
+                staleness > model.max_staleness
+            }
+        };
+        self.bbv[proc].normalized_into(&mut self.bbv_out);
+        self.bbv[proc].reset();
+        degraded
+    }
+
+    /// The model and row collector of a deadline gather.
+    pub(crate) fn deadline(&self) -> Option<(&AvailabilityModel, &DegradedCollector)> {
+        match &self.style {
+            GatherStyle::Deadline(model, coll) => Some((model, coll)),
+            _ => None,
+        }
+    }
+
+    /// Forget `proc`'s staleness state (context switch).
+    pub(crate) fn reset_staleness(&mut self, proc: usize) {
+        if let GatherStyle::Deadline(_, coll) = &mut self.style {
+            coll.reset_requester(proc);
+        }
+    }
+}
+
+/// The gather half as a standalone observer: it runs the same gather as
 /// [`OnlineDetector`](crate::detector::OnlineDetector) but emits
 /// [`IntervalSignature`]s instead of classifying, so the classification can
 /// happen elsewhere (a [`ClassifierBank`] inside `dsm-serve`).
 pub struct SignatureExtractor {
-    bbv: Vec<BbvAccumulator>,
-    ddv: DdvState,
-    /// Deadline-degraded row gathering; `None` on a reliable system.
-    availability: Option<(AvailabilityModel, DegradedCollector)>,
-    scratch_sample: DdsSample,
+    gather: Gather,
     /// Extracted signatures, per processor, in interval order.
     pub signatures: Vec<Vec<IntervalSignature>>,
 }
 
 impl SignatureExtractor {
     pub fn new(n_procs: usize, dist: Vec<f64>, geometry: DetectorGeometry) -> Self {
-        Self {
-            bbv: (0..n_procs)
-                .map(|_| BbvAccumulator::new(geometry.bbv_entries))
-                .collect(),
-            ddv: DdvState::new(n_procs, dist),
-            availability: None,
-            scratch_sample: DdsSample::empty(),
-            signatures: vec![Vec::new(); n_procs],
-        }
+        Self::with_availability(n_procs, dist, geometry, AvailabilityModel::reliable())
     }
 
     /// An extractor whose DDV row gathers are subject to `model`'s
@@ -230,63 +307,37 @@ impl SignatureExtractor {
         geometry: DetectorGeometry,
         model: AvailabilityModel,
     ) -> Self {
-        let mut e = Self::new(n_procs, dist, geometry);
-        if model.miss_ppm > 0 {
-            e.availability = Some((model, DegradedCollector::new(n_procs)));
+        let style = GatherStyle::for_availability(n_procs, model);
+        let bbv = (0..n_procs).map(|_| BbvAccumulator::new(geometry.bbv_entries)).collect();
+        Self {
+            gather: Gather::new(bbv, DdvState::new(n_procs, dist), style),
+            signatures: vec![Vec::new(); n_procs],
         }
-        e
-    }
-
-    /// Total signatures extracted across all processors.
-    pub fn total_signatures(&self) -> usize {
-        self.signatures.iter().map(|s| s.len()).sum()
-    }
-
-    /// Drain the extracted signatures (streaming callers forward them to
-    /// the server between simulation slices).
-    pub fn take_signatures(&mut self) -> Vec<Vec<IntervalSignature>> {
-        std::mem::replace(&mut self.signatures, vec![Vec::new(); self.bbv.len()])
     }
 }
 
 impl SimObserver for SignatureExtractor {
     #[inline]
     fn on_block_commit(&mut self, proc: usize, bb: u32, insns: u32) {
-        self.bbv[proc].record(bb, insns);
+        self.gather.record_block(proc, bb, insns);
     }
 
     #[inline]
     fn on_mem_commit(&mut self, proc: usize, home: usize, _addr: u64, _write: bool) {
-        self.ddv.record_access(proc, home);
+        self.gather.record_mem(proc, home);
     }
 
     fn on_interval(&mut self, proc: usize, stats: IntervalStats) {
-        // Same gather as the online detector, bit for bit.
-        let degraded = match &mut self.availability {
-            None => {
-                self.ddv.end_interval_into(proc, &mut self.scratch_sample);
-                false
-            }
-            Some((model, coll)) => {
-                let staleness = coll.end_interval_into(
-                    &mut self.ddv,
-                    proc,
-                    &mut self.scratch_sample,
-                    |q| !model.row_missed(proc, q, stats.index),
-                );
-                staleness > model.max_staleness
-            }
-        };
+        let degraded = self.gather.end_interval(proc, stats.index);
         self.signatures[proc].push(IntervalSignature {
             proc,
             index: stats.index,
             insns: stats.insns,
             cycles: stats.cycles,
-            bbv: self.bbv[proc].normalized(),
-            dds: self.scratch_sample.dds,
+            bbv: std::mem::take(&mut self.gather.bbv_out),
+            dds: self.gather.sample.dds,
             degraded,
         });
-        self.bbv[proc].reset();
     }
 }
 

@@ -30,12 +30,12 @@ use dsm_adapt::{
 use dsm_phase::detector::{DetectorGeometry, TraceCollector};
 use dsm_sim::config::{DistributionPolicy, SystemConfig};
 use dsm_sim::event::ChunkedStream;
-use dsm_sim::network::Network;
 use dsm_sim::system::System;
 use dsm_workloads::{make_serial_init_stream, make_stream, App, Workload};
 
 use crate::experiment::ExperimentConfig;
 use crate::json::Json;
+use crate::trace::capture_system;
 
 type AppSystem = System<ChunkedStream<Box<dyn Workload>>, TraceCollector>;
 
@@ -47,9 +47,7 @@ fn build_system(config: ExperimentConfig, dist: Option<DistributionPolicy>) -> A
         sys_cfg.distribution = d;
     }
     let stream = make_stream(config.app, config.n_procs, config.scale);
-    let dmat = Network::new(sys_cfg.network, config.n_procs).distance_matrix();
-    let collector = TraceCollector::new(config.n_procs, dmat, DetectorGeometry::default());
-    System::new(sys_cfg, stream, collector)
+    capture_system(sys_cfg, stream, DetectorGeometry::default(), TraceCollector::new)
 }
 
 /// Sampling-interval divisor for the placement study. Test-scale runs span
@@ -68,9 +66,7 @@ fn build_placement_system(config: ExperimentConfig, dist: DistributionPolicy) ->
     sys_cfg.distribution = dist;
     sys_cfg.interval_insns = (sys_cfg.interval_insns / PLACEMENT_INTERVAL_DIVISOR).max(1);
     let stream = make_serial_init_stream(config.app, config.n_procs, config.scale);
-    let dmat = Network::new(sys_cfg.network, config.n_procs).distance_matrix();
-    let collector = TraceCollector::new(config.n_procs, dmat, DetectorGeometry::default());
-    System::new(sys_cfg, stream, collector)
+    capture_system(sys_cfg, stream, DetectorGeometry::default(), TraceCollector::new)
 }
 
 fn actuator_by_name(name: &str, sys_cfg: &SystemConfig) -> Box<dyn Actuator> {

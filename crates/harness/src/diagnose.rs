@@ -23,12 +23,10 @@
 //! reconfiguration counters every node sees identically.
 
 use dsm_diagnose::{diagnose, DiagnoseConfig, Diagnosis, NodeTelemetry};
-use dsm_phase::detector::{DetectorGeometry, DetectorMode, TraceClassifier, TraceCollector};
+use dsm_phase::detector::{DetectorMode, TraceClassifier, TraceCollector};
 use dsm_phase::stream::PhaseStream;
 use dsm_phase::{ClassifiedInterval, DEFAULT_FOOTPRINT_VECTORS};
 use dsm_sim::config::{DistributionPolicy, FaultPlan};
-use dsm_sim::network::Network;
-use dsm_sim::system::System;
 use dsm_workloads::{make_serial_init_stream, App};
 
 use dsm_phase::detector::DetectorGeometry as Geometry;
@@ -36,7 +34,7 @@ use dsm_phase::detector::DetectorGeometry as Geometry;
 use crate::experiment::ExperimentConfig;
 use crate::faults::SWEEP_THRESHOLDS;
 use crate::json::Json;
-use crate::trace::{capture_with, SystemTrace};
+use crate::trace::{capture_system, capture_with, SystemTrace};
 
 /// Seed for the report's injected straggler plans.
 pub const DIAGNOSE_SEED: u64 = 99;
@@ -265,15 +263,8 @@ pub fn capture_serial_init(config: ExperimentConfig) -> SystemTrace {
     sys_cfg.distribution = DistributionPolicy::FirstTouch;
     sys_cfg.interval_insns = (sys_cfg.interval_insns / DIAG_INTERVAL_DIVISOR).max(1);
     let stream = make_serial_init_stream(config.app, config.n_procs, config.scale);
-    let dist = Network::new(sys_cfg.network, config.n_procs).distance_matrix();
-    let collector = TraceCollector::new(config.n_procs, dist, DetectorGeometry::default());
-    let (stats, collector) = System::new(sys_cfg, stream, collector).run();
-    SystemTrace {
-        config,
-        ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
-        records: collector.records,
-        stats,
-    }
+    let system = capture_system(sys_cfg, stream, Geometry::default(), TraceCollector::new);
+    SystemTrace::from_run(config, system.run())
 }
 
 /// Diagnose one workload at `n_procs` across the report's columns.

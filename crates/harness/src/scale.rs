@@ -7,8 +7,8 @@
 //! module measures, at each point of [`SCALE_PROCS`], two serial runs that
 //! differ only in the gather:
 //!
-//! * the **reference arm** — [`TraceCollector::set_reference_gather`]: the
-//!   O(n²) walk over every node's matrix
+//! * the **reference arm** — [`TraceCollector::with_reference_gather`]: a
+//!   collector built to run the O(n²) walk over every node's matrix
 //!   ([`dsm_phase::DdvState::end_interval_reference_into`]);
 //! * the **aggregate arm** — the production collector: the O(n) aggregate
 //!   gather `C = G − S_i` ([`dsm_phase::DdvState::end_interval_into`]).
@@ -23,11 +23,11 @@ use std::time::Instant;
 
 use dsm_phase::detector::{DetectorGeometry, IntervalRecord, TraceCollector};
 use dsm_sim::stats::SystemStats;
-use dsm_sim::system::System;
 use dsm_workloads::{make_stream, App};
 
 use crate::experiment::ExperimentConfig;
 use crate::json::Json;
+use crate::trace::capture_system;
 
 /// The node counts of the scaling curve: the paper's maximum and the two
 /// beyond-paper points.
@@ -93,10 +93,9 @@ struct ArmRun {
 fn timed_run(cfg: &ExperimentConfig, reference: bool) -> ArmRun {
     let sys_cfg = cfg.system_config();
     let stream = make_stream(cfg.app, cfg.n_procs, cfg.scale);
-    let dist = dsm_sim::network::Network::new(sys_cfg.network, cfg.n_procs).distance_matrix();
-    let mut collector = TraceCollector::new(cfg.n_procs, dist, DetectorGeometry::default());
-    collector.set_reference_gather(reference);
-    let mut system = System::new(sys_cfg, stream, collector);
+    let collector =
+        if reference { TraceCollector::with_reference_gather } else { TraceCollector::new };
+    let mut system = capture_system(sys_cfg, stream, DetectorGeometry::default(), collector);
     let t0 = Instant::now();
     system.run_to_interval(u64::MAX);
     let secs = t0.elapsed().as_secs_f64();

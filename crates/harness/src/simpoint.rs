@@ -34,7 +34,6 @@ use std::path::PathBuf;
 use dsm_phase::detector::{DetectorGeometry, TraceCollector};
 use dsm_sim::config::{FaultPlan, SystemConfig};
 use dsm_sim::event::{ChunkedStream, InstructionStream};
-use dsm_sim::network::Network;
 use dsm_sim::system::System;
 use dsm_simpoint::{
     interval_cpis, mean_and_cov, reconstruct_cpi, relative_error, select, signatures,
@@ -46,7 +45,7 @@ use crate::experiment::ExperimentConfig;
 use crate::json::Json;
 use crate::parallel::par_map;
 use crate::report;
-use crate::trace::{capture_cached, capture_with_faults, SystemTrace};
+use crate::trace::{capture_cached, capture_system, capture_with_faults, SystemTrace};
 
 /// Fixed seed for representative selection: sampling artefacts must be
 /// byte-identical across reruns.
@@ -120,14 +119,7 @@ fn capture_checkpoints_inner(
         }
         ckpts.push((b, ck.encode()));
     }
-    let (stats, collector) = sys.run_to_end();
-    let trace = SystemTrace {
-        config,
-        ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
-        records: collector.records,
-        stats,
-    };
-    (ckpts, trace)
+    (ckpts, SystemTrace::from_run(config, sys.run_to_end()))
 }
 
 /// Run `config` under `plan`, snapshotting every `every` global interval
@@ -151,14 +143,7 @@ pub fn capture_checkpoint_every(
         ckpts.push((b, snapshot(&sys, config, &sys_cfg, b).encode()));
         b += every;
     }
-    let (stats, collector) = sys.run_to_end();
-    let trace = SystemTrace {
-        config,
-        ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
-        records: collector.records,
-        stats,
-    };
-    (ckpts, trace)
+    (ckpts, SystemTrace::from_run(config, sys.run_to_end()))
 }
 
 /// Rebuild a live system from a decoded checkpoint: reconstruct the machine
@@ -190,11 +175,8 @@ pub fn resume_checkpoint(ck: &Checkpoint) -> AppSystem {
         }
     }
 
-    let dist = Network::new(sys_cfg.network, config.n_procs).distance_matrix();
-    let mut collector = TraceCollector::new(config.n_procs, dist, ck.meta.geometry);
-    collector.import_state(&ck.collector);
-
-    let mut sys = System::new(sys_cfg, stream, collector);
+    let mut sys = capture_system(sys_cfg, stream, ck.meta.geometry, TraceCollector::new);
+    sys.observer_mut().import_state(&ck.collector);
     sys.restore_state(&ck.system);
     sys
 }
@@ -209,13 +191,7 @@ pub fn resume_to_end(bytes: &[u8]) -> SystemTrace {
         scale: ck.meta.scale,
         interval_base: ck.meta.interval_base,
     };
-    let (stats, collector) = resume_checkpoint(&ck).run_to_end();
-    SystemTrace {
-        config,
-        ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
-        records: collector.records,
-        stats,
-    }
+    SystemTrace::from_run(config, resume_checkpoint(&ck).run_to_end())
 }
 
 /// One sampled-simulation run: selection, stratified per-cluster
@@ -439,9 +415,7 @@ pub fn write_artifacts(r: &SimpointResult) -> std::io::Result<(PathBuf, PathBuf)
 
 fn fresh_system(config: ExperimentConfig, sys_cfg: SystemConfig) -> AppSystem {
     let stream = make_stream(config.app, config.n_procs, config.scale);
-    let dist = Network::new(sys_cfg.network, config.n_procs).distance_matrix();
-    let collector = TraceCollector::new(config.n_procs, dist, DetectorGeometry::default());
-    System::new(sys_cfg, stream, collector)
+    capture_system(sys_cfg, stream, DetectorGeometry::default(), TraceCollector::new)
 }
 
 fn snapshot(

@@ -24,13 +24,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use dsm_phase::detector::{DetectorGeometry, TraceCollector};
-use dsm_sim::system::System;
 use dsm_telemetry::{chrome, MetricSample, MetricValue, MetricsRegistry, Snapshot};
 use dsm_workloads::{make_stream, App, Scale};
 
 use crate::experiment::ExperimentConfig;
 use crate::json::Json;
-use crate::trace::SystemTrace;
+use crate::trace::{capture_system, SystemTrace};
 
 /// A telemetry-instrumented capture: the usual trace plus the merged
 /// snapshot (simulator probes, system stats, DDV traffic).
@@ -47,8 +46,7 @@ pub fn capture_with_telemetry(config: ExperimentConfig) -> TelemetryCapture {
     let sys_cfg = config.system_config();
     assert_eq!(sys_cfg.n_procs, config.n_procs);
     let stream = make_stream(config.app, config.n_procs, config.scale);
-    let collector = TraceCollector::for_hypercube(config.n_procs, DetectorGeometry::default());
-    let system = System::new(sys_cfg, stream, collector);
+    let system = capture_system(sys_cfg, stream, DetectorGeometry::default(), TraceCollector::new);
     let (stats, collector, mut snapshot) = system.run_telemetry();
     if snapshot.enabled {
         // Fold the detector-side DDV traffic into the same registry the
@@ -58,15 +56,7 @@ pub fn capture_with_telemetry(config: ExperimentConfig) -> TelemetryCapture {
         collector.ddv().publish_metrics("detector/ddv", &mut reg);
         snapshot.metrics = reg.samples();
     }
-    TelemetryCapture {
-        trace: SystemTrace {
-            config,
-            ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
-            records: collector.records,
-            stats,
-        },
-        snapshot,
-    }
+    TelemetryCapture { trace: SystemTrace::from_run(config, (stats, collector)), snapshot }
 }
 
 /// Serialize one metric sample as a deterministic JSON object.

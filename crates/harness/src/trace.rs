@@ -12,6 +12,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use dsm_phase::detector::{DetectorGeometry, IntervalRecord, TraceCollector};
+use dsm_sim::config::SystemConfig;
+use dsm_sim::event::InstructionStream;
+use dsm_sim::network::Network;
 use dsm_sim::stats::SystemStats;
 use dsm_sim::system::System;
 use dsm_workloads::make_stream;
@@ -30,6 +33,19 @@ pub struct SystemTrace {
 }
 
 impl SystemTrace {
+    /// The trace of a finished capture run: its statistics and collector.
+    pub fn from_run(
+        config: ExperimentConfig,
+        (stats, collector): (SystemStats, TraceCollector),
+    ) -> Self {
+        Self {
+            config,
+            ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
+            records: collector.records,
+            stats,
+        }
+    }
+
     /// Total captured intervals across all processors.
     pub fn total_intervals(&self) -> usize {
         self.records.iter().map(|r| r.len()).sum()
@@ -40,6 +56,22 @@ impl SystemTrace {
     pub fn min_intervals(&self) -> usize {
         self.records.iter().map(|r| r.len()).min().unwrap_or(0)
     }
+}
+
+/// The machine every capture runs: `stream` on `sys_cfg`, observed by the
+/// trace collector `collector` builds ([`TraceCollector::new`], or
+/// [`TraceCollector::with_reference_gather`] for the scale sweep's
+/// reference arm). The DDV distance matrix follows the configured fabric
+/// (identical to the historical hypercube matrix at the default layout).
+pub fn capture_system<S: InstructionStream>(
+    sys_cfg: SystemConfig,
+    stream: S,
+    geometry: DetectorGeometry,
+    collector: fn(usize, Vec<f64>, DetectorGeometry) -> TraceCollector,
+) -> System<S, TraceCollector> {
+    let dist = Network::new(sys_cfg.network, sys_cfg.n_procs).distance_matrix();
+    let collector = collector(sys_cfg.n_procs, dist, geometry);
+    System::new(sys_cfg, stream, collector)
 }
 
 /// Run the simulation for `config` and capture its trace (uncached).
@@ -65,23 +97,13 @@ pub fn capture_with_faults(
 /// footprint-table sizes).
 pub fn capture_with(
     config: ExperimentConfig,
-    sys_cfg: dsm_sim::config::SystemConfig,
+    sys_cfg: SystemConfig,
     geometry: DetectorGeometry,
 ) -> SystemTrace {
     assert_eq!(sys_cfg.n_procs, config.n_procs);
     let stream = make_stream(config.app, config.n_procs, config.scale);
-    // The DDV distance matrix follows the configured topology (identical to
-    // the historical hypercube matrix at the default layout).
-    let dist = dsm_sim::network::Network::new(sys_cfg.network, config.n_procs).distance_matrix();
-    let collector = TraceCollector::new(config.n_procs, dist, geometry);
-    let system = System::new(sys_cfg, stream, collector);
-    let (stats, collector) = system.run();
-    SystemTrace {
-        config,
-        ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
-        records: collector.records,
-        stats,
-    }
+    let system = capture_system(sys_cfg, stream, geometry, TraceCollector::new);
+    SystemTrace::from_run(config, system.run())
 }
 
 /// Process-wide in-memory trace cache, keyed by configuration label.

@@ -554,6 +554,18 @@ fn get_collector(r: &mut R, n_procs: usize) -> D<CollectorState> {
     Ok(c)
 }
 
+/// Whether a collector built for `g` can import `c`: every stored BBV row
+/// has `g.bbv_entries` buckets and every working-set row `g.ws_bits / 64`
+/// words, and each size is one the detector can be built with.
+fn geometry_fits(g: &DetectorGeometry, c: &CollectorState) -> bool {
+    g.bbv_entries > 0
+        && g.footprint_vectors > 0
+        && g.ws_bits > 0
+        && g.ws_bits.is_multiple_of(64)
+        && c.bbv.iter().all(|row| row.len() == g.bbv_entries)
+        && c.ws.iter().all(|row| row.len() == g.ws_bits / 64)
+}
+
 fn put_adapt(w: &mut W, a: &AdaptSnap) {
     w.u64(a.target);
     w.u64(a.processed);
@@ -765,6 +777,9 @@ impl Checkpoint {
             return Err(CkptError::BadValue { what: "system sized for a different machine" });
         }
         let collector = get_collector(&mut r, n_procs)?;
+        if !geometry_fits(&geometry, &collector) {
+            return Err(CkptError::BadValue { what: "geometry does not fit the collector" });
+        }
         let adapt = match r.u8()? {
             0 => None,
             1 => Some(get_adapt(&mut r)?),
@@ -842,7 +857,8 @@ mod tests {
                 topology: TopologyKind::Torus2D,
                 link_contention: true,
                 plan: FaultPlan::mixed(7, 0.01),
-                geometry: DetectorGeometry::default(),
+                // Fits the collector below: 3 BBV buckets, one WS word.
+                geometry: DetectorGeometry { bbv_entries: 3, footprint_vectors: 32, ws_bits: 64 },
                 interval_index: 7,
             },
             system: SystemState {
@@ -971,9 +987,17 @@ mod tests {
     fn encoded_bytes_are_pinned() {
         // Any change to these digests is a DSMCKPT6 layout change: bump the
         // version digit instead of editing the pin.
-        let plain = sample_checkpoint().encode();
+        // The pins were recorded with the default geometry in the header,
+        // which the sample's 3-bucket collector does not fit (the decoder
+        // rejects that pairing); the layout under test is the same.
+        let pinned = || {
+            let mut ck = sample_checkpoint();
+            ck.meta.geometry = DetectorGeometry::default();
+            ck
+        };
+        let plain = pinned().encode();
         assert_eq!((plain.len(), fnv1a64(&plain)), (2267, 0x88ffe2da4b7c8c36));
-        let mut ck = sample_checkpoint();
+        let mut ck = pinned();
         ck.adapt = Some(sample_adapt());
         let with_adapt = ck.encode();
         assert_eq!((with_adapt.len(), fnv1a64(&with_adapt)), (2538, 0xf6521e10f7e38f64));

@@ -19,7 +19,7 @@ use dsm_sim::state::{
 use dsm_sim::topology::TopologyKind;
 use dsm_sim::util::splitmix64;
 use dsm_sim::ProcStats;
-use dsm_simpoint::{Checkpoint, CheckpointMeta, MAGIC};
+use dsm_simpoint::{Checkpoint, CheckpointMeta, CkptError, MAGIC};
 use dsm_workloads::{App, Scale};
 
 /// Deterministic value stream for synthesizing checkpoint contents.
@@ -126,7 +126,7 @@ fn synth(seed: u64, n_procs: usize, n_recs: usize) -> Checkpoint {
             topology: TopologyKind::ALL[(g.u() % 5) as usize],
             link_contention: g.u().is_multiple_of(2),
             plan: if g.u().is_multiple_of(2) { FaultPlan::none() } else { FaultPlan::mixed(g.u(), 0.01) },
-            geometry: DetectorGeometry::default(),
+            geometry: SYNTH_GEOMETRY,
             interval_index: g.u() % 64,
         },
         system: SystemState {
@@ -288,6 +288,38 @@ fn synth_adapt(g: &mut Gen, n_procs: usize) -> AdaptSnap {
         stream,
         retunes: g.u() % 8,
         actuator: g.vec(n_procs),
+    }
+}
+
+/// The geometry `synth`'s collector state is built for: 4 BBV buckets and
+/// 2 working-set words (128 bits) per processor.
+const SYNTH_GEOMETRY: DetectorGeometry =
+    DetectorGeometry { bbv_entries: 4, footprint_vectors: 32, ws_bits: 128 };
+
+/// A stored geometry the collector state does not fit is a typed error:
+/// resuming it would panic building or importing the collector.
+#[test]
+fn geometry_must_fit_collector_state() {
+    for seed in 0..16 {
+        let mut ck = synth(seed, 1 + (seed as usize % 3), 1);
+        assert!(Checkpoint::decode(&ck.encode()).is_ok(), "seed {seed}");
+        for (bbv_entries, footprint_vectors, ws_bits) in [
+            (0, 32, 128),
+            (5, 32, 128),
+            (32, 32, 128),
+            (4, 0, 128),
+            (4, 32, 0),
+            (4, 32, 100),
+            (4, 32, 64),
+            (4, 32, 1024),
+        ] {
+            ck.meta.geometry = DetectorGeometry { bbv_entries, footprint_vectors, ws_bits };
+            assert!(
+                matches!(Checkpoint::decode(&ck.encode()), Err(CkptError::BadValue { .. })),
+                "seed {seed}: {:?} must be rejected",
+                ck.meta.geometry
+            );
+        }
     }
 }
 
