@@ -319,6 +319,28 @@ impl SimObserver for TraceCollector {
 /// Replays the footprint-table classification over captured records.
 pub struct TraceClassifier;
 
+/// The phase ids of a [`TraceClassifier::sweep_proc`] replay: one stream
+/// per class of grid points whose tables made identical decisions.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sweep {
+    /// Phase ids of each class, in record order.
+    pub classes: Vec<Vec<u32>>,
+    /// `class_of[k]` is the class of grid point `k`.
+    pub class_of: Vec<usize>,
+    /// Footprint entries the replay looked at, summed over every class's
+    /// table ([`FootprintTable::comparisons`]).
+    pub comparisons: u64,
+}
+
+/// One class of a sweep: the grid points `span` of the sorted point order,
+/// all in one DDS column, whose tables are identical so far.
+struct SweepClass {
+    span: std::ops::Range<usize>,
+    dds_thr: Option<f64>,
+    table: FootprintTable<u32>,
+    ids: Vec<u32>,
+}
+
 impl TraceClassifier {
     /// Classify one processor's interval sequence; returns the phase id per
     /// interval (same order as `records`).
@@ -333,44 +355,77 @@ impl TraceClassifier {
             DetectorMode::BbvDdv => Some(thresholds.dds),
         };
         Self::sweep_proc(records, None, &[(thresholds.bbv, dds_thr)], footprint_vectors)
+            .classes
             .swap_remove(0)
     }
 
-    /// Lockstep multi-threshold replay: classify one processor's interval
-    /// sequence at every `(bbv_threshold, dds_threshold)` point of `grid`
-    /// (`None` gates on the BBV alone) and return the phase ids per point,
-    /// in `grid` order. `dds` replaces each record's own DDS when given.
+    /// Multi-threshold replay: classify one processor's interval sequence
+    /// at every `(bbv_threshold, dds_threshold)` point of `grid` (`None`
+    /// gates on the BBV alone). `dds` replaces each record's own DDS when
+    /// given.
     ///
-    /// One footprint table per grid point advances one interval at a time.
-    /// Every entry is a copy of an earlier record's BBV, so the tables store
-    /// record indices, and interval `i`'s distance to record `j` — which
-    /// does not depend on the threshold — is computed once into a reusable
-    /// row stamped with `i` and shared by every point: each record pair's
-    /// distance is computed at most once per sweep, by the same
-    /// [`manhattan_concat`] pass the online table runs, so the ids are
-    /// bit-identical to replaying each point on its own. Memory is
-    /// O(records + grid × capacity).
+    /// Grid points whose tables have made the same decisions so far hold
+    /// the same table, so one table advances per *class*: a contiguous run
+    /// of ascending BBV thresholds within one DDS column. Per record, the
+    /// class's [`FootprintTable::nearest`] gives `d*`, the distance of the
+    /// entry every point would match if its threshold let it. Points with
+    /// `threshold > d*` match that entry and the rest (a prefix of the run)
+    /// allocate a new phase. When a class needs both decisions, the prefix
+    /// forks off with a copy of the table and id history; classes never
+    /// merge. A NaN BBV threshold matches nothing, like `-inf`.
+    ///
+    /// Every entry is a copy of an earlier record's BBV, so the tables
+    /// store record indices, and interval `i`'s distance to record `j` is
+    /// computed once into a reusable row stamped with `i` and shared by
+    /// every class, by the same [`manhattan_concat`] pass the online table
+    /// runs. The ids are bit-identical to replaying each point on its own.
+    /// Memory is O(records × classes).
     pub fn sweep_proc(
         records: &[IntervalRecord],
         dds: Option<&[f64]>,
         grid: &[(f64, Option<f64>)],
         footprint_vectors: usize,
-    ) -> Vec<Vec<u32>> {
+    ) -> Sweep {
         if let Some(dds) = dds {
             assert_eq!(records.len(), dds.len());
         }
         assert!(u32::try_from(records.len()).is_ok(), "record index must fit an entry");
-        let mut tables: Vec<FootprintTable<u32>> =
-            grid.iter().map(|_| FootprintTable::new(footprint_vectors)).collect();
-        let mut ids: Vec<Vec<u32>> =
-            grid.iter().map(|_| Vec::with_capacity(records.len())).collect();
+        let column = |k: usize| grid[k].1.map(f64::to_bits);
+        let threshold = |k: usize| {
+            if grid[k].0.is_nan() {
+                f64::NEG_INFINITY
+            } else {
+                grid[k].0
+            }
+        };
+        // Grid points by DDS column, then by ascending BBV threshold.
+        let mut order: Vec<usize> = (0..grid.len()).collect();
+        order.sort_by(|&a, &b| {
+            column(a)
+                .cmp(&column(b))
+                .then(threshold(a).total_cmp(&threshold(b)))
+        });
+        let sorted: Vec<f64> = order.iter().map(|&k| threshold(k)).collect();
+
+        let mut classes: Vec<SweepClass> = Vec::new();
+        for run in order.chunk_by(|&a, &b| column(a) == column(b)) {
+            let start = classes.last().map_or(0, |c| c.span.end);
+            classes.push(SweepClass {
+                span: start..start + run.len(),
+                dds_thr: grid[run[0]].1,
+                table: FootprintTable::new(footprint_vectors),
+                ids: Vec::with_capacity(records.len()),
+            });
+        }
+        let mut forks: Vec<SweepClass> = Vec::new();
         // `row[j] = (i + 1, d(i, j))` once interval `i` has needed record `j`.
         let mut row: Vec<(u32, f64)> = vec![(0, 0.0); records.len()];
         for (i, r) in records.iter().enumerate() {
             let stamp = i as u32 + 1;
             let d = dds.map_or(r.dds, |dds| dds[i]);
-            for ((table, &(bbv_thr, dds_thr)), out) in tables.iter_mut().zip(grid).zip(&mut ids) {
-                let m = table.classify_with(
+            let store = |sig: &mut u32| *sig = i as u32;
+            for class in &mut classes {
+                let hit = class.table.nearest(
                     |&j| {
                         let j = j as usize;
                         if row[j].0 != stamp {
@@ -379,14 +434,46 @@ impl TraceClassifier {
                         row[j].1
                     },
                     d,
-                    bbv_thr,
-                    dds_thr,
-                    |sig| *sig = i as u32,
+                    class.dds_thr,
                 );
-                out.push(m.phase_id);
+                // Points with `threshold <= d*` (a prefix) allocate a new
+                // phase and the rest match `d*`'s entry; the prefix forks
+                // off when both are present.
+                let span = class.span.clone();
+                let split = hit.map_or(span.end, |(_, nearest)| {
+                    span.start + sorted[span.clone()].partition_point(|&t| t <= nearest)
+                });
+                if span.start < split && split < span.end {
+                    let mut ids = Vec::with_capacity(records.len());
+                    ids.extend_from_slice(&class.ids);
+                    let mut fork = SweepClass {
+                        span: span.start..split,
+                        dds_thr: class.dds_thr,
+                        table: class.table.fork(),
+                        ids,
+                    };
+                    fork.ids.push(fork.table.commit(None, d, store).phase_id);
+                    forks.push(fork);
+                    class.span.start = split;
+                }
+                // What is left of the class matches iff it starts at the split.
+                let hit = hit.filter(|_| class.span.start == split);
+                class.ids.push(class.table.commit(hit, d, store).phase_id);
+            }
+            classes.append(&mut forks);
+        }
+
+        let mut class_of = vec![0; grid.len()];
+        for (c, class) in classes.iter().enumerate() {
+            for &k in &order[class.span.clone()] {
+                class_of[k] = c;
             }
         }
-        ids
+        Sweep {
+            comparisons: classes.iter().map(|c| c.table.comparisons()).sum(),
+            class_of,
+            classes: classes.into_iter().map(|c| c.ids).collect(),
+        }
     }
 
     /// Extension (not in the paper): classify on the *concatenation* of
@@ -452,6 +539,7 @@ impl TraceClassifier {
             &[(thresholds.bbv, Some(thresholds.dds))],
             footprint_vectors,
         )
+        .classes
         .swap_remove(0)
     }
 }

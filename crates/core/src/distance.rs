@@ -30,7 +30,8 @@ pub fn manhattan_concat(head: &[f64], tail: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Relative difference between two non-negative scalars, in [0, 1]:
-/// `|a - b| / max(a, b)`, with 0 when both are ~zero.
+/// `|a - b| / max(a, b)`, with 0 when both are ~zero and NaN when either
+/// is NaN (so a `< threshold` gate rejects it).
 ///
 /// The paper requires "a DDS difference below \[a\] pre-set threshold" without
 /// fixing the metric; a relative difference makes one threshold meaningful
@@ -38,7 +39,10 @@ pub fn manhattan_concat(head: &[f64], tail: &[f64], b: &[f64]) -> f64 {
 /// magnitude.
 #[inline]
 pub fn relative_diff(a: f64, b: f64) -> f64 {
-    debug_assert!(a >= 0.0 && b >= 0.0);
+    debug_assert!(!(a < 0.0 || b < 0.0));
+    if a.is_nan() || b.is_nan() {
+        return f64::NAN;
+    }
     let m = a.max(b);
     if m <= f64::EPSILON {
         0.0
@@ -87,6 +91,8 @@ mod tests {
         assert!((relative_diff(10.0, 5.0) - 0.5).abs() < 1e-12);
         assert!((relative_diff(5.0, 10.0) - 0.5).abs() < 1e-12);
         assert_eq!(relative_diff(0.0, 7.0), 1.0);
+        assert!(relative_diff(f64::NAN, 0.0).is_nan());
+        assert!(relative_diff(3.0, f64::NAN).is_nan());
     }
 
     #[test]

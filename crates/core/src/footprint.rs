@@ -9,11 +9,23 @@
 //! phase id is assigned — so every eviction-and-refill counts as a new
 //! phase, exactly as a hardware table would behave.
 //!
-//! The gate ([`FootprintTable::classify_with`]) is generic over how an
-//! entry stores its signature. Online detectors and the serve path store
-//! the BBV itself (`Box<[f64]>`, the default). The offline threshold sweep
-//! stores the index of the captured record whose BBV it is (`u32`), so one
-//! memoized distance per record pair serves every threshold
+//! The gate ([`FootprintTable::classify_with`]) is two steps.
+//! [`FootprintTable::nearest`] finds the first entry at the strictly
+//! smallest BBV distance among the entries that pass the DDS gate, and
+//! [`FootprintTable::commit`] applies the decision: refresh that entry when
+//! its distance is under the BBV threshold, else allocate. Both gates
+//! reject NaN: an entry whose DDS difference is NaN fails the DDS gate,
+//! and a NaN distance is never nearest, so a NaN signature neither matches
+//! nor captures anything. The DDS gate is checked before the distance is
+//! computed.
+//!
+//! The gate is generic over how an entry stores its signature. Online
+//! detectors and the serve path store the BBV itself (`Box<[f64]>`, the
+//! default). The offline threshold sweep stores the index of the captured
+//! record whose BBV it is (`u32`), so one memoized distance per record
+//! pair serves every threshold, and it calls `nearest` once per class of
+//! thresholds whose tables are identical, since the decision depends on
+//! the BBV threshold only through `threshold > nearest distance`
 //! ([`crate::detector::TraceClassifier::sweep_proc`]).
 
 use serde::{Deserialize, Serialize};
@@ -69,6 +81,7 @@ pub struct FootprintTable<S = Box<[f64]>> {
     clock: u64,
     next_phase_id: u32,
     evictions: u64,
+    comparisons: u64,
 }
 
 impl<S: Default> FootprintTable<S> {
@@ -80,10 +93,13 @@ impl<S: Default> FootprintTable<S> {
             clock: 0,
             next_phase_id: 0,
             evictions: 0,
+            comparisons: 0,
         }
     }
 
-    /// The classification gate, over any stored signature type.
+    /// The classification gate, over any stored signature type:
+    /// [`Self::nearest`], then `distance < bbv_threshold`, then
+    /// [`Self::commit`].
     ///
     /// * `distance` — Manhattan distance from the query to a stored
     ///   signature;
@@ -97,30 +113,61 @@ impl<S: Default> FootprintTable<S> {
     #[inline]
     pub fn classify_with(
         &mut self,
-        mut distance: impl FnMut(&S) -> f64,
+        distance: impl FnMut(&S) -> f64,
         dds: f64,
         bbv_threshold: f64,
         dds_threshold: Option<f64>,
         store: impl FnOnce(&mut S),
     ) -> Match {
-        self.clock += 1;
-        let mut best: Option<(usize, f64)> = None;
+        let hit = self
+            .nearest(distance, dds, dds_threshold)
+            .filter(|&(_, d)| d < bbv_threshold);
+        self.commit(hit, dds, store)
+    }
+
+    /// The entry nearest the query among those that pass the DDS gate:
+    /// `(slot, distance)` of the first entry at the strictly smallest
+    /// distance, or `None` when no entry qualifies. A NaN or `+inf`
+    /// distance, which no `distance < threshold` test admits, never
+    /// qualifies. Entries whose relative DDS difference is not
+    /// `< dds_threshold` (NaN included) are skipped before their distance
+    /// is computed. Every entry looked at counts towards
+    /// [`Self::comparisons`].
+    #[inline]
+    pub fn nearest(
+        &mut self,
+        mut distance: impl FnMut(&S) -> f64,
+        dds: f64,
+        dds_threshold: Option<f64>,
+    ) -> Option<(usize, f64)> {
+        self.comparisons += self.entries.len() as u64;
+        // Selects rather than branches: which entry is nearest is data
+        // dependent, so a branch here mispredicts often.
+        let (mut best, mut best_d) = (usize::MAX, f64::INFINITY);
         for (i, e) in self.entries.iter().enumerate() {
-            let d = distance(&e.sig);
-            if d >= bbv_threshold {
+            if !dds_threshold.is_none_or(|t| relative_diff(dds, e.dds) < t) {
                 continue;
             }
-            if let Some(t) = dds_threshold {
-                if relative_diff(dds, e.dds) >= t {
-                    continue;
-                }
-            }
-            if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((i, d));
-            }
+            let d = distance(&e.sig);
+            let nearer = d < best_d;
+            best = if nearer { i } else { best };
+            best_d = if nearer { d } else { best_d };
         }
+        (best != usize::MAX).then_some((best, best_d))
+    }
 
-        if let Some((i, d)) = best {
+    /// Apply one classification decision: `Some((slot, distance))` matches
+    /// that entry and refreshes its LRU stamp; `None` allocates a new phase
+    /// (evicting the LRU entry when full) whose signature `store` writes.
+    #[inline]
+    pub fn commit(
+        &mut self,
+        hit: Option<(usize, f64)>,
+        dds: f64,
+        store: impl FnOnce(&mut S),
+    ) -> Match {
+        self.clock += 1;
+        if let Some((i, d)) = hit {
             self.entries[i].last_used = self.clock;
             return Match { phase_id: self.entries[i].phase_id, is_new: false, distance: d };
         }
@@ -163,6 +210,23 @@ impl<S: Default> FootprintTable<S> {
         self.evictions
     }
 
+    /// Number of entries [`Self::nearest`] has looked at so far.
+    pub fn comparisons(&self) -> u64 {
+        self.comparisons
+    }
+
+    /// A copy of this table whose [`Self::comparisons`] starts at zero, so
+    /// a table and its forks together count each entry looked at once.
+    pub(crate) fn fork(&self) -> Self
+    where
+        S: Clone,
+    {
+        Self {
+            comparisons: 0,
+            ..self.clone()
+        }
+    }
+
     /// Currently resident entries.
     pub fn entries(&self) -> &[Entry<S>] {
         &self.entries
@@ -180,6 +244,7 @@ impl<S: Default> FootprintTable<S> {
         self.clock = 0;
         self.next_phase_id = 0;
         self.evictions = 0;
+        self.comparisons = 0;
     }
 }
 
@@ -242,6 +307,7 @@ impl FootprintTable {
         self.clock = other.clock;
         self.next_phase_id = other.next_phase_id;
         self.evictions = other.evictions;
+        self.comparisons = other.comparisons;
         let keep = self.entries.len().min(other.entries.len());
         self.entries.truncate(other.entries.len());
         for (dst, src) in self.entries.iter_mut().zip(&other.entries[..keep]) {
@@ -394,6 +460,65 @@ mod tests {
         }
         assert_eq!(whole.entries(), split.entries());
         assert_eq!(whole.evictions(), split.evictions());
+    }
+
+    #[test]
+    fn nan_never_matches_in_either_gate() {
+        let mut t = FootprintTable::new(4);
+        t.classify(&v(&[f64::NAN, 1.0]), 1.0, 2.1, None); // phase 0
+        t.classify(&v(&[0.5, 0.5]), 1.0, 2.1, None); // phase 1: NaN entry skipped
+        let m = t.classify(&v(&[0.6, 0.4]), 1.0, 2.1, None);
+        assert_eq!(
+            (m.phase_id, m.is_new),
+            (1, false),
+            "NaN entry must not capture"
+        );
+        let m = t.classify(&v(&[f64::NAN, 0.5]), 1.0, 2.1, None);
+        assert!(m.is_new, "NaN query must not match");
+        // A NaN DDS fails the DDS gate against every entry, and vice versa.
+        let m = t.classify(&v(&[0.5, 0.5]), f64::NAN, 2.1, Some(1.5));
+        assert!(m.is_new);
+        let m = t.classify(&v(&[0.5, 0.5]), 0.0, 2.1, Some(1.5));
+        assert_eq!(
+            (m.phase_id, m.is_new),
+            (1, false),
+            "NaN-DDS entry must not match"
+        );
+    }
+
+    #[test]
+    fn nearest_then_commit_is_classify() {
+        let mut a = FootprintTable::new(2);
+        let mut b: FootprintTable = FootprintTable::new(2);
+        let cases = [
+            ([1.0, 0.0], 0.5),
+            ([0.9, 0.1], 0.5),
+            ([0.0, 1.0], 0.1),
+            ([0.8, 0.2], 0.1),
+        ];
+        for (x, thr) in cases {
+            let want = a.classify(&x, 0.0, thr, None);
+            let hit = b.nearest(|s| manhattan_concat(&x, &[], s), 0.0, None);
+            let got = b.commit(hit.filter(|&(_, d)| d < thr), 0.0, |s| *s = Box::new(x));
+            assert_eq!(got, want);
+        }
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn comparisons_count_every_entry_looked_at() {
+        let mut t = FootprintTable::new(2);
+        t.classify(&v(&[1.0, 0.0]), 0.0, 0.1, None); // 0 entries
+        t.classify(&v(&[0.0, 1.0]), 0.0, 0.1, None); // 1
+        t.classify(&v(&[0.5, 0.5]), 9.0, 0.1, Some(0.1)); // 2, both DDS-gated
+        t.classify(&v(&[0.5, 0.5]), 9.0, 0.1, None); // 2 (full table)
+        assert_eq!(t.comparisons(), 5);
+        let mut f = t.fork();
+        assert_eq!((f.comparisons(), f.entries()), (0, t.entries()));
+        f.classify(&v(&[0.5, 0.5]), 9.0, 0.1, None);
+        assert_eq!((f.comparisons(), t.comparisons()), (2, 5));
+        t.clear();
+        assert_eq!(t.comparisons(), 0);
     }
 
     #[test]

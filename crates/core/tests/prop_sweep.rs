@@ -1,10 +1,11 @@
-//! Differential suite for the lockstep multi-threshold replay: on random
-//! record streams, `TraceClassifier::sweep_proc` gives exactly the phase ids
-//! of replaying each grid point on its own through a `FootprintTable` that
-//! stores the BBVs themselves — in BBV, BBV+DDV and externally supplied DDS
-//! modes, across exact distance ties, tiny tables that evict on nearly
-//! every interval, thresholds of 0 and above 2, all-zero DDS and a NaN BBV
-//! lane.
+//! Differential suite for the class replay: on random record streams,
+//! `TraceClassifier::sweep_proc` gives exactly the phase ids of replaying
+//! each grid point on its own through a `FootprintTable` that stores the
+//! BBVs themselves — in BBV, BBV+DDV and externally supplied DDS modes,
+//! across exact distance ties, tiny tables that evict on nearly every
+//! interval, thresholds of 0 and above 2, grids whose DDS columns hold
+//! many BBV thresholds (duplicated and out of order, so classes split
+//! repeatedly), all-zero DDS, NaN DDS values and a NaN BBV lane.
 
 use proptest::prelude::*;
 
@@ -33,22 +34,24 @@ fn normalized(raw: &[f64]) -> Vec<f64> {
     raw.iter().map(|x| x / total).collect()
 }
 
-/// One grid point replayed alone, storing each entry's BBV.
+/// One grid point replayed alone, storing each entry's BBV: the phase ids
+/// and the footprint entries the replay looked at.
 fn replay(
     records: &[IntervalRecord],
     dds: Option<&[f64]>,
     (bbv_thr, dds_thr): (f64, Option<f64>),
     capacity: usize,
-) -> Vec<u32> {
+) -> (Vec<u32>, u64) {
     let mut table: FootprintTable = FootprintTable::new(capacity);
-    records
+    let ids = records
         .iter()
         .enumerate()
         .map(|(i, r)| {
             let d = dds.map_or(r.dds, |dds| dds[i]);
             table.classify(&r.bbv, d, bbv_thr, dds_thr).phase_id
         })
-        .collect()
+        .collect();
+    (ids, table.comparisons())
 }
 
 /// A record stream drawn from a small palette of BBVs (so distances tie
@@ -102,15 +105,18 @@ proptest! {
             (
                 0usize..8,
                 prop::collection::vec(0.01f64..1.0, LANES),
-                prop::sample::select(vec![0.0, 1.0, 1.2, 5.0, 40.0]),
+                prop::sample::select(vec![0.0, 1.0, 1.2, 5.0, 40.0, f64::NAN]),
             ),
             1..80,
         ),
-        grid in prop::collection::vec((bbv_thresholds(), dds_thresholds()), 1..12),
+        grid in prop::collection::vec((bbv_thresholds(), dds_thresholds()), 1..40),
         capacity in prop::sample::select(vec![1usize, 2, 3, 32]),
         zero_dds in any::<bool>(),
         nan_at in prop::option::of((0usize..80, 0usize..LANES)),
-        external in prop::collection::vec(prop::sample::select(vec![0.0, 2.0, 2.1, 9.0]), 80),
+        external in prop::collection::vec(
+            prop::sample::select(vec![0.0, 2.0, 2.1, 9.0, f64::NAN]),
+            80,
+        ),
     ) {
         let palette: Vec<Vec<f64>> = palette_raw.iter().map(|p| normalized(p)).collect();
         let records = stream(&palette, &picks, zero_dds, nan_at);
@@ -120,11 +126,15 @@ proptest! {
         // BBV+DDV points elsewhere), then an externally supplied DDS.
         for dds in [None, Some(external)] {
             let swept = TraceClassifier::sweep_proc(&records, dds, &grid, capacity);
-            prop_assert_eq!(swept.len(), grid.len());
-            for (ids, &point) in swept.iter().zip(&grid) {
-                let want = replay(&records, dds, point, capacity);
-                prop_assert_eq!(ids, &want, "point {:?}", point);
+            prop_assert_eq!(swept.class_of.len(), grid.len());
+            let mut per_point = 0;
+            for (&class, &point) in swept.class_of.iter().zip(&grid) {
+                let (want, comparisons) = replay(&records, dds, point, capacity);
+                prop_assert_eq!(&swept.classes[class], &want, "point {:?}", point);
+                per_point += comparisons;
             }
+            // Each class stands for at least one point's identical table.
+            prop_assert!(swept.comparisons <= per_point);
         }
 
         // The one-point entry points agree with the same replay.
@@ -132,23 +142,23 @@ proptest! {
         let thr = Thresholds { bbv, dds: dds.unwrap_or(0.5) };
         prop_assert_eq!(
             TraceClassifier::classify_proc(&records, DetectorMode::Bbv, thr, capacity),
-            replay(&records, None, (bbv, None), capacity)
+            replay(&records, None, (bbv, None), capacity).0
         );
         prop_assert_eq!(
             TraceClassifier::classify_proc(&records, DetectorMode::BbvDdv, thr, capacity),
-            replay(&records, None, (bbv, Some(thr.dds)), capacity)
+            replay(&records, None, (bbv, Some(thr.dds)), capacity).0
         );
         prop_assert_eq!(
             TraceClassifier::classify_proc_with_dds(&records, external, thr, capacity),
-            replay(&records, Some(external), (bbv, Some(thr.dds)), capacity)
+            replay(&records, Some(external), (bbv, Some(thr.dds)), capacity).0
         );
     }
 }
 
-/// Today's NaN behaviour, pinned identically in both paths: a NaN distance
-/// passes every `d >= threshold` test and no real distance compares below
-/// it, so a stored NaN signature captures every later interval, and a NaN
-/// query matches the first resident entry.
+/// NaN behaviour, pinned identically in both paths: a NaN distance is
+/// never nearest, so a stored NaN signature matches no later interval and
+/// a NaN query matches no resident entry — each allocates a phase of its
+/// own.
 #[test]
 fn nan_lane_behaviour_is_pinned_in_both_paths() {
     let a = vec![0.7, 0.1, 0.1, 0.1];
@@ -163,9 +173,9 @@ fn nan_lane_behaviour_is_pinned_in_both_paths() {
         .map(|(i, v)| record(i, v, 1.0))
         .collect();
     let swept = TraceClassifier::sweep_proc(&stored_nan, None, &grid, 32);
-    for (ids, &point) in swept.iter().zip(&grid) {
-        assert_eq!(ids, &vec![0, 0, 0, 0]);
-        assert_eq!(ids, &replay(&stored_nan, None, point, 32));
+    for (&class, &point) in swept.class_of.iter().zip(&grid) {
+        assert_eq!(swept.classes[class], [0, 1, 2, 1]);
+        assert_eq!(swept.classes[class], replay(&stored_nan, None, point, 32).0);
     }
 
     let nan_query: Vec<IntervalRecord> = [b.clone(), a.clone(), nan, b]
@@ -174,18 +184,18 @@ fn nan_lane_behaviour_is_pinned_in_both_paths() {
         .map(|(i, v)| record(i, v, 1.0))
         .collect();
     let swept = TraceClassifier::sweep_proc(&nan_query, None, &grid, 32);
-    for (ids, &point) in swept.iter().zip(&grid) {
-        assert_eq!(ids, &vec![0, 1, 0, 0]);
-        assert_eq!(ids, &replay(&nan_query, None, point, 32));
+    for (&class, &point) in swept.class_of.iter().zip(&grid) {
+        assert_eq!(swept.classes[class], [0, 1, 2, 0]);
+        assert_eq!(swept.classes[class], replay(&nan_query, None, point, 32).0);
     }
 }
 
 #[test]
 fn empty_stream_and_empty_grid() {
-    assert_eq!(
-        TraceClassifier::sweep_proc(&[], None, &[(0.5, None)], 4),
-        vec![Vec::<u32>::new()]
-    );
+    let swept = TraceClassifier::sweep_proc(&[], None, &[(0.5, None)], 4);
+    assert_eq!(swept.classes, vec![Vec::<u32>::new()]);
+    assert_eq!(swept.class_of, vec![0]);
     let records = vec![record(0, vec![1.0, 0.0, 0.0, 0.0], 0.0)];
-    assert!(TraceClassifier::sweep_proc(&records, None, &[], 4).is_empty());
+    let swept = TraceClassifier::sweep_proc(&records, None, &[], 4);
+    assert!(swept.classes.is_empty() && swept.class_of.is_empty());
 }

@@ -10,10 +10,17 @@
 //! The footprint-table sweeps (BBV, BBV+DDV, DDS ablations) replay each
 //! processor once for the whole grid
 //! ([`TraceClassifier::sweep_proc`]): one distance per record pair per
-//! sweep, in memory linear in the records. They fan out over processors
-//! with [`crate::parallel::par_map`]; the other baselines fan out over
-//! thresholds. Either way every point is averaged in processor order, so
-//! curves are byte-identical to a serial run.
+//! sweep, and one table per *class* of grid points rather than per point.
+//! A class is a run of ascending BBV thresholds within one DDS column
+//! whose tables have made identical decisions; it splits in two when a
+//! record's nearest distance falls inside its threshold range, and classes
+//! never merge. Each class's id stream gets its CoV once, shared by all of
+//! its points. Both gates reject NaN, which the class argument needs: a
+//! NaN distance never matches, so the decision depends on the BBV threshold
+//! only through `threshold > nearest distance`. The footprint sweeps fan
+//! out over processors with [`crate::parallel::par_map`]; the other
+//! baselines fan out over thresholds. Either way every point is averaged
+//! in processor order, so curves are byte-identical to a serial run.
 
 use dsm_analysis::cov::PhaseGroups;
 use dsm_analysis::curve::{CovCurve, CurvePoint};
@@ -80,9 +87,10 @@ where
     curve_point(&stats, bbv_thr, dds_thr)
 }
 
-/// A footprint-table curve over `grid`: one lockstep replay per non-empty
+/// A footprint-table curve over `grid`: one class replay per non-empty
 /// processor, fanned out over processors, with `dds[proc]` replacing the
-/// records' own DDS when given.
+/// records' own DDS when given. Each class's CoV and phase count is
+/// computed once and shared by every grid point in the class.
 fn sweep_curve(
     trace: &SystemTrace,
     dds: Option<&[Vec<f64>]>,
@@ -96,10 +104,14 @@ fn sweep_curve(
         let recs = &trace.records[proc];
         let cpis = cpis(recs);
         let mut groups = PhaseGroups::default();
-        TraceClassifier::sweep_proc(recs, dds.map(|d| d[proc].as_slice()), grid, capacity)
+        let sweep =
+            TraceClassifier::sweep_proc(recs, dds.map(|d| d[proc].as_slice()), grid, capacity);
+        let class_stats: Vec<(f64, f64)> = sweep
+            .classes
             .iter()
             .map(|ids| proc_stats(&mut groups, ids, &cpis))
-            .collect()
+            .collect();
+        sweep.class_of.iter().map(|&c| class_stats[c]).collect()
     });
     let mut stats = Vec::with_capacity(per_proc.len());
     let points = grid
@@ -126,11 +138,15 @@ pub fn bbv_curve_with(trace: &SystemTrace, n_points: usize) -> CovCurve {
 
 /// Baseline BBV sweep with explicit point count and footprint capacity.
 pub fn bbv_curve_cap(trace: &SystemTrace, n_points: usize, capacity: usize) -> CovCurve {
-    let grid: Vec<(f64, Option<f64>)> = log_spaced(n_points, 1e-3, 2.0)
+    sweep_curve(trace, None, &bbv_grid(n_points), capacity)
+}
+
+/// The BBV-only threshold grid.
+fn bbv_grid(n_points: usize) -> Vec<(f64, Option<f64>)> {
+    log_spaced(n_points, 1e-3, 2.0)
         .into_iter()
         .map(|thr| (thr, None))
-        .collect();
-    sweep_curve(trace, None, &grid, capacity)
+        .collect()
 }
 
 /// BBV+DDV grid sweep (Figure 4).
@@ -284,6 +300,7 @@ mod tests {
     use super::*;
     use crate::experiment::ExperimentConfig;
     use crate::trace::capture;
+    use dsm_phase::footprint::FootprintTable;
     use dsm_workloads::App;
 
     #[test]
@@ -326,6 +343,50 @@ mod tests {
             assert!(
                 (a - b).abs() < 1e-9,
                 "single-phase CoV must agree: {a} vs {b}"
+            );
+        }
+    }
+
+    /// Footprint entries looked at over every processor of `trace`: by the
+    /// class replay, and by replaying each grid point on its own.
+    fn comparisons(trace: &SystemTrace, grid: &[(f64, Option<f64>)]) -> (u64, u64) {
+        let (mut swept, mut per_point) = (0, 0);
+        for recs in &trace.records {
+            let cap = DEFAULT_FOOTPRINT_VECTORS;
+            swept += TraceClassifier::sweep_proc(recs, None, grid, cap).comparisons;
+            for &(bbv_thr, dds_thr) in grid {
+                let mut table: FootprintTable = FootprintTable::new(cap);
+                for r in recs {
+                    table.classify(&r.bbv, r.dds, bbv_thr, dds_thr);
+                }
+                per_point += table.comparisons();
+            }
+        }
+        (swept, per_point)
+    }
+
+    #[test]
+    fn class_replay_comparisons_are_pinned_and_below_per_point_replay() {
+        // Recorded when the sweep began replaying classes; replaying each
+        // point on its own looks at 274_099 (BBV) and 387_046 (BBV+DDV).
+        let t = capture(ExperimentConfig::test(App::Fmm, 8));
+        let grids = [
+            ("BBV", bbv_grid(BBV_SWEEP_POINTS), 9_606),
+            (
+                "BBV+DDV",
+                threshold_grid(DDV_GRID_BBV, DDV_GRID_DDS),
+                52_739,
+            ),
+        ];
+        for (name, grid, want) in grids {
+            let (swept, per_point) = comparisons(&t, &grid);
+            assert_eq!(
+                swept, want,
+                "{name}: sweep comparisons (per-point replay: {per_point})"
+            );
+            assert!(
+                swept < per_point,
+                "{name}: {swept} not below per-point {per_point}"
             );
         }
     }

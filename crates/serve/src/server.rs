@@ -94,8 +94,9 @@ pub enum ServeError {
     /// accumulator size.
     BadBbvLen { tenant: TenantId, len: usize, expected: usize },
     /// A NaN or infinite value in the signature's `field` (`"bbv"` or
-    /// `"dds"`). Every footprint gate skips on `distance >= threshold`, so
-    /// a NaN would match every stored entry and, once stored, every query.
+    /// `"dds"`). The footprint gate rejects NaN distances and DDS
+    /// differences, so such a signature would never match: it would only
+    /// allocate phases and evict real entries.
     NonFinite { tenant: TenantId, field: &'static str },
 }
 

@@ -1,11 +1,12 @@
 //! Non-finite signatures at the ingest boundary.
 //!
-//! Every footprint-table gate has the form `distance >= threshold → skip`,
-//! so a NaN distance or DDS difference passes every gate and matches. A
-//! NaN signature stored in a tenant's table is at NaN distance from every
-//! later query, so it would capture all of them and turn the tenant into a
-//! one-phase classifier. `PhaseServer::offer` must therefore refuse
-//! non-finite BBV entries and DDS values before they reach a table.
+//! The footprint gate rejects NaN distances and DDS differences, so a
+//! non-finite signature never matches a stored entry, and once stored it
+//! captures no later query. It would still open a phase of its own and
+//! evict a real entry, and no detector produces one. `PhaseServer::offer`
+//! therefore refuses non-finite BBV entries and DDS values before they
+//! reach a table, and a poisoned offer must not decide the classification
+//! of the clean intervals after it.
 
 use dsm_phase::detector::{DetectorMode, Thresholds};
 use dsm_phase::signature::IntervalSignature;
