@@ -13,6 +13,15 @@
 //!   the paper's evaluation, sweeping 200 thresholds offline over one
 //!   captured trace is exactly equivalent to 200 simulated runs — an
 //!   integration test asserts online/offline agreement.
+//!
+//! Both paths classify through the one gate,
+//! [`FootprintTable::nearest`] + [`FootprintTable::commit`], whose
+//! per-entry closure returns an entry's *gated* distance: its BBV distance
+//! when the DDS gate admits it, `+inf` when not. Online, the closure checks
+//! the DDS and then computes the distance. The offline sweep computes one
+//! row per record instead, each live entry's DDS difference and distance
+//! once, gated once per DDS column, and its closure is a lookup in that row
+//! ([`TraceClassifier::sweep_proc`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -20,7 +29,7 @@ use dsm_sim::observer::{IntervalStats, SimObserver};
 
 use crate::bbv::BbvAccumulator;
 use crate::ddv::{hypercube_distance, DdvSnap, DdvState};
-use crate::distance::manhattan_concat;
+use crate::distance::{manhattan_rows, relative_diff};
 use crate::footprint::FootprintTable;
 use crate::signature::{ClassifierBank, Gather, GatherStyle};
 use crate::telem::{DetectorProbes, DetectorTelemetry, MetricsRegistry, Snapshot};
@@ -333,12 +342,145 @@ pub struct Sweep {
 }
 
 /// One class of a sweep: the grid points `span` of the sorted point order,
-/// all in one DDS column, whose tables are identical so far.
+/// all in DDS column `column`, whose tables are identical so far.
 struct SweepClass {
     span: std::ops::Range<usize>,
-    dds_thr: Option<f64>,
+    column: usize,
     table: FootprintTable<u32>,
     ids: Vec<u32>,
+}
+
+/// The *live set* of a sweep: the records some class's table stores. Each
+/// sits in a slot, and the tables store slot numbers, so the per-record
+/// [`Gate`] is indexed by slot and stays as small as the live set. A slot
+/// counts the tables that store it, through every commit, eviction and
+/// fork; a slot no table stores is free for a later record.
+#[derive(Default)]
+struct LiveSet<'a> {
+    /// Each slot's record: its BBV and DDS.
+    bbv: Vec<&'a [f64]>,
+    dds: Vec<f64>,
+    /// Tables storing each slot; 0 for a free slot.
+    refs: Vec<u32>,
+    free: Vec<u32>,
+    /// The current record's slot, once some table stores it.
+    current: Option<u32>,
+}
+
+impl<'a> LiveSet<'a> {
+    fn acquire(&mut self, slot: u32) {
+        self.refs[slot as usize] += 1;
+    }
+
+    /// A table's `store`: the current record replaces the evicted slot.
+    /// Every table that stores the current record shares its slot.
+    fn replace(&mut self, evicted: Option<u32>) -> u32 {
+        if let Some(slot) = evicted {
+            self.refs[slot as usize] -= 1;
+            if self.refs[slot as usize] == 0 {
+                self.free.push(slot);
+            }
+        }
+        let slot = *self.current.get_or_insert_with(|| {
+            self.free.pop().unwrap_or_else(|| {
+                self.refs.push(0);
+                self.refs.len() as u32 - 1
+            })
+        });
+        self.acquire(slot);
+        slot
+    }
+
+    /// End of the current record: the slot some table stored it in, if
+    /// any, now holds its BBV and DDS.
+    fn settle(&mut self, bbv: &'a [f64], dds: f64) {
+        if let Some(slot) = self.current.take() {
+            let slot = slot as usize;
+            if slot == self.bbv.len() {
+                self.bbv.push(bbv);
+                self.dds.push(dds);
+            } else {
+                (self.bbv[slot], self.dds[slot]) = (bbv, dds);
+            }
+        }
+    }
+}
+
+/// One record's gate against every live slot, computed once and shared by
+/// every class: `gated[c][slot]` is the slot's BBV distance when DDS
+/// column `c` admits it, else `+inf`.
+struct Gate<'a> {
+    /// Each column's DDS threshold (`None`: no DDS gate).
+    columns: Vec<Option<f64>>,
+    /// A threshold admitting whatever some column admits: `rd < t` for
+    /// some `t` iff `rd < max t` (a NaN `t` admits nothing).
+    widest: Option<f64>,
+    gated: Vec<Vec<f64>>,
+    /// Per slot: the DDS difference, and the distance (`+inf` where no
+    /// column admits the slot, so it is never computed).
+    diff: Vec<f64>,
+    dist: Vec<f64>,
+    /// The slots whose distance is computed, their BBVs, the distances.
+    need: Vec<usize>,
+    rows: Vec<&'a [f64]>,
+    out: Vec<f64>,
+}
+
+impl<'a> Gate<'a> {
+    fn new(columns: Vec<Option<f64>>) -> Self {
+        Self {
+            widest: columns
+                .iter()
+                .try_fold(f64::NEG_INFINITY, |wide, &t| t.map(|t| wide.max(t))),
+            gated: vec![Vec::new(); columns.len()],
+            columns,
+            diff: Vec::new(),
+            dist: Vec::new(),
+            need: Vec::new(),
+            rows: Vec::new(),
+            out: Vec::new(),
+        }
+    }
+
+    /// Gate the record `(bbv, dds)` against every live slot.
+    fn fill(&mut self, live: &LiveSet<'a>, bbv: &[f64], dds: f64) {
+        let slots = live.bbv.len();
+        self.diff.resize(slots, 0.0);
+        self.need.resize(slots, 0);
+        self.rows.resize(slots, &[]);
+        // Branch-free compaction: every slot is written at `k`, and `k`
+        // advances past the live ones the widest column admits.
+        let mut k = 0;
+        let slot_data = live.bbv.iter().zip(&live.dds).zip(&live.refs);
+        for (s, ((&row, &slot_dds), &refs)) in slot_data.enumerate() {
+            let rd = relative_diff(dds, slot_dds);
+            self.diff[s] = rd;
+            self.need[k] = s;
+            self.rows[k] = row;
+            k += ((refs > 0) & self.widest.is_none_or(|t| rd < t)) as usize;
+        }
+        self.need.truncate(k);
+        self.rows.truncate(k);
+        self.out.resize(k, 0.0);
+        manhattan_rows(bbv, &self.rows, &mut self.out);
+        self.dist.clear();
+        self.dist.resize(slots, f64::INFINITY);
+        for (&s, &d) in self.need.iter().zip(&self.out) {
+            self.dist[s] = d;
+        }
+        for (g, t) in self.gated.iter_mut().zip(&self.columns) {
+            g.resize(slots, f64::INFINITY);
+            match *t {
+                // Every live distance was computed: nothing is gated.
+                None => g.copy_from_slice(&self.dist),
+                Some(t) => {
+                    for ((g, &rd), &d) in g.iter_mut().zip(&self.diff).zip(&self.dist) {
+                        *g = if rd < t { d } else { f64::INFINITY };
+                    }
+                }
+            }
+        }
+    }
 }
 
 impl TraceClassifier {
@@ -374,12 +516,20 @@ impl TraceClassifier {
     /// forks off with a copy of the table and id history; classes never
     /// merge. A NaN BBV threshold matches nothing, like `-inf`.
     ///
-    /// Every entry is a copy of an earlier record's BBV, so the tables
-    /// store record indices, and interval `i`'s distance to record `j` is
-    /// computed once into a reusable row stamped with `i` and shared by
-    /// every class, by the same [`manhattan_concat`] pass the online table
-    /// runs. The ids are bit-identical to replaying each point on its own.
-    /// Memory is O(records × classes).
+    /// Every entry is a copy of an earlier record's BBV, so the sweep gates
+    /// each record once rather than once per class. It keeps the *live
+    /// set*: the records some class's table stores, each in a slot that
+    /// counts its tables through every commit, eviction and fork. The
+    /// tables store slot numbers. Per record, a `Gate` computes each live
+    /// slot's relative DDS difference once, and its BBV distance once when
+    /// the widest DDS column admits it, eight stored records at a time
+    /// (`distance::manhattan_rows`, bit-identical to the online table's
+    /// [`manhattan_concat`](crate::distance::manhattan_concat)).
+    /// That row fills one gated array per DDS column, the distance or
+    /// `+inf`, and each class's `nearest` closure looks its entries up
+    /// there. The ids are bit-identical to replaying each point on its own.
+    /// Memory is O(records × classes) for the id streams, plus O(live set
+    /// × DDS columns) for the gate.
     pub fn sweep_proc(
         records: &[IntervalRecord],
         dds: Option<&[f64]>,
@@ -389,7 +539,15 @@ impl TraceClassifier {
         if let Some(dds) = dds {
             assert_eq!(records.len(), dds.len());
         }
-        assert!(u32::try_from(records.len()).is_ok(), "record index must fit an entry");
+        assert!(u32::try_from(records.len()).is_ok(), "a slot number must fit an entry");
+        let own_dds: Vec<f64>;
+        let dds = match dds {
+            Some(dds) => dds,
+            None => {
+                own_dds = records.iter().map(|r| r.dds).collect();
+                &own_dds
+            }
+        };
         let column = |k: usize| grid[k].1.map(f64::to_bits);
         let threshold = |k: usize| {
             if grid[k].0.is_nan() {
@@ -408,59 +566,63 @@ impl TraceClassifier {
         let sorted: Vec<f64> = order.iter().map(|&k| threshold(k)).collect();
 
         let mut classes: Vec<SweepClass> = Vec::new();
+        let mut columns: Vec<Option<f64>> = Vec::new();
         for run in order.chunk_by(|&a, &b| column(a) == column(b)) {
             let start = classes.last().map_or(0, |c| c.span.end);
             classes.push(SweepClass {
                 span: start..start + run.len(),
-                dds_thr: grid[run[0]].1,
+                column: columns.len(),
                 table: FootprintTable::new(footprint_vectors),
                 ids: Vec::with_capacity(records.len()),
             });
+            columns.push(grid[run[0]].1);
         }
+        let mut gate = Gate::new(columns);
+        let mut live = LiveSet::default();
         let mut forks: Vec<SweepClass> = Vec::new();
-        // `row[j] = (i + 1, d(i, j))` once interval `i` has needed record `j`.
-        let mut row: Vec<(u32, f64)> = vec![(0, 0.0); records.len()];
-        for (i, r) in records.iter().enumerate() {
-            let stamp = i as u32 + 1;
-            let d = dds.map_or(r.dds, |dds| dds[i]);
-            let store = |sig: &mut u32| *sig = i as u32;
+        for (r, &d) in records.iter().zip(dds) {
+            gate.fill(&live, &r.bbv, d);
             for class in &mut classes {
-                let hit = class.table.nearest(
-                    |&j| {
-                        let j = j as usize;
-                        if row[j].0 != stamp {
-                            row[j] = (stamp, manhattan_concat(&r.bbv, &[], &records[j].bbv));
-                        }
-                        row[j].1
-                    },
-                    d,
-                    class.dds_thr,
-                );
+                let g = &gate.gated[class.column];
+                let hit = class.table.nearest(|e| g[e.sig as usize]);
                 // Points with `threshold <= d*` (a prefix) allocate a new
                 // phase and the rest match `d*`'s entry; the prefix forks
                 // off when both are present.
                 let span = class.span.clone();
                 let split = hit.map_or(span.end, |(_, nearest)| {
-                    span.start + sorted[span.clone()].partition_point(|&t| t <= nearest)
+                    // Most classes lie wholly on one side of `d*`.
+                    let ts = &sorted[span.clone()];
+                    span.start
+                        + match (ts[0] > nearest, ts[ts.len() - 1] <= nearest) {
+                            (true, _) => 0,
+                            (_, true) => ts.len(),
+                            _ => ts.partition_point(|&t| t <= nearest),
+                        }
                 });
                 if span.start < split && split < span.end {
                     let mut ids = Vec::with_capacity(records.len());
                     ids.extend_from_slice(&class.ids);
                     let mut fork = SweepClass {
                         span: span.start..split,
-                        dds_thr: class.dds_thr,
+                        column: class.column,
                         table: class.table.fork(),
                         ids,
                     };
-                    fork.ids.push(fork.table.commit(None, d, store).phase_id);
+                    for e in fork.table.entries() {
+                        live.acquire(e.sig);
+                    }
+                    let m = fork.table.commit(None, d, |evicted| live.replace(evicted));
+                    fork.ids.push(m.phase_id);
                     forks.push(fork);
                     class.span.start = split;
                 }
                 // What is left of the class matches iff it starts at the split.
                 let hit = hit.filter(|_| class.span.start == split);
-                class.ids.push(class.table.commit(hit, d, store).phase_id);
+                let m = class.table.commit(hit, d, |evicted| live.replace(evicted));
+                class.ids.push(m.phase_id);
             }
             classes.append(&mut forks);
+            live.settle(&r.bbv, d);
         }
 
         let mut class_of = vec![0; grid.len()];

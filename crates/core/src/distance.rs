@@ -1,11 +1,43 @@
 //! Distance measures used by the classifiers.
 
 /// Manhattan (L1) distance between two equally sized vectors. For
-/// normalized BBVs the result lies in [0, 2].
+/// normalized BBVs the result lies in [0, 2]. Terms are summed left to
+/// right from `+0.0`.
 #[inline]
 pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
+    a.iter().zip(b).fold(0.0, |sum, (x, y)| sum + (x - y).abs())
+}
+
+/// Rows [`manhattan_rows`] compares at once.
+pub(crate) const LANES: usize = 8;
+
+/// `out[l] = manhattan(a, rows[l])` for every row, [`LANES`] rows at a
+/// time. Each lane sums its own terms left to right, exactly as
+/// [`manhattan`] does, so every result is bit-identical to the one-row
+/// form: the lanes only give the CPU independent add chains to overlap.
+/// Rows left over after the last full group of lanes go through
+/// [`manhattan`] itself.
+pub(crate) fn manhattan_rows(a: &[f64], rows: &[&[f64]], out: &mut [f64]) {
+    assert_eq!(rows.len(), out.len());
+    let mut groups = rows.chunks_exact(LANES);
+    let mut outs = out.chunks_exact_mut(LANES);
+    for (group, out) in (&mut groups).zip(&mut outs) {
+        let group: [&[f64]; LANES] = std::array::from_fn(|l| {
+            debug_assert_eq!(group[l].len(), a.len());
+            &group[l][..a.len()]
+        });
+        let mut sum = [0.0; LANES];
+        for (k, &x) in a.iter().enumerate() {
+            for (s, row) in sum.iter_mut().zip(&group) {
+                *s += (x - row[k]).abs();
+            }
+        }
+        out.copy_from_slice(&sum);
+    }
+    for (row, o) in groups.remainder().iter().zip(outs.into_remainder()) {
+        *o = manhattan(a, row);
+    }
 }
 
 /// Manhattan distance between the concatenation `head ++ tail` and `b`,
@@ -82,6 +114,35 @@ mod tests {
         assert_eq!(manhattan_concat(&head, &tail, &b), manhattan(&cat, &b));
         assert_eq!(manhattan_concat(&head, &[], &head), 0.0);
         assert_eq!(manhattan_concat(&[], &tail, &tail), 0.0);
+    }
+
+    #[test]
+    fn every_lane_is_bit_identical_to_manhattan() {
+        // Awkward values first, so short rows hit them too.
+        let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0, 1e-300];
+        let value = |seed: usize| {
+            special
+                .get(seed % 11)
+                .copied()
+                .unwrap_or((seed * 37 % 101) as f64 / 64.0 - 0.5)
+        };
+        for len in 0..=40 {
+            let a: Vec<f64> = (0..len).map(|k| value(k * 7 + len)).collect();
+            let rows: Vec<Vec<f64>> = (0..2 * LANES + 3)
+                .map(|r| (0..len).map(|k| value(k * 13 + r * 5 + 1)).collect())
+                .collect();
+            // Every row count up to two full groups plus a remainder.
+            for n in 0..=rows.len() {
+                let refs: Vec<&[f64]> = rows[..n].iter().map(Vec::as_slice).collect();
+                let mut out = vec![f64::NAN; n];
+                manhattan_rows(&a, &refs, &mut out);
+                for (row, got) in refs.iter().zip(&out) {
+                    let want = manhattan(&a, row);
+                    assert_eq!(got.to_bits(), want.to_bits(), "len {len}, {n} rows");
+                    assert_eq!(want.to_bits(), manhattan_concat(&a, &[], row).to_bits());
+                }
+            }
+        }
     }
 
     #[test]

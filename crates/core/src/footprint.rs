@@ -11,21 +11,25 @@
 //!
 //! The gate ([`FootprintTable::classify_with`]) is two steps.
 //! [`FootprintTable::nearest`] finds the first entry at the strictly
-//! smallest BBV distance among the entries that pass the DDS gate, and
-//! [`FootprintTable::commit`] applies the decision: refresh that entry when
-//! its distance is under the BBV threshold, else allocate. Both gates
-//! reject NaN: an entry whose DDS difference is NaN fails the DDS gate,
-//! and a NaN distance is never nearest, so a NaN signature neither matches
-//! nor captures anything. The DDS gate is checked before the distance is
-//! computed.
+//! smallest *gated* distance, which one per-entry closure supplies: the
+//! entry's BBV distance when it passes the DDS gate, `+inf` when it does
+//! not. [`FootprintTable::commit`] applies the decision: refresh that
+//! entry when its distance is under the BBV threshold, else allocate.
+//! Both gates reject NaN: an entry whose DDS difference is NaN fails the
+//! DDS gate, and a NaN distance is never nearest, so a NaN signature
+//! neither matches nor captures anything. The online gate checks the DDS
+//! before it computes the distance.
 //!
 //! The gate is generic over how an entry stores its signature. Online
 //! detectors and the serve path store the BBV itself (`Box<[f64]>`, the
-//! default). The offline threshold sweep stores the index of the captured
-//! record whose BBV it is (`u32`), so one memoized distance per record
-//! pair serves every threshold, and it calls `nearest` once per class of
-//! thresholds whose tables are identical, since the decision depends on
-//! the BBV threshold only through `threshold > nearest distance`
+//! default). The offline threshold sweep stores a slot number (`u32`)
+//! naming one of the captured records some table still holds, and learns
+//! from `commit` which slot an eviction frees. Per interval it computes
+//! each live record's DDS difference and distance once, gates them once
+//! per DDS column, and its per-entry closure is a lookup in that column's
+//! row. It calls `nearest` once per class of thresholds whose tables are
+//! identical, since the decision depends on the BBV threshold only through
+//! `threshold > nearest distance`
 //! ([`crate::detector::TraceClassifier::sweep_proc`]).
 
 use serde::{Deserialize, Serialize};
@@ -102,53 +106,48 @@ impl<S: Default> FootprintTable<S> {
     /// [`Self::commit`].
     ///
     /// * `distance` — Manhattan distance from the query to a stored
-    ///   signature;
+    ///   signature, computed only for entries that pass the DDS gate;
     /// * `dds` — the interval's DDS;
     /// * `bbv_threshold` — Manhattan-distance threshold;
     /// * `dds_threshold` — `Some(t)` in BBV+DDV mode (relative DDS
     ///   difference must be `< t`), `None` in BBV-only mode;
-    /// * `store` — writes the query's signature into a new entry's slot
-    ///   (a fresh `S::default()` below capacity, the evicted entry's
-    ///   signature once full).
+    /// * `store` — the new entry's signature, given the evicted entry's
+    ///   (see [`Self::commit`]).
     #[inline]
     pub fn classify_with(
         &mut self,
-        distance: impl FnMut(&S) -> f64,
+        mut distance: impl FnMut(&S) -> f64,
         dds: f64,
         bbv_threshold: f64,
         dds_threshold: Option<f64>,
-        store: impl FnOnce(&mut S),
+        store: impl FnOnce(Option<S>) -> S,
     ) -> Match {
         let hit = self
-            .nearest(distance, dds, dds_threshold)
+            .nearest(|e| {
+                if dds_threshold.is_none_or(|t| relative_diff(dds, e.dds) < t) {
+                    distance(&e.sig)
+                } else {
+                    f64::INFINITY
+                }
+            })
             .filter(|&(_, d)| d < bbv_threshold);
         self.commit(hit, dds, store)
     }
 
-    /// The entry nearest the query among those that pass the DDS gate:
-    /// `(slot, distance)` of the first entry at the strictly smallest
-    /// distance, or `None` when no entry qualifies. A NaN or `+inf`
-    /// distance, which no `distance < threshold` test admits, never
-    /// qualifies. Entries whose relative DDS difference is not
-    /// `< dds_threshold` (NaN included) are skipped before their distance
-    /// is computed. Every entry looked at counts towards
-    /// [`Self::comparisons`].
+    /// The entry nearest the query: `(slot, distance)` of the first entry
+    /// at the strictly smallest `gated` distance, or `None` when no entry
+    /// qualifies. `gated` gives an entry's BBV distance when it passes the
+    /// DDS gate and `+inf` when it fails; a NaN or `+inf` distance, which
+    /// no `distance < threshold` test admits, never qualifies. Every entry
+    /// looked at counts towards [`Self::comparisons`].
     #[inline]
-    pub fn nearest(
-        &mut self,
-        mut distance: impl FnMut(&S) -> f64,
-        dds: f64,
-        dds_threshold: Option<f64>,
-    ) -> Option<(usize, f64)> {
+    pub fn nearest(&mut self, mut gated: impl FnMut(&Entry<S>) -> f64) -> Option<(usize, f64)> {
         self.comparisons += self.entries.len() as u64;
         // Selects rather than branches: which entry is nearest is data
         // dependent, so a branch here mispredicts often.
         let (mut best, mut best_d) = (usize::MAX, f64::INFINITY);
         for (i, e) in self.entries.iter().enumerate() {
-            if !dds_threshold.is_none_or(|t| relative_diff(dds, e.dds) < t) {
-                continue;
-            }
-            let d = distance(&e.sig);
+            let d = gated(e);
             let nearer = d < best_d;
             best = if nearer { i } else { best };
             best_d = if nearer { d } else { best_d };
@@ -157,14 +156,16 @@ impl<S: Default> FootprintTable<S> {
     }
 
     /// Apply one classification decision: `Some((slot, distance))` matches
-    /// that entry and refreshes its LRU stamp; `None` allocates a new phase
-    /// (evicting the LRU entry when full) whose signature `store` writes.
+    /// that entry and refreshes its LRU stamp; `None` allocates a new phase,
+    /// evicting the LRU entry when full. `store` returns the new entry's
+    /// signature, given the evicted entry's (`None` below capacity), so a
+    /// caller can reuse its buffer or learn which signature left the table.
     #[inline]
     pub fn commit(
         &mut self,
         hit: Option<(usize, f64)>,
         dds: f64,
-        store: impl FnOnce(&mut S),
+        store: impl FnOnce(Option<S>) -> S,
     ) -> Match {
         self.clock += 1;
         if let Some((i, d)) = hit {
@@ -175,28 +176,22 @@ impl<S: Default> FootprintTable<S> {
         // Allocate a new entry (LRU eviction when full).
         let phase_id = self.next_phase_id;
         self.next_phase_id += 1;
-        let slot = if self.entries.len() < self.capacity {
-            self.entries.push(Entry {
-                sig: S::default(),
-                dds,
-                phase_id,
-                last_used: self.clock,
-            });
-            self.entries.len() - 1
+        let last_used = self.clock;
+        if self.entries.len() < self.capacity {
+            self.entries.push(Entry { sig: store(None), dds, phase_id, last_used });
         } else {
             self.evictions += 1;
-            self.entries
+            let slot = self
+                .entries
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(i, _)| i)
-                .expect("capacity > 0")
-        };
-        let e = &mut self.entries[slot];
-        e.dds = dds;
-        e.phase_id = phase_id;
-        e.last_used = self.clock;
-        store(&mut e.sig);
+                .expect("capacity > 0");
+            let e = &mut self.entries[slot];
+            e.sig = store(Some(std::mem::take(&mut e.sig)));
+            (e.dds, e.phase_id, e.last_used) = (dds, phase_id, last_used);
+        }
         Match { phase_id, is_new: true, distance: 0.0 }
     }
 
@@ -285,16 +280,13 @@ impl FootprintTable {
             dds,
             bbv_threshold,
             dds_threshold,
-            |sig| {
-                if sig.len() == head.len() + tail.len() {
+            |evicted| match evicted {
+                Some(mut sig) if sig.len() == head.len() + tail.len() => {
                     sig[..head.len()].copy_from_slice(head);
                     sig[head.len()..].copy_from_slice(tail);
-                } else {
-                    let mut v = Vec::with_capacity(head.len() + tail.len());
-                    v.extend_from_slice(head);
-                    v.extend_from_slice(tail);
-                    *sig = v.into_boxed_slice();
+                    sig
                 }
+                _ => [head, tail].concat().into_boxed_slice(),
             },
         )
     }
@@ -498,11 +490,29 @@ mod tests {
         ];
         for (x, thr) in cases {
             let want = a.classify(&x, 0.0, thr, None);
-            let hit = b.nearest(|s| manhattan_concat(&x, &[], s), 0.0, None);
-            let got = b.commit(hit.filter(|&(_, d)| d < thr), 0.0, |s| *s = Box::new(x));
+            let hit = b.nearest(|e| manhattan_concat(&x, &[], &e.sig));
+            let got = b.commit(hit.filter(|&(_, d)| d < thr), 0.0, |_| Box::new(x));
             assert_eq!(got, want);
         }
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn commit_hands_store_the_evicted_signature() {
+        let mut t: FootprintTable<u32> = FootprintTable::new(2);
+        let mut seen = Vec::new();
+        for sig in [7, 8, 9, 10] {
+            t.commit(None, 0.0, |evicted| {
+                seen.push(evicted);
+                sig
+            });
+        }
+        // Below capacity nothing is evicted; then the LRU entry each time.
+        assert_eq!(seen, [None, None, Some(7), Some(8)]);
+        let sigs: Vec<u32> = t.entries().iter().map(|e| e.sig).collect();
+        assert_eq!(sigs, [9, 10]);
+        // A match stores nothing.
+        t.commit(Some((0, 0.0)), 0.0, |_| unreachable!("a hit allocates nothing"));
     }
 
     #[test]

@@ -5,14 +5,19 @@
 //! across exact distance ties, tiny tables that evict on nearly every
 //! interval, thresholds of 0 and above 2, grids whose DDS columns hold
 //! many BBV thresholds (duplicated and out of order, so classes split
-//! repeatedly), all-zero DDS, NaN DDS values and a NaN BBV lane.
+//! repeatedly), all-zero DDS, NaN DDS values, NaN and infinite DDS
+//! thresholds, a NaN BBV lane, and BBVs of 4 lanes and of the 32 lanes
+//! the real accumulator has (so whole groups of the sweep's distance
+//! kernel run, not only its remainder).
 
 use proptest::prelude::*;
 
 use dsm_phase::detector::{DetectorMode, IntervalRecord, Thresholds, TraceClassifier};
 use dsm_phase::footprint::FootprintTable;
 
-const LANES: usize = 4;
+/// BBV lengths the streams are drawn at: a short one, and the paper's
+/// accumulator width.
+const BBV_LENS: [usize; 2] = [4, 32];
 
 fn record(index: usize, bbv: Vec<f64>, dds: f64) -> IntervalRecord {
     IntervalRecord {
@@ -61,6 +66,7 @@ fn stream(
     picks: &[(usize, Vec<f64>, f64)],
     zero_dds: bool,
     nan_at: Option<(usize, usize)>,
+    len: usize,
 ) -> Vec<IntervalRecord> {
     let mut records: Vec<IntervalRecord> = picks
         .iter()
@@ -69,13 +75,13 @@ fn stream(
             let bbv = palette
                 .get(*pick)
                 .cloned()
-                .unwrap_or_else(|| normalized(raw));
+                .unwrap_or_else(|| normalized(&raw[..len]));
             record(i, bbv, if zero_dds { 0.0 } else { *dds })
         })
         .collect();
     if let Some((at, lane)) = nan_at {
         let n = records.len();
-        records[at % n].bbv[lane % LANES] = f64::NAN;
+        records[at % n].bbv[lane % len] = f64::NAN;
     }
     records
 }
@@ -92,6 +98,8 @@ fn dds_thresholds() -> impl Strategy<Value = Option<f64>> {
         Some(0.3),
         Some(1.0),
         Some(1.5),
+        Some(f64::INFINITY),
+        Some(f64::NAN),
     ])
 }
 
@@ -100,11 +108,12 @@ proptest! {
 
     #[test]
     fn sweep_matches_per_point_replay(
-        palette_raw in prop::collection::vec(prop::collection::vec(0.01f64..1.0, LANES), 1..5),
+        len in prop::sample::select(BBV_LENS.to_vec()),
+        palette_raw in prop::collection::vec(prop::collection::vec(0.01f64..1.0, BBV_LENS[1]), 1..5),
         picks in prop::collection::vec(
             (
                 0usize..8,
-                prop::collection::vec(0.01f64..1.0, LANES),
+                prop::collection::vec(0.01f64..1.0, BBV_LENS[1]),
                 prop::sample::select(vec![0.0, 1.0, 1.2, 5.0, 40.0, f64::NAN]),
             ),
             1..80,
@@ -112,14 +121,14 @@ proptest! {
         grid in prop::collection::vec((bbv_thresholds(), dds_thresholds()), 1..40),
         capacity in prop::sample::select(vec![1usize, 2, 3, 32]),
         zero_dds in any::<bool>(),
-        nan_at in prop::option::of((0usize..80, 0usize..LANES)),
+        nan_at in prop::option::of((0usize..80, 0usize..BBV_LENS[1])),
         external in prop::collection::vec(
             prop::sample::select(vec![0.0, 2.0, 2.1, 9.0, f64::NAN]),
             80,
         ),
     ) {
-        let palette: Vec<Vec<f64>> = palette_raw.iter().map(|p| normalized(p)).collect();
-        let records = stream(&palette, &picks, zero_dds, nan_at);
+        let palette: Vec<Vec<f64>> = palette_raw.iter().map(|p| normalized(&p[..len])).collect();
+        let records = stream(&palette, &picks, zero_dds, nan_at, len);
         let external = &external[..records.len()];
 
         // Records' own DDS (BBV points where the DDS gate is `None`,

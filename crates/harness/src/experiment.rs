@@ -16,7 +16,55 @@ pub struct ExperimentConfig {
     pub interval_base: u64,
 }
 
+/// Why an [`ExperimentConfig`] cannot describe a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `n_procs == 0`: a machine needs at least one processor.
+    NoProcessors,
+    /// `interval_base < n_procs`: each processor's sampling interval,
+    /// `interval_base / n_procs` instructions, would be empty.
+    IntervalBaseBelowProcs { interval_base: u64, n_procs: usize },
+}
+
+impl ConfigError {
+    /// The offending field.
+    pub fn field(&self) -> &'static str {
+        match self {
+            ConfigError::NoProcessors => "n_procs",
+            ConfigError::IntervalBaseBelowProcs { .. } => "interval_base",
+        }
+    }
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::NoProcessors => write!(f, "experiment has no processors"),
+            ConfigError::IntervalBaseBelowProcs { interval_base, n_procs } => write!(
+                f,
+                "interval base {interval_base} is below the {n_procs} processors it is split over"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 impl ExperimentConfig {
+    /// Check that this point describes a machine that can run.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.n_procs == 0 {
+            return Err(ConfigError::NoProcessors);
+        }
+        if self.interval_base < self.n_procs as u64 {
+            return Err(ConfigError::IntervalBaseBelowProcs {
+                interval_base: self.interval_base,
+                n_procs: self.n_procs,
+            });
+        }
+        Ok(())
+    }
+
     /// Default harness configuration at the reduced (`Scaled`) inputs.
     pub fn scaled(app: App, n_procs: usize) -> Self {
         Self {
@@ -89,6 +137,25 @@ mod tests {
         assert_eq!(s.l1, p.l1);
         assert_eq!(s.memory, p.memory);
         assert_eq!(s.network, p.network);
+    }
+
+    #[test]
+    fn validate_rejects_empty_machines_and_intervals() {
+        for app in App::ALL {
+            for n in [1, 2, 32, 128] {
+                for c in [ExperimentConfig::test(app, n), ExperimentConfig::paper(app, n)] {
+                    assert_eq!(c.validate(), Ok(()));
+                }
+            }
+        }
+        let c = ExperimentConfig::test(App::Lu, 0);
+        assert_eq!(c.validate(), Err(ConfigError::NoProcessors));
+        let c = ExperimentConfig { interval_base: 7, ..ExperimentConfig::test(App::Lu, 8) };
+        let err = c.validate().unwrap_err();
+        assert_eq!(err, ConfigError::IntervalBaseBelowProcs { interval_base: 7, n_procs: 8 });
+        assert_eq!(err.field(), "interval_base");
+        let c = ExperimentConfig { interval_base: 8, ..c };
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]

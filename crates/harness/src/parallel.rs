@@ -543,13 +543,18 @@ pub fn encode_trace(trace: &SystemTrace) -> Vec<u8> {
 
 /// Decode a `DSMTRC4` entry. Total: any input yields a trace or a typed
 /// [`CkptError`]; it never panics and never reserves more than the input
-/// could hold.
+/// could hold. An experiment point that fails
+/// [`ExperimentConfig::validate`] is a `BadValue` naming the field.
 pub fn decode_trace(bytes: &[u8]) -> Result<SystemTrace, CkptError> {
     let mut r = R::new(bytes.strip_prefix(TRACE_MAGIC).ok_or(CkptError::BadMagic)?);
     let app = get_app(&mut r)?;
     let scale = get_scale(&mut r)?;
     let n_procs = r.usize_checked("n_procs")?;
     let interval_base = r.u64()?;
+    let config = ExperimentConfig { app, n_procs, scale, interval_base };
+    config
+        .validate()
+        .map_err(|e| CkptError::BadValue { what: e.field() })?;
     let n = r.len(8)?;
     let records = (0..n)
         .map(|_| {
@@ -578,7 +583,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<SystemTrace, CkptError> {
     let ddv_vectors_exchanged = r.u64()?;
     r.finish()?;
     Ok(SystemTrace {
-        config: ExperimentConfig { app, n_procs, scale, interval_base },
+        config,
         records,
         stats: SystemStats { procs, directory, network, memctrls, faults, reconfig, finish_cycle },
         ddv_vectors_exchanged,

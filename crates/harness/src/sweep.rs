@@ -9,8 +9,10 @@
 //!
 //! The footprint-table sweeps (BBV, BBV+DDV, DDS ablations) replay each
 //! processor once for the whole grid
-//! ([`TraceClassifier::sweep_proc`]): one distance per record pair per
-//! sweep, and one table per *class* of grid points rather than per point.
+//! ([`TraceClassifier::sweep_proc`]): one table per *class* of grid points
+//! rather than per point, and one gate per record shared by every class
+//! (each live entry's DDS difference and distance computed once, gated
+//! once per DDS column).
 //! A class is a run of ascending BBV thresholds within one DDS column
 //! whose tables have made identical decisions; it splits in two when a
 //! record's nearest distance falls inside its threshold range, and classes

@@ -1,8 +1,9 @@
 //! Property tests for the `DSMTRC4` trace-store codec, to the same standard
 //! as the checkpoint codec's `prop_codec`: decoding is *total* (random
 //! bytes, truncations, byte flips, hostile length prefixes, bad app/scale
-//! tags and trailing bytes yield a typed error — a store miss — never a
-//! panic or a huge allocation), and the encoding is canonical (whatever
+//! tags, trailing bytes and experiment points that fail
+//! `ExperimentConfig::validate` yield a typed error — a store miss — never
+//! a panic or a huge allocation), and the encoding is canonical (whatever
 //! decodes re-encodes to the identical bytes).
 
 use proptest::prelude::*;
@@ -36,7 +37,7 @@ impl Gen {
 }
 
 /// A trace whose every field is derived from `seed`; `n_procs` and
-/// `n_recs` vary the shape.
+/// `n_recs` vary the shape. Its experiment point is always valid.
 fn synth(seed: u64, n_procs: usize, n_recs: usize) -> SystemTrace {
     let mut g = Gen(seed);
     let records = (0..n_procs)
@@ -65,7 +66,7 @@ fn synth(seed: u64, n_procs: usize, n_recs: usize) -> SystemTrace {
             app: App::EXTENDED[(g.u() % 5) as usize],
             n_procs,
             scale: [Scale::Test, Scale::Scaled, Scale::Paper][(g.u() % 3) as usize],
-            interval_base: g.u() % 1_000_000,
+            interval_base: n_procs as u64 + g.u() % 1_000_000,
         },
         records,
         stats: SystemStats {
@@ -146,6 +147,28 @@ fn bad_tags_magic_and_trailing_bytes_are_typed_errors() {
     let mut long = bytes.clone();
     long.push(0);
     assert_eq!(decode_trace(&long).err(), Some(CkptError::TrailingBytes));
+}
+
+#[test]
+fn invalid_experiment_config_is_a_typed_error() {
+    let mut empty = synth(5, 0, 0);
+    assert_eq!(
+        decode_trace(&encode_trace(&empty)).err(),
+        Some(CkptError::BadValue { what: "n_procs" })
+    );
+    let mut trace = synth(5, 4, 1);
+    for (base, valid) in [(0, false), (3, false), (4, true), (5, true)] {
+        trace.config.interval_base = base;
+        let got = decode_trace(&encode_trace(&trace));
+        if valid {
+            assert_same(&got.unwrap(), &trace);
+        } else {
+            assert_eq!(got.err(), Some(CkptError::BadValue { what: "interval_base" }));
+        }
+    }
+    // A machine with no processors is rejected whatever its interval base.
+    empty.config.interval_base = 0;
+    assert!(decode_trace(&encode_trace(&empty)).is_err());
 }
 
 proptest! {

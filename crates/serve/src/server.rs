@@ -98,6 +98,13 @@ pub enum ServeError {
     /// differences, so such a signature would never match: it would only
     /// allocate phases and evict real entries.
     NonFinite { tenant: TenantId, field: &'static str },
+    /// A negative value in the signature's `field` (`"bbv"` or `"dds"`).
+    /// Both are built from non-negative counts, so no detector produces
+    /// one, and the footprint gate's DDS difference assumes none.
+    Negative { tenant: TenantId, field: &'static str },
+    /// The interval committed no instructions: it has no code signature
+    /// to classify, and its CPI would read 0.
+    ZeroInsns { tenant: TenantId },
 }
 
 impl std::fmt::Display for ServeError {
@@ -112,6 +119,12 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::NonFinite { tenant, field } => {
                 write!(f, "tenant {tenant}: non-finite value in {field}")
+            }
+            ServeError::Negative { tenant, field } => {
+                write!(f, "tenant {tenant}: negative value in {field}")
+            }
+            ServeError::ZeroInsns { tenant } => {
+                write!(f, "tenant {tenant}: interval of zero instructions")
             }
         }
     }
@@ -337,11 +350,23 @@ impl PhaseServer {
                 expected: t.cfg.bbv_entries,
             });
         }
-        if !sig.bbv.iter().all(|x| x.is_finite()) {
-            return Err(ServeError::NonFinite { tenant: id, field: "bbv" });
+        // One pass over the values: the first non-finite or negative one
+        // decides the error.
+        let bad = |field, x: f64| {
+            if !x.is_finite() {
+                Some(ServeError::NonFinite { tenant: id, field })
+            } else if x < 0.0 {
+                Some(ServeError::Negative { tenant: id, field })
+            } else {
+                None
+            }
+        };
+        let value_error = sig.bbv.iter().find_map(|&x| bad("bbv", x));
+        if let Some(e) = value_error.or_else(|| bad("dds", sig.dds)) {
+            return Err(e);
         }
-        if !sig.dds.is_finite() {
-            return Err(ServeError::NonFinite { tenant: id, field: "dds" });
+        if sig.insns == 0 {
+            return Err(ServeError::ZeroInsns { tenant: id });
         }
         t.stats.offered += 1;
         if let Some(p) = t.probes {

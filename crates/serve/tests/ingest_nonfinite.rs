@@ -6,12 +6,15 @@
 //! evict a real entry, and no detector produces one. `PhaseServer::offer`
 //! therefore refuses non-finite BBV entries and DDS values before they
 //! reach a table, and a poisoned offer must not decide the classification
-//! of the clean intervals after it.
+//! of the clean intervals after it. The same pass refuses negative values,
+//! and an interval of zero instructions is refused too: neither comes from
+//! a real detector, and a refused offer leaves the tenant's table and
+//! counters exactly as they were.
 
 use dsm_phase::detector::{DetectorMode, Thresholds};
 use dsm_phase::signature::IntervalSignature;
 use dsm_phase::ClassifiedInterval;
-use dsm_serve::{Ingest, PhaseServer, ServeConfig, TenantConfig, TenantId};
+use dsm_serve::{Ingest, PhaseServer, ServeConfig, ServeError, TenantConfig, TenantId};
 
 const BBV_ENTRIES: usize = 4;
 
@@ -77,7 +80,7 @@ fn non_finite_offer_is_rejected_before_it_is_counted() {
         let before = srv.stats(t).unwrap();
         assert_eq!(
             srv.offer(t, bad),
-            Err(dsm_serve::ServeError::NonFinite { tenant: t, field })
+            Err(ServeError::NonFinite { tenant: t, field })
         );
         // Nothing was counted or queued.
         assert_eq!(srv.stats(t).unwrap(), before);
@@ -91,4 +94,59 @@ fn non_finite_offer_is_rejected_before_it_is_counted() {
         let st = srv.stats(t).unwrap();
         assert_eq!((st.offered, st.accepted, st.rejected), (1, 1, 0));
     }
+}
+
+/// Malformed but finite signatures, with the error each must get: a
+/// negative BBV entry, a negative DDS, and zero instructions. A NaN before
+/// a negative entry reports the NaN.
+type Expected = fn(TenantId) -> ServeError;
+
+fn malformed() -> Vec<(IntervalSignature, Expected)> {
+    let mut neg_bbv = sig(5, 0, 10.0);
+    neg_bbv.bbv[3] = -0.25;
+    let mut nan_first = neg_bbv.clone();
+    nan_first.bbv[1] = f64::NAN;
+    let mut zero = sig(5, 0, 10.0);
+    zero.insns = 0;
+    vec![
+        (neg_bbv, |tenant| ServeError::Negative { tenant, field: "bbv" }),
+        (sig(5, 0, -1.0), |tenant| ServeError::Negative { tenant, field: "dds" }),
+        (sig(5, 0, f64::MIN), |tenant| ServeError::Negative { tenant, field: "dds" }),
+        (nan_first, |tenant| ServeError::NonFinite { tenant, field: "bbv" }),
+        (zero, |tenant| ServeError::ZeroInsns { tenant }),
+    ]
+}
+
+#[test]
+fn malformed_offer_leaves_table_and_counters_untouched() {
+    for (bad, want) in malformed() {
+        let (mut srv, t) = server();
+        let want = want(t);
+        // One resident entry first, so "untouched" covers a live table.
+        let first = classify_one(&mut srv, t, sig(0, 0, 10.0));
+        assert_eq!((first.phase_id, first.is_new_phase), (0, true));
+        let before = srv.stats(t).unwrap();
+        assert_eq!(srv.offer(t, bad.clone()), Err(want.clone()));
+        assert_eq!(srv.stats(t).unwrap(), before, "{want:?} was counted");
+        assert_eq!(srv.queue_depth(t), Some(0));
+        assert_eq!(srv.run_batch(), 0);
+        assert!(srv.drain_output(t, usize::MAX).unwrap().is_empty());
+        // The resident entry still matches, and the next new phase is 1:
+        // the refused offer neither evicted nor allocated anything.
+        let again = classify_one(&mut srv, t, sig(1, 0, 10.0));
+        assert_eq!((again.phase_id, again.is_new_phase), (0, false), "{want:?}");
+        let far = classify_one(&mut srv, t, sig(2, 2, 10.0));
+        assert_eq!((far.phase_id, far.is_new_phase), (1, true), "{want:?}");
+        let st = srv.stats(t).unwrap();
+        assert_eq!((st.offered, st.accepted, st.rejected), (3, 3, 0));
+    }
+}
+
+#[test]
+fn negative_zero_and_one_instruction_are_accepted() {
+    let (mut srv, t) = server();
+    let mut edge = sig(0, 0, -0.0);
+    edge.bbv[1] = -0.0;
+    edge.insns = 1;
+    assert!(classify_one(&mut srv, t, edge).is_new_phase);
 }
