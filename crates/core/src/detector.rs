@@ -21,7 +21,9 @@
 //! the DDS and then computes the distance. The offline sweep computes one
 //! row per record instead, each live entry's DDS difference and distance
 //! once, gated once per DDS column, and its closure is a lookup in that row
-//! ([`TraceClassifier::sweep_proc`]).
+//! ([`TraceClassifier::sweep_proc`]). The related-work baselines and the
+//! vector-DDV extension replay through that same sweep, each with its own
+//! signature and distance.
 
 use serde::{Deserialize, Serialize};
 
@@ -88,6 +90,36 @@ impl IntervalRecord {
     /// Cycles per (non-sync) instruction: [`IntervalStats::cpi`] itself.
     pub fn cpi(&self) -> f64 {
         IntervalStats { index: self.index, insns: self.insns, cycles: self.cycles }.cpi()
+    }
+
+    /// Extension signature (not in the paper): the normalized BBV followed
+    /// by the distance-weighted frequency vector `F_i · D`, normalized to
+    /// carry `data_weight` total mass, for classification on one Manhattan
+    /// threshold.
+    ///
+    /// The paper collapses `F·D·C` into the scalar DDS so the hardware
+    /// compares one number; keeping the vector preserves *which* homes were
+    /// hot, at the cost of `n` extra comparator lanes. `data_weight` scales
+    /// the data half relative to the code half (0 recovers plain BBV
+    /// behaviour; the vector then sums to `1 + data_weight`, so thresholds
+    /// live in `[0, 2(1 + data_weight)]`).
+    pub fn vector_ddv(&self, dist_row: &[f64], data_weight: f64) -> Vec<f64> {
+        let mut v = Vec::with_capacity(self.bbv.len() + self.fvec.len());
+        v.extend_from_slice(&self.bbv);
+        let mut total = 0.0;
+        for (&f, &d) in self.fvec.iter().zip(dist_row) {
+            let w = f as f64 * d;
+            total += w;
+            v.push(w);
+        }
+        // Every term is >= 0, so total == 0 means the data half is already
+        // all zeros (the unnormalizable case keeps a zero data half).
+        if total > 0.0 {
+            for w in &mut v[self.bbv.len()..] {
+                *w = *w / total * data_weight;
+            }
+        }
+        v
     }
 }
 
@@ -355,10 +387,9 @@ struct SweepClass {
 /// [`Gate`] is indexed by slot and stays as small as the live set. A slot
 /// counts the tables that store it, through every commit, eviction and
 /// fork; a slot no table stores is free for a later record.
-#[derive(Default)]
-struct LiveSet<'a> {
-    /// Each slot's record: its BBV and DDS.
-    bbv: Vec<&'a [f64]>,
+struct LiveSet<'a, S: ?Sized> {
+    /// Each slot's record: its signature and DDS.
+    sig: Vec<&'a S>,
     dds: Vec<f64>,
     /// Tables storing each slot; 0 for a free slot.
     refs: Vec<u32>,
@@ -367,7 +398,11 @@ struct LiveSet<'a> {
     current: Option<u32>,
 }
 
-impl<'a> LiveSet<'a> {
+impl<'a, S: ?Sized> LiveSet<'a, S> {
+    fn new() -> Self {
+        Self { sig: Vec::new(), dds: Vec::new(), refs: Vec::new(), free: Vec::new(), current: None }
+    }
+
     fn acquire(&mut self, slot: u32) {
         self.refs[slot as usize] += 1;
     }
@@ -392,24 +427,24 @@ impl<'a> LiveSet<'a> {
     }
 
     /// End of the current record: the slot some table stored it in, if
-    /// any, now holds its BBV and DDS.
-    fn settle(&mut self, bbv: &'a [f64], dds: f64) {
+    /// any, now holds its signature and DDS.
+    fn settle(&mut self, sig: &'a S, dds: f64) {
         if let Some(slot) = self.current.take() {
             let slot = slot as usize;
-            if slot == self.bbv.len() {
-                self.bbv.push(bbv);
+            if slot == self.sig.len() {
+                self.sig.push(sig);
                 self.dds.push(dds);
             } else {
-                (self.bbv[slot], self.dds[slot]) = (bbv, dds);
+                (self.sig[slot], self.dds[slot]) = (sig, dds);
             }
         }
     }
 }
 
 /// One record's gate against every live slot, computed once and shared by
-/// every class: `gated[c][slot]` is the slot's BBV distance when DDS
-/// column `c` admits it, else `+inf`.
-struct Gate<'a> {
+/// every class: `gated[c][slot]` is the slot's distance when DDS column
+/// `c` admits it, else `+inf`.
+struct Gate<'a, S: ?Sized> {
     /// Each column's DDS threshold (`None`: no DDS gate).
     columns: Vec<Option<f64>>,
     /// A threshold admitting whatever some column admits: `rd < t` for
@@ -420,13 +455,14 @@ struct Gate<'a> {
     /// column admits the slot, so it is never computed).
     diff: Vec<f64>,
     dist: Vec<f64>,
-    /// The slots whose distance is computed, their BBVs, the distances.
+    /// The slots whose distance is computed, their signatures, the
+    /// distances.
     need: Vec<usize>,
-    rows: Vec<&'a [f64]>,
+    rows: Vec<&'a S>,
     out: Vec<f64>,
 }
 
-impl<'a> Gate<'a> {
+impl<'a, S: ?Sized> Gate<'a, S> {
     fn new(columns: Vec<Option<f64>>) -> Self {
         Self {
             widest: columns
@@ -442,16 +478,24 @@ impl<'a> Gate<'a> {
         }
     }
 
-    /// Gate the record `(bbv, dds)` against every live slot.
-    fn fill(&mut self, live: &LiveSet<'a>, bbv: &[f64], dds: f64) {
-        let slots = live.bbv.len();
+    /// Gate the record `(sig, dds)` against every live slot, measuring
+    /// the admitted ones with `distance`.
+    fn fill(
+        &mut self,
+        live: &LiveSet<'a, S>,
+        sig: &S,
+        dds: f64,
+        distance: &mut impl FnMut(&S, &[&'a S], &mut [f64]),
+    ) {
+        let slots = live.sig.len();
         self.diff.resize(slots, 0.0);
         self.need.resize(slots, 0);
-        self.rows.resize(slots, &[]);
+        self.rows.clear();
+        self.rows.extend_from_slice(&live.sig);
         // Branch-free compaction: every slot is written at `k`, and `k`
         // advances past the live ones the widest column admits.
         let mut k = 0;
-        let slot_data = live.bbv.iter().zip(&live.dds).zip(&live.refs);
+        let slot_data = live.sig.iter().zip(&live.dds).zip(&live.refs);
         for (s, ((&row, &slot_dds), &refs)) in slot_data.enumerate() {
             let rd = relative_diff(dds, slot_dds);
             self.diff[s] = rd;
@@ -462,7 +506,7 @@ impl<'a> Gate<'a> {
         self.need.truncate(k);
         self.rows.truncate(k);
         self.out.resize(k, 0.0);
-        manhattan_rows(bbv, &self.rows, &mut self.out);
+        distance(sig, &self.rows, &mut self.out);
         self.dist.clear();
         self.dist.resize(slots, f64::INFINITY);
         for (&s, &d) in self.need.iter().zip(&self.out) {
@@ -496,58 +540,68 @@ impl TraceClassifier {
             DetectorMode::Bbv => None,
             DetectorMode::BbvDdv => Some(thresholds.dds),
         };
-        Self::sweep_proc(records, None, &[(thresholds.bbv, dds_thr)], footprint_vectors)
-            .classes
-            .swap_remove(0)
+        let point = [(thresholds.bbv, dds_thr)];
+        let stream = Self::bbv_stream(records, None);
+        Self::sweep_proc(stream, manhattan_rows, &point, footprint_vectors).classes.swap_remove(0)
     }
 
-    /// Multi-threshold replay: classify one processor's interval sequence
-    /// at every `(bbv_threshold, dds_threshold)` point of `grid` (`None`
-    /// gates on the BBV alone). `dds` replaces each record's own DDS when
-    /// given.
+    /// The `(signature, DDS)` stream the BBV and BBV+DDV sweeps replay:
+    /// each record's BBV with its own DDS, or with `dds[i]` when given.
+    pub fn bbv_stream<'a>(
+        records: &'a [IntervalRecord],
+        dds: Option<&'a [f64]>,
+    ) -> impl ExactSizeIterator<Item = (&'a [f64], f64)> + 'a {
+        if let Some(dds) = dds {
+            assert_eq!(records.len(), dds.len());
+        }
+        let with_dds = move |(i, r): (usize, &'a IntervalRecord)| {
+            (r.bbv.as_slice(), dds.map_or(r.dds, |d| d[i]))
+        };
+        records.iter().enumerate().map(with_dds)
+    }
+
+    /// Multi-threshold replay: classify one processor's stream of
+    /// `(signature, DDS)` records at every `(threshold, dds_threshold)`
+    /// point of `grid` (`None` gates on the signature alone). Every
+    /// detector replays through here and differs only in its signature and
+    /// `distance`, which writes each stored row's distance from the query
+    /// into `out`: BBV Manhattan distance
+    /// ([`manhattan_rows`](crate::distance::manhattan_rows)) for BBV,
+    /// BBV+DDV and the vector-DDV extension, the relative signature
+    /// distance for working sets, the relative difference for branch
+    /// counts.
     ///
     /// Grid points whose tables have made the same decisions so far hold
     /// the same table, so one table advances per *class*: a contiguous run
-    /// of ascending BBV thresholds within one DDS column. Per record, the
+    /// of ascending thresholds within one DDS column. Per record, the
     /// class's [`FootprintTable::nearest`] gives `d*`, the distance of the
     /// entry every point would match if its threshold let it. Points with
     /// `threshold > d*` match that entry and the rest (a prefix of the run)
     /// allocate a new phase. When a class needs both decisions, the prefix
     /// forks off with a copy of the table and id history; classes never
-    /// merge. A NaN BBV threshold matches nothing, like `-inf`.
+    /// merge. A NaN threshold matches nothing, like `-inf`.
     ///
-    /// Every entry is a copy of an earlier record's BBV, so the sweep gates
-    /// each record once rather than once per class. It keeps the *live
-    /// set*: the records some class's table stores, each in a slot that
-    /// counts its tables through every commit, eviction and fork. The
+    /// Every entry is a copy of an earlier record's signature, so the sweep
+    /// gates each record once rather than once per class. It keeps the
+    /// *live set*: the records some class's table stores, each in a slot
+    /// that counts its tables through every commit, eviction and fork. The
     /// tables store slot numbers. Per record, a `Gate` computes each live
-    /// slot's relative DDS difference once, and its BBV distance once when
-    /// the widest DDS column admits it, eight stored records at a time
-    /// (`distance::manhattan_rows`, bit-identical to the online table's
-    /// [`manhattan_concat`](crate::distance::manhattan_concat)).
-    /// That row fills one gated array per DDS column, the distance or
-    /// `+inf`, and each class's `nearest` closure looks its entries up
-    /// there. The ids are bit-identical to replaying each point on its own.
+    /// slot's relative DDS difference once, and its distance once when the
+    /// widest DDS column admits it, in one `distance` call over all such
+    /// slots. That row fills one gated array per DDS column, the distance
+    /// or `+inf`, and each class's `nearest` closure looks its entries up
+    /// there. The ids are bit-identical to replaying each point on its own
+    /// through [`FootprintTable::classify_with`] with the same distance.
     /// Memory is O(records × classes) for the id streams, plus O(live set
     /// × DDS columns) for the gate.
-    pub fn sweep_proc(
-        records: &[IntervalRecord],
-        dds: Option<&[f64]>,
+    pub fn sweep_proc<'a, S: ?Sized + 'a>(
+        stream: impl ExactSizeIterator<Item = (&'a S, f64)>,
+        mut distance: impl FnMut(&S, &[&'a S], &mut [f64]),
         grid: &[(f64, Option<f64>)],
         footprint_vectors: usize,
     ) -> Sweep {
-        if let Some(dds) = dds {
-            assert_eq!(records.len(), dds.len());
-        }
-        assert!(u32::try_from(records.len()).is_ok(), "a slot number must fit an entry");
-        let own_dds: Vec<f64>;
-        let dds = match dds {
-            Some(dds) => dds,
-            None => {
-                own_dds = records.iter().map(|r| r.dds).collect();
-                &own_dds
-            }
-        };
+        let records = stream.len();
+        assert!(u32::try_from(records).is_ok(), "a slot number must fit an entry");
         let column = |k: usize| grid[k].1.map(f64::to_bits);
         let threshold = |k: usize| {
             if grid[k].0.is_nan() {
@@ -556,7 +610,7 @@ impl TraceClassifier {
                 grid[k].0
             }
         };
-        // Grid points by DDS column, then by ascending BBV threshold.
+        // Grid points by DDS column, then by ascending threshold.
         let mut order: Vec<usize> = (0..grid.len()).collect();
         order.sort_by(|&a, &b| {
             column(a)
@@ -573,15 +627,15 @@ impl TraceClassifier {
                 span: start..start + run.len(),
                 column: columns.len(),
                 table: FootprintTable::new(footprint_vectors),
-                ids: Vec::with_capacity(records.len()),
+                ids: Vec::with_capacity(records),
             });
             columns.push(grid[run[0]].1);
         }
         let mut gate = Gate::new(columns);
-        let mut live = LiveSet::default();
+        let mut live = LiveSet::new();
         let mut forks: Vec<SweepClass> = Vec::new();
-        for (r, &d) in records.iter().zip(dds) {
-            gate.fill(&live, &r.bbv, d);
+        for (sig, d) in stream {
+            gate.fill(&live, sig, d, &mut distance);
             for class in &mut classes {
                 let g = &gate.gated[class.column];
                 let hit = class.table.nearest(|e| g[e.sig as usize]);
@@ -600,7 +654,7 @@ impl TraceClassifier {
                         }
                 });
                 if span.start < split && split < span.end {
-                    let mut ids = Vec::with_capacity(records.len());
+                    let mut ids = Vec::with_capacity(records);
                     ids.extend_from_slice(&class.ids);
                     let mut fork = SweepClass {
                         span: span.start..split,
@@ -622,7 +676,7 @@ impl TraceClassifier {
                 class.ids.push(m.phase_id);
             }
             classes.append(&mut forks);
-            live.settle(&r.bbv, d);
+            live.settle(sig, d);
         }
 
         let mut class_of = vec![0; grid.len()];
@@ -638,55 +692,6 @@ impl TraceClassifier {
         }
     }
 
-    /// Extension (not in the paper): classify on the *concatenation* of
-    /// the normalized BBV and the distance-weighted, normalized frequency
-    /// vector, under a single Manhattan threshold.
-    ///
-    /// The paper collapses `F·D·C` into the scalar DDS so the hardware
-    /// compares one number; keeping the vector preserves *which* homes were
-    /// hot, at the cost of `n` extra comparator lanes. `data_weight`
-    /// scales the data half relative to the code half (0 recovers plain
-    /// BBV behaviour; the combined vector then sums to `1 + data_weight`,
-    /// so thresholds live in `[0, 2(1 + data_weight)]`).
-    pub fn classify_proc_vector_ddv(
-        records: &[IntervalRecord],
-        dist_row: &[f64],
-        bbv_threshold: f64,
-        data_weight: f64,
-        footprint_vectors: usize,
-    ) -> Vec<u32> {
-        let mut table = FootprintTable::new(footprint_vectors);
-        // One scratch buffer for the data half, reused across intervals; the
-        // BBV half is never copied — the table compares `bbv ++ tail` with a
-        // fused pass per entry (`classify_split`), bit-identical to
-        // classifying the materialized concatenation.
-        let mut tail: Vec<f64> = Vec::new();
-        records
-            .iter()
-            .map(|r| {
-                // Distance-weighted access frequencies, normalized so the
-                // data half carries `data_weight` total mass.
-                tail.clear();
-                let mut total = 0.0;
-                for (&f, &d) in r.fvec.iter().zip(dist_row) {
-                    let w = f as f64 * d;
-                    total += w;
-                    tail.push(w);
-                }
-                // Every term is >= 0, so total == 0 means the tail is already
-                // all zeros (the unnormalizable case keeps a zero data half).
-                if total > 0.0 {
-                    for w in tail.iter_mut() {
-                        *w = *w / total * data_weight;
-                    }
-                }
-                table
-                    .classify_split(&r.bbv, &tail, 0.0, bbv_threshold, None)
-                    .phase_id
-            })
-            .collect()
-    }
-
     /// Classify with an externally recomputed DDS per interval (ablations:
     /// `C ≡ 1`, `D ≡ 1`, DDS-only).
     pub fn classify_proc_with_dds(
@@ -695,14 +700,9 @@ impl TraceClassifier {
         thresholds: Thresholds,
         footprint_vectors: usize,
     ) -> Vec<u32> {
-        Self::sweep_proc(
-            records,
-            Some(dds),
-            &[(thresholds.bbv, Some(thresholds.dds))],
-            footprint_vectors,
-        )
-        .classes
-        .swap_remove(0)
+        let point = [(thresholds.bbv, Some(thresholds.dds))];
+        let stream = Self::bbv_stream(records, Some(dds));
+        Self::sweep_proc(stream, manhattan_rows, &point, footprint_vectors).classes.swap_remove(0)
     }
 }
 
@@ -872,6 +872,7 @@ impl SimObserver for OnlineDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::rowwise;
 
     fn stats(index: u64, insns: u64, cycles: u64) -> IntervalStats {
         IntervalStats { index, insns, cycles }
@@ -1015,14 +1016,21 @@ mod tests {
         drive(&mut coll, 0, 7, &[3, 3, 3], 2);
         let recs = &coll.records[0];
         let dist = dsm_phase_sim_dist(4, 0);
+        let vector_ddv = |data_weight| {
+            let vs: Vec<Vec<f64>> = recs.iter().map(|r| r.vector_ddv(&dist, data_weight)).collect();
+            let stream = vs.iter().map(|v| (v.as_slice(), 0.0));
+            TraceClassifier::sweep_proc(stream, manhattan_rows, &[(0.5, None)], 32)
+                .classes
+                .swap_remove(0)
+        };
 
         // With data weight, the home-3 interval becomes its own phase.
-        let ids = TraceClassifier::classify_proc_vector_ddv(recs, &dist, 0.5, 1.0, 32);
+        let ids = vector_ddv(1.0);
         assert_eq!(ids[0], ids[1]);
         assert_ne!(ids[0], ids[2], "home mix must split same-code intervals");
 
         // With zero weight it degenerates to the BBV-only result.
-        let v0 = TraceClassifier::classify_proc_vector_ddv(recs, &dist, 0.5, 0.0, 32);
+        let v0 = vector_ddv(0.0);
         let bbv = TraceClassifier::classify_proc(
             recs,
             DetectorMode::Bbv,
@@ -1033,6 +1041,47 @@ mod tests {
     }
 
     /// Hypercube distance row for tests.
+    /// Phase ids of a stream of branch counts through the shared sweep at
+    /// one relative-difference threshold: the branch-count baseline.
+    fn branch_count_ids(counts: &[u64], threshold: f64, capacity: usize) -> Vec<u32> {
+        let counts: Vec<f64> = counts.iter().map(|&b| b as f64).collect();
+        let stream = counts.iter().map(|b| (b, 0.0));
+        let distance = rowwise(|a: &f64, b: &f64| relative_diff(*a, *b));
+        TraceClassifier::sweep_proc(stream, distance, &[(threshold, None)], capacity)
+            .classes
+            .swap_remove(0)
+    }
+
+    #[test]
+    fn branch_count_similar_counts_share_a_phase() {
+        assert_eq!(branch_count_ids(&[10_000, 10_500], 0.1, 8), [0, 0]);
+    }
+
+    #[test]
+    fn branch_count_distant_counts_split_phases() {
+        assert_eq!(branch_count_ids(&[10_000, 20_000], 0.1, 8), [0, 1]);
+    }
+
+    #[test]
+    fn branch_count_nearest_count_wins() {
+        // 1_100 is within 0.9 of both, but much closer to 1_000.
+        assert_eq!(branch_count_ids(&[1_000, 100_000, 1_100], 0.9, 8), [0, 1, 0]);
+    }
+
+    #[test]
+    fn branch_count_cannot_distinguish_different_code_same_density() {
+        // The baseline's fundamental weakness, stated as a test: some loop,
+        // then entirely different code with the same branch density.
+        assert_eq!(branch_count_ids(&[5_000, 5_001], 0.05, 8), [0, 0]);
+    }
+
+    #[test]
+    fn branch_count_lru_eviction_when_full() {
+        // 1_000_000 evicts 100, which then gets a fresh phase id.
+        let ids = branch_count_ids(&[100, 10_000, 1_000_000, 100], 0.01, 2);
+        assert_eq!(ids, [0, 1, 2, 3]);
+    }
+
     fn dsm_phase_sim_dist(n: usize, i: usize) -> Vec<f64> {
         (0..n)
             .map(|j| if i == j { 1.0 } else { 1.0 + ((i ^ j) as u64).count_ones() as f64 })

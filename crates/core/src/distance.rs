@@ -10,15 +10,16 @@ pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Rows [`manhattan_rows`] compares at once.
-pub(crate) const LANES: usize = 8;
+const LANES: usize = 8;
 
 /// `out[l] = manhattan(a, rows[l])` for every row, [`LANES`] rows at a
 /// time. Each lane sums its own terms left to right, exactly as
 /// [`manhattan`] does, so every result is bit-identical to the one-row
 /// form: the lanes only give the CPU independent add chains to overlap.
 /// Rows left over after the last full group of lanes go through
-/// [`manhattan`] itself.
-pub(crate) fn manhattan_rows(a: &[f64], rows: &[&[f64]], out: &mut [f64]) {
+/// [`manhattan`] itself. This is the batched distance the BBV sweeps pass
+/// to [`crate::detector::TraceClassifier::sweep_proc`].
+pub fn manhattan_rows(a: &[f64], rows: &[&[f64]], out: &mut [f64]) {
     assert_eq!(rows.len(), out.len());
     let mut groups = rows.chunks_exact(LANES);
     let mut outs = out.chunks_exact_mut(LANES);
@@ -59,6 +60,19 @@ pub fn manhattan_concat(head: &[f64], tail: &[f64], b: &[f64]) -> f64 {
         sum += (x - y).abs();
     }
     sum
+}
+
+/// A one-pair distance in the batched form
+/// [`crate::detector::TraceClassifier::sweep_proc`] takes:
+/// `out[l] = distance(a, rows[l])` for every row.
+pub fn rowwise<S: ?Sized>(
+    distance: impl Fn(&S, &S) -> f64,
+) -> impl FnMut(&S, &[&S], &mut [f64]) {
+    move |a, rows, out| {
+        for (o, row) in out.iter_mut().zip(rows) {
+            *o = distance(a, row);
+        }
+    }
 }
 
 /// Relative difference between two non-negative scalars, in [0, 1]:

@@ -20,9 +20,13 @@
 //! neither matches nor captures anything. The online gate checks the DDS
 //! before it computes the distance.
 //!
-//! The gate is generic over how an entry stores its signature. Online
-//! detectors and the serve path store the BBV itself (`Box<[f64]>`, the
-//! default). The offline threshold sweep stores a slot number (`u32`)
+//! The gate is generic over how an entry stores its signature and over the
+//! distance between two signatures. Online detectors and the serve path
+//! store the BBV itself (`Box<[f64]>`, the default) under Manhattan
+//! distance. The offline threshold sweep, which also replays the
+//! related-work baselines (working-set signatures, branch counts) and the
+//! vector-DDV extension under their own distances, stores a slot number
+//! (`u32`)
 //! naming one of the captured records some table still holds, and learns
 //! from `commit` which slot an eviction frees. Per interval it computes
 //! each live record's DDS difference and distance once, gates them once
@@ -39,10 +43,10 @@ use crate::distance::{manhattan_concat, relative_diff};
 /// One stored signature.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Entry<S = Box<[f64]>> {
-    /// The signature at allocation time: the normalized BBV (boxed slice:
-    /// entry signatures never grow, and the fixed-size buffer is reused
-    /// across LRU evictions), or the index of the captured record that
-    /// holds it (offline sweeps).
+    /// The caller's signature at allocation time: for the online table the
+    /// normalized BBV (boxed slice: entry signatures never grow, and the
+    /// fixed-size buffer is reused across LRU evictions), for offline
+    /// sweeps the slot of the captured record that holds it.
     pub sig: S,
     /// DDS at allocation time (unused in BBV-only mode).
     pub dds: f64,
@@ -73,7 +77,8 @@ pub struct Match {
     pub phase_id: u32,
     /// True when a new table entry (new phase) was allocated.
     pub is_new: bool,
-    /// Manhattan distance to the matched entry (0.0 for a new phase).
+    /// The caller's distance to the matched entry (Manhattan for BBVs; 0.0
+    /// for a new phase).
     pub distance: f64,
 }
 
@@ -105,10 +110,11 @@ impl<S: Default> FootprintTable<S> {
     /// [`Self::nearest`], then `distance < bbv_threshold`, then
     /// [`Self::commit`].
     ///
-    /// * `distance` — Manhattan distance from the query to a stored
-    ///   signature, computed only for entries that pass the DDS gate;
+    /// * `distance` — distance from the query to a stored signature
+    ///   (Manhattan for BBVs), computed only for entries that pass the DDS
+    ///   gate;
     /// * `dds` — the interval's DDS;
-    /// * `bbv_threshold` — Manhattan-distance threshold;
+    /// * `bbv_threshold` — distance threshold;
     /// * `dds_threshold` — `Some(t)` in BBV+DDV mode (relative DDS
     ///   difference must be `< t`), `None` in BBV-only mode;
     /// * `store` — the new entry's signature, given the evicted entry's
@@ -257,11 +263,10 @@ impl FootprintTable {
     }
 
     /// [`Self::classify`] over a signature supplied as two segments whose
-    /// logical value is the concatenation `head ++ tail`. The concatenated
-    /// classifier (BBV head, distance-weighted DDV tail) uses this to avoid
-    /// copying the BBV into a combined vector every interval; distances are
-    /// computed by one fused pass per entry ([`manhattan_concat`]), so the
-    /// result is bit-identical to classifying the materialized concatenation.
+    /// logical value is the concatenation `head ++ tail`, without copying
+    /// the head into a combined vector; distances are computed by one
+    /// fused pass per entry ([`manhattan_concat`]), so the result is
+    /// bit-identical to classifying the materialized concatenation.
     ///
     /// A new entry's signature is allocated below capacity (bounded by
     /// table size, not by interval count); once the table is full, the

@@ -22,9 +22,10 @@
 //!   threshold sweeps (equivalent by construction; see DESIGN.md).
 //! * [`predictor`] — phase predictors (last-phase and run-length Markov),
 //!   the paper's stated future-work direction.
-//! * [`working_set`], [`branch_count`] — the related-work baselines of
-//!   Dhodapkar & Smith (working-set signatures) and Balasubramonian et al.
-//!   (conditional branch counts).
+//! * [`working_set`] — working-set signatures, the Dhodapkar & Smith
+//!   related-work baseline. It and the Balasubramonian et al. branch-count
+//!   baseline (each record's branch count, [`distance::relative_diff`])
+//!   are other signatures under the same footprint-table sweep.
 //! * [`context`] — save/restore of detector state across context switches
 //!   (the paper's multiprogramming note in §III-B).
 //! * [`stream`] — [`PhaseStream`]: one node's classified intervals in
@@ -32,7 +33,6 @@
 //!   the serve-side diagnosis sink both consume (`dsm-diagnose`).
 
 pub mod bbv;
-pub mod branch_count;
 pub mod context;
 pub mod ddv;
 pub mod detector;

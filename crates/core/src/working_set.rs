@@ -7,6 +7,9 @@
 //! `|A Δ B| / |A ∪ B|` is below a threshold. Signatures capture *which*
 //! code executed but not *how much*, so they yield longer, coarser phases
 //! than BBVs — the comparison the harness's `baselines` experiment runs.
+//! The detector is the footprint-table sweep
+//! ([`crate::detector::TraceClassifier::sweep_proc`]) over the signature
+//! words, with [`rel_distance`] as its distance.
 
 use serde::{Deserialize, Serialize};
 
@@ -44,32 +47,8 @@ impl WsSignature {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Relative signature distance: `|A Δ B| / |A ∪ B|` in [0, 1]
-    /// (0 for two empty signatures).
-    pub fn rel_distance(&self, other: &Self) -> f64 {
-        assert_eq!(self.words.len(), other.words.len());
-        let mut sym = 0u32;
-        let mut uni = 0u32;
-        for (a, b) in self.words.iter().zip(&other.words) {
-            sym += (a ^ b).count_ones();
-            uni += (a | b).count_ones();
-        }
-        if uni == 0 {
-            0.0
-        } else {
-            sym as f64 / uni as f64
-        }
-    }
-
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
-    }
-
-    /// Overwrite this signature with `other`, reusing the existing word
-    /// buffer (both must have the same width).
-    pub fn copy_from(&mut self, other: &Self) {
-        assert_eq!(self.words.len(), other.words.len());
-        self.words.copy_from_slice(&other.words);
     }
 
     /// Raw signature words (recorded into interval traces).
@@ -83,72 +62,37 @@ impl WsSignature {
     }
 }
 
-/// Working-set phase detector: matches the incoming signature against a
-/// table of previously seen signatures (same structure as the footprint
-/// table, with relative signature distance instead of Manhattan distance).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WorkingSetDetector {
-    table: Vec<(WsSignature, u32, u64)>, // (signature, phase_id, last_used)
-    capacity: usize,
-    clock: u64,
-    next_phase_id: u32,
-}
-
-impl WorkingSetDetector {
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
-        Self { table: Vec::with_capacity(capacity), capacity, clock: 0, next_phase_id: 0 }
+/// Relative signature distance between two signatures' words of equal
+/// width: `|A Δ B| / |A ∪ B|` in [0, 1] (0 for two empty signatures).
+pub fn rel_distance(a: &[u64], b: &[u64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    let mut sym = 0u32;
+    let mut uni = 0u32;
+    for (a, b) in a.iter().zip(b) {
+        sym += (a ^ b).count_ones();
+        uni += (a | b).count_ones();
     }
-
-    /// Classify an interval's signature under `threshold`; returns the
-    /// phase id (allocating a new one on a miss).
-    pub fn classify(&mut self, sig: &WsSignature, threshold: f64) -> u32 {
-        self.clock += 1;
-        let mut best: Option<(usize, f64)> = None;
-        for (i, (s, _, _)) in self.table.iter().enumerate() {
-            let d = sig.rel_distance(s);
-            if d < threshold && best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((i, d));
-            }
-        }
-        if let Some((i, _)) = best {
-            self.table[i].2 = self.clock;
-            return self.table[i].1;
-        }
-        let id = self.next_phase_id;
-        self.next_phase_id += 1;
-        if self.table.len() < self.capacity {
-            self.table.push((sig.clone(), id, self.clock));
-        } else {
-            let lru = self
-                .table
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, _, t))| *t)
-                .map(|(i, _)| i)
-                .unwrap();
-            // Reuse the evicted signature's buffer when widths match (the
-            // steady state — signature geometry never changes mid-run).
-            let slot = &mut self.table[lru];
-            if slot.0.words.len() == sig.words.len() {
-                slot.0.copy_from(sig);
-            } else {
-                slot.0 = sig.clone();
-            }
-            slot.1 = id;
-            slot.2 = self.clock;
-        }
-        id
-    }
-
-    pub fn phases_allocated(&self) -> u32 {
-        self.next_phase_id
+    if uni == 0 {
+        0.0
+    } else {
+        sym as f64 / uni as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::TraceClassifier;
+    use crate::distance::rowwise;
+
+    /// Phase ids of `sigs` through the shared sweep at one threshold.
+    fn classify(sigs: &[&WsSignature], threshold: f64, capacity: usize) -> Vec<u32> {
+        let stream = sigs.iter().map(|s| (s.words(), 0.0));
+        let grid = [(threshold, None)];
+        TraceClassifier::sweep_proc(stream, rowwise(rel_distance), &grid, capacity)
+            .classes
+            .swap_remove(0)
+    }
 
     #[test]
     fn insert_sets_bits() {
@@ -170,7 +114,7 @@ mod tests {
             a.insert(bb);
             b.insert(bb);
         }
-        assert_eq!(a.rel_distance(&b), 0.0);
+        assert_eq!(rel_distance(a.words(), b.words()), 0.0);
     }
 
     #[test]
@@ -180,14 +124,14 @@ mod tests {
         a.insert(1);
         b.insert(2);
         // Unless they collide in the 1024-bit space (they don't for 1,2).
-        assert_eq!(a.rel_distance(&b), 1.0);
+        assert_eq!(rel_distance(a.words(), b.words()), 1.0);
     }
 
     #[test]
     fn distance_empty_signatures_is_zero() {
         let a = WsSignature::new(64);
         let b = WsSignature::new(64);
-        assert_eq!(a.rel_distance(&b), 0.0);
+        assert_eq!(rel_distance(a.words(), b.words()), 0.0);
     }
 
     #[test]
@@ -200,13 +144,12 @@ mod tests {
         for bb in 4..12 {
             b.insert(bb);
         }
-        let d = a.rel_distance(&b);
+        let d = rel_distance(a.words(), b.words());
         assert!(d > 0.0 && d < 1.0, "got {d}");
     }
 
     #[test]
     fn detector_groups_similar_working_sets() {
-        let mut det = WorkingSetDetector::new(8);
         let mut s1 = WsSignature::new(1024);
         for bb in 0..20 {
             s1.insert(bb);
@@ -216,17 +159,12 @@ mod tests {
             s2.insert(bb);
         }
         s2.insert(99); // one extra block
-        let p1 = det.classify(&s1, 0.5);
-        let p2 = det.classify(&s2, 0.5);
-        assert_eq!(p1, p2);
-
         let mut s3 = WsSignature::new(1024);
         for bb in 1000..1020 {
             s3.insert(bb);
         }
-        let p3 = det.classify(&s3, 0.5);
-        assert_ne!(p1, p3);
-        assert_eq!(det.phases_allocated(), 2);
+        // s1 and s2 share a phase, s3 allocates a second.
+        assert_eq!(classify(&[&s1, &s2, &s3], 0.5, 8), [0, 0, 1]);
     }
 
     #[test]
@@ -237,13 +175,9 @@ mod tests {
             s
         };
         let (a, b, c) = (one_hot(1), one_hot(2), one_hot(3));
-        let mut det = WorkingSetDetector::new(2);
-        assert_eq!(det.classify(&a, 0.5), 0);
-        assert_eq!(det.classify(&b, 0.5), 1);
-        assert_eq!(det.classify(&c, 0.5), 2); // evicts a (LRU), reusing its slot
-        assert_eq!(det.classify(&c, 0.5), 2, "c must be resident after eviction");
-        assert_eq!(det.classify(&a, 0.5), 3, "a was evicted, so it is a new phase");
-        assert_eq!(det.phases_allocated(), 4);
+        // c evicts a (LRU) and is resident after; a was evicted, so it is
+        // a new phase.
+        assert_eq!(classify(&[&a, &b, &c, &c, &a], 0.5, 2), [0, 1, 2, 2, 3]);
     }
 
     #[test]

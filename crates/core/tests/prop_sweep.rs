@@ -1,19 +1,30 @@
 //! Differential suite for the class replay: on random record streams,
 //! `TraceClassifier::sweep_proc` gives exactly the phase ids of replaying
 //! each grid point on its own through a `FootprintTable` that stores the
-//! BBVs themselves — in BBV, BBV+DDV and externally supplied DDS modes,
-//! across exact distance ties, tiny tables that evict on nearly every
-//! interval, thresholds of 0 and above 2, grids whose DDS columns hold
-//! many BBV thresholds (duplicated and out of order, so classes split
+//! signatures themselves — in BBV, BBV+DDV and externally supplied DDS
+//! modes, across exact distance ties, tiny tables that evict on nearly
+//! every interval, thresholds of 0 and above 2, grids whose DDS columns
+//! hold many thresholds (duplicated and out of order, so classes split
 //! repeatedly), all-zero DDS, NaN DDS values, NaN and infinite DDS
 //! thresholds, a NaN BBV lane, and BBVs of 4 lanes and of the 32 lanes
 //! the real accumulator has (so whole groups of the sweep's distance
 //! kernel run, not only its remainder).
+//!
+//! The distance is one more input: the same records also replay as a
+//! scalar stream under `relative_diff` (the branch-count baseline, NaN
+//! values included) and as a word-signature stream under the relative
+//! signature distance (the working-set baseline, empty signatures
+//! included), each against a per-point `FootprintTable::classify_with`
+//! replay.
+
+use std::borrow::Borrow;
 
 use proptest::prelude::*;
 
 use dsm_phase::detector::{DetectorMode, IntervalRecord, Thresholds, TraceClassifier};
+use dsm_phase::distance::{manhattan_rows, relative_diff, rowwise};
 use dsm_phase::footprint::FootprintTable;
+use dsm_phase::working_set::rel_distance;
 
 /// BBV lengths the streams are drawn at: a short one, and the paper's
 /// accumulator width.
@@ -57,6 +68,71 @@ fn replay(
         })
         .collect();
     (ids, table.comparisons())
+}
+
+/// One grid point replayed alone through `FootprintTable::classify_with`
+/// under the one-pair `distance`, storing each entry's signature: the
+/// phase ids and the footprint entries the replay looked at.
+fn replay_with<T: Clone + Default>(
+    stream: &[(T, f64)],
+    distance: impl Fn(&T, &T) -> f64,
+    (thr, dds_thr): (f64, Option<f64>),
+    capacity: usize,
+) -> (Vec<u32>, u64) {
+    let mut table: FootprintTable<T> = FootprintTable::new(capacity);
+    let ids = stream
+        .iter()
+        .map(|(sig, dds)| {
+            let sig_distance = |stored: &T| distance(sig, stored);
+            table
+                .classify_with(sig_distance, *dds, thr, dds_thr, |_| sig.clone())
+                .phase_id
+        })
+        .collect();
+    (ids, table.comparisons())
+}
+
+/// `sweep_proc` over `stream` under `batched` agrees with `replay_with`
+/// under `distance` at every point of `grid`.
+fn sweep_matches_replay<S: ?Sized, T: Borrow<S> + Clone + Default>(
+    stream: &[(T, f64)],
+    batched: impl FnMut(&S, &[&S], &mut [f64]),
+    distance: impl Fn(&T, &T) -> f64 + Copy,
+    grid: &[(f64, Option<f64>)],
+    capacity: usize,
+) {
+    let refs = stream.iter().map(|(sig, dds)| (sig.borrow(), *dds));
+    let swept = TraceClassifier::sweep_proc(refs, batched, grid, capacity);
+    prop_assert_eq!(swept.class_of.len(), grid.len());
+    let mut per_point = 0;
+    for (&class, &point) in swept.class_of.iter().zip(grid) {
+        let (want, comparisons) = replay_with(stream, distance, point, capacity);
+        prop_assert_eq!(&swept.classes[class], &want, "point {:?}", point);
+        per_point += comparisons;
+    }
+    // Each class stands for at least one point's identical table.
+    prop_assert!(swept.comparisons <= per_point);
+}
+
+/// The branch-count signature of a random lane: a whole count, or NaN.
+fn count_of(raw: &[f64]) -> f64 {
+    if raw[1] > 0.95 {
+        f64::NAN
+    } else {
+        (raw[0] * 1000.0).round()
+    }
+}
+
+/// A two-word working-set signature of a random lane: sparse bits, so
+/// signatures overlap, and empty whenever no lane clears the cut.
+fn words_of(raw: &[f64]) -> Vec<u64> {
+    let word = |cut: f64, shift: usize| {
+        raw.iter()
+            .enumerate()
+            .filter(|&(_, &x)| x > cut)
+            .fold(0u64, |w, (k, _)| w | 1 << ((k * 5 + shift) % 64))
+    };
+    vec![word(0.8, 0), word(0.9, 3)]
 }
 
 /// A record stream drawn from a small palette of BBVs (so distances tie
@@ -134,7 +210,12 @@ proptest! {
         // Records' own DDS (BBV points where the DDS gate is `None`,
         // BBV+DDV points elsewhere), then an externally supplied DDS.
         for dds in [None, Some(external)] {
-            let swept = TraceClassifier::sweep_proc(&records, dds, &grid, capacity);
+            let swept = TraceClassifier::sweep_proc(
+                TraceClassifier::bbv_stream(&records, dds),
+                manhattan_rows,
+                &grid,
+                capacity,
+            );
             prop_assert_eq!(swept.class_of.len(), grid.len());
             let mut per_point = 0;
             for (&class, &point) in swept.class_of.iter().zip(&grid) {
@@ -144,6 +225,33 @@ proptest! {
             }
             // Each class stands for at least one point's identical table.
             prop_assert!(swept.comparisons <= per_point);
+
+            // The same records as branch counts and as working sets, drawn
+            // from the palette where their BBVs are (so distances tie).
+            let lanes: Vec<(&[f64], f64)> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, (pick, raw, _))| {
+                    let raw = palette_raw.get(*pick).unwrap_or(raw);
+                    (raw.as_slice(), dds.map_or(records[i].dds, |d| d[i]))
+                })
+                .collect();
+            let counts: Vec<(f64, f64)> = lanes.iter().map(|&(raw, d)| (count_of(raw), d)).collect();
+            sweep_matches_replay(
+                &counts,
+                rowwise(|a: &f64, b: &f64| relative_diff(*a, *b)),
+                |a: &f64, b: &f64| relative_diff(*a, *b),
+                &grid,
+                capacity,
+            );
+            let words: Vec<(Vec<u64>, f64)> = lanes.iter().map(|&(raw, d)| (words_of(raw), d)).collect();
+            sweep_matches_replay(
+                &words,
+                rowwise(rel_distance),
+                |a: &Vec<u64>, b: &Vec<u64>| rel_distance(a, b),
+                &grid,
+                capacity,
+            );
         }
 
         // The one-point entry points agree with the same replay.
@@ -181,7 +289,8 @@ fn nan_lane_behaviour_is_pinned_in_both_paths() {
         .enumerate()
         .map(|(i, v)| record(i, v, 1.0))
         .collect();
-    let swept = TraceClassifier::sweep_proc(&stored_nan, None, &grid, 32);
+    let stream = TraceClassifier::bbv_stream(&stored_nan, None);
+    let swept = TraceClassifier::sweep_proc(stream, manhattan_rows, &grid, 32);
     for (&class, &point) in swept.class_of.iter().zip(&grid) {
         assert_eq!(swept.classes[class], [0, 1, 2, 1]);
         assert_eq!(swept.classes[class], replay(&stored_nan, None, point, 32).0);
@@ -192,7 +301,8 @@ fn nan_lane_behaviour_is_pinned_in_both_paths() {
         .enumerate()
         .map(|(i, v)| record(i, v, 1.0))
         .collect();
-    let swept = TraceClassifier::sweep_proc(&nan_query, None, &grid, 32);
+    let stream = TraceClassifier::bbv_stream(&nan_query, None);
+    let swept = TraceClassifier::sweep_proc(stream, manhattan_rows, &grid, 32);
     for (&class, &point) in swept.class_of.iter().zip(&grid) {
         assert_eq!(swept.classes[class], [0, 1, 2, 0]);
         assert_eq!(swept.classes[class], replay(&nan_query, None, point, 32).0);
@@ -201,10 +311,12 @@ fn nan_lane_behaviour_is_pinned_in_both_paths() {
 
 #[test]
 fn empty_stream_and_empty_grid() {
-    let swept = TraceClassifier::sweep_proc(&[], None, &[(0.5, None)], 4);
+    let stream = TraceClassifier::bbv_stream(&[], None);
+    let swept = TraceClassifier::sweep_proc(stream, manhattan_rows, &[(0.5, None)], 4);
     assert_eq!(swept.classes, vec![Vec::<u32>::new()]);
     assert_eq!(swept.class_of, vec![0]);
     let records = vec![record(0, vec![1.0, 0.0, 0.0, 0.0], 0.0)];
-    let swept = TraceClassifier::sweep_proc(&records, None, &[], 4);
+    let stream = TraceClassifier::bbv_stream(&records, None);
+    let swept = TraceClassifier::sweep_proc(stream, manhattan_rows, &[], 4);
     assert!(swept.classes.is_empty() && swept.class_of.is_empty());
 }

@@ -21,6 +21,9 @@ pub struct ExperimentConfig {
 pub enum ConfigError {
     /// `n_procs == 0`: a machine needs at least one processor.
     NoProcessors,
+    /// `n_procs` is not a power of two, which every topology, workload
+    /// decomposition and DDV distance matrix needs.
+    ProcsNotPowerOfTwo { n_procs: usize },
     /// `interval_base < n_procs`: each processor's sampling interval,
     /// `interval_base / n_procs` instructions, would be empty.
     IntervalBaseBelowProcs { interval_base: u64, n_procs: usize },
@@ -30,7 +33,7 @@ impl ConfigError {
     /// The offending field.
     pub fn field(&self) -> &'static str {
         match self {
-            ConfigError::NoProcessors => "n_procs",
+            ConfigError::NoProcessors | ConfigError::ProcsNotPowerOfTwo { .. } => "n_procs",
             ConfigError::IntervalBaseBelowProcs { .. } => "interval_base",
         }
     }
@@ -40,6 +43,9 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::NoProcessors => write!(f, "experiment has no processors"),
+            ConfigError::ProcsNotPowerOfTwo { n_procs } => {
+                write!(f, "{n_procs} processors is not a power of two")
+            }
             ConfigError::IntervalBaseBelowProcs { interval_base, n_procs } => write!(
                 f,
                 "interval base {interval_base} is below the {n_procs} processors it is split over"
@@ -55,6 +61,9 @@ impl ExperimentConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.n_procs == 0 {
             return Err(ConfigError::NoProcessors);
+        }
+        if !self.n_procs.is_power_of_two() {
+            return Err(ConfigError::ProcsNotPowerOfTwo { n_procs: self.n_procs });
         }
         if self.interval_base < self.n_procs as u64 {
             return Err(ConfigError::IntervalBaseBelowProcs {
@@ -150,6 +159,9 @@ mod tests {
         }
         let c = ExperimentConfig::test(App::Lu, 0);
         assert_eq!(c.validate(), Err(ConfigError::NoProcessors));
+        let c = ExperimentConfig::test(App::Lu, 12);
+        assert_eq!(c.validate(), Err(ConfigError::ProcsNotPowerOfTwo { n_procs: 12 }));
+        assert_eq!(c.validate().unwrap_err().field(), "n_procs");
         let c = ExperimentConfig { interval_base: 7, ..ExperimentConfig::test(App::Lu, 8) };
         let err = c.validate().unwrap_err();
         assert_eq!(err, ConfigError::IntervalBaseBelowProcs { interval_base: 7, n_procs: 8 });

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use dsm_phase::detector::DetectorGeometry;
+use dsm_phase::detector::{DetectorGeometry, IntervalRecord};
 use dsm_sim::memctrl::MemCtrlStats;
 use dsm_sim::network::NetworkStats;
 use dsm_sim::stats::SystemStats;
@@ -544,7 +544,8 @@ pub fn encode_trace(trace: &SystemTrace) -> Vec<u8> {
 /// Decode a `DSMTRC4` entry. Total: any input yields a trace or a typed
 /// [`CkptError`]; it never panics and never reserves more than the input
 /// could hold. An experiment point that fails
-/// [`ExperimentConfig::validate`] is a `BadValue` naming the field.
+/// [`ExperimentConfig::validate`], or records whose geometry the sweeps
+/// cannot take ([`check_geometry`]), is a `BadValue` naming the field.
 pub fn decode_trace(bytes: &[u8]) -> Result<SystemTrace, CkptError> {
     let mut r = R::new(bytes.strip_prefix(TRACE_MAGIC).ok_or(CkptError::BadMagic)?);
     let app = get_app(&mut r)?;
@@ -561,7 +562,8 @@ pub fn decode_trace(bytes: &[u8]) -> Result<SystemTrace, CkptError> {
             let k = r.len(RECORD_MIN_BYTES)?;
             (0..k).map(|_| get_record(&mut r)).collect()
         })
-        .collect::<Result<_, CkptError>>()?;
+        .collect::<Result<Vec<_>, CkptError>>()?;
+    check_geometry(n_procs, &records)?;
     let n = r.len(PROC_STATS_BYTES)?;
     let procs = (0..n).map(|_| get_proc_stats(&mut r)).collect::<Result<_, _>>()?;
     let directory = get_directory_stats(&mut r)?;
@@ -588,6 +590,39 @@ pub fn decode_trace(bytes: &[u8]) -> Result<SystemTrace, CkptError> {
         stats: SystemStats { procs, directory, network, memctrls, faults, reconfig, finish_cycle },
         ddv_vectors_exchanged,
     })
+}
+
+/// The record geometry every sweep curve relies on, as every capture has
+/// it: one record list per processor, each record naming its processor,
+/// one BBV length and one non-empty working-set width per trace, one
+/// `F_i` and one `C` entry per processor, and a non-negative DDS.
+fn check_geometry(n_procs: usize, records: &[Vec<IntervalRecord>]) -> Result<(), CkptError> {
+    let bad = |what| Err(CkptError::BadValue { what });
+    if records.len() != n_procs {
+        return bad("records per processor");
+    }
+    let first = records.iter().flatten().next();
+    let (bbv_len, ws_len) = first.map_or((0, 0), |r| (r.bbv.len(), r.ws_sig.len()));
+    for (p, recs) in records.iter().enumerate() {
+        for rec in recs {
+            if rec.proc != p {
+                return bad("record processor");
+            }
+            if rec.bbv.len() != bbv_len {
+                return bad("record BBV length");
+            }
+            if rec.ws_sig.is_empty() || rec.ws_sig.len() != ws_len {
+                return bad("record working-set width");
+            }
+            if rec.fvec.len() != n_procs || rec.cvec.len() != n_procs {
+                return bad("record per-home vector length");
+            }
+            if rec.dds < 0.0 {
+                return bad("record DDS");
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

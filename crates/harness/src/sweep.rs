@@ -7,29 +7,31 @@
 //! reported curve is the set of all grid points (its lower envelope is
 //! taken at plot time).
 //!
-//! The footprint-table sweeps (BBV, BBV+DDV, DDS ablations) replay each
-//! processor once for the whole grid
+//! Every curve replays each processor once for the whole grid
 //! ([`TraceClassifier::sweep_proc`]): one table per *class* of grid points
 //! rather than per point, and one gate per record shared by every class
 //! (each live entry's DDS difference and distance computed once, gated
-//! once per DDS column).
-//! A class is a run of ascending BBV thresholds within one DDS column
+//! once per DDS column). The detectors differ only in the signature each
+//! record contributes and its distance: the BBV (BBV, BBV+DDV, DDS
+//! ablations), the BBV ‖ weighted `F·D` vector (vector-DDV), the
+//! working-set signature words, or the branch count.
+//! A class is a run of ascending thresholds within one DDS column
 //! whose tables have made identical decisions; it splits in two when a
 //! record's nearest distance falls inside its threshold range, and classes
 //! never merge. Each class's id stream gets its CoV once, shared by all of
 //! its points. Both gates reject NaN, which the class argument needs: a
-//! NaN distance never matches, so the decision depends on the BBV threshold
-//! only through `threshold > nearest distance`. The footprint sweeps fan
-//! out over processors with [`crate::parallel::par_map`]; the other
-//! baselines fan out over thresholds. Either way every point is averaged
-//! in processor order, so curves are byte-identical to a serial run.
+//! NaN distance never matches, so the decision depends on the threshold
+//! only through `threshold > nearest distance`. The sweeps fan out over
+//! processors with [`crate::parallel::par_map`], and every point is
+//! averaged in processor order, so curves are byte-identical to a serial
+//! run.
 
 use dsm_analysis::cov::PhaseGroups;
 use dsm_analysis::curve::{CovCurve, CurvePoint};
-use dsm_phase::branch_count::BranchCountDetector;
 use dsm_phase::ddv::DdvState;
-use dsm_phase::detector::{IntervalRecord, TraceClassifier};
-use dsm_phase::working_set::{WorkingSetDetector, WsSignature};
+use dsm_phase::detector::{IntervalRecord, Sweep, TraceClassifier};
+use dsm_phase::distance::{manhattan_rows, relative_diff, rowwise};
+use dsm_phase::working_set::rel_distance;
 use dsm_phase::DEFAULT_FOOTPRINT_VECTORS;
 
 use crate::parallel::par_map;
@@ -72,32 +74,14 @@ fn cpis(records: &[IntervalRecord]) -> Vec<f64> {
     records.iter().map(IntervalRecord::cpi).collect()
 }
 
-/// Classify every processor's records at one threshold (`classify` gets
-/// the processor index and its records) and aggregate into one sweep point.
-fn point_for<F>(trace: &SystemTrace, classify: F, bbv_thr: f64, dds_thr: Option<f64>) -> CurvePoint
-where
-    F: Fn(usize, &[IntervalRecord]) -> Vec<u32>,
-{
-    let mut groups = PhaseGroups::default();
-    let stats: Vec<(f64, f64)> = trace
-        .records
-        .iter()
-        .enumerate()
-        .filter(|(_, recs)| !recs.is_empty())
-        .map(|(proc, recs)| proc_stats(&mut groups, &classify(proc, recs), &cpis(recs)))
-        .collect();
-    curve_point(&stats, bbv_thr, dds_thr)
-}
-
-/// A footprint-table curve over `grid`: one class replay per non-empty
-/// processor, fanned out over processors, with `dds[proc]` replacing the
-/// records' own DDS when given. Each class's CoV and phase count is
-/// computed once and shared by every grid point in the class.
+/// A curve over `grid`: `sweep(proc, records, grid)` replays each
+/// non-empty processor through [`TraceClassifier::sweep_proc`], fanned out
+/// over processors. Each class's CoV and phase count is computed once and
+/// shared by every grid point in the class.
 fn sweep_curve(
     trace: &SystemTrace,
-    dds: Option<&[Vec<f64>]>,
     grid: &[(f64, Option<f64>)],
-    capacity: usize,
+    sweep: impl Fn(usize, &[IntervalRecord], &[(f64, Option<f64>)]) -> Sweep + Sync,
 ) -> CovCurve {
     let procs: Vec<usize> = (0..trace.records.len())
         .filter(|&p| !trace.records[p].is_empty())
@@ -106,8 +90,7 @@ fn sweep_curve(
         let recs = &trace.records[proc];
         let cpis = cpis(recs);
         let mut groups = PhaseGroups::default();
-        let sweep =
-            TraceClassifier::sweep_proc(recs, dds.map(|d| d[proc].as_slice()), grid, capacity);
+        let sweep = sweep(proc, recs, grid);
         let class_stats: Vec<(f64, f64)> = sweep
             .classes
             .iter()
@@ -128,6 +111,20 @@ fn sweep_curve(
     CovCurve::new(points)
 }
 
+/// A BBV or BBV+DDV curve over `grid`, with `dds[proc]` replacing the
+/// records' own DDS when given.
+fn bbv_sweep_curve(
+    trace: &SystemTrace,
+    dds: Option<&[Vec<f64>]>,
+    grid: &[(f64, Option<f64>)],
+    capacity: usize,
+) -> CovCurve {
+    sweep_curve(trace, grid, |proc, recs, grid| {
+        let stream = TraceClassifier::bbv_stream(recs, dds.map(|d| d[proc].as_slice()));
+        TraceClassifier::sweep_proc(stream, manhattan_rows, grid, capacity)
+    })
+}
+
 /// Baseline BBV sweep (Figure 2).
 pub fn bbv_curve(trace: &SystemTrace) -> CovCurve {
     bbv_curve_with(trace, BBV_SWEEP_POINTS)
@@ -140,12 +137,13 @@ pub fn bbv_curve_with(trace: &SystemTrace, n_points: usize) -> CovCurve {
 
 /// Baseline BBV sweep with explicit point count and footprint capacity.
 pub fn bbv_curve_cap(trace: &SystemTrace, n_points: usize, capacity: usize) -> CovCurve {
-    sweep_curve(trace, None, &bbv_grid(n_points), capacity)
+    bbv_sweep_curve(trace, None, &line_grid(n_points, 1e-3, 2.0), capacity)
 }
 
-/// The BBV-only threshold grid.
-fn bbv_grid(n_points: usize) -> Vec<(f64, Option<f64>)> {
-    log_spaced(n_points, 1e-3, 2.0)
+/// A grid of `n_points` log-spaced thresholds in `[lo, hi]` with no DDS
+/// gate.
+fn line_grid(n_points: usize, lo: f64, hi: f64) -> Vec<(f64, Option<f64>)> {
+    log_spaced(n_points, lo, hi)
         .into_iter()
         .map(|thr| (thr, None))
         .collect()
@@ -168,7 +166,7 @@ pub fn bbv_ddv_curve_cap(
     n_dds: usize,
     capacity: usize,
 ) -> CovCurve {
-    sweep_curve(trace, None, &threshold_grid(n_bbv, n_dds), capacity)
+    bbv_sweep_curve(trace, None, &threshold_grid(n_bbv, n_dds), capacity)
 }
 
 /// The BBV × DDS threshold grid, flattened in row-major (BBV-outer) order.
@@ -227,7 +225,7 @@ pub fn ablation_curve(trace: &SystemTrace, which: DdsAblation) -> CovCurve {
                 .collect()
         })
         .collect();
-    sweep_curve(
+    bbv_sweep_curve(
         trace,
         Some(&ablated),
         &threshold_grid(DDV_GRID_BBV, DDV_GRID_DDS),
@@ -235,66 +233,44 @@ pub fn ablation_curve(trace: &SystemTrace, which: DdsAblation) -> CovCurve {
     )
 }
 
-/// Vector-DDV extension sweep (X8 in DESIGN.md): classification on the
-/// concatenated BBV ‖ distance-weighted frequency vector, swept over the
-/// combined Manhattan threshold at a fixed data weight.
+/// Vector-DDV extension sweep (X8 in DESIGN.md): classification on each
+/// record's BBV ‖ distance-weighted frequency vector
+/// ([`IntervalRecord::vector_ddv`]), swept over the combined Manhattan
+/// threshold at a fixed data weight.
 pub fn vector_ddv_curve(trace: &SystemTrace, data_weight: f64) -> CovCurve {
-    let n = trace.config.n_procs;
-    let ddv = DdvState::for_hypercube(n);
-    let points = par_map(
-        log_spaced(BBV_SWEEP_POINTS, 1e-3, 2.0 * (1.0 + data_weight)),
-        |thr| {
-            point_for(
-                trace,
-                |proc, recs| {
-                    TraceClassifier::classify_proc_vector_ddv(
-                        recs,
-                        ddv.dist_row(proc),
-                        thr,
-                        data_weight,
-                        DEFAULT_FOOTPRINT_VECTORS,
-                    )
-                },
-                thr,
-                None,
-            )
-        },
-    );
-    CovCurve::new(points)
+    let ddv = DdvState::for_hypercube(trace.config.n_procs);
+    let grid = line_grid(BBV_SWEEP_POINTS, 1e-3, 2.0 * (1.0 + data_weight));
+    sweep_curve(trace, &grid, |proc, recs, grid| {
+        let vectors: Vec<Vec<f64>> = recs
+            .iter()
+            .map(|r| r.vector_ddv(ddv.dist_row(proc), data_weight))
+            .collect();
+        let stream = vectors.iter().map(|v| (v.as_slice(), 0.0));
+        TraceClassifier::sweep_proc(stream, manhattan_rows, grid, DEFAULT_FOOTPRINT_VECTORS)
+    })
 }
 
-/// Working-set-signature baseline sweep (Dhodapkar & Smith, experiment A4).
+/// Working-set-signature baseline sweep (Dhodapkar & Smith, experiment
+/// A4): relative signature distance over each record's signature words.
 pub fn working_set_curve(trace: &SystemTrace) -> CovCurve {
-    let points = par_map(log_spaced(BBV_SWEEP_POINTS, 1e-3, 1.0), |thr| {
-        point_for(
-            trace,
-            |_, recs| {
-                let mut det = WorkingSetDetector::new(DEFAULT_FOOTPRINT_VECTORS);
-                recs.iter()
-                    .map(|r| det.classify(&WsSignature::from_words(r.ws_sig.clone()), thr))
-                    .collect()
-            },
-            thr,
-            None,
-        )
-    });
-    CovCurve::new(points)
+    let grid = line_grid(BBV_SWEEP_POINTS, 1e-3, 1.0);
+    sweep_curve(trace, &grid, |_, recs, grid| {
+        let stream = recs.iter().map(|r| (r.ws_sig.as_slice(), 0.0));
+        let distance = rowwise(rel_distance);
+        TraceClassifier::sweep_proc(stream, distance, grid, DEFAULT_FOOTPRINT_VECTORS)
+    })
 }
 
-/// Branch-count baseline sweep (Balasubramonian et al., experiment A4).
+/// Branch-count baseline sweep (Balasubramonian et al., experiment A4):
+/// relative difference between records' committed branch counts.
 pub fn branch_count_curve(trace: &SystemTrace) -> CovCurve {
-    let points = par_map(log_spaced(BBV_SWEEP_POINTS, 1e-4, 1.0), |thr| {
-        point_for(
-            trace,
-            |_, recs| {
-                let mut det = BranchCountDetector::new(DEFAULT_FOOTPRINT_VECTORS);
-                recs.iter().map(|r| det.classify(r.branches, thr)).collect()
-            },
-            thr,
-            None,
-        )
-    });
-    CovCurve::new(points)
+    let grid = line_grid(BBV_SWEEP_POINTS, 1e-4, 1.0);
+    sweep_curve(trace, &grid, |_, recs, grid| {
+        let counts: Vec<f64> = recs.iter().map(|r| r.branches as f64).collect();
+        let stream = counts.iter().map(|b| (b, 0.0));
+        let distance = rowwise(|a: &f64, b: &f64| relative_diff(*a, *b));
+        TraceClassifier::sweep_proc(stream, distance, grid, DEFAULT_FOOTPRINT_VECTORS)
+    })
 }
 
 #[cfg(test)]
@@ -355,7 +331,8 @@ mod tests {
         let (mut swept, mut per_point) = (0, 0);
         for recs in &trace.records {
             let cap = DEFAULT_FOOTPRINT_VECTORS;
-            swept += TraceClassifier::sweep_proc(recs, None, grid, cap).comparisons;
+            let stream = TraceClassifier::bbv_stream(recs, None);
+            swept += TraceClassifier::sweep_proc(stream, manhattan_rows, grid, cap).comparisons;
             for &(bbv_thr, dds_thr) in grid {
                 let mut table: FootprintTable = FootprintTable::new(cap);
                 for r in recs {
@@ -373,7 +350,7 @@ mod tests {
         // point on its own looks at 274_099 (BBV) and 387_046 (BBV+DDV).
         let t = capture(ExperimentConfig::test(App::Fmm, 8));
         let grids = [
-            ("BBV", bbv_grid(BBV_SWEEP_POINTS), 9_606),
+            ("BBV", line_grid(BBV_SWEEP_POINTS, 1e-3, 2.0), 9_606),
             (
                 "BBV+DDV",
                 threshold_grid(DDV_GRID_BBV, DDV_GRID_DDS),

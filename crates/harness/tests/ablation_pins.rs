@@ -19,8 +19,10 @@ use dsm_harness::sweep::{
 use dsm_harness::trace::{capture, SystemTrace};
 use dsm_workloads::App;
 
+type Curve = fn(&SystemTrace) -> CovCurve;
+
 /// The pinned curves, in column order.
-const CURVES: [(&str, fn(&SystemTrace) -> CovCurve); 7] = [
+const CURVES: [(&str, Curve); 7] = [
     ("Full", |t| ablation_curve(t, DdsAblation::Full)),
     ("NoContention", |t| ablation_curve(t, DdsAblation::NoContention)),
     ("NoDistance", |t| ablation_curve(t, DdsAblation::NoDistance)),

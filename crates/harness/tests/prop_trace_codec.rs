@@ -1,15 +1,21 @@
 //! Property tests for the `DSMTRC4` trace-store codec, to the same standard
 //! as the checkpoint codec's `prop_codec`: decoding is *total* (random
 //! bytes, truncations, byte flips, hostile length prefixes, bad app/scale
-//! tags, trailing bytes and experiment points that fail
-//! `ExperimentConfig::validate` yield a typed error — a store miss — never
-//! a panic or a huge allocation), and the encoding is canonical (whatever
-//! decodes re-encodes to the identical bytes).
+//! tags, trailing bytes, experiment points that fail
+//! `ExperimentConfig::validate` and record geometry the sweeps cannot take
+//! yield a typed error — a store miss — never a panic or a huge
+//! allocation), the encoding is canonical (whatever decodes re-encodes to
+//! the identical bytes), and every trace that decodes runs all six sweep
+//! curves.
 
 use proptest::prelude::*;
 
 use dsm_harness::experiment::ExperimentConfig;
 use dsm_harness::parallel::{decode_trace, encode_trace};
+use dsm_harness::sweep::{
+    ablation_curve, bbv_curve, bbv_ddv_curve, branch_count_curve, vector_ddv_curve,
+    working_set_curve, DdsAblation,
+};
 use dsm_harness::trace::SystemTrace;
 use dsm_phase::detector::IntervalRecord;
 use dsm_sim::directory::DirectoryStats;
@@ -98,6 +104,16 @@ fn assert_same(a: &SystemTrace, b: &SystemTrace) {
     assert_eq!(a.ddv_vectors_exchanged, b.ddv_vectors_exchanged);
 }
 
+/// Every sweep curve over `trace`, each of which must run without a panic.
+fn run_every_curve(trace: &SystemTrace) {
+    bbv_curve(trace);
+    bbv_ddv_curve(trace);
+    ablation_curve(trace, DdsAblation::Full);
+    vector_ddv_curve(trace, 1.0);
+    working_set_curve(trace);
+    branch_count_curve(trace);
+}
+
 /// Decoding `bytes` either fails or reproduces them exactly on re-encode.
 fn total_and_canonical(bytes: &[u8]) -> bool {
     match decode_trace(bytes) {
@@ -169,6 +185,39 @@ fn invalid_experiment_config_is_a_typed_error() {
     // A machine with no processors is rejected whatever its interval base.
     empty.config.interval_base = 0;
     assert!(decode_trace(&encode_trace(&empty)).is_err());
+    // So is one no topology or DDV distance matrix can take.
+    assert_eq!(
+        decode_trace(&encode_trace(&synth(5, 3, 1))).err(),
+        Some(CkptError::BadValue { what: "n_procs" })
+    );
+}
+
+/// Records a sweep curve cannot take are a typed error, one case per rule;
+/// the unedited trace decodes and runs every curve.
+#[test]
+fn hostile_record_geometry_is_a_typed_error() {
+    type Edit = fn(&mut Vec<Vec<IntervalRecord>>);
+    let cases: [(&str, Edit); 10] = [
+        ("records per processor", |r| r.push(r[0].clone())),
+        ("records per processor", |r| r.truncate(3)),
+        ("record processor", |r| r[1][0].proc = 0),
+        ("record BBV length", |r| r[2][1].bbv.truncate(3)),
+        ("record BBV length", |r| r[0][0].bbv.push(0.5)),
+        ("record working-set width", |r| r[1][1].ws_sig.push(0)),
+        ("record working-set width", |r| {
+            r.iter_mut().flatten().for_each(|rec| rec.ws_sig.clear())
+        }),
+        ("record per-home vector length", |r| r[3][0].fvec.truncate(3)),
+        ("record per-home vector length", |r| r[3][1].cvec.push(1)),
+        ("record DDS", |r| r[0][1].dds = -1.0),
+    ];
+    for (what, edit) in cases {
+        let mut trace = synth(13, 4, 2);
+        edit(&mut trace.records);
+        let got = decode_trace(&encode_trace(&trace)).err();
+        assert_eq!(got, Some(CkptError::BadValue { what }), "{what}");
+    }
+    run_every_curve(&decode_trace(&encode_trace(&synth(13, 4, 2))).unwrap());
 }
 
 proptest! {
@@ -190,7 +239,11 @@ proptest! {
 
     /// encode → decode is the identity, and encoding is deterministic.
     #[test]
-    fn roundtrip_identity(seed in any::<u64>(), n_procs in 1usize..5, n_recs in 0usize..4) {
+    fn roundtrip_identity(
+        seed in any::<u64>(),
+        n_procs in prop::sample::select(vec![1usize, 2, 4]),
+        n_recs in 0usize..4,
+    ) {
         let trace = synth(seed, n_procs, n_recs);
         let bytes = encode_trace(&trace);
         prop_assert_eq!(&bytes, &encode_trace(&trace));
@@ -198,11 +251,12 @@ proptest! {
     }
 
     /// Random byte flips anywhere are rejected with a typed error or decode
-    /// to a trace that re-encodes to the same corrupted bytes.
+    /// to a trace that re-encodes to the same corrupted bytes and runs
+    /// every sweep curve.
     #[test]
     fn byte_flips_are_total_and_canonical(
         seed in any::<u64>(),
-        n_procs in 1usize..4,
+        n_procs in prop::sample::select(vec![1usize, 2, 4]),
         flips in prop::collection::vec((any::<u64>(), 1u8..255), 1..4),
     ) {
         let mut bytes = encode_trace(&synth(seed, n_procs, 2));
@@ -211,6 +265,9 @@ proptest! {
             bytes[pos] ^= delta;
         }
         prop_assert!(total_and_canonical(&bytes));
+        if let Ok(trace) = decode_trace(&bytes) {
+            run_every_curve(&trace);
+        }
     }
 
     /// Any non-empty tail after a valid entry is a typed error.
