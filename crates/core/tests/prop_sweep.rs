@@ -236,7 +236,8 @@ proptest! {
                     (raw.as_slice(), dds.map_or(records[i].dds, |d| d[i]))
                 })
                 .collect();
-            let counts: Vec<(f64, f64)> = lanes.iter().map(|&(raw, d)| (count_of(raw), d)).collect();
+            let counts: Vec<(f64, f64)> =
+                lanes.iter().map(|&(raw, d)| (count_of(raw), d)).collect();
             sweep_matches_replay(
                 &counts,
                 rowwise(|a: &f64, b: &f64| relative_diff(*a, *b)),
@@ -244,7 +245,8 @@ proptest! {
                 &grid,
                 capacity,
             );
-            let words: Vec<(Vec<u64>, f64)> = lanes.iter().map(|&(raw, d)| (words_of(raw), d)).collect();
+            let words: Vec<(Vec<u64>, f64)> =
+                lanes.iter().map(|&(raw, d)| (words_of(raw), d)).collect();
             sweep_matches_replay(
                 &words,
                 rowwise(rel_distance),

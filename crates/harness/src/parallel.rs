@@ -545,7 +545,7 @@ pub fn encode_trace(trace: &SystemTrace) -> Vec<u8> {
 /// [`CkptError`]; it never panics and never reserves more than the input
 /// could hold. An experiment point that fails
 /// [`ExperimentConfig::validate`], or records whose geometry the sweeps
-/// cannot take ([`check_geometry`]), is a `BadValue` naming the field.
+/// cannot take (`check_geometry`), is a `BadValue` naming the field.
 pub fn decode_trace(bytes: &[u8]) -> Result<SystemTrace, CkptError> {
     let mut r = R::new(bytes.strip_prefix(TRACE_MAGIC).ok_or(CkptError::BadMagic)?);
     let app = get_app(&mut r)?;
