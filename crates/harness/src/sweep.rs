@@ -142,7 +142,7 @@ pub fn bbv_curve_cap(trace: &SystemTrace, n_points: usize, capacity: usize) -> C
 
 /// A grid of `n_points` log-spaced thresholds in `[lo, hi]` with no DDS
 /// gate.
-fn line_grid(n_points: usize, lo: f64, hi: f64) -> Vec<(f64, Option<f64>)> {
+pub fn line_grid(n_points: usize, lo: f64, hi: f64) -> Vec<(f64, Option<f64>)> {
     log_spaced(n_points, lo, hi)
         .into_iter()
         .map(|thr| (thr, None))
@@ -170,7 +170,7 @@ pub fn bbv_ddv_curve_cap(
 }
 
 /// The BBV × DDS threshold grid, flattened in row-major (BBV-outer) order.
-fn threshold_grid(n_bbv: usize, n_dds: usize) -> Vec<(f64, Option<f64>)> {
+pub fn threshold_grid(n_bbv: usize, n_dds: usize) -> Vec<(f64, Option<f64>)> {
     let dds = log_spaced(n_dds, 5e-3, 1.0);
     log_spaced(n_bbv, 1e-3, 2.0)
         .into_iter()
