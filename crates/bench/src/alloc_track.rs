@@ -1,26 +1,24 @@
-//! A counting global allocator for allocation-churn benches.
+//! A counting global allocator for the zero-allocation gate.
 //!
-//! Binaries that want heap-allocation counts register [`CountingAlloc`] as
-//! their `#[global_allocator]`; the counters are process-wide atomics so the
-//! measurement helpers in [`crate::simbench`] can read them without
-//! threading state through the benchmarked code. When no binary registers
-//! the allocator the counters simply stay at zero.
+//! A test binary that wants heap-allocation counts registers
+//! [`CountingAlloc`] as its `#[global_allocator]`; the counter is a
+//! process-wide atomic so [`crate::simbench`] can read it without threading
+//! state through the measured code. When no binary registers the allocator
+//! the counter simply stays at zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Pass-through allocator that counts every `alloc`/`realloc` call.
 pub struct CountingAlloc;
 
 // SAFETY: defers every operation to the std `System` allocator; the atomic
-// counter updates have no effect on allocation behaviour.
+// counter update has no effect on allocation behaviour.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +28,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -41,40 +38,9 @@ pub fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// Bytes requested so far (same caveat as [`allocations`]).
-pub fn allocated_bytes() -> u64 {
-    BYTES.load(Ordering::Relaxed)
-}
-
 /// Allocation count delta around a closure.
 pub fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = allocations();
     let out = f();
     (out, allocations() - before)
-}
-
-/// Publish the process-wide allocation counters into a metrics registry,
-/// replacing the ad-hoc printf path of the bench binaries.
-pub fn publish(reg: &mut dsm_telemetry::MetricsRegistry) {
-    reg.counter_add("bench/alloc/allocations", allocations());
-    reg.counter_add("bench/alloc/bytes", allocated_bytes());
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn publish_mirrors_counters() {
-        let mut reg = dsm_telemetry::MetricsRegistry::new();
-        super::publish(&mut reg);
-        // Without the registered global allocator both counters sit at the
-        // current process-wide values (zero in unit tests).
-        assert_eq!(
-            reg.counter_value("bench/alloc/allocations"),
-            Some(super::allocations())
-        );
-        assert_eq!(
-            reg.counter_value("bench/alloc/bytes"),
-            Some(super::allocated_bytes())
-        );
-    }
 }

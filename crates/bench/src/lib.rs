@@ -1,29 +1,19 @@
-//! # dsm-bench — benchmark support
+//! # dsm-bench — deterministic counter gates
 //!
-//! Shared helpers for the Criterion benches that regenerate every table and
-//! figure of the paper (see `benches/`). The figure benches measure the
-//! *pipeline* (simulate → capture → sweep → envelope) at test scale so a
-//! full `cargo bench` stays fast, and print the regenerated artefacts once
-//! per run; absolute-scale regeneration is the harness binaries' job
-//! (`cargo run --release -p dsm-harness --bin fig2`).
+//! The counters the regression gates in `tests/counters.rs` assert
+//! exactly: events per bench-matrix point ([`simbench::count_events`]),
+//! the online detector's steady-state allocations per interval
+//! ([`simbench::steady_state_allocs_per_interval`], counted by
+//! [`alloc_track::CountingAlloc`]), plus the matrix itself. Wall-clock
+//! performance is measured by the repository benchmark (`perfbench/`) and
+//! the `scale` bin, not here.
 
 pub mod alloc_track;
-pub mod compare;
-pub mod servebench;
 pub mod simbench;
 
-use std::sync::Arc;
-
-use dsm_harness::experiment::ExperimentConfig;
-use dsm_harness::trace::{capture_cached, SystemTrace};
 use dsm_workloads::App;
 
-/// Capture (once, cached) the standard bench trace for an app/size.
-pub fn bench_trace(app: App, n_procs: usize) -> Arc<SystemTrace> {
-    capture_cached(ExperimentConfig::test(app, n_procs))
-}
-
-/// All (app, size) pairs the figure benches cover.
+/// Every (app, size) pair the counter gates cover.
 pub fn bench_matrix() -> Vec<(App, usize)> {
     App::ALL
         .iter()
@@ -34,14 +24,6 @@ pub fn bench_matrix() -> Vec<(App, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_traces_are_cached() {
-        let a = bench_trace(App::Lu, 2);
-        let b = bench_trace(App::Lu, 2);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(a.total_intervals() > 0);
-    }
 
     #[test]
     fn matrix_covers_all_apps() {

@@ -41,27 +41,6 @@ pub fn manhattan_rows(a: &[f64], rows: &[&[f64]], out: &mut [f64]) {
     }
 }
 
-/// Manhattan distance between the concatenation `head ++ tail` and `b`,
-/// fused into one pass so the caller never materializes the concatenation.
-///
-/// This is the weighted-Manhattan comparison of the concatenated-vector
-/// classifier (normalized BBV head, distance-weighted DDV tail): terms are
-/// accumulated left to right exactly as [`manhattan`] over the materialized
-/// concatenation would, so results are bit-identical to the two-step form.
-#[inline]
-pub fn manhattan_concat(head: &[f64], tail: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(head.len() + tail.len(), b.len());
-    let (bh, bt) = b.split_at(head.len());
-    let mut sum = 0.0;
-    for (x, y) in head.iter().zip(bh) {
-        sum += (x - y).abs();
-    }
-    for (x, y) in tail.iter().zip(bt) {
-        sum += (x - y).abs();
-    }
-    sum
-}
-
 /// A one-pair distance in the batched form
 /// [`crate::detector::TraceClassifier::sweep_proc`] takes:
 /// `out[l] = distance(a, rows[l])` for every row.
@@ -118,19 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn manhattan_concat_matches_materialized_concatenation() {
-        let head = [0.2, 0.3, 0.5];
-        let tail = [1.5, 0.0, 4.25, 0.125];
-        let b = [0.1, 0.3, 0.7, 1.0, 0.5, 4.0, 0.0];
-        let mut cat = head.to_vec();
-        cat.extend_from_slice(&tail);
-        // Bit-identical, not just approximately equal: same accumulation order.
-        assert_eq!(manhattan_concat(&head, &tail, &b), manhattan(&cat, &b));
-        assert_eq!(manhattan_concat(&head, &[], &head), 0.0);
-        assert_eq!(manhattan_concat(&[], &tail, &tail), 0.0);
-    }
-
-    #[test]
     fn every_lane_is_bit_identical_to_manhattan() {
         // Awkward values first, so short rows hit them too.
         let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0, 1e-300];
@@ -153,7 +119,6 @@ mod tests {
                 for (row, got) in refs.iter().zip(&out) {
                     let want = manhattan(&a, row);
                     assert_eq!(got.to_bits(), want.to_bits(), "len {len}, {n} rows");
-                    assert_eq!(want.to_bits(), manhattan_concat(&a, &[], row).to_bits());
                 }
             }
         }

@@ -38,7 +38,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::distance::{manhattan_concat, relative_diff};
+use crate::distance::{manhattan, relative_diff};
 
 /// One stored signature.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -252,6 +252,11 @@ impl<S: Default> FootprintTable<S> {
 impl FootprintTable {
     /// Classify an interval signature (see [`Self::classify_with`] for the
     /// parameters).
+    ///
+    /// A new entry's signature is allocated below capacity (bounded by
+    /// table size, not by interval count); once the table is full, the
+    /// evicted entry's buffer is reused when the signature length is
+    /// unchanged — the steady-state case — so long runs allocate nothing.
     pub fn classify(
         &mut self,
         bbv: &[f64],
@@ -259,39 +264,17 @@ impl FootprintTable {
         bbv_threshold: f64,
         dds_threshold: Option<f64>,
     ) -> Match {
-        self.classify_split(bbv, &[], dds, bbv_threshold, dds_threshold)
-    }
-
-    /// [`Self::classify`] over a signature supplied as two segments whose
-    /// logical value is the concatenation `head ++ tail`, without copying
-    /// the head into a combined vector; distances are computed by one
-    /// fused pass per entry ([`manhattan_concat`]), so the result is
-    /// bit-identical to classifying the materialized concatenation.
-    ///
-    /// A new entry's signature is allocated below capacity (bounded by
-    /// table size, not by interval count); once the table is full, the
-    /// evicted entry's buffer is reused when the signature length is
-    /// unchanged — the steady-state case — so long runs allocate nothing.
-    pub fn classify_split(
-        &mut self,
-        head: &[f64],
-        tail: &[f64],
-        dds: f64,
-        bbv_threshold: f64,
-        dds_threshold: Option<f64>,
-    ) -> Match {
         self.classify_with(
-            |sig| manhattan_concat(head, tail, sig),
+            |sig| manhattan(bbv, sig),
             dds,
             bbv_threshold,
             dds_threshold,
             |evicted| match evicted {
-                Some(mut sig) if sig.len() == head.len() + tail.len() => {
-                    sig[..head.len()].copy_from_slice(head);
-                    sig[head.len()..].copy_from_slice(tail);
+                Some(mut sig) if sig.len() == bbv.len() => {
+                    sig.copy_from_slice(bbv);
                     sig
                 }
-                _ => [head, tail].concat().into_boxed_slice(),
+                _ => bbv.into(),
             },
         )
     }
@@ -438,28 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn classify_split_matches_concatenated_classify() {
-        let mut whole = FootprintTable::new(2);
-        let mut split = FootprintTable::new(2);
-        let cases: &[(&[f64], &[f64], f64)] = &[
-            (&[0.5, 0.5], &[10.0, 0.0], 100.0),
-            (&[0.1, 0.9], &[0.0, 12.5], 900.0),
-            (&[0.5, 0.5], &[10.0, 0.0], 105.0),
-            (&[0.9, 0.1], &[3.0, 3.0], 50.0), // third signature: forces an eviction
-            (&[0.5, 0.5], &[10.0, 0.0], 100.0),
-        ];
-        for &(head, tail, dds) in cases {
-            let mut cat = head.to_vec();
-            cat.extend_from_slice(tail);
-            let a = whole.classify(&cat, dds, 0.4, Some(0.3));
-            let b = split.classify_split(head, tail, dds, 0.4, Some(0.3));
-            assert_eq!(a, b, "split classification diverged on {cat:?}");
-        }
-        assert_eq!(whole.entries(), split.entries());
-        assert_eq!(whole.evictions(), split.evictions());
-    }
-
-    #[test]
     fn nan_never_matches_in_either_gate() {
         let mut t = FootprintTable::new(4);
         t.classify(&v(&[f64::NAN, 1.0]), 1.0, 2.1, None); // phase 0
@@ -495,7 +456,7 @@ mod tests {
         ];
         for (x, thr) in cases {
             let want = a.classify(&x, 0.0, thr, None);
-            let hit = b.nearest(|e| manhattan_concat(&x, &[], &e.sig));
+            let hit = b.nearest(|e| manhattan(&x, &e.sig));
             let got = b.commit(hit.filter(|&(_, d)| d < thr), 0.0, |_| Box::new(x));
             assert_eq!(got, want);
         }

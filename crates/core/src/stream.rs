@@ -11,7 +11,10 @@
 //! The stream is windowable from the front ([`PhaseStream::evict_to`]) so
 //! an online consumer can bound its memory while the retained suffix stays
 //! index-aligned — the diagnostics engine (`dsm-diagnose`) never has to
-//! guess where a window starts.
+//! guess where a window starts. Eviction is O(1) amortized: it advances a
+//! front offset and compacts the buffer only once the evicted prefix is at
+//! least as long as the retained part, so a consumer that windows after
+//! every push moves each interval at most once per window length.
 
 use serde::{Deserialize, Serialize};
 
@@ -19,13 +22,28 @@ use crate::detector::ClassifiedInterval;
 
 /// One node's classified-interval sequence, in interval-index order with no
 /// gaps. The building block every cross-node analysis consumes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PhaseStream {
     node: usize,
-    /// Interval index of `intervals[0]` (streams may be windowed: the
+    /// Interval index of `intervals[front]` (streams may be windowed: the
     /// prefix before `first_index` has been evicted, not lost track of).
     first_index: u64,
+    /// `intervals[front..]` is retained; `intervals[..front]` is evicted
+    /// and waits for the next compaction. `front` stays below the retained
+    /// length (or is 0), so an empty stream holds an empty buffer.
+    front: usize,
     intervals: Vec<ClassifiedInterval>,
+}
+
+/// Streams are equal when they hold the same retained intervals for the
+/// same node from the same index, whatever evicted prefix each still
+/// carries.
+impl PartialEq for PhaseStream {
+    fn eq(&self, other: &Self) -> bool {
+        self.node == other.node
+            && self.first_index == other.first_index
+            && self.intervals() == other.intervals()
+    }
 }
 
 /// Pushing an interval that does not extend the stream contiguously.
@@ -56,7 +74,7 @@ impl PhaseStream {
     /// An empty stream for `node`; the first pushed interval fixes the
     /// starting index.
     pub fn new(node: usize) -> Self {
-        Self { node, first_index: 0, intervals: Vec::new() }
+        Self { node, first_index: 0, front: 0, intervals: Vec::new() }
     }
 
     /// Adopt an already-ordered interval sequence (the offline pass builds
@@ -65,7 +83,7 @@ impl PhaseStream {
     /// errors, not runtime conditions.
     pub fn from_intervals(node: usize, intervals: Vec<ClassifiedInterval>) -> Self {
         let first_index = intervals.first().map_or(0, |c| c.index);
-        let mut s = Self { node, first_index, intervals: Vec::with_capacity(intervals.len()) };
+        let mut s = Self { node, first_index, front: 0, intervals: Vec::with_capacity(intervals.len()) };
         for c in intervals {
             s.push(c).expect("offline stream must be contiguous and node-pure");
         }
@@ -84,25 +102,25 @@ impl PhaseStream {
     /// Index one past the last retained interval (`first_index` when
     /// empty).
     pub fn next_index(&self) -> u64 {
-        self.first_index + self.intervals.len() as u64
+        self.first_index + self.len() as u64
     }
 
     pub fn len(&self) -> usize {
-        self.intervals.len()
+        self.intervals.len() - self.front
     }
 
     pub fn is_empty(&self) -> bool {
-        self.intervals.is_empty()
+        self.len() == 0
     }
 
     /// The retained intervals, in index order.
     pub fn intervals(&self) -> &[ClassifiedInterval] {
-        &self.intervals
+        &self.intervals[self.front..]
     }
 
     /// Iterate the retained intervals in index order.
     pub fn iter(&self) -> std::slice::Iter<'_, ClassifiedInterval> {
-        self.intervals.iter()
+        self.intervals().iter()
     }
 
     /// Append the next classified interval. The first push fixes the
@@ -113,7 +131,7 @@ impl PhaseStream {
         if c.proc != self.node {
             return Err(StreamError::WrongNode { node: self.node, got: c.proc });
         }
-        if self.intervals.is_empty() {
+        if self.is_empty() {
             self.first_index = c.index;
         } else if c.index != self.next_index() {
             return Err(StreamError::Gap { expected: self.next_index(), got: c.index });
@@ -123,18 +141,25 @@ impl PhaseStream {
     }
 
     /// Evict everything before interval index `index` (windowing). The
-    /// retained suffix keeps its true indices; `first_index` advances.
+    /// retained suffix keeps its true indices; `first_index` advances. The
+    /// evicted prefix is dropped from the buffer once it is at least as
+    /// long as the retained suffix, so each retained interval is moved at
+    /// most once per that many evictions.
     pub fn evict_to(&mut self, index: u64) {
-        let drop = index.saturating_sub(self.first_index).min(self.intervals.len() as u64);
+        let drop = index.saturating_sub(self.first_index).min(self.len() as u64);
         if drop > 0 {
-            self.intervals.drain(..drop as usize);
+            self.front += drop as usize;
             self.first_index += drop;
+            if self.front >= self.len() {
+                self.intervals.drain(..self.front);
+                self.front = 0;
+            }
         }
     }
 
     /// Keep only the most recent `window` intervals.
     pub fn truncate_front(&mut self, window: usize) {
-        if self.intervals.len() > window {
+        if self.len() > window {
             self.evict_to(self.next_index() - window as u64);
         }
     }
@@ -144,7 +169,7 @@ impl<'a> IntoIterator for &'a PhaseStream {
     type Item = &'a ClassifiedInterval;
     type IntoIter = std::slice::Iter<'a, ClassifiedInterval>;
     fn into_iter(self) -> Self::IntoIter {
-        self.intervals.iter()
+        self.iter()
     }
 }
 

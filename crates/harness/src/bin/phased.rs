@@ -7,15 +7,15 @@
 //!   phased [--smoke] [--tenants N] [--concurrent N] [--trace-tenants N]
 //!          [--intervals N] [--churn-every N] [--seed S] [--jobs N]
 //!
-//! `--smoke` is the CI/bench profile: N concurrent synthetic tenants
+//! `--smoke` is the CI profile: N concurrent synthetic tenants
 //! (default 1024), short streams, mixed disturbances. Without `--smoke`
 //! the run adds 5 trace tenants (the five paper workloads at 16P), longer
 //! streams, and churn.
 //!
 //! Artefacts (byte-identical across reruns — no wall-clock inside):
 //! `results/serve.json` (schema `dsm-serve-run/v1`) and `results/serve.txt`.
-//! Wall-clock throughput goes to stdout only; `bench_serve` records it in
-//! BENCH_SERVE.json with proper sampling.
+//! Wall-clock throughput goes to stdout only. The 64/256/1024-tenant smoke
+//! fleets' outcome counters are exact gates in `crates/bench/tests/counters.rs`.
 
 use dsm_harness::json::Json;
 use dsm_harness::serve::{outcome_json, outcome_text, run_scenario, DisturbPlan, ServeScenario};

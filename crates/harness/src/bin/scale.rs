@@ -10,21 +10,35 @@
 
 use dsm_analysis::Table;
 use dsm_harness::json::Json;
-use dsm_harness::scale::{scale_sweep, ScalePoint};
+use dsm_harness::scale::{scale_sweep, ScalePoint, Spread};
 use dsm_harness::{parallel, report};
 use dsm_workloads::App;
 
 fn render(points: &[ScalePoint]) -> String {
     let mut t = Table::new(vec![
-        "procs", "events", "ref ev/s", "aggregate ev/s", "speedup", "rounds", "cov cpi",
+        "procs",
+        "events",
+        "ref ev/s",
+        "ref min / median",
+        "aggregate ev/s",
+        "aggregate min / median",
+        "speedup",
+        "rounds",
+        "cov cpi",
     ])
-    .with_title("one-run scaling: O(n^2) reference vs O(n) aggregate DDV gather (events/sec)");
+    .with_title(
+        "one-run scaling: O(n^2) reference vs O(n) aggregate DDV gather \
+         (events/sec: fastest sample, then slowest and median)",
+    );
+    let spread = |s: Spread| format!("{:.0} / {:.0}", s.min, s.median);
     for p in points {
         t.row(vec![
             p.n_procs.to_string(),
             p.events.to_string(),
-            format!("{:.0}", p.reference_events_per_sec),
-            format!("{:.0}", p.aggregate_events_per_sec),
+            format!("{:.0}", p.reference.max),
+            spread(p.reference),
+            format!("{:.0}", p.aggregate.max),
+            spread(p.aggregate),
             format!("{:.2}x", p.speedup),
             p.gather_rounds.to_string(),
             format!("{:.3}", p.cov_cpi),

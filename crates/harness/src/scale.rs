@@ -16,8 +16,10 @@
 //! Both arms are bit-identical by construction (differences of u64 sums
 //! equal sums of u64 differences); the sweep re-asserts this at every point
 //! before reporting the speedup, so the scaling curve can never drift from
-//! a correct run. Events/sec excludes machine construction, matching
-//! `dsm-bench`'s simulation timings.
+//! a correct run. Events/sec excludes machine construction. Each arm
+//! reports its fastest sample, which the speedup uses, beside the slowest,
+//! median and fastest rates of all its samples, so the curve carries its
+//! own spread.
 
 use std::time::Instant;
 
@@ -41,10 +43,11 @@ pub struct ScalePoint {
     /// Events executed by one run (identical in both arms).
     pub events: u64,
     /// Reference arm: serial core, O(n²) all-matrix gather.
-    pub reference_events_per_sec: f64,
+    pub reference: Spread,
     /// Aggregate arm: serial core, O(n) aggregate gather.
-    pub aggregate_events_per_sec: f64,
-    /// `aggregate_events_per_sec / reference_events_per_sec`.
+    pub aggregate: Spread,
+    /// Fastest-sample events/sec of the aggregate arm over the reference
+    /// arm's.
     pub speedup: f64,
     /// Collection rounds: one all-to-one round per gather.
     pub gather_rounds: u64,
@@ -58,14 +61,41 @@ pub struct ScalePoint {
     pub bit_identical: bool,
 }
 
+/// One arm's events/sec over its samples: the slowest, median and
+/// fastest sample's rate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    pub min: f64,
+    pub median: f64,
+    pub max: f64,
+}
+
+impl Spread {
+    /// The rates of `events` run in each of `secs` (at least one sample).
+    fn of(events: u64, secs: &[f64]) -> Self {
+        let mut rates: Vec<f64> = secs.iter().map(|s| events as f64 / s).collect();
+        rates.sort_by(f64::total_cmp);
+        Self { min: rates[0], median: rates[rates.len() / 2], max: rates[rates.len() - 1] }
+    }
+
+    fn to_json(self) -> Json {
+        Json::obj()
+            .field("min", round3(self.min))
+            .field("median", round3(self.median))
+            .field("max", round3(self.max))
+    }
+}
+
 impl ScalePoint {
     pub fn to_json(&self) -> Json {
         Json::obj()
             .field("app", self.app.name())
             .field("n_procs", self.n_procs)
             .field("events", self.events)
-            .field("reference_events_per_sec", round3(self.reference_events_per_sec))
-            .field("aggregate_events_per_sec", round3(self.aggregate_events_per_sec))
+            .field("reference_events_per_sec", round3(self.reference.max))
+            .field("aggregate_events_per_sec", round3(self.aggregate.max))
+            .field("reference_spread", self.reference.to_json())
+            .field("aggregate_spread", self.aggregate.to_json())
             .field("speedup", round3(self.speedup))
             .field("gather_rounds", self.gather_rounds)
             .field("queries", self.queries)
@@ -112,9 +142,10 @@ fn timed_run(cfg: &ExperimentConfig, reference: bool) -> ArmRun {
 }
 
 /// Measure one point of the curve. `samples` timed runs per arm,
-/// alternating between the arms; the reported rate uses the minimum time
-/// (least-contended estimate, as in `dsm-bench`). Counters and records are
-/// deterministic across samples.
+/// alternating between the arms; every sample's rate goes into the arm's
+/// [`Spread`], and the speedup compares the fastest samples (the
+/// least-contended estimate). Counters and records are deterministic
+/// across samples; the first run of each arm is checked bit-identical.
 pub fn scale_point(app: App, n_procs: usize, samples: usize) -> ScalePoint {
     // The finest point of the interval sensitivity sweep (4k-insn system
     // base): the collection-bound regime. With a fixed system-wide budget
@@ -127,17 +158,12 @@ pub fn scale_point(app: App, n_procs: usize, samples: usize) -> ScalePoint {
         ..ExperimentConfig::test(app, n_procs)
     };
 
-    let mut reference = timed_run(&cfg, true);
-    let mut aggregate = timed_run(&cfg, false);
+    let reference = timed_run(&cfg, true);
+    let aggregate = timed_run(&cfg, false);
+    let (mut reference_secs, mut aggregate_secs) = (vec![reference.secs], vec![aggregate.secs]);
     for _ in 1..samples.max(1) {
-        let r = timed_run(&cfg, true);
-        if r.secs < reference.secs {
-            reference = r;
-        }
-        let a = timed_run(&cfg, false);
-        if a.secs < aggregate.secs {
-            aggregate = a;
-        }
+        reference_secs.push(timed_run(&cfg, true).secs);
+        aggregate_secs.push(timed_run(&cfg, false).secs);
     }
 
     let bit_identical =
@@ -155,15 +181,15 @@ pub fn scale_point(app: App, n_procs: usize, samples: usize) -> ScalePoint {
         .collect();
     let (_, cov_cpi) = dsm_simpoint::mean_and_cov(&cpis);
 
-    let reference_eps = aggregate.events as f64 / reference.secs;
-    let aggregate_eps = aggregate.events as f64 / aggregate.secs;
+    let reference_rate = Spread::of(aggregate.events, &reference_secs);
+    let aggregate_rate = Spread::of(aggregate.events, &aggregate_secs);
     ScalePoint {
         app,
         n_procs,
         events: aggregate.events,
-        reference_events_per_sec: reference_eps,
-        aggregate_events_per_sec: aggregate_eps,
-        speedup: aggregate_eps / reference_eps,
+        reference: reference_rate,
+        aggregate: aggregate_rate,
+        speedup: aggregate_rate.max / reference_rate.max,
         gather_rounds: aggregate.gather_rounds,
         queries: aggregate.queries,
         intervals: aggregate.records.iter().map(|r| r.len()).sum(),
@@ -195,6 +221,16 @@ mod tests {
         // One all-to-one round per gather.
         assert_eq!(p.gather_rounds, p.queries);
         assert!(p.cov_cpi >= 0.0);
-        assert!(p.reference_events_per_sec > 0.0 && p.aggregate_events_per_sec > 0.0);
+        for arm in [p.reference, p.aggregate] {
+            assert!(0.0 < arm.min && arm.min <= arm.median && arm.median <= arm.max);
+        }
+    }
+
+    #[test]
+    fn spread_orders_every_sample() {
+        let s = Spread::of(100, &[0.5, 2.0, 1.0, 4.0, 0.25]);
+        assert_eq!(s, Spread { min: 25.0, median: 100.0, max: 400.0 });
+        let one = Spread::of(10, &[2.0]);
+        assert_eq!((one.min, one.median, one.max), (5.0, 5.0, 5.0));
     }
 }

@@ -14,7 +14,7 @@
 //!   high-waters, tick-based latency percentiles — into byte-stable
 //!   `serve.{json,txt}` artefacts (no wall-clock inside);
 //! * wall-clock throughput (classifications/sec) separately, for the
-//!   `phased` bin's stderr and `BENCH_SERVE.json`.
+//!   `phased` bin's output.
 //!
 //! Everything is a pure function of the scenario: same knobs, same bytes.
 

@@ -345,24 +345,17 @@ mod tests {
     }
 
     #[test]
-    fn class_replay_comparisons_are_pinned_and_below_per_point_replay() {
-        // Recorded when the sweep began replaying classes; replaying each
-        // point on its own looks at 274_099 (BBV) and 387_046 (BBV+DDV).
+    fn class_replay_comparisons_are_below_per_point_replay() {
+        // The sweep's exact counts are gated in the bench crate's counter
+        // tests; replaying each point on its own looks at 274_099 (BBV)
+        // and 387_046 (BBV+DDV) entries on FMM 8P.
         let t = capture(ExperimentConfig::test(App::Fmm, 8));
         let grids = [
-            ("BBV", line_grid(BBV_SWEEP_POINTS, 1e-3, 2.0), 9_606),
-            (
-                "BBV+DDV",
-                threshold_grid(DDV_GRID_BBV, DDV_GRID_DDS),
-                52_739,
-            ),
+            ("BBV", line_grid(BBV_SWEEP_POINTS, 1e-3, 2.0)),
+            ("BBV+DDV", threshold_grid(DDV_GRID_BBV, DDV_GRID_DDS)),
         ];
-        for (name, grid, want) in grids {
+        for (name, grid) in grids {
             let (swept, per_point) = comparisons(&t, &grid);
-            assert_eq!(
-                swept, want,
-                "{name}: sweep comparisons (per-point replay: {per_point})"
-            );
             assert!(
                 swept < per_point,
                 "{name}: {swept} not below per-point {per_point}"

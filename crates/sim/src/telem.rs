@@ -4,9 +4,10 @@
 //! probes compile against: the real recorder ([`dsm_telemetry::Telemetry`])
 //! or the zero-sized no-op stub. Both expose the same API and the same id
 //! types, so the instrumentation in [`crate::system`] is written once with
-//! no `cfg` at any call site; a disabled build optimizes every probe away
-//! (the bench harness holds events/sec to the recorded `BENCH_SIM.json`
-//! baseline to prove it).
+//! no `cfg` at any call site; a disabled build optimizes every probe away.
+//! The exact counter gates (`crates/bench/tests/counters.rs`) pass with the
+//! feature on and off, and the repository benchmark (`perfbench/`) times
+//! the disabled build.
 //!
 //! ## Track layout
 //!

@@ -24,10 +24,10 @@
 //! cargo feature and import either the real [`Telemetry`] or
 //! [`stub::Telemetry`] — a zero-sized type whose methods are empty
 //! `#[inline(always)]` bodies, so a disabled build compiles every probe
-//! down to nothing (the bench harness verifies events/sec against the
-//! recorded `BENCH_SIM.json` baseline). Both types expose the identical
-//! API and both hand out the same id types, so instrumentation sites are
-//! written once with no `cfg` at the call site.
+//! down to nothing (the repository benchmark, `perfbench/`, times that
+//! build; the exact counter gates hold in both). Both types expose the
+//! identical API and both hand out the same id types, so instrumentation
+//! sites are written once with no `cfg` at the call site.
 //!
 //! This crate itself always compiles the real implementation (its unit
 //! tests run in every build); *selection* happens in the consuming crates.
