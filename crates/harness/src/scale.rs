@@ -230,7 +230,6 @@ mod tests {
     fn spread_orders_every_sample() {
         let s = Spread::of(100, &[0.5, 2.0, 1.0, 4.0, 0.25]);
         assert_eq!(s, Spread { min: 25.0, median: 100.0, max: 400.0 });
-        let one = Spread::of(10, &[2.0]);
-        assert_eq!((one.min, one.median, one.max), (5.0, 5.0, 5.0));
+        assert_eq!(Spread::of(10, &[2.0]), Spread { min: 5.0, median: 5.0, max: 5.0 });
     }
 }
