@@ -116,7 +116,8 @@ pub struct Diagnosis {
     /// Behavioural clusters, each sorted ascending, ordered by smallest
     /// member.
     pub clusters: Vec<Vec<usize>>,
-    /// Index into `clusters` of the majority cluster.
+    /// Index into `clusters` of the majority cluster (0, naming no cluster,
+    /// for an empty fleet).
     pub majority: usize,
     /// Per-node outlier score (mean distance to all other nodes).
     pub scores: Vec<f64>,
@@ -126,9 +127,9 @@ pub struct Diagnosis {
 }
 
 impl Diagnosis {
-    /// The members of the majority cluster.
+    /// The members of the majority cluster (none for an empty fleet).
     pub fn majority_nodes(&self) -> &[usize] {
-        &self.clusters[self.majority]
+        self.clusters.get(self.majority).map_or(&[], Vec::as_slice)
     }
 
     /// Whether the fleet clustered into a single behavioural group.
@@ -160,7 +161,7 @@ pub fn diagnose(
         hi.saturating_sub(lo)
     };
 
-    let majority_nodes = clusters[majority].clone();
+    let majority_nodes = clusters.get(majority).cloned().unwrap_or_default();
     let mut outlier_nodes: Vec<usize> = (0..n).filter(|p| !majority_nodes.contains(p)).collect();
     outlier_nodes.sort_by(|&a, &b| {
         scores[b].partial_cmp(&scores[a]).expect("finite").then(a.cmp(&b))
@@ -184,29 +185,27 @@ pub fn diagnose(
 mod tests {
     use super::*;
     use dsm_phase::ClassifiedInterval;
+    use std::ops::Range;
 
     fn ci(proc: usize, index: u64, phase_id: u32, cpi: f64) -> ClassifiedInterval {
         ClassifiedInterval { proc, index, phase_id, is_new_phase: false, cpi, degraded: false }
     }
 
-    fn fleet(n: usize, len: u64, slow: Option<(usize, std::ops::Range<u64>)>) -> Vec<PhaseStream> {
+    /// Node `p`'s stream over true interval indices `window`, with CPI 3.0
+    /// inside `slow` and 1.0 elsewhere. Two phases alternate in 4-interval
+    /// blocks: every phase recurs outside any one block, so a slowed block
+    /// contrasts against clean instances of the same phase.
+    fn stream(p: usize, window: Range<u64>, slow: Range<u64>) -> PhaseStream {
+        let cpi = |i: u64| if slow.contains(&i) { 3.0 } else { 1.0 };
+        let intervals = window.map(|i| ci(p, i, ((i / 4) % 2) as u32, cpi(i))).collect();
+        PhaseStream::from_intervals(p, intervals)
+    }
+
+    fn fleet(n: usize, len: u64, slow: Option<(usize, Range<u64>)>) -> Vec<PhaseStream> {
         (0..n)
-            .map(|p| {
-                PhaseStream::from_intervals(
-                    p,
-                    (0..len)
-                        .map(|i| {
-                            let lagging = slow
-                                .as_ref()
-                                .is_some_and(|(node, epoch)| *node == p && epoch.contains(&i));
-                            // Two phases alternating in 4-interval blocks:
-                            // every phase recurs outside any one block, so
-                            // a slowed block contrasts against clean
-                            // instances of the same phase.
-                            ci(p, i, ((i / 4) % 2) as u32, if lagging { 3.0 } else { 1.0 })
-                        })
-                        .collect(),
-                )
+            .map(|p| match &slow {
+                Some((node, epoch)) if *node == p => stream(p, 0..len, epoch.clone()),
+                _ => stream(p, 0..len, 0..0),
             })
             .collect()
     }
@@ -248,5 +247,69 @@ mod tests {
         let d = diagnose(&DiagnoseConfig::default(), &streams, Some(&telemetry));
         assert_eq!(d.outliers[0].node, 2);
         assert_eq!(d.outliers[0].hints[0].kind, HintKind::SlowdownEpoch);
+    }
+
+    #[test]
+    fn empty_fleet_diagnoses_to_nothing() {
+        let d = diagnose(&DiagnoseConfig::default(), &[], Some(&[]));
+        assert_eq!(d.n_nodes, 0);
+        assert_eq!(d.aligned_intervals, 0);
+        assert!(d.clusters.is_empty() && d.scores.is_empty());
+        assert!(d.is_uniform());
+        assert!(d.majority_nodes().is_empty());
+    }
+
+    #[test]
+    fn single_node_fleet_is_its_own_uniform_majority() {
+        let (streams, telemetry) = (fleet(1, 8, Some((0, 0..4))), [NodeTelemetry::default()]);
+        let d = diagnose(&DiagnoseConfig::default(), &streams, Some(&telemetry));
+        assert_eq!(d.clusters, vec![vec![0]]);
+        assert_eq!(d.majority_nodes(), &[0]);
+        assert_eq!(d.scores, vec![0.0]);
+        assert_eq!(d.aligned_intervals, 8);
+        assert!(d.is_uniform());
+    }
+
+    #[test]
+    fn one_interval_per_node_is_uniform() {
+        // A lone interval canonicalizes to phase 0 with a CPI residual of 1
+        // on every node, so neither a slow node nor a different phase label
+        // gives the kernel anything to contrast: the fleet is one cluster.
+        let mut streams = fleet(4, 1, Some((2, 0..1)));
+        streams[3] = PhaseStream::from_intervals(3, vec![ci(3, 0, 7, 1.0)]);
+        let d = diagnose(&DiagnoseConfig::default(), &streams, None);
+        assert_eq!(d.clusters, vec![vec![0, 1, 2, 3]]);
+        assert_eq!(d.scores, vec![0.0; 4]);
+        assert_eq!(d.aligned_intervals, 1);
+        assert!(d.is_uniform());
+    }
+
+    #[test]
+    fn ragged_windows_compare_on_their_common_range() {
+        let cfg = DiagnoseConfig::default();
+        // Different first and next indices, overlapping on 8..16.
+        let overlapping = [
+            stream(0, 0..24, 0..0),
+            stream(1, 4..24, 0..0),
+            stream(2, 0..20, 0..0),
+            stream(3, 8..16, 0..0),
+        ];
+        let d = diagnose(&cfg, &overlapping, None);
+        assert_eq!(d.aligned_intervals, 8);
+        assert_eq!(d.clusters, vec![vec![0, 1, 2, 3]]);
+        assert!(d.is_uniform());
+
+        // Node 2's window shares no index with the others: it sits at the
+        // maximum distance, is the only outlier, and has no range to flag.
+        let disjoint = [stream(0, 0..8, 0..0), stream(1, 0..8, 0..0), stream(2, 16..24, 0..0)];
+        let telemetry = [NodeTelemetry::default(); 3];
+        let d = diagnose(&cfg, &disjoint, Some(&telemetry));
+        assert_eq!(d.aligned_intervals, 0);
+        assert_eq!(d.clusters, vec![vec![0, 1], vec![2]]);
+        assert_eq!(d.majority_nodes(), &[0, 1]);
+        assert_eq!(d.outliers.len(), 1);
+        assert_eq!((d.outliers[0].node, d.outliers[0].flagged), (2, None));
+        assert_eq!(d.outliers[0].hints[0].kind, HintKind::Unknown);
+        assert_eq!(d.scores, vec![0.5, 0.5, 1.0]);
     }
 }

@@ -26,7 +26,7 @@
 //! artefacts; `tests/determinism_parallel.rs` locks this down.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -254,30 +254,6 @@ impl TraceStore {
 }
 
 // ---------------------------------------------------------------------------
-// Cache counters
-// ---------------------------------------------------------------------------
-
-static MEM_HITS: AtomicU64 = AtomicU64::new(0);
-static DISK_HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the process-wide capture counters:
-/// `(memory_hits, disk_hits, misses)`.
-pub fn cache_counters() -> (u64, u64, u64) {
-    (
-        MEM_HITS.load(Ordering::Relaxed),
-        DISK_HITS.load(Ordering::Relaxed),
-        MISSES.load(Ordering::Relaxed),
-    )
-}
-
-pub fn reset_cache_counters() {
-    MEM_HITS.store(0, Ordering::Relaxed);
-    DISK_HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------------
 // Run reports
 // ---------------------------------------------------------------------------
 
@@ -432,15 +408,12 @@ pub fn capture_matrix(
         let t = Instant::now();
         let key = cache_key(&config);
         let (trace, source) = if let Some(hit) = trace::memory_cache_get(&config.label()) {
-            MEM_HITS.fetch_add(1, Ordering::Relaxed);
             (hit, CaptureSource::MemoryCache)
         } else if let Some(hit) = store.as_ref().and_then(|s| s.load(&key)) {
-            DISK_HITS.fetch_add(1, Ordering::Relaxed);
             let arc = Arc::new(hit);
             trace::memory_cache_insert(config.label(), arc.clone());
             (arc, CaptureSource::DiskCache)
         } else {
-            MISSES.fetch_add(1, Ordering::Relaxed);
             let fresh = Arc::new(trace::capture(config));
             if let Some(s) = &store {
                 // Best-effort: a full disk never fails the experiment.

@@ -12,7 +12,7 @@
 //! does the detector still see the same phases".
 
 use dsm_phase::detector::DetectorMode;
-use dsm_sim::topology::{Topology, TopologyKind};
+use dsm_sim::topology::TopologyKind;
 use dsm_workloads::App;
 
 use crate::experiment::ExperimentConfig;

@@ -105,6 +105,13 @@ pub enum ServeError {
     /// The interval committed no instructions: it has no code signature
     /// to classify, and its CPI would read 0.
     ZeroInsns { tenant: TenantId },
+    /// The diagnosis telemetry slice does not hold one entry per node of
+    /// the tenant's machine.
+    BadTelemetryLen { tenant: TenantId, len: usize, expected: usize },
+    /// A NaN, infinite or negative share (`field`) in `node`'s diagnosis
+    /// telemetry. Shares are ratios of non-negative counts, and attribution
+    /// takes medians over them.
+    BadTelemetryShare { tenant: TenantId, node: usize, field: &'static str },
 }
 
 impl std::fmt::Display for ServeError {
@@ -125,6 +132,12 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::ZeroInsns { tenant } => {
                 write!(f, "tenant {tenant}: interval of zero instructions")
+            }
+            ServeError::BadTelemetryLen { tenant, len, expected } => {
+                write!(f, "tenant {tenant}: telemetry for {len} nodes, expected {expected}")
+            }
+            ServeError::BadTelemetryShare { tenant, node, field } => {
+                write!(f, "tenant {tenant}: node {node} {field} is not a finite non-negative share")
             }
         }
     }
@@ -462,8 +475,9 @@ impl PhaseServer {
 
     /// Run the cross-node diagnosis over a tenant's retained window.
     /// `Ok(None)` when the server runs with `diagnose_window == 0`;
-    /// `telemetry`, when supplied, must be indexed by the tenant's node
-    /// (proc) ids. Also refreshes the tenant's
+    /// `telemetry`, when supplied, must hold one entry per node (proc) of
+    /// the tenant, with finite non-negative shares — otherwise the call is
+    /// refused and changes nothing. Also refreshes the tenant's
     /// `serve/tenant/<id>/diagnose/outliers` gauge.
     pub fn tenant_diagnosis(
         &mut self,
@@ -473,6 +487,26 @@ impl PhaseServer {
         let tick = self.tick;
         let (shard, slot) = self.tenant_mut(id)?;
         let t = shard.slots[slot].as_mut().expect("directory points at live slot");
+        if let Some(tel) = telemetry {
+            if tel.len() != t.cfg.n_procs {
+                return Err(ServeError::BadTelemetryLen {
+                    tenant: id,
+                    len: tel.len(),
+                    expected: t.cfg.n_procs,
+                });
+            }
+            for (node, n) in tel.iter().enumerate() {
+                let shares = [
+                    ("remote_miss_share", n.remote_miss_share),
+                    ("barrier_stall_share", n.barrier_stall_share),
+                    ("mem_stall_share", n.mem_stall_share),
+                ];
+                let bad = shares.iter().find(|(_, x)| !(x.is_finite() && *x >= 0.0));
+                if let Some(&(field, _)) = bad {
+                    return Err(ServeError::BadTelemetryShare { tenant: id, node, field });
+                }
+            }
+        }
         let Some(d) = t.diag.as_ref() else {
             return Ok(None);
         };

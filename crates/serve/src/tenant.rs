@@ -111,8 +111,8 @@ pub struct TenantSummary {
 }
 
 /// Per-tenant metric ids, registered once at admit under
-/// `serve/tenant/<id>/...` via the scoped registry (only when the server is
-/// configured with `per_tenant_metrics`).
+/// `serve/tenant/<id>/...` (only when the server is configured with
+/// `per_tenant_metrics`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TenantProbes {
     pub offered: CounterId,
@@ -133,16 +133,16 @@ pub(crate) struct TenantProbes {
 
 impl TenantProbes {
     pub(crate) fn register(reg: &mut MetricsRegistry, id: TenantId) -> Self {
-        let mut scope = reg.scoped(&format!("serve/tenant/{}", id.0));
+        let name = |metric: &str| format!("serve/tenant/{}/{metric}", id.0);
         Self {
-            offered: scope.counter("offered"),
-            classified: scope.counter("classified"),
-            busy: scope.counter("busy"),
-            queue_depth: scope.gauge("queue_depth"),
-            latency: scope.histogram("latency_ticks"),
-            diag_observed: scope.counter("diagnose/observed"),
-            diag_realigns: scope.gauge("diagnose/realigns"),
-            diag_outliers: scope.gauge("diagnose/outliers"),
+            offered: reg.counter(&name("offered")),
+            classified: reg.counter(&name("classified")),
+            busy: reg.counter(&name("busy")),
+            queue_depth: reg.gauge(&name("queue_depth")),
+            latency: reg.histogram(&name("latency_ticks")),
+            diag_observed: reg.counter(&name("diagnose/observed")),
+            diag_realigns: reg.gauge(&name("diagnose/realigns")),
+            diag_outliers: reg.gauge(&name("diagnose/outliers")),
         }
     }
 }

@@ -5,7 +5,8 @@
 //!   diagnosis window (this is the fix for the tick path losing the
 //!   originating interval index when outputs stall);
 //! * the `tenant_diagnosis` API surface and its
-//!   `serve/tenant/<id>/diagnose/…` metrics;
+//!   `serve/tenant/<id>/diagnose/…` metrics, including typed refusal of
+//!   malformed telemetry;
 //! * `ClassifierBank` isolation under mixed degraded/clean interleavings
 //!   across tenants.
 
@@ -13,7 +14,7 @@ use dsm_diagnose::NodeTelemetry;
 use dsm_phase::detector::{DetectorMode, Thresholds};
 use dsm_phase::signature::{ClassifierBank, IntervalSignature};
 use dsm_phase::ClassifiedInterval;
-use dsm_serve::{Ingest, PhaseServer, ServeConfig, TenantConfig};
+use dsm_serve::{Ingest, PhaseServer, ServeConfig, ServeError, TenantConfig};
 
 fn tcfg(n_procs: usize) -> TenantConfig {
     let mut c =
@@ -139,6 +140,51 @@ fn tenant_diagnosis_surfaces_through_the_api_and_metrics() {
         get(format!("serve/tenant/{}/diagnose/outliers", t.0)),
         dsm_telemetry::MetricValue::Gauge(1.0)
     );
+}
+
+#[test]
+fn tenant_diagnosis_refuses_malformed_telemetry() {
+    let cfg =
+        ServeConfig { diagnose_window: 32, per_tenant_metrics: true, ..ServeConfig::default() };
+    let mut srv = PhaseServer::new(cfg);
+    let t = srv.admit(tcfg(3)).unwrap();
+    feed(&mut srv, t, 3, 8, true);
+    while srv.run_batch() > 0 {
+        srv.drain_output(t, usize::MAX).unwrap();
+    }
+    let outliers_gauge = |srv: &PhaseServer| {
+        let name = format!("serve/tenant/{}/diagnose/outliers", t.0);
+        srv.telemetry_snapshot().metrics.into_iter().find(|m| m.name == name).unwrap().value
+    };
+    let before = outliers_gauge(&srv);
+
+    // Too short: the outlier's majority peers have no entry.
+    let short = vec![NodeTelemetry::default()];
+    assert_eq!(
+        srv.tenant_diagnosis(t, Some(&short)),
+        Err(ServeError::BadTelemetryLen { tenant: t, len: 1, expected: 3 })
+    );
+    // A NaN peer share would reach the majority median; a negative or
+    // infinite one is no ratio of counts either.
+    let ok = NodeTelemetry::default();
+    for (bad, field) in [
+        (NodeTelemetry { mem_stall_share: f64::NAN, ..ok }, "mem_stall_share"),
+        (NodeTelemetry { remote_miss_share: -0.5, ..ok }, "remote_miss_share"),
+        (NodeTelemetry { barrier_stall_share: f64::INFINITY, ..ok }, "barrier_stall_share"),
+    ] {
+        let mut telemetry = vec![NodeTelemetry::default(); 3];
+        telemetry[2] = bad;
+        assert_eq!(
+            srv.tenant_diagnosis(t, Some(&telemetry)),
+            Err(ServeError::BadTelemetryShare { tenant: t, node: 2, field })
+        );
+    }
+    assert_eq!(outliers_gauge(&srv), before, "a refused call leaves the gauges untouched");
+
+    let good = vec![NodeTelemetry::default(); 3];
+    let d = srv.tenant_diagnosis(t, Some(&good)).unwrap().expect("enabled");
+    assert_eq!(d.diagnosis.outliers[0].node, 1);
+    assert_eq!(outliers_gauge(&srv), dsm_telemetry::MetricValue::Gauge(1.0));
 }
 
 #[test]

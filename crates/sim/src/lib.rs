@@ -59,4 +59,4 @@ pub use state::SystemState;
 pub use stats::{ProcStats, SystemStats};
 pub use system::System;
 pub use telem::{SimProbes, SimTelemetry};
-pub use topology::{AnyTopology, Topology, TopologyKind};
+pub use topology::{Topology, TopologyKind};

@@ -1,10 +1,11 @@
 //! Route-aware interconnect fabric with wormhole-routing latency model.
 //!
 //! Messages travel hop by hop over a runtime-selected [`Topology`]
-//! (hypercube by default, reproducing the paper's Table I network): every
-//! ordered node pair has one deterministic precomputed route — an ordered
-//! list of *directed link* ids — and a message pays one router-pipeline plus
-//! pin-to-pin delay per hop, plus a serialization term for its payload.
+//! (hypercube by default, reproducing the paper's Table I network). The
+//! topology holds the only route table: every ordered node pair has one
+//! deterministic route — an ordered list of *directed link* ids — and a
+//! message pays one router-pipeline plus pin-to-pin delay per hop, plus a
+//! serialization term for its payload.
 //!
 //! Each directed link carries two counters:
 //!
@@ -20,18 +21,14 @@
 //!   latency is the deterministic analytic `one_way` of the route length.
 
 use crate::config::NetworkConfig;
-use crate::topology::{AnyTopology, Topology, TopologyKind};
+use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 
 /// Topology + latency model + per-link accounting for an `n`-node system.
 #[derive(Debug, Clone)]
 pub struct Network {
     cfg: NetworkConfig,
-    n_nodes: usize,
-    topo: AnyTopology,
-    /// Deterministic route (directed-link ids in traversal order) for every
-    /// ordered node pair, indexed `a * n_nodes + b`. Empty when `a == b`.
-    routes: Vec<Vec<u32>>,
+    topo: Topology,
     msgs: u64,
     payload_msgs: u64,
     total_hops: u64,
@@ -111,27 +108,13 @@ impl NetworkStats {
 }
 
 impl Network {
+    /// Panics when the configured topology cannot be built over `n_nodes`.
     pub fn new(cfg: NetworkConfig, n_nodes: usize) -> Self {
-        assert!(
-            cfg.topology.supports(n_nodes),
-            "{} topology cannot be built over {n_nodes} nodes",
-            cfg.topology.name()
-        );
         let topo = cfg.topology.build(n_nodes);
-        let mut routes = Vec::with_capacity(n_nodes * n_nodes);
-        let mut buf = Vec::new();
-        for a in 0..n_nodes {
-            for b in 0..n_nodes {
-                topo.route_into(a, b, &mut buf);
-                routes.push(buf.iter().map(|&l| l as u32).collect());
-            }
-        }
         let n_links = topo.n_links();
         Self {
             cfg,
-            n_nodes,
             topo,
-            routes,
             msgs: 0,
             payload_msgs: 0,
             total_hops: 0,
@@ -143,16 +126,7 @@ impl Network {
     }
 
     pub fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    /// The layout this fabric routes over.
-    pub fn topology(&self) -> &AnyTopology {
-        &self.topo
-    }
-
-    pub fn kind(&self) -> TopologyKind {
-        self.cfg.topology
+        self.topo.n_nodes()
     }
 
     /// Longest route in the topology, in hops.
@@ -174,50 +148,34 @@ impl Network {
     /// Route length between two nodes in hops (links crossed).
     #[inline]
     pub fn hops(&self, a: usize, b: usize) -> u32 {
-        debug_assert!(a < self.n_nodes && b < self.n_nodes);
-        self.routes[a * self.n_nodes + b].len() as u32
+        self.topo.hops(a, b)
     }
 
-    #[inline]
-    fn ser(&self, payload: bool) -> u64 {
-        if payload { self.cfg.payload_cycles } else { self.cfg.header_cycles }
-    }
-
-    /// Record one transmission `a -> b`: message counters, per-link flit
-    /// demand, and (when `count_hops`) the per-delivery hop count. Returns
-    /// the route length.
-    fn record_route(&mut self, a: usize, b: usize, payload: bool, count_hops: bool) -> u32 {
-        let ser = self.ser(payload);
+    /// Timed transmission `a -> b` along the topology's route, recording
+    /// message counters, per-link flit demand, and (when `count_hops`) the
+    /// per-delivery hop count. Without link contention (or for a local
+    /// message) latency is the analytic `one_way` of the route length; with
+    /// it, each directed link admits one wormhole at a time and the head
+    /// queues until the link frees.
+    fn transmit(&mut self, a: usize, b: usize, payload: bool, now: u64, count_hops: bool) -> u64 {
+        let ser = if payload { self.cfg.payload_cycles } else { self.cfg.header_cycles };
+        let route = self.topo.route(a, b);
+        let h = route.len() as u64;
         self.msgs += 1;
         self.payload_msgs += payload as u64;
-        let idx = a * self.n_nodes + b;
-        let h = self.routes[idx].len() as u32;
         if count_hops {
-            self.total_hops += h as u64;
+            self.total_hops += h;
         }
-        for i in 0..h as usize {
-            let l = self.routes[idx][i] as usize;
-            self.link_flits[l] += ser;
-            self.total_flit_hops += ser;
+        self.total_flit_hops += ser * h;
+        for &l in route {
+            self.link_flits[l as usize] += ser;
         }
-        h
-    }
-
-    /// Timed transmission along the precomputed route. Without link
-    /// contention (or for a local message) latency is the analytic
-    /// `one_way` of the route length; with it, each directed link admits
-    /// one wormhole at a time and the head queues until the link frees.
-    fn transmit(&mut self, a: usize, b: usize, payload: bool, now: u64, count_hops: bool) -> u64 {
         if !self.cfg.link_contention || a == b {
-            let h = self.record_route(a, b, payload, count_hops);
-            return self.cfg.one_way(h, payload);
+            return self.cfg.one_way(h as u32, payload);
         }
-        let ser = self.ser(payload);
-        let h = self.record_route(a, b, payload, count_hops);
-        let idx = a * self.n_nodes + b;
         let mut t = now;
-        for i in 0..h as usize {
-            let l = self.routes[idx][i] as usize;
+        for &l in route {
+            let l = l as usize;
             let start = t.max(self.link_busy[l]);
             self.link_wait_cycles += start - t;
             self.link_busy[l] = start + ser;
@@ -226,19 +184,10 @@ impl Network {
         (t + ser) - now
     }
 
-    /// One-way latency of a message from `a` to `b`, recording traffic.
-    /// Equivalent to [`Network::send_at`] with the link-contention model
-    /// bypassed (used where the caller has no meaningful timestamp).
-    #[inline]
-    pub fn send(&mut self, a: usize, b: usize, payload: bool) -> u64 {
-        let h = self.record_route(a, b, payload, true);
-        self.cfg.one_way(h, payload)
-    }
-
     /// One-way latency of a message injected at absolute cycle `now`,
     /// following the deterministic route hop by hop (see [`Network::transmit`]'s
-    /// contention model). Without [`NetworkConfig::link_contention`] this
-    /// reduces exactly to [`Network::send`].
+    /// contention model). Without [`NetworkConfig::link_contention`] this is
+    /// the analytic [`Network::latency`] of the route, whatever `now` is.
     pub fn send_at(&mut self, a: usize, b: usize, payload: bool, now: u64) -> u64 {
         self.transmit(a, b, payload, now, true)
     }
@@ -253,13 +202,6 @@ impl Network {
         self.transmit(a, b, payload, now, false)
     }
 
-    /// Latency of a round trip `a -> b -> a` with a header request and a
-    /// `payload`-carrying reply.
-    #[inline]
-    pub fn round_trip(&mut self, a: usize, b: usize, payload_back: bool) -> u64 {
-        self.send(a, b, false) + self.send(b, a, payload_back)
-    }
-
     /// Pure latency query without traffic accounting.
     #[inline]
     pub fn latency(&self, a: usize, b: usize, payload: bool) -> u64 {
@@ -271,7 +213,7 @@ impl Network {
     /// detector's row-collection deadline are both derived from this.
     #[inline]
     pub fn max_one_way(&self, payload: bool) -> u64 {
-        self.cfg.one_way(self.topo.diameter().max(1), payload)
+        self.cfg.one_way(self.diameter().max(1), payload)
     }
 
     /// Distance matrix for the paper's DDV: `D[i][j]`, defined as 1 when
@@ -281,7 +223,7 @@ impl Network {
     /// (1 if i = j)" of "pre-programmed constants"; `1 + hops` is the natural
     /// such measure for any topology and keeps local accesses cheapest.
     pub fn distance_matrix(&self) -> Vec<f64> {
-        let n = self.n_nodes;
+        let n = self.n_nodes();
         let mut d = vec![0.0; n * n];
         for i in 0..n {
             for j in 0..n {
@@ -346,6 +288,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::topology::TopologyKind;
 
     fn net(n: usize) -> Network {
         Network::new(SystemConfig::paper(n.max(2)).network, n)
@@ -396,26 +339,18 @@ mod tests {
     #[test]
     fn local_send_is_free() {
         let mut n = net(8);
-        assert_eq!(n.send(3, 3, true), 0);
+        assert_eq!(n.send_at(3, 3, true, 0), 0);
         assert_eq!(n.stats().total_flit_hops, 0, "a local message crosses no links");
     }
 
     #[test]
     fn remote_latency_grows_with_distance() {
         let mut n = net(32);
-        let one = n.send(0, 1, true);
-        let five = n.send(0, 31, true);
+        let one = n.send_at(0, 1, true, 0);
+        let five = n.send_at(0, 31, true, 0);
         assert!(five > one);
         assert_eq!(n.stats().msgs, 2);
         assert_eq!(n.stats().total_hops, 6);
-    }
-
-    #[test]
-    fn round_trip_is_sum_of_ways() {
-        let mut n = net(8);
-        let rt = n.round_trip(0, 5, true);
-        let manual = n.latency(0, 5, false) + n.latency(5, 0, true);
-        assert_eq!(rt, manual);
     }
 
     #[test]
@@ -435,15 +370,15 @@ mod tests {
     }
 
     #[test]
-    fn send_at_without_contention_equals_send() {
-        let mut a = net(16);
-        let mut b = net(16);
+    fn send_at_without_contention_is_analytic_latency() {
+        let mut n = net(16);
         for (src, dst, payload, now) in
             [(0usize, 5usize, true, 100u64), (3, 3, false, 7), (1, 14, false, 0)]
         {
-            assert_eq!(a.send_at(src, dst, payload, now), b.send(src, dst, payload));
+            assert_eq!(n.send_at(src, dst, payload, now), n.latency(src, dst, payload));
         }
-        assert_eq!(a.stats(), b.stats());
+        assert_eq!(n.stats().msgs, 3);
+        assert_eq!(n.stats().total_hops, (n.hops(0, 5) + n.hops(1, 14)) as u64);
     }
 
     #[test]
@@ -542,7 +477,7 @@ mod tests {
         for kind in TopologyKind::ALL {
             let mut n = net_of(kind, 16, false);
             for (a, b, p) in [(0usize, 5usize, true), (3, 12, false), (7, 7, true), (15, 1, true)] {
-                n.send(a, b, p);
+                n.send_at(a, b, p, 0);
             }
             let s = n.stats();
             assert_eq!(
@@ -577,15 +512,15 @@ mod tests {
     fn stats_absorb_merges_elementwise() {
         let mut x = net(8);
         let mut y = net(8);
-        x.send(0, 5, true);
-        y.send(5, 0, false);
-        y.send(1, 2, true);
+        x.send_at(0, 5, true, 0);
+        y.send_at(5, 0, false, 0);
+        y.send_at(1, 2, true, 0);
         let mut merged = x.stats();
         merged.absorb(&y.stats());
         let mut both = net(8);
-        both.send(0, 5, true);
-        both.send(5, 0, false);
-        both.send(1, 2, true);
+        both.send_at(0, 5, true, 0);
+        both.send_at(5, 0, false, 0);
+        both.send_at(1, 2, true, 0);
         assert_eq!(merged, both.stats());
     }
 

@@ -1,9 +1,12 @@
-//! Interconnect topologies behind one routing interface.
+//! Interconnect layouts as data: one route table per machine.
 //!
-//! The fabric ([`crate::network::Network`]) is topology-agnostic: it asks a
-//! [`Topology`] for a deterministic route — an ordered list of *directed
-//! link* ids — and charges latency, flits, and (optionally) wormhole channel
-//! occupancy along that route. Five layouts are selectable at runtime via
+//! [`TopologyKind::build`] turns a layout and a node count into a
+//! [`Topology`]: its vertex set (nodes plus any internal switches), its
+//! sorted directed-link table, and one deterministic route — an ordered
+//! list of *directed link* ids — for every ordered node pair. The fabric
+//! ([`crate::network::Network`]) reads routes from this table and charges
+//! latency, flits, and (optionally) wormhole channel occupancy along them.
+//! Five layouts are selectable at runtime via
 //! [`crate::config::NetworkConfig::topology`]:
 //!
 //! * **hypercube** (default) — nodes are cube vertices, e-cube
@@ -17,9 +20,12 @@
 //! * **fattree** — a binary tree over the nodes with internal switch
 //!   vertices; packets climb to the lowest common ancestor and descend.
 //!
-//! Every route is a pure function of `(topology, src, dst)` — no adaptivity,
-//! no randomness — so simulations stay bit-reproducible and checkpoints can
-//! restore in-flight link occupancy by index.
+//! Each layout is a builder that supplies its vertex count, its edge list
+//! and its next-hop rule; one loop walks the rule between every node pair
+//! to fill the route table. Every route is a pure function of
+//! `(layout, src, dst)` — no adaptivity, no randomness — so simulations stay
+//! bit-reproducible, and link ids are indices into the sorted edge table,
+//! so checkpoints restore in-flight link occupancy by index.
 
 use serde::{Deserialize, Serialize};
 
@@ -71,167 +77,143 @@ impl TopologyKind {
             }
     }
 
-    /// Build the routing object for `n` nodes.
+    /// Build the link and route tables for `n` nodes.
     ///
     /// Panics when `!self.supports(n)` — node counts are validated with the
     /// rest of the machine configuration, not at message time.
-    pub fn build(self, n: usize) -> AnyTopology {
+    pub fn build(self, n: usize) -> Topology {
         assert!(self.supports(n), "{} cannot be built over {n} nodes", self.name());
         match self {
-            TopologyKind::Hypercube => AnyTopology::Hypercube(Hypercube::new(n)),
-            TopologyKind::Mesh2D => AnyTopology::Mesh2D(Mesh2D::new(n)),
-            TopologyKind::Torus2D => AnyTopology::Torus2D(Torus2D::new(n)),
-            TopologyKind::Ring => AnyTopology::Ring(Ring::new(n)),
-            TopologyKind::FatTree => AnyTopology::FatTree(FatTree::new(n)),
+            TopologyKind::Hypercube => hypercube(n),
+            TopologyKind::Mesh2D => mesh2d(n),
+            TopologyKind::Torus2D => torus2d(n),
+            TopologyKind::Ring => ring(n),
+            TopologyKind::FatTree => fat_tree(n),
         }
     }
 }
 
-/// The sorted directed-edge table every topology routes over. Link ids are
-/// indices into this table, so they are dense, deterministic, and identical
-/// across builds of the same layout.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinkTable {
+/// One interconnect layout over `n_nodes` endpoint nodes: its directed link
+/// table and the route between every ordered pair of nodes.
+#[derive(Debug, Clone)]
+pub struct Topology {
+    kind: TopologyKind,
+    n_nodes: usize,
+    /// Routing vertices: nodes `0..n_nodes`, then any internal switches.
+    n_vertices: usize,
+    /// Directed links `(from, to)`, sorted; a link id indexes this table.
     edges: Vec<(usize, usize)>,
+    /// Link ids of every route in traversal order, routes concatenated in
+    /// `a * n_nodes + b` order. A route from a node to itself is empty.
+    route_links: Vec<u32>,
+    /// Route `i` is `route_links[route_starts[i]..route_starts[i + 1]]`.
+    route_starts: Vec<u32>,
+    /// Longest route, in links.
+    diameter: u32,
 }
 
-impl LinkTable {
-    fn from_edges(mut edges: Vec<(usize, usize)>) -> Self {
+impl Topology {
+    /// Sort and deduplicate `edges`, then walk `next_hop` from every node to
+    /// every other to fill the route table. `next_hop(cur, dst)` is the next
+    /// vertex on the way to node `dst`; every step must follow a link, and a
+    /// route may not revisit a vertex (a rule that cycles panics here
+    /// instead of growing the table without bound).
+    fn from_rule(
+        kind: TopologyKind,
+        n_nodes: usize,
+        n_vertices: usize,
+        mut edges: Vec<(usize, usize)>,
+        next_hop: impl Fn(usize, usize) -> usize,
+    ) -> Self {
         edges.sort_unstable();
         edges.dedup();
         debug_assert!(edges.iter().all(|&(a, b)| a != b), "self-loop in link table");
-        Self { edges }
+        let mut route_links = Vec::new();
+        let mut route_starts = Vec::with_capacity(n_nodes * n_nodes + 1);
+        route_starts.push(0);
+        let mut diameter = 0;
+        for a in 0..n_nodes {
+            for b in 0..n_nodes {
+                let start = route_links.len();
+                let mut cur = a;
+                while cur != b {
+                    assert!(route_links.len() - start < n_vertices, "next_hop cycles on {a}->{b}");
+                    let nxt = next_hop(cur, b);
+                    let link = edges
+                        .binary_search(&(cur, nxt))
+                        .unwrap_or_else(|_| panic!("next_hop {cur}->{nxt} is not a link"));
+                    route_links.push(link as u32);
+                    cur = nxt;
+                }
+                diameter = diameter.max((route_links.len() - start) as u32);
+                route_starts.push(route_links.len() as u32);
+            }
+        }
+        Self { kind, n_nodes, n_vertices, edges, route_links, route_starts, diameter }
+    }
+
+    /// The layout this table was built for.
+    pub fn kind(&self) -> TopologyKind {
+        self.kind
+    }
+
+    /// Endpoint (processor/memory) nodes. Nodes are vertices `0..n_nodes`.
+    pub fn n_nodes(&self) -> usize {
+        self.n_nodes
+    }
+
+    /// All routing vertices, including internal switches (`>= n_nodes`).
+    pub fn n_vertices(&self) -> usize {
+        self.n_vertices
     }
 
     /// Number of directed links.
-    pub fn len(&self) -> usize {
+    pub fn n_links(&self) -> usize {
         self.edges.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
     /// `(from, to)` vertices of a directed link.
-    pub fn endpoints(&self, link: usize) -> (usize, usize) {
+    pub fn link_endpoints(&self, link: usize) -> (usize, usize) {
         self.edges[link]
     }
 
-    /// Link id of the directed edge `from -> to`, if it exists.
-    pub fn id(&self, from: usize, to: usize) -> Option<usize> {
-        self.edges.binary_search(&(from, to)).ok()
-    }
-}
-
-/// One interconnect layout: a vertex set (nodes plus any internal
-/// switches), a directed link table, and a deterministic next-hop function.
-pub trait Topology {
-    fn kind(&self) -> TopologyKind;
-    /// Endpoint (processor/memory) nodes. Nodes are vertices `0..n_nodes`.
-    fn n_nodes(&self) -> usize;
-    /// All routing vertices, including internal switches (`>= n_nodes`).
-    fn n_vertices(&self) -> usize;
-    fn links(&self) -> &LinkTable;
-    /// The next vertex on the (unique, deterministic) route toward node
-    /// `dst`. Must follow a directed link and strictly approach `dst`.
-    fn next_hop(&self, cur: usize, dst: usize) -> usize;
-    /// Route length between two *nodes* in links.
-    fn hops(&self, a: usize, b: usize) -> u32;
-    /// Maximum route length over all node pairs.
-    fn diameter(&self) -> u32;
-
-    fn n_links(&self) -> usize {
-        self.links().len()
+    /// The route from node `a` to node `b`: directed link ids in traversal
+    /// order. Empty when `a == b`.
+    #[inline]
+    pub fn route(&self, a: usize, b: usize) -> &[u32] {
+        debug_assert!(a < self.n_nodes && b < self.n_nodes);
+        let i = a * self.n_nodes + b;
+        &self.route_links[self.route_starts[i] as usize..self.route_starts[i + 1] as usize]
     }
 
-    fn link_endpoints(&self, link: usize) -> (usize, usize) {
-        self.links().endpoints(link)
+    /// Route length between two nodes, in links.
+    #[inline]
+    pub fn hops(&self, a: usize, b: usize) -> u32 {
+        self.route(a, b).len() as u32
     }
 
-    fn link_id(&self, from: usize, to: usize) -> Option<usize> {
-        self.links().id(from, to)
+    /// Longest route over all node pairs, in links.
+    pub fn diameter(&self) -> u32 {
+        self.diameter
     }
 
-    /// Append the route `a -> b` (directed link ids, in traversal order)
-    /// into `out` (cleared first). Empty when `a == b`.
-    fn route_into(&self, a: usize, b: usize, out: &mut Vec<usize>) {
-        out.clear();
-        let mut cur = a;
-        while cur != b {
-            let nxt = self.next_hop(cur, b);
-            let link = self
-                .link_id(cur, nxt)
-                .unwrap_or_else(|| panic!("next_hop {cur}->{nxt} is not a link"));
-            out.push(link);
-            cur = nxt;
-        }
-    }
-
-    /// Display name of a vertex: node id, or `s<id>` for internal switches.
-    fn vertex_name(&self, v: usize) -> String {
-        if v < self.n_nodes() {
-            v.to_string()
-        } else {
-            format!("s{v}")
-        }
-    }
-
-    /// Display label of a directed link, e.g. `"3->7"` or `"0->s4"`.
-    fn link_label(&self, link: usize) -> String {
-        let (a, b) = self.link_endpoints(link);
-        format!("{}->{}", self.vertex_name(a), self.vertex_name(b))
+    /// Display label of a directed link, e.g. `"3->7"`; internal switches
+    /// are prefixed `s`, e.g. `"0->s4"`.
+    pub fn link_label(&self, link: usize) -> String {
+        let name = |v: usize| if v < self.n_nodes { v.to_string() } else { format!("s{v}") };
+        let (a, b) = self.edges[link];
+        format!("{}->{}", name(a), name(b))
     }
 }
 
 /// Hypercube with e-cube (dimension-order) routing, lowest differing bit
 /// first — the link-visit order of the original analytical model.
-#[derive(Debug, Clone)]
-pub struct Hypercube {
-    n: usize,
-    dim: u32,
-    links: LinkTable,
-}
-
-impl Hypercube {
-    pub fn new(n: usize) -> Self {
-        assert!(n.is_power_of_two() && n > 0);
-        let dim = n.trailing_zeros();
-        let mut edges = Vec::with_capacity(n * dim as usize);
-        for v in 0..n {
-            for d in 0..dim {
-                edges.push((v, v ^ (1 << d)));
-            }
-        }
-        Self { n, dim, links: LinkTable::from_edges(edges) }
-    }
-
-    pub fn dim(&self) -> u32 {
-        self.dim
-    }
-}
-
-impl Topology for Hypercube {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Hypercube
-    }
-    fn n_nodes(&self) -> usize {
-        self.n
-    }
-    fn n_vertices(&self) -> usize {
-        self.n
-    }
-    fn links(&self) -> &LinkTable {
-        &self.links
-    }
-    fn next_hop(&self, cur: usize, dst: usize) -> usize {
+fn hypercube(n: usize) -> Topology {
+    let dim = n.trailing_zeros();
+    let edges = (0..n).flat_map(|v| (0..dim).map(move |d| (v, v ^ (1 << d)))).collect();
+    Topology::from_rule(TopologyKind::Hypercube, n, n, edges, |cur, dst| {
         cur ^ (1 << (cur ^ dst).trailing_zeros())
-    }
-    fn hops(&self, a: usize, b: usize) -> u32 {
-        ((a ^ b) as u64).count_ones()
-    }
-    fn diameter(&self) -> u32 {
-        self.dim
-    }
+    })
 }
 
 /// Near-square factorization: the largest divisor of `n` not exceeding
@@ -247,210 +229,82 @@ fn grid_dims(n: usize) -> (usize, usize) {
 }
 
 /// 2-D mesh with XY (column-first) dimension-order routing.
-#[derive(Debug, Clone)]
-pub struct Mesh2D {
-    rows: usize,
-    cols: usize,
-    links: LinkTable,
-}
-
-impl Mesh2D {
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0);
-        let (rows, cols) = grid_dims(n);
-        let mut edges = Vec::new();
-        for r in 0..rows {
-            for c in 0..cols {
-                let v = r * cols + c;
-                if c + 1 < cols {
-                    edges.push((v, v + 1));
-                    edges.push((v + 1, v));
-                }
-                if r + 1 < rows {
-                    edges.push((v, v + cols));
-                    edges.push((v + cols, v));
-                }
-            }
+fn mesh2d(n: usize) -> Topology {
+    let (rows, cols) = grid_dims(n);
+    let mut edges = Vec::new();
+    for v in 0..n {
+        if v % cols + 1 < cols {
+            edges.extend([(v, v + 1), (v + 1, v)]);
         }
-        Self { rows, cols, links: LinkTable::from_edges(edges) }
+        if v / cols + 1 < rows {
+            edges.extend([(v, v + cols), (v + cols, v)]);
+        }
     }
-
-    pub fn dims(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-}
-
-impl Topology for Mesh2D {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Mesh2D
-    }
-    fn n_nodes(&self) -> usize {
-        self.rows * self.cols
-    }
-    fn n_vertices(&self) -> usize {
-        self.rows * self.cols
-    }
-    fn links(&self) -> &LinkTable {
-        &self.links
-    }
-    fn next_hop(&self, cur: usize, dst: usize) -> usize {
-        let (cr, cc) = (cur / self.cols, cur % self.cols);
-        let (dr, dc) = (dst / self.cols, dst % self.cols);
+    Topology::from_rule(TopologyKind::Mesh2D, n, n, edges, |cur, dst| {
+        let (cr, cc) = (cur / cols, cur % cols);
+        let (dr, dc) = (dst / cols, dst % cols);
         if cc != dc {
-            cur.wrapping_add_signed(if dc > cc { 1 } else { -1 })
+            if dc > cc {
+                cur + 1
+            } else {
+                cur - 1
+            }
+        } else if dr > cr {
+            cur + cols
         } else {
-            cur.wrapping_add_signed(if dr > cr { self.cols as isize } else { -(self.cols as isize) })
+            cur - cols
         }
-    }
-    fn hops(&self, a: usize, b: usize) -> u32 {
-        let (ar, ac) = (a / self.cols, a % self.cols);
-        let (br, bc) = (b / self.cols, b % self.cols);
-        (ar.abs_diff(br) + ac.abs_diff(bc)) as u32
-    }
-    fn diameter(&self) -> u32 {
-        (self.rows - 1 + self.cols - 1) as u32
-    }
+    })
 }
 
-/// Per-axis shortest wraparound step: `0` when aligned, else `+1`/`-1`
-/// around a cycle of length `len` (ties resolve to the increasing
-/// direction).
-fn wrap_step(cur: usize, dst: usize, len: usize) -> isize {
+/// The neighbour of `cur` one step toward `dst != cur` around a cycle of
+/// length `len`, the shorter way (an exact-half tie goes the increasing
+/// way).
+fn wrap_next(cur: usize, dst: usize, len: usize) -> usize {
     let fwd = (dst + len - cur) % len;
-    if fwd == 0 {
-        0
-    } else if fwd <= len - fwd {
-        1
+    if fwd <= len - fwd {
+        (cur + 1) % len
     } else {
-        -1
+        (cur + len - 1) % len
     }
-}
-
-fn wrap_dist(a: usize, b: usize, len: usize) -> usize {
-    let fwd = (b + len - a) % len;
-    fwd.min(len - fwd)
 }
 
 /// 2-D torus: the mesh grid plus wraparound links, per-axis
 /// shortest-direction dimension-order routing (columns first).
-#[derive(Debug, Clone)]
-pub struct Torus2D {
-    rows: usize,
-    cols: usize,
-    links: LinkTable,
-}
-
-impl Torus2D {
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0);
-        let (rows, cols) = grid_dims(n);
-        let mut edges = Vec::new();
-        for r in 0..rows {
-            for c in 0..cols {
-                let v = r * cols + c;
-                if cols > 1 {
-                    let right = r * cols + (c + 1) % cols;
-                    edges.push((v, right));
-                    edges.push((right, v));
-                }
-                if rows > 1 {
-                    let down = ((r + 1) % rows) * cols + c;
-                    edges.push((v, down));
-                    edges.push((down, v));
-                }
-            }
+fn torus2d(n: usize) -> Topology {
+    let (rows, cols) = grid_dims(n);
+    let mut edges = Vec::new();
+    for v in 0..n {
+        let (r, c) = (v / cols, v % cols);
+        if cols > 1 {
+            let right = r * cols + (c + 1) % cols;
+            edges.extend([(v, right), (right, v)]);
         }
-        Self { rows, cols, links: LinkTable::from_edges(edges) }
+        if rows > 1 {
+            let down = ((r + 1) % rows) * cols + c;
+            edges.extend([(v, down), (down, v)]);
+        }
     }
-
-    pub fn dims(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-}
-
-impl Topology for Torus2D {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Torus2D
-    }
-    fn n_nodes(&self) -> usize {
-        self.rows * self.cols
-    }
-    fn n_vertices(&self) -> usize {
-        self.rows * self.cols
-    }
-    fn links(&self) -> &LinkTable {
-        &self.links
-    }
-    fn next_hop(&self, cur: usize, dst: usize) -> usize {
-        let (cr, cc) = (cur / self.cols, cur % self.cols);
-        let (dr, dc) = (dst / self.cols, dst % self.cols);
-        let dc_step = wrap_step(cc, dc, self.cols);
-        if dc_step != 0 {
-            let nc = (cc as isize + dc_step).rem_euclid(self.cols as isize) as usize;
-            cr * self.cols + nc
+    Topology::from_rule(TopologyKind::Torus2D, n, n, edges, |cur, dst| {
+        let (cr, cc) = (cur / cols, cur % cols);
+        let (dr, dc) = (dst / cols, dst % cols);
+        if cc != dc {
+            cr * cols + wrap_next(cc, dc, cols)
         } else {
-            let nr = (cr as isize + wrap_step(cr, dr, self.rows)).rem_euclid(self.rows as isize)
-                as usize;
-            nr * self.cols + cc
+            wrap_next(cr, dr, rows) * cols + cc
         }
-    }
-    fn hops(&self, a: usize, b: usize) -> u32 {
-        let (ar, ac) = (a / self.cols, a % self.cols);
-        let (br, bc) = (b / self.cols, b % self.cols);
-        (wrap_dist(ar, br, self.rows) + wrap_dist(ac, bc, self.cols)) as u32
-    }
-    fn diameter(&self) -> u32 {
-        (self.rows / 2 + self.cols / 2) as u32
-    }
+    })
 }
 
 /// Ring with shortest-direction routing; the exact-half tie resolves
 /// clockwise (increasing ids).
-#[derive(Debug, Clone)]
-pub struct Ring {
-    n: usize,
-    links: LinkTable,
-}
-
-impl Ring {
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0);
-        let mut edges = Vec::new();
-        if n > 1 {
-            for v in 0..n {
-                edges.push((v, (v + 1) % n));
-                edges.push((v, (v + n - 1) % n));
-            }
-        }
-        Self { n, links: LinkTable::from_edges(edges) }
-    }
-}
-
-impl Topology for Ring {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Ring
-    }
-    fn n_nodes(&self) -> usize {
-        self.n
-    }
-    fn n_vertices(&self) -> usize {
-        self.n
-    }
-    fn links(&self) -> &LinkTable {
-        &self.links
-    }
-    fn next_hop(&self, cur: usize, dst: usize) -> usize {
-        match wrap_step(cur, dst, self.n) {
-            1 => (cur + 1) % self.n,
-            _ => (cur + self.n - 1) % self.n,
-        }
-    }
-    fn hops(&self, a: usize, b: usize) -> u32 {
-        wrap_dist(a, b, self.n) as u32
-    }
-    fn diameter(&self) -> u32 {
-        (self.n / 2) as u32
-    }
+fn ring(n: usize) -> Topology {
+    let edges = if n > 1 {
+        (0..n).flat_map(|v| [(v, (v + 1) % n), (v, (v + n - 1) % n)]).collect()
+    } else {
+        Vec::new()
+    };
+    Topology::from_rule(TopologyKind::Ring, n, n, edges, |cur, dst| wrap_next(cur, dst, n))
 }
 
 /// Binary fat-tree over `n` (power-of-two) leaf nodes. Internal switches
@@ -459,171 +313,58 @@ impl Topology for Ring {
 /// climb to the lowest common ancestor and descend. Link bandwidth is
 /// uniform, so root links are the contention hot spot by construction —
 /// the layout with the worst peak demand in the topology sweep.
-#[derive(Debug, Clone)]
-pub struct FatTree {
-    n: usize,
-    depth: u32,
-    links: LinkTable,
-}
-
-impl FatTree {
-    pub fn new(n: usize) -> Self {
-        assert!(n.is_power_of_two() && n > 0);
-        let depth = n.trailing_zeros();
-        let mut edges = Vec::new();
-        for h in 2..2 * n {
-            let (child, parent) = (Self::vertex_of(n, h), Self::vertex_of(n, h / 2));
-            edges.push((child, parent));
-            edges.push((parent, child));
-        }
-        Self { n, depth, links: LinkTable::from_edges(edges) }
-    }
-
-    fn heap_of(n: usize, v: usize) -> usize {
-        if v < n {
-            n + v
-        } else {
-            v - n + 1
-        }
-    }
-
-    fn vertex_of(n: usize, h: usize) -> usize {
-        if h >= n {
-            h - n
-        } else {
-            n + h - 1
-        }
-    }
-
-    fn depth_of(h: usize) -> u32 {
-        usize::BITS - 1 - h.leading_zeros()
-    }
-}
-
-impl Topology for FatTree {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::FatTree
-    }
-    fn n_nodes(&self) -> usize {
-        self.n
-    }
-    fn n_vertices(&self) -> usize {
-        2 * self.n - 1
-    }
-    fn links(&self) -> &LinkTable {
-        &self.links
-    }
-    fn next_hop(&self, cur: usize, dst: usize) -> usize {
-        let hc = Self::heap_of(self.n, cur);
-        let hd = Self::heap_of(self.n, dst);
-        let (dc, dd) = (Self::depth_of(hc), Self::depth_of(hd));
+fn fat_tree(n: usize) -> Topology {
+    let heap = |v: usize| if v < n { n + v } else { v - n + 1 };
+    let vertex = |h: usize| if h >= n { h - n } else { n + h - 1 };
+    let depth = |h: usize| usize::BITS - 1 - h.leading_zeros();
+    let edges =
+        (2..2 * n).flat_map(|h| [(vertex(h), vertex(h / 2)), (vertex(h / 2), vertex(h))]).collect();
+    Topology::from_rule(TopologyKind::FatTree, n, 2 * n - 1, edges, |cur, dst| {
+        let (hc, hd) = (heap(cur), heap(dst));
+        let (dc, dd) = (depth(hc), depth(hd));
         if dd > dc && (hd >> (dd - dc)) == hc {
             // `cur` is an ancestor of the destination: descend toward it.
-            Self::vertex_of(self.n, hd >> (dd - dc - 1))
+            vertex(hd >> (dd - dc - 1))
         } else {
-            Self::vertex_of(self.n, hc / 2)
+            vertex(hc / 2)
         }
-    }
-    fn hops(&self, a: usize, b: usize) -> u32 {
-        if a == b {
-            return 0;
-        }
-        let (mut ha, mut hb) = (Self::heap_of(self.n, a), Self::heap_of(self.n, b));
-        let mut hops = 0;
-        while Self::depth_of(ha) > Self::depth_of(hb) {
-            ha /= 2;
-            hops += 1;
-        }
-        while Self::depth_of(hb) > Self::depth_of(ha) {
-            hb /= 2;
-            hops += 1;
-        }
-        while ha != hb {
-            ha /= 2;
-            hb /= 2;
-            hops += 2;
-        }
-        hops
-    }
-    fn diameter(&self) -> u32 {
-        2 * self.depth
-    }
+    })
 }
 
-/// Static dispatch over the five layouts (no `dyn` on the message hot
-/// path).
-#[derive(Debug, Clone)]
-pub enum AnyTopology {
-    Hypercube(Hypercube),
-    Mesh2D(Mesh2D),
-    Torus2D(Torus2D),
-    Ring(Ring),
-    FatTree(FatTree),
-}
-
-macro_rules! dispatch {
-    ($self:ident, $t:ident => $body:expr) => {
-        match $self {
-            AnyTopology::Hypercube($t) => $body,
-            AnyTopology::Mesh2D($t) => $body,
-            AnyTopology::Torus2D($t) => $body,
-            AnyTopology::Ring($t) => $body,
-            AnyTopology::FatTree($t) => $body,
-        }
-    };
-}
-
-impl Topology for AnyTopology {
-    fn kind(&self) -> TopologyKind {
-        dispatch!(self, t => t.kind())
-    }
-    fn n_nodes(&self) -> usize {
-        dispatch!(self, t => t.n_nodes())
-    }
-    fn n_vertices(&self) -> usize {
-        dispatch!(self, t => t.n_vertices())
-    }
-    fn links(&self) -> &LinkTable {
-        dispatch!(self, t => t.links())
-    }
-    fn next_hop(&self, cur: usize, dst: usize) -> usize {
-        dispatch!(self, t => t.next_hop(cur, dst))
-    }
-    fn hops(&self, a: usize, b: usize) -> u32 {
-        dispatch!(self, t => t.hops(a, b))
-    }
-    fn diameter(&self) -> u32 {
-        dispatch!(self, t => t.diameter())
-    }
-}
+#[cfg(test)]
+#[path = "../tests/closed_form/mod.rs"]
+mod closed_form;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn check_routes(topo: &AnyTopology) {
-        let n = topo.n_nodes();
-        let mut route = Vec::new();
+    /// Every route is a contiguous chain of links from source to
+    /// destination, its length is the closed-form hop count, and the
+    /// longest route is the closed-form diameter.
+    fn check_routes(t: &Topology) {
+        let (kind, n) = (t.kind(), t.n_nodes());
         for a in 0..n {
             for b in 0..n {
-                topo.route_into(a, b, &mut route);
-                assert_eq!(route.len() as u32, topo.hops(a, b), "{a}->{b}");
-                assert!(route.len() as u32 <= topo.diameter(), "{a}->{b} beyond diameter");
+                let route = t.route(a, b);
+                let expect = closed_form::hops(kind, n, a, b);
+                assert_eq!(route.len() as u32, expect, "{kind:?}/{n}: {a}->{b}");
                 let mut cur = a;
-                for &l in &route {
-                    let (from, to) = topo.link_endpoints(l);
+                for &l in route {
+                    let (from, to) = t.link_endpoints(l as usize);
                     assert_eq!(from, cur, "{a}->{b}: discontinuous route");
                     cur = to;
                 }
                 assert_eq!(cur, b, "{a}->{b}: route does not arrive");
             }
         }
+        assert_eq!(t.diameter(), closed_form::diameter(kind, n), "{kind:?}/{n}");
     }
 
     #[test]
     fn all_layouts_route_validly_at_representative_sizes() {
         for kind in TopologyKind::ALL {
-            for n in [1usize, 2, 4, 8, 16, 32] {
+            for n in [1usize, 2, 4, 8, 16, 32, 128] {
                 if kind.supports(n) {
                     check_routes(&kind.build(n));
                 }
@@ -649,15 +390,16 @@ mod tests {
         assert_eq!(t.n_links(), 16 * 4);
     }
 
+    fn hop_pairs(t: &Topology, a: usize, b: usize) -> Vec<(usize, usize)> {
+        t.route(a, b).iter().map(|&l| t.link_endpoints(l as usize)).collect()
+    }
+
     #[test]
     fn hypercube_routes_fix_lowest_bit_first() {
         // The e-cube visit order of the analytical model: 0 -> 7 goes
         // 0 -> 1 -> 3 -> 7.
         let t = TopologyKind::Hypercube.build(8);
-        let mut route = Vec::new();
-        t.route_into(0, 7, &mut route);
-        let hops: Vec<(usize, usize)> = route.iter().map(|&l| t.link_endpoints(l)).collect();
-        assert_eq!(hops, vec![(0, 1), (1, 3), (3, 7)]);
+        assert_eq!(hop_pairs(&t, 0, 7), vec![(0, 1), (1, 3), (3, 7)]);
     }
 
     #[test]
@@ -683,10 +425,7 @@ mod tests {
     fn ring_tie_breaks_clockwise() {
         let t = TopologyKind::Ring.build(6);
         // Distance 3 both ways: the route must go 0 -> 1 -> 2 -> 3.
-        let mut route = Vec::new();
-        t.route_into(0, 3, &mut route);
-        let hops: Vec<(usize, usize)> = route.iter().map(|&l| t.link_endpoints(l)).collect();
-        assert_eq!(hops, vec![(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(hop_pairs(&t, 0, 3), vec![(0, 1), (1, 2), (2, 3)]);
         assert_eq!(t.diameter(), 3);
     }
 
@@ -701,12 +440,11 @@ mod tests {
         assert_eq!(t.hops(0, 7), 6);
         assert_eq!(t.diameter(), 6);
         // Every intermediate vertex of a cross-tree route is a switch.
-        let mut route = Vec::new();
-        t.route_into(0, 7, &mut route);
+        let route = t.route(0, 7);
         for &l in &route[..route.len() - 1] {
-            let (_, to) = t.link_endpoints(l);
+            let (_, to) = t.link_endpoints(l as usize);
             assert!(to >= t.n_nodes(), "intermediate vertex {to} is not a switch");
-            assert!(t.link_label(l).contains("s"));
+            assert!(t.link_label(l as usize).contains("s"));
         }
     }
 

@@ -1,5 +1,6 @@
 //! Property tests for the route-aware fabric: every topology produces
-//! valid routes at arbitrary (supported) node counts, per-link flit
+//! valid routes of the closed-form length at arbitrary (supported) node
+//! counts, per-link flit
 //! accounting conserves the total flit-hop count under any message
 //! schedule, and the fabric is deterministic — bit-identical stats across
 //! replays and under [`NetworkStats::absorb`] merging of partial runs.
@@ -8,7 +9,9 @@ use proptest::prelude::*;
 
 use dsm_sim::config::SystemConfig;
 use dsm_sim::network::{Network, NetworkStats};
-use dsm_sim::topology::{Topology, TopologyKind};
+use dsm_sim::topology::TopologyKind;
+
+mod closed_form;
 
 /// Pick a node count the layout supports: hypercube and fat-tree need a
 /// power of two; the grid/ring layouts accept any `n >= 1`.
@@ -72,8 +75,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Every route is a contiguous chain of directed links from source to
-    /// destination, its length equals `hops`, and no route exceeds the
-    /// layout's claimed diameter.
+    /// destination, its length is the layout's closed-form hop count, and
+    /// the longest route is its closed-form diameter.
     #[test]
     fn routes_are_valid_on_every_layout(
         kind in kind_strategy(),
@@ -83,15 +86,14 @@ proptest! {
     ) {
         let n = node_count(kind, exp, raw); // supported by construction
         let topo = kind.build(n);
-        let mut route = Vec::new();
+        prop_assert_eq!(topo.diameter(), closed_form::diameter(kind, n));
         for (a_sel, b_sel) in pairs {
             let (a, b) = (a_sel % n, b_sel % n);
-            topo.route_into(a, b, &mut route);
-            prop_assert_eq!(route.len() as u32, topo.hops(a, b));
-            prop_assert!(topo.hops(a, b) <= topo.diameter());
+            let route = topo.route(a, b);
+            prop_assert_eq!(route.len() as u32, closed_form::hops(kind, n, a, b));
             let mut cur = a;
-            for &link in &route {
-                let (from, to) = topo.link_endpoints(link);
+            for &link in route {
+                let (from, to) = topo.link_endpoints(link as usize);
                 prop_assert_eq!(from, cur, "route breaks at link {}", link);
                 cur = to;
             }

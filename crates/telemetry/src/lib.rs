@@ -39,7 +39,6 @@ pub mod stub;
 
 pub use metrics::{
     CounterId, GaugeId, HistId, Log2Histogram, MetricSample, MetricValue, MetricsRegistry,
-    ScopedRegistry,
 };
 pub use span::{NameId, Snapshot, SpanEvent, SpanSink, TrackSnapshot, DEFAULT_RING_CAPACITY};
 

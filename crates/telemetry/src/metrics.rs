@@ -279,16 +279,6 @@ impl MetricsRegistry {
         out
     }
 
-    /// Borrow this registry under a name prefix. Every metric registered
-    /// through the returned [`ScopedRegistry`] gets `prefix` prepended
-    /// (joined with `/`), so independent components — e.g. tenants of the
-    /// streaming phase server — can publish the same logical metric names
-    /// without colliding. Scopes nest: `r.scoped("serve").scoped("tenant/7")`
-    /// addresses `serve/tenant/7/...`.
-    pub fn scoped(&mut self, prefix: &str) -> ScopedRegistry<'_> {
-        ScopedRegistry { reg: self, prefix: format!("{prefix}/") }
-    }
-
     /// Merge a snapshot's samples into this registry: counters add,
     /// gauges overwrite, histogram buckets accumulate. Used by the harness
     /// to fold a component snapshot into the run-level registry.
@@ -313,96 +303,6 @@ impl MetricsRegistry {
                 }
             }
         }
-    }
-}
-
-/// A name-prefixing view over a [`MetricsRegistry`].
-///
-/// Registration goes through the prefix; the returned ids address the
-/// underlying registry directly, so the hot path ([`MetricsRegistry::add`]
-/// etc. via [`ScopedRegistry::add`]) pays no per-update string work — the
-/// prefix is resolved once, at registration.
-#[derive(Debug)]
-pub struct ScopedRegistry<'a> {
-    reg: &'a mut MetricsRegistry,
-    /// Prefix including its trailing separator.
-    prefix: String,
-}
-
-impl ScopedRegistry<'_> {
-    /// Nest a further scope under this one.
-    pub fn scoped(&mut self, prefix: &str) -> ScopedRegistry<'_> {
-        ScopedRegistry { reg: self.reg, prefix: format!("{}{prefix}/", self.prefix) }
-    }
-
-    fn name(&self, name: &str) -> String {
-        format!("{}{name}", self.prefix)
-    }
-
-    /// Register (or look up) a counter under the scope prefix.
-    pub fn counter(&mut self, name: &str) -> CounterId {
-        self.reg.counter(&self.name(name))
-    }
-
-    /// Register (or look up) a gauge under the scope prefix.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
-        self.reg.gauge(&self.name(name))
-    }
-
-    /// Register (or look up) a histogram under the scope prefix.
-    pub fn histogram(&mut self, name: &str) -> HistId {
-        self.reg.histogram(&self.name(name))
-    }
-
-    /// Hot path: add to a counter id obtained from any scope of this registry.
-    #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        self.reg.add(id, n);
-    }
-
-    /// Hot path: set a gauge.
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, v: f64) {
-        self.reg.set(id, v);
-    }
-
-    /// Hot path: record into a histogram.
-    #[inline]
-    pub fn record(&mut self, id: HistId, v: u64) {
-        self.reg.record(id, v);
-    }
-
-    /// Cold path: register-or-get and add in one call.
-    pub fn counter_add(&mut self, name: &str, n: u64) {
-        let id = self.counter(name);
-        self.reg.add(id, n);
-    }
-
-    /// Cold path: register-or-get and set in one call.
-    pub fn gauge_set(&mut self, name: &str, v: f64) {
-        let id = self.gauge(name);
-        self.reg.set(id, v);
-    }
-
-    /// Cold path: register-or-get and record in one call.
-    pub fn hist_record(&mut self, name: &str, v: u64) {
-        let id = self.histogram(name);
-        self.reg.record(id, v);
-    }
-
-    /// Current value of a counter under the scope prefix.
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.reg.counter_value(&self.name(name))
-    }
-
-    /// Current value of a gauge under the scope prefix.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.reg.gauge_value(&self.name(name))
-    }
-
-    /// Current state of a histogram under the scope prefix.
-    pub fn histogram_value(&self, name: &str) -> Option<&Log2Histogram> {
-        self.reg.histogram_value(&self.name(name))
     }
 }
 
@@ -469,36 +369,6 @@ mod tests {
         r.hist_record("m", 7);
         let names: Vec<String> = r.samples().into_iter().map(|s| s.name).collect();
         assert_eq!(names, ["a", "m", "z"]);
-    }
-
-    #[test]
-    fn scoped_prefixes_and_nests() {
-        let mut r = MetricsRegistry::new();
-        {
-            let mut s = r.scoped("serve");
-            s.counter_add("offered", 3);
-            let mut t = s.scoped("tenant/7");
-            t.gauge_set("queue_depth", 4.0);
-            t.hist_record("latency", 9);
-            assert_eq!(t.counter_value("offered"), None, "scopes are disjoint");
-        }
-        assert_eq!(r.counter_value("serve/offered"), Some(3));
-        assert_eq!(r.gauge_value("serve/tenant/7/queue_depth"), Some(4.0));
-        assert_eq!(r.histogram_value("serve/tenant/7/latency").unwrap().count, 1);
-        // Same scope re-created resolves to the same underlying metric.
-        assert_eq!(r.scoped("serve").counter_value("offered"), Some(3));
-        r.scoped("serve").counter_add("offered", 2);
-        assert_eq!(r.counter_value("serve/offered"), Some(5));
-    }
-
-    #[test]
-    fn scoped_ids_address_underlying_registry() {
-        let mut r = MetricsRegistry::new();
-        let id = r.scoped("a").counter("c");
-        // The id is usable on the root registry and on any scope.
-        r.add(id, 1);
-        r.scoped("b").add(id, 1);
-        assert_eq!(r.counter_value("a/c"), Some(2));
     }
 
     #[test]
