@@ -14,9 +14,9 @@
 //!    `(app, n_procs, scale, interval_base, SystemConfig, DetectorGeometry)`,
 //!    so re-running figures/sweeps/ablations skips simulation entirely.
 //!    Entries use the `DSMTRC4` layout ([`encode_trace`]/[`decode_trace`]),
-//!    written over `dsm_simpoint::wire`, the byte layer and shared
-//!    structure encoders of the checkpoint codec; decoding is total and any
-//!    error is a cache miss;
+//!    declared as `Wire` field lists over `dsm_simpoint::wire`, the byte
+//!    layer of the checkpoint codec; decoding is total and any error is a
+//!    cache miss;
 //! 3. **a run report** ([`RunReport`]) — per-experiment wall time and
 //!    cache hit/miss counters, written as JSON next to the results.
 //!
@@ -31,15 +31,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use dsm_phase::detector::{DetectorGeometry, IntervalRecord};
-use dsm_sim::memctrl::MemCtrlStats;
-use dsm_sim::network::NetworkStats;
-use dsm_sim::stats::SystemStats;
-use dsm_simpoint::wire::{
-    get_app, get_directory_stats, get_fault_stats, get_proc_stats, get_reconfig_stats,
-    get_record, get_scale, put_app, put_directory_stats, put_fault_stats, put_proc_stats,
-    put_reconfig_stats, put_record, put_scale, PROC_STATS_BYTES, R, RECORD_MIN_BYTES, W,
-};
-use dsm_simpoint::CkptError;
+use dsm_simpoint::wire::{Wire, R, W};
+use dsm_simpoint::{wire_struct, CkptError};
 
 use crate::experiment::ExperimentConfig;
 use crate::json::Json;
@@ -476,41 +469,15 @@ pub fn init_from_args() -> usize {
 /// any other version decode as a cache miss, never a panic.
 const TRACE_MAGIC: &[u8; 8] = b"DSMTRC4\n";
 
-/// Encode `trace` as a `DSMTRC4` trace-store entry: the experiment point,
-/// every interval record, then the run's statistics. Deterministic.
+// The `DSMTRC4` layout: the experiment point, every interval record, the
+// run's statistics, then the DDV traffic total.
+wire_struct!(ExperimentConfig { app, scale, n_procs, interval_base });
+wire_struct!(SystemTrace { config, records, stats, ddv_vectors_exchanged });
+
+/// Encode `trace` as a `DSMTRC4` trace-store entry. Deterministic.
 pub fn encode_trace(trace: &SystemTrace) -> Vec<u8> {
     let mut w = W::with_magic(TRACE_MAGIC);
-    put_app(&mut w, trace.config.app);
-    put_scale(&mut w, trace.config.scale);
-    w.u64(trace.config.n_procs as u64);
-    w.u64(trace.config.interval_base);
-    w.u64(trace.records.len() as u64);
-    for recs in &trace.records {
-        w.u64(recs.len() as u64);
-        for rec in recs {
-            put_record(&mut w, rec);
-        }
-    }
-    let s = &trace.stats;
-    w.u64(s.procs.len() as u64);
-    for p in &s.procs {
-        put_proc_stats(&mut w, p);
-    }
-    put_directory_stats(&mut w, &s.directory);
-    put_fault_stats(&mut w, &s.faults);
-    let n = &s.network;
-    for v in [n.msgs, n.payload_msgs, n.total_hops, n.link_wait_cycles, n.total_flit_hops] {
-        w.u64(v);
-    }
-    w.vec_u64(&n.link_flits);
-    w.u64(s.memctrls.len() as u64);
-    for m in &s.memctrls {
-        w.u64(m.requests);
-        w.u64(m.total_queue_delay);
-    }
-    put_reconfig_stats(&mut w, &s.reconfig);
-    w.u64(s.finish_cycle);
-    w.u64(trace.ddv_vectors_exchanged);
+    trace.put(&mut w);
     w.into_bytes()
 }
 
@@ -521,48 +488,14 @@ pub fn encode_trace(trace: &SystemTrace) -> Vec<u8> {
 /// cannot take (`check_geometry`), is a `BadValue` naming the field.
 pub fn decode_trace(bytes: &[u8]) -> Result<SystemTrace, CkptError> {
     let mut r = R::new(bytes.strip_prefix(TRACE_MAGIC).ok_or(CkptError::BadMagic)?);
-    let app = get_app(&mut r)?;
-    let scale = get_scale(&mut r)?;
-    let n_procs = r.usize_checked("n_procs")?;
-    let interval_base = r.u64()?;
-    let config = ExperimentConfig { app, n_procs, scale, interval_base };
-    config
+    let trace = SystemTrace::get(&mut r)?;
+    trace
+        .config
         .validate()
         .map_err(|e| CkptError::BadValue { what: e.field() })?;
-    let n = r.len(8)?;
-    let records = (0..n)
-        .map(|_| {
-            let k = r.len(RECORD_MIN_BYTES)?;
-            (0..k).map(|_| get_record(&mut r)).collect()
-        })
-        .collect::<Result<Vec<_>, CkptError>>()?;
-    check_geometry(n_procs, &records)?;
-    let n = r.len(PROC_STATS_BYTES)?;
-    let procs = (0..n).map(|_| get_proc_stats(&mut r)).collect::<Result<_, _>>()?;
-    let directory = get_directory_stats(&mut r)?;
-    let faults = get_fault_stats(&mut r)?;
-    let network = NetworkStats {
-        msgs: r.u64()?,
-        payload_msgs: r.u64()?,
-        total_hops: r.u64()?,
-        link_wait_cycles: r.u64()?,
-        total_flit_hops: r.u64()?,
-        link_flits: r.vec_u64()?,
-    };
-    let n = r.len(16)?;
-    let memctrls = (0..n)
-        .map(|_| Ok(MemCtrlStats { requests: r.u64()?, total_queue_delay: r.u64()? }))
-        .collect::<Result<_, CkptError>>()?;
-    let reconfig = get_reconfig_stats(&mut r)?;
-    let finish_cycle = r.u64()?;
-    let ddv_vectors_exchanged = r.u64()?;
+    check_geometry(trace.config.n_procs, &trace.records)?;
     r.finish()?;
-    Ok(SystemTrace {
-        config,
-        records,
-        stats: SystemStats { procs, directory, network, memctrls, faults, reconfig, finish_cycle },
-        ddv_vectors_exchanged,
-    })
+    Ok(trace)
 }
 
 /// The record geometry every sweep curve relies on, as every capture has
@@ -717,6 +650,9 @@ mod tests {
     /// reordering, dropping or retyping any field moves the digest.
     fn pinned_trace() -> SystemTrace {
         use dsm_sim::directory::DirectoryStats;
+        use dsm_sim::memctrl::MemCtrlStats;
+        use dsm_sim::network::NetworkStats;
+        use dsm_sim::stats::SystemStats;
         use dsm_sim::{FaultStats, ProcStats, ReconfigStats};
         let mut k = 0u64;
         let mut n = || {

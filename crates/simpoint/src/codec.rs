@@ -10,9 +10,11 @@
 //!
 //! Decoding is total: corrupt or truncated input of any shape produces a
 //! typed [`CkptError`], never a panic or an attempted huge allocation. The
-//! byte primitives and the structures this format shares with the harness
-//! trace store (`DSMTRC4`) live in [`crate::wire`]; this module is the
-//! `DSMCKPT6` layout over them.
+//! byte layer and the layouts this format shares with the harness trace
+//! store (`DSMTRC4`) live in [`crate::wire`]. This module adds the
+//! checkpoint-only layouts, each one [`Wire`] field list or hand-written
+//! tag encoding, and the invariants [`Checkpoint::decode`] checks once the
+//! layout has parsed.
 
 use dsm_adapt::{
     AdaptSnap, Decision, DecisionKind, ObservedInterval, PhaseSnap, PhaseStateSnap,
@@ -20,9 +22,9 @@ use dsm_adapt::{
 use dsm_phase::ddv::{DdvSnap, FrequencySnap};
 use dsm_phase::detector::{CollectorState, DetectorGeometry};
 use dsm_sim::config::{CoreConfig, FaultPlan, RetryPolicy};
-use dsm_sim::reconfig::ReconfigSnap;
 use dsm_sim::directory::DirState;
 use dsm_sim::event::Event;
+use dsm_sim::reconfig::ReconfigSnap;
 use dsm_sim::state::{
     BarrierSnap, CacheState, DirectoryState, FaultSnap, GshareState, HomeMapState, LockSnap,
     MemCtrlState, NetworkState, ProcessorState, SystemState,
@@ -30,11 +32,7 @@ use dsm_sim::state::{
 use dsm_sim::topology::TopologyKind;
 use dsm_workloads::{App, Scale};
 
-use crate::wire::{
-    get_app, get_directory_stats, get_fault_stats, get_proc_stats, get_reconfig_stats,
-    get_record, get_scale, put_app, put_directory_stats, put_fault_stats, put_proc_stats,
-    put_reconfig_stats, put_record, put_scale, D, R, RECORD_MIN_BYTES, W,
-};
+use crate::wire::{bad_tag, Wire, D, R, W};
 
 /// Magic prefix: format name plus version digit. Version 2 added the
 /// route-aware fabric: the topology + link-contention flag in the metadata
@@ -128,431 +126,195 @@ pub struct Checkpoint {
     pub adapt: Option<AdaptSnap>,
 }
 
-fn put_event(w: &mut W, e: &Event) {
-    match *e {
-        Event::End => w.u8(0),
-        Event::Block { bb, insns, taken } => {
-            w.u8(1);
-            w.u64(bb as u64);
-            w.u64(insns as u64);
-            w.boolean(taken);
-        }
-        Event::Mem { addr, write } => {
-            w.u8(2);
-            w.u64(addr);
-            w.boolean(write);
-        }
-        Event::Fp { ops } => {
-            w.u8(3);
-            w.u64(ops as u64);
-        }
-        Event::Barrier { id } => {
-            w.u8(4);
-            w.u64(id as u64);
-        }
-        Event::Acquire { lock } => {
-            w.u8(5);
-            w.u64(lock as u64);
-        }
-        Event::Release { lock } => {
-            w.u8(6);
-            w.u64(lock as u64);
+impl Wire for Event {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut W) {
+        match *self {
+            Event::End => w.u8(0),
+            Event::Block { bb, insns, taken } => (1u8, bb, insns, taken).put(w),
+            Event::Mem { addr, write } => (2u8, addr, write).put(w),
+            Event::Fp { ops } => (3u8, ops).put(w),
+            Event::Barrier { id } => (4u8, id).put(w),
+            Event::Acquire { lock } => (5u8, lock).put(w),
+            Event::Release { lock } => (6u8, lock).put(w),
         }
     }
-}
-
-fn get_event(r: &mut R) -> D<Event> {
-    Ok(match r.u8()? {
-        0 => Event::End,
-        1 => Event::Block {
-            bb: r.u32_checked("event bb")?,
-            insns: r.u32_checked("event insns")?,
-            taken: r.boolean("event taken")?,
-        },
-        2 => Event::Mem { addr: r.u64()?, write: r.boolean("event write")? },
-        3 => Event::Fp { ops: r.u32_checked("event ops")? },
-        4 => Event::Barrier { id: r.u32_checked("event id")? },
-        5 => Event::Acquire { lock: r.u32_checked("event lock")? },
-        6 => Event::Release { lock: r.u32_checked("event lock")? },
-        t => return Err(CkptError::BadTag { what: "event", tag: t as u64 }),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Structure encoders / decoders
-// ---------------------------------------------------------------------------
-
-fn put_cache(w: &mut W, c: &CacheState) {
-    w.vec_u64(&c.tags);
-    w.vec_u64(&c.lru);
-    w.u64(c.clock);
-    w.u64(c.hits);
-    w.u64(c.misses);
-}
-
-fn get_cache(r: &mut R) -> D<CacheState> {
-    Ok(CacheState {
-        tags: r.vec_u64()?,
-        lru: r.vec_u64()?,
-        clock: r.u64()?,
-        hits: r.u64()?,
-        misses: r.u64()?,
-    })
-}
-
-fn put_proc(w: &mut W, p: &ProcessorState) {
-    w.u64(p.cycle);
-    w.u64(p.commit_carry);
-    w.u64(p.fp_carry);
-    w.u64(p.interval_progress);
-    w.u64(p.interval_start_cycle);
-    w.u64(p.interval_index);
-    w.boolean(p.finished);
-    w.boolean(p.blocked);
-    w.u64(p.blocked_since);
-    put_proc_stats(w, &p.stats);
-    put_cache(w, &p.l1);
-    put_cache(w, &p.l2);
-    w.vec_u8(&p.gshare.table);
-    w.u64(p.gshare.history);
-    w.u64(p.gshare.predictions);
-    w.u64(p.gshare.mispredictions);
-    // Version 4: the core profile in force (heterogeneous actuator).
-    w.u64(p.core.commit_width as u64);
-    w.u64(p.core.fpu_units as u64);
-    w.u64(p.core.mispredict_penalty);
-    w.u64(p.core.gshare_entries as u64);
-    w.u64(p.core.stall_exposure_num);
-}
-
-fn get_proc(r: &mut R) -> D<ProcessorState> {
-    let cycle = r.u64()?;
-    let commit_carry = r.u64()?;
-    let fp_carry = r.u64()?;
-    let interval_progress = r.u64()?;
-    let interval_start_cycle = r.u64()?;
-    let interval_index = r.u64()?;
-    let finished = r.boolean("proc finished")?;
-    let blocked = r.boolean("proc blocked")?;
-    let blocked_since = r.u64()?;
-    let stats = get_proc_stats(r)?;
-    let l1 = get_cache(r)?;
-    let l2 = get_cache(r)?;
-    let table = r.vec_u8()?;
-    if table.iter().any(|&c| c > 3) {
-        return Err(CkptError::BadValue { what: "gshare counter > 3" });
-    }
-    Ok(ProcessorState {
-        cycle,
-        commit_carry,
-        fp_carry,
-        interval_progress,
-        interval_start_cycle,
-        interval_index,
-        finished,
-        blocked,
-        blocked_since,
-        stats,
-        l1,
-        l2,
-        gshare: GshareState {
-            table,
-            history: r.u64()?,
-            predictions: r.u64()?,
-            mispredictions: r.u64()?,
-        },
-        core: CoreConfig {
-            commit_width: r.u32_checked("core commit_width")?,
-            fpu_units: r.u32_checked("core fpu_units")?,
-            mispredict_penalty: r.u64()?,
-            gshare_entries: r.usize_checked("core gshare_entries")?,
-            stall_exposure_num: r.u64()?,
-        },
-    })
-}
-
-fn put_system(w: &mut W, s: &SystemState) {
-    w.u64(s.procs.len() as u64);
-    for p in &s.procs {
-        put_proc(w, p);
-    }
-    w.u64(s.directory.entries.len() as u64);
-    for &(block, state) in &s.directory.entries {
-        w.u64(block);
-        match state {
-            DirState::Shared(mask) => {
-                w.u8(0);
-                w.u64(mask);
-            }
-            DirState::Exclusive(owner) => {
-                w.u8(1);
-                w.u64(owner as u64);
-            }
-        }
-    }
-    put_directory_stats(w, &s.directory.stats);
-    w.u64(s.network.msgs);
-    w.u64(s.network.payload_msgs);
-    w.u64(s.network.total_hops);
-    w.u64(s.network.link_wait_cycles);
-    w.u64(s.network.total_flit_hops);
-    w.vec_u64(&s.network.link_busy);
-    w.vec_u64(&s.network.link_flits);
-    w.u64(s.memctrls.len() as u64);
-    for m in &s.memctrls {
-        w.vec_u64(&m.busy_until);
-        w.u64(m.requests);
-        w.u64(m.total_queue_delay);
-    }
-    w.u64(s.home.first_touch.len() as u64);
-    for &(page, node) in &s.home.first_touch {
-        w.u64(page);
-        w.u64(node as u64);
-    }
-    // Version 4: migration overrides and the hot-page touch window.
-    w.u64(s.home.overrides.len() as u64);
-    for &(page, node) in &s.home.overrides {
-        w.u64(page);
-        w.u64(node as u64);
-    }
-    w.u64(s.home.touches.len() as u64);
-    for (page, counts) in &s.home.touches {
-        w.u64(*page);
-        w.vec_u64(counts);
-    }
-    w.boolean(s.home.track);
-    w.u64(s.locks.len() as u64);
-    for l in &s.locks {
-        w.u64(l.id as u64);
-        w.opt_u64(l.owner.map(|o| o as u64));
-        w.vec_u64(&l.waiters.iter().map(|&x| x as u64).collect::<Vec<_>>());
-    }
-    w.opt_u64(s.barrier.current_id.map(|i| i as u64));
-    w.vec_u64(&s.barrier.arrived);
-    w.vec_u64(&s.barrier.arrival_cycle);
-    w.u64(s.fault.draws);
-    put_fault_stats(w, &s.fault.stats);
-    w.u64(s.pending.len() as u64);
-    for p in &s.pending {
-        match p {
-            None => w.u8(0),
-            Some(e) => {
-                w.u8(1);
-                put_event(w, e);
-            }
-        }
-    }
-    w.u64(s.events_executed);
-    w.vec_u64(&s.fetched);
-    // Version 4: DVFS levels and reconfiguration counters.
-    w.vec_u64(&s.reconfig.dvfs_num);
-    put_reconfig_stats(w, &s.reconfig.stats);
-}
-
-fn get_system(r: &mut R) -> D<SystemState> {
-    // ProcessorState is hundreds of bytes; 64 is a safe per-item floor for
-    // the pre-allocation guard.
-    let n = r.len(64)?;
-    let procs = (0..n).map(|_| get_proc(r)).collect::<D<Vec<_>>>()?;
-    let n_dir = r.len(17)?;
-    let mut entries = Vec::with_capacity(n_dir);
-    for _ in 0..n_dir {
-        let block = r.u64()?;
-        let state = match r.u8()? {
-            0 => DirState::Shared(r.u64()?),
-            1 => DirState::Exclusive(r.usize_checked("directory owner")?),
-            t => return Err(CkptError::BadTag { what: "directory state", tag: t as u64 }),
-        };
-        entries.push((block, state));
-    }
-    let stats = get_directory_stats(r)?;
-    let network = NetworkState {
-        msgs: r.u64()?,
-        payload_msgs: r.u64()?,
-        total_hops: r.u64()?,
-        link_wait_cycles: r.u64()?,
-        total_flit_hops: r.u64()?,
-        link_busy: r.vec_u64()?,
-        link_flits: r.vec_u64()?,
-    };
-    if network.link_flits.len() != network.link_busy.len() {
-        return Err(CkptError::BadValue { what: "network link vector lengths" });
-    }
-    let n_mc = r.len(24)?;
-    let memctrls = (0..n_mc)
-        .map(|_| {
-            Ok(MemCtrlState {
-                busy_until: r.vec_u64()?,
-                requests: r.u64()?,
-                total_queue_delay: r.u64()?,
-            })
+    fn get(r: &mut R) -> D<Self> {
+        Ok(match r.u8()? {
+            0 => Event::End,
+            1 => Event::Block { bb: Wire::get(r)?, insns: Wire::get(r)?, taken: Wire::get(r)? },
+            2 => Event::Mem { addr: Wire::get(r)?, write: Wire::get(r)? },
+            3 => Event::Fp { ops: Wire::get(r)? },
+            4 => Event::Barrier { id: Wire::get(r)? },
+            5 => Event::Acquire { lock: Wire::get(r)? },
+            6 => Event::Release { lock: Wire::get(r)? },
+            t => return Err(bad_tag("event", t)),
         })
-        .collect::<D<Vec<_>>>()?;
-    let n_ft = r.len(16)?;
-    let mut first_touch = Vec::with_capacity(n_ft);
-    for _ in 0..n_ft {
-        let page = r.u64()?;
-        let node = r.usize_checked("first-touch node")?;
-        first_touch.push((page, node));
     }
-    let n_ov = r.len(16)?;
-    let mut overrides = Vec::with_capacity(n_ov);
-    for _ in 0..n_ov {
-        let page = r.u64()?;
-        let node = r.usize_checked("override node")?;
-        overrides.push((page, node));
-    }
-    let n_touch = r.len(16)?;
-    let mut touches = Vec::with_capacity(n_touch);
-    for _ in 0..n_touch {
-        let page = r.u64()?;
-        let counts = r.vec_u64()?;
-        touches.push((page, counts));
-    }
-    let track = r.boolean("touch tracking")?;
-    let n_locks = r.len(17)?;
-    let locks = (0..n_locks)
-        .map(|_| {
-            let id = r.u32_checked("lock id")?;
-            let owner = match r.opt_u64("lock owner")? {
-                None => None,
-                Some(o) => {
-                    Some(usize::try_from(o).map_err(|_| CkptError::BadValue { what: "lock owner" })?)
-                }
-            };
-            let waiters = r
-                .vec_u64()?
-                .into_iter()
-                .map(|x| usize::try_from(x).map_err(|_| CkptError::BadValue { what: "lock waiter" }))
-                .collect::<D<Vec<_>>>()?;
-            Ok(LockSnap { id, owner, waiters })
-        })
-        .collect::<D<Vec<_>>>()?;
-    let barrier = BarrierSnap {
-        current_id: match r.opt_u64("barrier id")? {
-            None => None,
-            Some(i) => {
-                Some(u32::try_from(i).map_err(|_| CkptError::BadValue { what: "barrier id" })?)
-            }
-        },
-        arrived: r.vec_u64()?,
-        arrival_cycle: r.vec_u64()?,
-    };
-    let fault = FaultSnap { draws: r.u64()?, stats: get_fault_stats(r)? };
-    let n_pend = r.len(1)?;
-    let pending = (0..n_pend)
-        .map(|_| {
-            Ok(match r.u8()? {
-                0 => None,
-                1 => Some(get_event(r)?),
-                t => return Err(CkptError::BadTag { what: "pending slot", tag: t as u64 }),
-            })
-        })
-        .collect::<D<Vec<_>>>()?;
-    let events_executed = r.u64()?;
-    let fetched = r.vec_u64()?;
-    let dvfs_num = r.vec_u64()?;
-    let reconfig = ReconfigSnap { dvfs_num, stats: get_reconfig_stats(r)? };
-    let st = SystemState {
-        procs,
-        directory: DirectoryState { entries, stats },
-        network,
-        memctrls,
-        home: HomeMapState { first_touch, overrides, touches, track },
-        reconfig,
-        locks,
-        barrier,
-        fault,
-        pending,
-        events_executed,
-        fetched,
-    };
-    let n = st.procs.len();
-    if n == 0
-        || st.pending.len() != n
-        || st.fetched.len() != n
-        || st.barrier.arrival_cycle.len() != n
-        || st.barrier.arrived.len() != n.div_ceil(64)
-        || st.memctrls.len() != n
-    {
-        return Err(CkptError::BadValue { what: "per-processor vector lengths" });
-    }
-    if !(st.reconfig.dvfs_num.is_empty() || st.reconfig.dvfs_num.len() == n)
-        || st.home.touches.iter().any(|(_, c)| c.len() != n)
-    {
-        return Err(CkptError::BadValue { what: "reconfiguration vector lengths" });
-    }
-    Ok(st)
 }
 
-fn put_collector(w: &mut W, c: &CollectorState) {
-    w.u64(c.bbv.len() as u64);
-    for b in &c.bbv {
-        w.vec_u64(b);
-    }
-    w.u64(c.ws.len() as u64);
-    for s in &c.ws {
-        w.vec_u64(s);
-    }
-    w.vec_u64(&c.branches);
-    w.u64(c.ddv.mats.len() as u64);
-    for m in &c.ddv.mats {
-        w.vec_u64(&m.cum);
-        w.vec_u64(&m.snap);
-    }
-    w.vec_u64(&c.ddv.gcum);
-    w.vec_u64(&c.ddv.gsnap);
-    w.u64(c.ddv.queries);
-    w.u64(c.ddv.vectors_exchanged);
-    w.u64(c.ddv.gather_rounds);
-    w.u64(c.records.len() as u64);
-    for recs in &c.records {
-        w.u64(recs.len() as u64);
-        for rec in recs {
-            put_record(w, rec);
+impl Wire for DirState {
+    const MIN_BYTES: usize = 1 + u64::MIN_BYTES;
+    fn put(&self, w: &mut W) {
+        match *self {
+            DirState::Shared(mask) => (0u8, mask).put(w),
+            DirState::Exclusive(owner) => (1u8, owner).put(w),
         }
     }
+    fn get(r: &mut R) -> D<Self> {
+        Ok(match r.u8()? {
+            0 => DirState::Shared(Wire::get(r)?),
+            1 => DirState::Exclusive(Wire::get(r)?),
+            t => return Err(bad_tag("directory state", t)),
+        })
+    }
 }
 
-fn get_collector(r: &mut R, n_procs: usize) -> D<CollectorState> {
-    let n_bbv = r.len(8)?;
-    let bbv = (0..n_bbv).map(|_| r.vec_u64()).collect::<D<Vec<_>>>()?;
-    let n_ws = r.len(8)?;
-    let ws = (0..n_ws).map(|_| r.vec_u64()).collect::<D<Vec<_>>>()?;
-    let branches = r.vec_u64()?;
-    let n_mats = r.len(16)?;
-    let mats = (0..n_mats)
-        .map(|_| Ok(FrequencySnap { cum: r.vec_u64()?, snap: r.vec_u64()? }))
-        .collect::<D<Vec<_>>>()?;
-    let ddv = DdvSnap {
-        mats,
-        gcum: r.vec_u64()?,
-        gsnap: r.vec_u64()?,
-        queries: r.u64()?,
-        vectors_exchanged: r.u64()?,
-        gather_rounds: r.u64()?,
-    };
-    let n_rec = r.len(8)?;
-    let records = (0..n_rec)
-        .map(|_| {
-            let n = r.len(RECORD_MIN_BYTES)?;
-            (0..n).map(|_| get_record(r)).collect::<D<Vec<_>>>()
-        })
-        .collect::<D<Vec<_>>>()?;
-    let c = CollectorState { bbv, ws, branches, ddv, records };
-    if c.bbv.len() != n_procs
-        || c.ws.len() != n_procs
-        || c.branches.len() != n_procs
-        || c.ddv.mats.len() != n_procs
-        || c.records.len() != n_procs
-        || c.ddv.gcum.len() != n_procs
-        || c.ddv.gsnap.len() != n_procs * n_procs
-        || c.ddv.mats.iter().any(|m| m.cum.len() != n_procs || m.snap.len() != n_procs * n_procs)
-    {
-        return Err(CkptError::BadValue { what: "collector sized for a different machine" });
+impl Wire for PhaseStateSnap {
+    const MIN_BYTES: usize = 1 + u64::MIN_BYTES;
+    fn put(&self, w: &mut W) {
+        match *self {
+            PhaseStateSnap::Tuning { config, trials_left, best_config, best_score, acc, acc_n } => {
+                (0u8, config, trials_left, best_config, best_score, acc, acc_n).put(w)
+            }
+            PhaseStateSnap::Locked { config } => (1u8, config).put(w),
+        }
     }
-    Ok(c)
+    fn get(r: &mut R) -> D<Self> {
+        Ok(match r.u8()? {
+            0 => PhaseStateSnap::Tuning {
+                config: Wire::get(r)?,
+                trials_left: Wire::get(r)?,
+                best_config: Wire::get(r)?,
+                best_score: Wire::get(r)?,
+                acc: Wire::get(r)?,
+                acc_n: Wire::get(r)?,
+            },
+            1 => PhaseStateSnap::Locked { config: Wire::get(r)? },
+            t => return Err(bad_tag("adapt phase state", t)),
+        })
+    }
 }
+
+impl Wire for DecisionKind {
+    const MIN_BYTES: usize = 1 + usize::MIN_BYTES;
+    fn put(&self, w: &mut W) {
+        match *self {
+            DecisionKind::Trial { config } => (0u8, config).put(w),
+            DecisionKind::Lock { config } => (1u8, config).put(w),
+        }
+    }
+    fn get(r: &mut R) -> D<Self> {
+        Ok(match r.u8()? {
+            0 => DecisionKind::Trial { config: Wire::get(r)? },
+            1 => DecisionKind::Lock { config: Wire::get(r)? },
+            t => return Err(bad_tag("decision kind", t)),
+        })
+    }
+}
+
+impl Wire for TopologyKind {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut W) {
+        w.index(&TopologyKind::ALL, self);
+    }
+    fn get(r: &mut R) -> D<Self> {
+        r.index(&TopologyKind::ALL, "topology")
+    }
+}
+
+// Each layout below is its field list in wire order.
+crate::wire_struct!(Checkpoint { meta, system, collector, adapt });
+crate::wire_struct!(CheckpointMeta {
+    app,
+    n_procs,
+    scale,
+    interval_base,
+    topology,
+    link_contention,
+    plan,
+    geometry,
+    interval_index,
+});
+crate::wire_struct!(FaultPlan {
+    seed,
+    drop_ppm,
+    duplicate_ppm,
+    spike_ppm,
+    spike_cycles,
+    slowdown_ppm,
+    slowdown_window_cycles,
+    slowdown_extra_num,
+    slowdown_issue_num,
+    slowdown_node,
+    slowdown_from_cycle,
+    slowdown_until_cycle,
+    retry,
+});
+crate::wire_struct!(RetryPolicy { timeout_cycles, max_backoff_cycles, max_retries });
+crate::wire_struct!(DetectorGeometry { bbv_entries, footprint_vectors, ws_bits });
+crate::wire_struct!(SystemState {
+    procs,
+    directory,
+    network,
+    memctrls,
+    home,
+    locks,
+    barrier,
+    fault,
+    pending,
+    events_executed,
+    fetched,
+    reconfig,
+});
+crate::wire_struct!(ProcessorState {
+    cycle,
+    commit_carry,
+    fp_carry,
+    interval_progress,
+    interval_start_cycle,
+    interval_index,
+    finished,
+    blocked,
+    blocked_since,
+    stats,
+    l1,
+    l2,
+    gshare,
+    core,
+});
+crate::wire_struct!(CacheState { tags, lru, clock, hits, misses });
+crate::wire_struct!(GshareState { table, history, predictions, mispredictions });
+crate::wire_struct!(CoreConfig {
+    commit_width,
+    fpu_units,
+    mispredict_penalty,
+    gshare_entries,
+    stall_exposure_num,
+});
+crate::wire_struct!(DirectoryState { entries, stats });
+crate::wire_struct!(NetworkState {
+    msgs,
+    payload_msgs,
+    total_hops,
+    link_wait_cycles,
+    total_flit_hops,
+    link_busy,
+    link_flits,
+});
+crate::wire_struct!(MemCtrlState { busy_until, requests, total_queue_delay });
+crate::wire_struct!(HomeMapState { first_touch, overrides, touches, track });
+crate::wire_struct!(LockSnap { id, owner, waiters });
+crate::wire_struct!(BarrierSnap { current_id, arrived, arrival_cycle });
+crate::wire_struct!(FaultSnap { draws, stats });
+crate::wire_struct!(ReconfigSnap { dvfs_num, stats });
+crate::wire_struct!(CollectorState { bbv, ws, branches, ddv, records });
+crate::wire_struct!(DdvSnap { mats, gcum, gsnap, queries, vectors_exchanged, gather_rounds });
+crate::wire_struct!(FrequencySnap { cum, snap });
+crate::wire_struct!(AdaptSnap { target, processed, phases, decisions, stream, retunes, actuator });
+crate::wire_struct!(PhaseSnap { phase, state });
+crate::wire_struct!(Decision { interval, phase, kind });
+crate::wire_struct!(ObservedInterval { index, phase, cpi, degraded });
 
 /// Whether a collector built for `g` can import `c`: every stored BBV row
 /// has `g.bbv_entries` buckets and every working-set row `g.ws_bits / 64`
@@ -566,161 +328,12 @@ fn geometry_fits(g: &DetectorGeometry, c: &CollectorState) -> bool {
         && c.ws.iter().all(|row| row.len() == g.ws_bits / 64)
 }
 
-fn put_adapt(w: &mut W, a: &AdaptSnap) {
-    w.u64(a.target);
-    w.u64(a.processed);
-    w.u64(a.phases.len() as u64);
-    for p in &a.phases {
-        w.u64(p.phase as u64);
-        match p.state {
-            PhaseStateSnap::Tuning { config, trials_left, best_config, best_score, acc, acc_n } => {
-                w.u8(0);
-                w.u64(config);
-                w.u64(trials_left);
-                w.u64(best_config);
-                w.f64(best_score);
-                w.f64(acc);
-                w.u64(acc_n);
-            }
-            PhaseStateSnap::Locked { config } => {
-                w.u8(1);
-                w.u64(config);
-            }
-        }
-    }
-    w.u64(a.decisions.len() as u64);
-    for d in &a.decisions {
-        w.u64(d.interval);
-        w.u64(d.phase as u64);
-        match d.kind {
-            DecisionKind::Trial { config } => {
-                w.u8(0);
-                w.u64(config as u64);
-            }
-            DecisionKind::Lock { config } => {
-                w.u8(1);
-                w.u64(config as u64);
-            }
-        }
-    }
-    w.u64(a.stream.len() as u64);
-    for o in &a.stream {
-        w.u64(o.index);
-        w.u64(o.phase as u64);
-        w.f64(o.cpi);
-        w.boolean(o.degraded);
-    }
-    w.u64(a.retunes);
-    w.vec_u64(&a.actuator);
-}
-
-fn get_adapt(r: &mut R) -> D<AdaptSnap> {
-    let target = r.u64()?;
-    let processed = r.u64()?;
-    let n_phases = r.len(17)?;
-    let phases = (0..n_phases)
-        .map(|_| {
-            let phase = r.u32_checked("adapt phase id")?;
-            let state = match r.u8()? {
-                0 => PhaseStateSnap::Tuning {
-                    config: r.u64()?,
-                    trials_left: r.u64()?,
-                    best_config: r.u64()?,
-                    best_score: r.f64()?,
-                    acc: r.f64()?,
-                    acc_n: r.u64()?,
-                },
-                1 => PhaseStateSnap::Locked { config: r.u64()? },
-                t => return Err(CkptError::BadTag { what: "adapt phase state", tag: t as u64 }),
-            };
-            Ok(PhaseSnap { phase, state })
-        })
-        .collect::<D<Vec<_>>>()?;
-    let n_dec = r.len(25)?;
-    let decisions = (0..n_dec)
-        .map(|_| {
-            let interval = r.u64()?;
-            let phase = r.u32_checked("decision phase id")?;
-            let kind = match r.u8()? {
-                0 => DecisionKind::Trial { config: r.usize_checked("trial config")? },
-                1 => DecisionKind::Lock { config: r.usize_checked("locked config")? },
-                t => return Err(CkptError::BadTag { what: "decision kind", tag: t as u64 }),
-            };
-            Ok(Decision { interval, phase, kind })
-        })
-        .collect::<D<Vec<_>>>()?;
-    let n_stream = r.len(25)?;
-    let stream = (0..n_stream)
-        .map(|_| {
-            Ok(ObservedInterval {
-                index: r.u64()?,
-                phase: r.u32_checked("observed phase id")?,
-                cpi: r.f64()?,
-                degraded: r.boolean("observed degraded")?,
-            })
-        })
-        .collect::<D<Vec<_>>>()?;
-    let a = AdaptSnap {
-        target,
-        processed,
-        phases,
-        decisions,
-        stream,
-        retunes: r.u64()?,
-        actuator: r.vec_u64()?,
-    };
-    // `processed` counts proc-0 records consumed, which legitimately runs
-    // ahead of the global minimum boundary `target` — only the stream-length
-    // pairing is an invariant.
-    if a.processed as usize != a.stream.len() {
-        return Err(CkptError::BadValue { what: "adapt stream length" });
-    }
-    Ok(a)
-}
-
 impl Checkpoint {
     /// Serialize to the `DSMCKPT6` byte format. Deterministic: the same
     /// checkpoint always encodes to the same bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = W::with_magic(MAGIC);
-        let m = &self.meta;
-        put_app(&mut w, m.app);
-        w.u64(m.n_procs as u64);
-        put_scale(&mut w, m.scale);
-        w.u64(m.interval_base);
-        let topo_idx =
-            TopologyKind::ALL.iter().position(|k| *k == m.topology).expect("known topology") as u8;
-        w.u8(topo_idx);
-        w.boolean(m.link_contention);
-        let p = &m.plan;
-        w.u64(p.seed);
-        w.u64(p.drop_ppm as u64);
-        w.u64(p.duplicate_ppm as u64);
-        w.u64(p.spike_ppm as u64);
-        w.u64(p.spike_cycles);
-        w.u64(p.slowdown_ppm as u64);
-        w.u64(p.slowdown_window_cycles);
-        w.u64(p.slowdown_extra_num);
-        w.u64(p.slowdown_issue_num);
-        w.opt_u64(p.slowdown_node.map(|n| n as u64));
-        w.u64(p.slowdown_from_cycle);
-        w.u64(p.slowdown_until_cycle);
-        w.u64(p.retry.timeout_cycles);
-        w.u64(p.retry.max_backoff_cycles);
-        w.u64(p.retry.max_retries as u64);
-        w.u64(m.geometry.bbv_entries as u64);
-        w.u64(m.geometry.footprint_vectors as u64);
-        w.u64(m.geometry.ws_bits as u64);
-        w.u64(m.interval_index);
-        put_system(&mut w, &self.system);
-        put_collector(&mut w, &self.collector);
-        match &self.adapt {
-            None => w.u8(0),
-            Some(a) => {
-                w.u8(1);
-                put_adapt(&mut w, a);
-            }
-        }
+        self.put(&mut w);
         w.into_bytes()
     }
 
@@ -735,73 +348,67 @@ impl Checkpoint {
             return Err(CkptError::UnsupportedVersion { version });
         }
         let mut r = R::new(&bytes[MAGIC.len()..]);
-        let app = get_app(&mut r)?;
-        let n_procs = r.usize_checked("n_procs")?;
-        if n_procs == 0 || n_procs > 4096 {
-            return Err(CkptError::BadValue { what: "n_procs" });
-        }
-        let scale = get_scale(&mut r)?;
-        let interval_base = r.u64()?;
-        let topo_tag = r.u8()?;
-        let topology = *TopologyKind::ALL
-            .get(topo_tag as usize)
-            .ok_or(CkptError::BadTag { what: "topology", tag: topo_tag as u64 })?;
-        let link_contention = r.boolean("link_contention")?;
-        let plan = FaultPlan {
-            seed: r.u64()?,
-            drop_ppm: r.u32_checked("drop_ppm")?,
-            duplicate_ppm: r.u32_checked("duplicate_ppm")?,
-            spike_ppm: r.u32_checked("spike_ppm")?,
-            spike_cycles: r.u64()?,
-            slowdown_ppm: r.u32_checked("slowdown_ppm")?,
-            slowdown_window_cycles: r.u64()?,
-            slowdown_extra_num: r.u64()?,
-            slowdown_issue_num: r.u64()?,
-            slowdown_node: r.opt_u64("slowdown_node")?.map(|n| n as usize),
-            slowdown_from_cycle: r.u64()?,
-            slowdown_until_cycle: r.u64()?,
-            retry: RetryPolicy {
-                timeout_cycles: r.u64()?,
-                max_backoff_cycles: r.u64()?,
-                max_retries: r.u32_checked("max_retries")?,
-            },
-        };
-        let geometry = DetectorGeometry {
-            bbv_entries: r.usize_checked("bbv_entries")?,
-            footprint_vectors: r.usize_checked("footprint_vectors")?,
-            ws_bits: r.usize_checked("ws_bits")?,
-        };
-        let interval_index = r.u64()?;
-        let system = get_system(&mut r)?;
-        if system.procs.len() != n_procs {
-            return Err(CkptError::BadValue { what: "system sized for a different machine" });
-        }
-        let collector = get_collector(&mut r, n_procs)?;
-        if !geometry_fits(&geometry, &collector) {
-            return Err(CkptError::BadValue { what: "geometry does not fit the collector" });
-        }
-        let adapt = match r.u8()? {
-            0 => None,
-            1 => Some(get_adapt(&mut r)?),
-            t => return Err(CkptError::BadTag { what: "adapt presence", tag: t as u64 }),
-        };
+        let ck = Checkpoint::get(&mut r)?;
+        ck.check()?;
         r.finish()?;
-        Ok(Checkpoint {
-            meta: CheckpointMeta {
-                app,
-                n_procs,
-                scale,
-                interval_base,
-                topology,
-                link_contention,
-                plan,
-                geometry,
-                interval_index,
-            },
-            system,
-            collector,
-            adapt,
-        })
+        Ok(ck)
+    }
+
+    /// The invariants a resumable checkpoint holds beyond its layout, each
+    /// a `BadValue` naming what failed, checked in a fixed order.
+    fn check(&self) -> D<()> {
+        let bad = |what| Err(CkptError::BadValue { what });
+        let n_procs = self.meta.n_procs;
+        if n_procs == 0 || n_procs > 4096 {
+            return bad("n_procs");
+        }
+        let st = &self.system;
+        if st.procs.iter().any(|p| p.gshare.table.iter().any(|&c| c > 3)) {
+            return bad("gshare counter > 3");
+        }
+        if st.network.link_flits.len() != st.network.link_busy.len() {
+            return bad("network link vector lengths");
+        }
+        let n = st.procs.len();
+        if n == 0
+            || st.pending.len() != n
+            || st.fetched.len() != n
+            || st.barrier.arrival_cycle.len() != n
+            || st.barrier.arrived.len() != n.div_ceil(64)
+            || st.memctrls.len() != n
+        {
+            return bad("per-processor vector lengths");
+        }
+        if !(st.reconfig.dvfs_num.is_empty() || st.reconfig.dvfs_num.len() == n)
+            || st.home.touches.iter().any(|(_, c)| c.len() != n)
+        {
+            return bad("reconfiguration vector lengths");
+        }
+        if n != n_procs {
+            return bad("system sized for a different machine");
+        }
+        let c = &self.collector;
+        if c.bbv.len() != n
+            || c.ws.len() != n
+            || c.branches.len() != n
+            || c.ddv.mats.len() != n
+            || c.records.len() != n
+            || c.ddv.gcum.len() != n
+            || c.ddv.gsnap.len() != n * n
+            || c.ddv.mats.iter().any(|m| m.cum.len() != n || m.snap.len() != n * n)
+        {
+            return bad("collector sized for a different machine");
+        }
+        if !geometry_fits(&self.meta.geometry, c) {
+            return bad("geometry does not fit the collector");
+        }
+        // `processed` counts proc-0 records consumed, which legitimately runs
+        // ahead of the global minimum boundary `target` — only the stream-length
+        // pairing is an invariant.
+        if self.adapt.as_ref().is_some_and(|a| a.processed as usize != a.stream.len()) {
+            return bad("adapt stream length");
+        }
+        Ok(())
     }
 }
 

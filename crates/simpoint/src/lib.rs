@@ -11,9 +11,10 @@
 //!   boundary, with the metadata needed to rebuild the machine and
 //!   fast-forward a fresh instruction stream to the same position. Decoding
 //!   is total — corrupt input yields a typed error, never a panic.
-//! * [`wire`] — the byte layer under both binary formats: total
-//!   little-endian primitives plus the structure encoders the checkpoint
-//!   codec shares with the harness trace store.
+//! * [`wire`] — the byte layer under both binary formats: the [`Wire`](wire::Wire)
+//!   trait, its total little-endian primitives and containers, and the
+//!   [`wire_struct!`] macro that derives a struct's encoder, decoder and
+//!   length floor from one field list.
 //! * [`select`] — per-interval BBV ⊕ data-distribution signatures from a
 //!   profiling pass, clustered by deterministic k-means (k-means++ seeding,
 //!   Manhattan distance) with a BIC-style `k` sweep; each cluster's

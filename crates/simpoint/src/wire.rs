@@ -2,22 +2,33 @@
 //! checkpoint codec ([`crate::codec`]) and the harness trace store's
 //! `DSMTRC4` entries.
 //!
-//! [`W`] writes little-endian integers, `f64` as raw bits, booleans and
-//! tags as single bytes, and vectors as a `u64` length followed by the
-//! items. [`R`] reads the same primitives back and is total: every read
-//! checks the bytes remaining, every length prefix is validated against
-//! them before anything is reserved, and every tag and boolean is
-//! range-checked, so any input yields a value or a typed [`CkptError`].
+//! Every encoded type implements [`Wire`]: `put` appends it to a [`W`],
+//! `get` reads it back from an [`R`], and `MIN_BYTES` is the fewest bytes
+//! any encoding of it takes. Integers are little-endian, `f64` is its raw
+//! bits, `bool` and enum tags are one byte, `u32` and `usize` travel as
+//! `u64` and are range-checked on read, `Option` is a tag then the value,
+//! and `Vec` is a `u64` length then the items.
 //!
-//! The structure encoders both formats carry (the app and scale tags,
-//! [`IntervalRecord`], and the per-processor, directory, fault and
-//! reconfiguration counters) live here too, so the two formats cannot
-//! drift apart field by field. The decoders build each struct with a full
-//! literal, so a new field fails to compile until it is encoded.
+//! A struct's layout is written once, as its field list in wire order, by
+//! [`wire_struct!`](crate::wire_struct); both directions and the length
+//! floor are derived from that one list. `get` builds the struct with a
+//! full literal, so a new field fails to compile until it is listed.
+//!
+//! Decoding is total: every read checks the bytes remaining, every length
+//! prefix is checked against `MIN_BYTES` of its item type before anything
+//! is reserved, and every tag and boolean is range-checked, so any input
+//! yields a value or a typed [`CkptError`].
+//!
+//! The layouts both formats carry ([`IntervalRecord`] and the run
+//! counters) and the trace store's [`SystemStats`] live here; the
+//! checkpoint-only layouts live in [`crate::codec`].
 
 use dsm_phase::detector::IntervalRecord;
 use dsm_sim::directory::DirectoryStats;
+use dsm_sim::memctrl::MemCtrlStats;
+use dsm_sim::network::NetworkStats;
 use dsm_sim::reconfig::ReconfigStats;
+use dsm_sim::stats::SystemStats;
 use dsm_sim::{FaultStats, ProcStats};
 use dsm_workloads::{App, Scale};
 
@@ -25,6 +36,43 @@ use crate::codec::CkptError;
 
 /// Decode result.
 pub type D<T> = Result<T, CkptError>;
+
+/// A type with one binary layout.
+pub trait Wire: Sized {
+    /// The fewest bytes any encoding of `Self` takes: the per-item floor a
+    /// `Vec` length prefix is checked against.
+    const MIN_BYTES: usize;
+    fn put(&self, w: &mut W);
+    fn get(r: &mut R) -> D<Self>;
+}
+
+/// `T::MIN_BYTES` for the field `f` selects; lets [`wire_struct!`](crate::wire_struct)
+/// sum field floors from field names alone.
+#[doc(hidden)]
+pub const fn floor_of<S, T: Wire>(_f: fn(&S) -> &T) -> usize {
+    T::MIN_BYTES
+}
+
+/// Implement [`Wire`] for a struct from its field names in wire order.
+#[macro_export]
+macro_rules! wire_struct {
+    ($t:ty { $($f:ident),* $(,)? }) => {
+        impl $crate::wire::Wire for $t {
+            const MIN_BYTES: usize = 0 $(+ $crate::wire::floor_of(|s: &Self| &s.$f))*;
+            fn put(&self, w: &mut $crate::wire::W) {
+                $($crate::wire::Wire::put(&self.$f, w);)*
+            }
+            fn get(r: &mut $crate::wire::R) -> $crate::wire::D<Self> {
+                Ok(Self { $($f: $crate::wire::Wire::get(r)?),* })
+            }
+        }
+    };
+}
+
+/// The error for an out-of-range one-byte tag.
+pub fn bad_tag(what: &'static str, tag: u8) -> CkptError {
+    CkptError::BadTag { what, tag: tag as u64 }
+}
 
 /// Append-only encoder.
 pub struct W {
@@ -51,41 +99,9 @@ impl W {
         self.out.push(v);
     }
 
-    pub fn boolean(&mut self, v: bool) {
-        self.out.push(v as u8);
-    }
-
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    pub fn vec_u64(&mut self, v: &[u64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.u64(x);
-        }
-    }
-
-    pub fn vec_u8(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
-        self.out.extend_from_slice(v);
-    }
-
-    pub fn vec_f64(&mut self, v: &[f64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.f64(x);
-        }
-    }
-
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-        }
+    /// `v` as its one-byte index in `all`.
+    pub fn index<T: PartialEq>(&mut self, all: &[T], v: &T) {
+        self.u8(all.iter().position(|a| a == v).expect("listed variant") as u8);
     }
 }
 
@@ -126,245 +142,212 @@ impl<'a> R<'a> {
         }
     }
 
-    pub fn boolean(&mut self, what: &'static str) -> D<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            t => Err(CkptError::BadTag { what, tag: t as u64 }),
-        }
-    }
-
-    pub fn f64(&mut self) -> D<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub fn u32_checked(&mut self, what: &'static str) -> D<u32> {
-        let v = self.u64()?;
-        u32::try_from(v).map_err(|_| CkptError::BadValue { what })
-    }
-
-    pub fn usize_checked(&mut self, what: &'static str) -> D<usize> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| CkptError::BadValue { what })
+    /// A one-byte index into `all`; out of range is a `BadTag` naming `what`.
+    pub fn index<T: Copy>(&mut self, all: &[T], what: &'static str) -> D<T> {
+        let tag = self.u8()?;
+        all.get(tag as usize).copied().ok_or(bad_tag(what, tag))
     }
 
     /// Length prefix for items at least `min_bytes` each: reject lengths
     /// that could not possibly fit in the remaining buffer *before*
     /// reserving space for them.
-    pub fn len(&mut self, min_bytes: usize) -> D<usize> {
+    fn len(&mut self, min_bytes: usize) -> D<usize> {
         let n = self.u64()? as usize;
         if n > self.b.len() / min_bytes.max(1) + 1 {
             return Err(CkptError::Truncated);
         }
         Ok(n)
     }
+}
 
-    pub fn vec_u64(&mut self) -> D<Vec<u64>> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.u64()).collect()
+// ---------------------------------------------------------------------------
+// Primitives and containers
+// ---------------------------------------------------------------------------
+
+impl Wire for u8 {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut W) {
+        w.u8(*self);
     }
-
-    pub fn vec_u8(&mut self) -> D<Vec<u8>> {
-        let n = self.len(1)?;
-        if self.b.len() < n {
-            return Err(CkptError::Truncated);
-        }
-        let (head, tail) = self.b.split_at(n);
-        self.b = tail;
-        Ok(head.to_vec())
+    fn get(r: &mut R) -> D<Self> {
+        r.u8()
     }
+}
 
-    pub fn vec_f64(&mut self) -> D<Vec<f64>> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.f64()).collect()
+impl Wire for u64 {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut W) {
+        w.u64(*self);
     }
+    fn get(r: &mut R) -> D<Self> {
+        r.u64()
+    }
+}
 
-    pub fn opt_u64(&mut self, what: &'static str) -> D<Option<u64>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            t => Err(CkptError::BadTag { what, tag: t as u64 }),
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut W) {
+        w.u8(*self as u8);
+    }
+    fn get(r: &mut R) -> D<Self> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(bad_tag("bool", t)),
         }
     }
 }
 
+impl Wire for f64 {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut W) {
+        w.u64(self.to_bits());
+    }
+    fn get(r: &mut R) -> D<Self> {
+        Ok(f64::from_bits(r.u64()?))
+    }
+}
+
+/// Integers narrower than `u64` on some target travel as `u64` and are
+/// range-checked on read.
+macro_rules! wire_as_u64 {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = 8;
+            fn put(&self, w: &mut W) {
+                w.u64(*self as u64);
+            }
+            fn get(r: &mut R) -> D<Self> {
+                <$t>::try_from(r.u64()?).map_err(|_| CkptError::BadValue { what: stringify!($t) })
+            }
+        }
+    )*};
+}
+
+wire_as_u64!(u32, usize);
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut W) {
+        match self {
+            None => w.u8(0),
+            Some(v) => {
+                w.u8(1);
+                v.put(w);
+            }
+        }
+    }
+    fn get(r: &mut R) -> D<Self> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            t => Err(bad_tag("option", t)),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut W) {
+        w.u64(self.len() as u64);
+        for v in self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut R) -> D<Self> {
+        let n = r.len(T::MIN_BYTES)?;
+        (0..n).map(|_| T::get(r)).collect()
+    }
+}
+
+/// Tuples are their items in order; enum encoders write a variant as its
+/// tag followed by its fields.
+macro_rules! wire_tuple {
+    ($($t:ident $i:tt),+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            const MIN_BYTES: usize = 0 $(+ $t::MIN_BYTES)+;
+            fn put(&self, w: &mut W) {
+                $(self.$i.put(w);)+
+            }
+            fn get(r: &mut R) -> D<Self> {
+                Ok(($($t::get(r)?,)+))
+            }
+        }
+    };
+}
+
+wire_tuple!(T0 0, T1 1);
+wire_tuple!(T0 0, T1 1, T2 2);
+wire_tuple!(T0 0, T1 1, T2 2, T3 3);
+wire_tuple!(T0 0, T1 1, T2 2, T3 3, T4 4, T5 5, T6 6);
+
 // ---------------------------------------------------------------------------
-// Structures both formats carry
+// Layouts both formats carry
 // ---------------------------------------------------------------------------
 
 /// The app as its index in [`App::EXTENDED`].
-pub fn put_app(w: &mut W, app: App) {
-    w.u8(App::EXTENDED.iter().position(|a| *a == app).expect("known app") as u8);
-}
-
-pub fn get_app(r: &mut R) -> D<App> {
-    let tag = r.u8()?;
-    App::EXTENDED.get(tag as usize).copied().ok_or(CkptError::BadTag { what: "app", tag: tag as u64 })
-}
-
-pub fn put_scale(w: &mut W, scale: Scale) {
-    w.u8(match scale {
-        Scale::Test => 0,
-        Scale::Scaled => 1,
-        Scale::Paper => 2,
-    });
-}
-
-pub fn get_scale(r: &mut R) -> D<Scale> {
-    Ok(match r.u8()? {
-        0 => Scale::Test,
-        1 => Scale::Scaled,
-        2 => Scale::Paper,
-        t => return Err(CkptError::BadTag { what: "scale", tag: t as u64 }),
-    })
-}
-
-/// Encoded size floor of one [`IntervalRecord`] (ten `u64` words), for
-/// [`R::len`].
-pub const RECORD_MIN_BYTES: usize = 80;
-
-pub fn put_record(w: &mut W, rec: &IntervalRecord) {
-    w.u64(rec.proc as u64);
-    w.u64(rec.index);
-    w.u64(rec.insns);
-    w.u64(rec.cycles);
-    w.vec_f64(&rec.bbv);
-    w.vec_u64(&rec.fvec);
-    w.vec_u64(&rec.cvec);
-    w.f64(rec.dds);
-    w.vec_u64(&rec.ws_sig);
-    w.u64(rec.branches);
-}
-
-pub fn get_record(r: &mut R) -> D<IntervalRecord> {
-    Ok(IntervalRecord {
-        proc: r.usize_checked("record proc")?,
-        index: r.u64()?,
-        insns: r.u64()?,
-        cycles: r.u64()?,
-        bbv: r.vec_f64()?,
-        fvec: r.vec_u64()?,
-        cvec: r.vec_u64()?,
-        dds: r.f64()?,
-        ws_sig: r.vec_u64()?,
-        branches: r.u64()?,
-    })
-}
-
-/// Encoded size of one [`ProcStats`] (fourteen `u64` counters).
-pub const PROC_STATS_BYTES: usize = 112;
-
-pub fn put_proc_stats(w: &mut W, s: &ProcStats) {
-    for v in [
-        s.cycles,
-        s.insns,
-        s.sync_ops,
-        s.sync_wait_cycles,
-        s.mem_refs,
-        s.l1_misses,
-        s.l2_misses,
-        s.local_home_misses,
-        s.remote_home_misses,
-        s.mem_stall_cycles,
-        s.contention_cycles,
-        s.mispredicts,
-        s.branches,
-        s.intervals,
-    ] {
-        w.u64(v);
+impl Wire for App {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut W) {
+        w.index(&App::EXTENDED, self);
+    }
+    fn get(r: &mut R) -> D<Self> {
+        r.index(&App::EXTENDED, "app")
     }
 }
 
-pub fn get_proc_stats(r: &mut R) -> D<ProcStats> {
-    Ok(ProcStats {
-        cycles: r.u64()?,
-        insns: r.u64()?,
-        sync_ops: r.u64()?,
-        sync_wait_cycles: r.u64()?,
-        mem_refs: r.u64()?,
-        l1_misses: r.u64()?,
-        l2_misses: r.u64()?,
-        local_home_misses: r.u64()?,
-        remote_home_misses: r.u64()?,
-        mem_stall_cycles: r.u64()?,
-        contention_cycles: r.u64()?,
-        mispredicts: r.u64()?,
-        branches: r.u64()?,
-        intervals: r.u64()?,
-    })
-}
+const SCALES: [Scale; 3] = [Scale::Test, Scale::Scaled, Scale::Paper];
 
-pub fn put_directory_stats(w: &mut W, d: &DirectoryStats) {
-    for v in [d.reads, d.writes, d.owner_forwards, d.invalidations, d.upgrades, d.writebacks, d.nacks]
-    {
-        w.u64(v);
+impl Wire for Scale {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut W) {
+        w.index(&SCALES, self);
+    }
+    fn get(r: &mut R) -> D<Self> {
+        r.index(&SCALES, "scale")
     }
 }
 
-pub fn get_directory_stats(r: &mut R) -> D<DirectoryStats> {
-    Ok(DirectoryStats {
-        reads: r.u64()?,
-        writes: r.u64()?,
-        owner_forwards: r.u64()?,
-        invalidations: r.u64()?,
-        upgrades: r.u64()?,
-        writebacks: r.u64()?,
-        nacks: r.u64()?,
-    })
-}
+crate::wire_struct!(IntervalRecord { proc, index, insns, cycles, bbv, fvec, cvec, dds, ws_sig, branches });
+crate::wire_struct!(ProcStats {
+    cycles,
+    insns,
+    sync_ops,
+    sync_wait_cycles,
+    mem_refs,
+    l1_misses,
+    l2_misses,
+    local_home_misses,
+    remote_home_misses,
+    mem_stall_cycles,
+    contention_cycles,
+    mispredicts,
+    branches,
+    intervals,
+});
+crate::wire_struct!(DirectoryStats { reads, writes, owner_forwards, invalidations, upgrades, writebacks, nacks });
+crate::wire_struct!(FaultStats {
+    messages,
+    drops,
+    retries,
+    forced_deliveries,
+    duplicates,
+    spikes,
+    spike_cycles,
+    timeout_wait_cycles,
+    slowdown_events,
+    slowdown_cycles,
+});
+crate::wire_struct!(ReconfigStats {
+    migrations,
+    migration_stall_cycles,
+    dvfs_epochs,
+    dvfs_extra_cycles,
+    dvfs_saved_cycles,
+    core_switches,
+});
 
-pub fn put_fault_stats(w: &mut W, f: &FaultStats) {
-    for v in [
-        f.messages,
-        f.drops,
-        f.retries,
-        f.forced_deliveries,
-        f.duplicates,
-        f.spikes,
-        f.spike_cycles,
-        f.timeout_wait_cycles,
-        f.slowdown_events,
-        f.slowdown_cycles,
-    ] {
-        w.u64(v);
-    }
-}
-
-pub fn get_fault_stats(r: &mut R) -> D<FaultStats> {
-    Ok(FaultStats {
-        messages: r.u64()?,
-        drops: r.u64()?,
-        retries: r.u64()?,
-        forced_deliveries: r.u64()?,
-        duplicates: r.u64()?,
-        spikes: r.u64()?,
-        spike_cycles: r.u64()?,
-        timeout_wait_cycles: r.u64()?,
-        slowdown_events: r.u64()?,
-        slowdown_cycles: r.u64()?,
-    })
-}
-
-pub fn put_reconfig_stats(w: &mut W, s: &ReconfigStats) {
-    for v in [
-        s.migrations,
-        s.migration_stall_cycles,
-        s.dvfs_epochs,
-        s.dvfs_extra_cycles,
-        s.dvfs_saved_cycles,
-        s.core_switches,
-    ] {
-        w.u64(v);
-    }
-}
-
-pub fn get_reconfig_stats(r: &mut R) -> D<ReconfigStats> {
-    Ok(ReconfigStats {
-        migrations: r.u64()?,
-        migration_stall_cycles: r.u64()?,
-        dvfs_epochs: r.u64()?,
-        dvfs_extra_cycles: r.u64()?,
-        dvfs_saved_cycles: r.u64()?,
-        core_switches: r.u64()?,
-    })
-}
+// The trace store's run statistics, in `DSMTRC4` field order.
+crate::wire_struct!(SystemStats { procs, directory, faults, network, memctrls, reconfig, finish_cycle });
+crate::wire_struct!(NetworkStats { msgs, payload_msgs, total_hops, link_wait_cycles, total_flit_hops, link_flits });
+crate::wire_struct!(MemCtrlStats { requests, total_queue_delay });
