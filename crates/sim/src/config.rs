@@ -7,6 +7,10 @@
 use crate::topology::TopologyKind;
 use serde::{Deserialize, Serialize};
 
+/// The most nodes a machine may have: the width of the directory's sharer
+/// sets.
+pub const MAX_PROCS: usize = 128;
+
 /// Data-placement policy: which node is the *home* of a memory block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DistributionPolicy {
@@ -451,6 +455,9 @@ impl SystemConfig {
         if !self.n_procs.is_power_of_two() {
             return Err(format!("n_procs {} is not a power of two", self.n_procs));
         }
+        if self.n_procs > MAX_PROCS {
+            return Err(format!("n_procs {} exceeds {MAX_PROCS}", self.n_procs));
+        }
         for (name, c) in [("L1", &self.l1), ("L2", &self.l2)] {
             if !c.line_bytes.is_power_of_two() {
                 return Err(format!("{name} line size must be a power of two"));
@@ -532,6 +539,12 @@ mod tests {
         let mut c = SystemConfig::paper(4);
         c.interval_insns = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_caps_machines_at_max_procs() {
+        assert!(SystemConfig::paper(MAX_PROCS).validate().is_ok());
+        assert!(SystemConfig::paper(2 * MAX_PROCS).validate().is_err());
     }
 
     #[test]

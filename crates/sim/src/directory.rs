@@ -7,8 +7,11 @@
 //! those actions into network and memory-controller latencies and into
 //! invalidations of the private caches.
 //!
-//! Node sets are stored as a `u64` bitmask, which comfortably covers the
-//! paper's 32-node maximum.
+//! Sharer sets hold up to [`MAX_PROCS`](crate::MAX_PROCS) nodes. A block's map entry keeps
+//! the sharers among nodes 0–63 as a `u64` bitmask, so [`DirState`] stays
+//! 16 bytes; the bits of nodes 64–127 live in a side table that a machine
+//! of 64 nodes or fewer never touches. The sets a request returns are
+//! `u128`.
 
 use std::collections::hash_map::Entry;
 
@@ -18,7 +21,9 @@ use serde::{Deserialize, Serialize};
 /// Directory state of one block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirState {
-    /// Cached read-only by the nodes in the mask.
+    /// Cached read-only by the nodes 0–63 in the mask, plus any nodes
+    /// 64–127 the directory's side table lists for the block (so the mask
+    /// may be 0 on a machine of more than 64 nodes).
     Shared(u64),
     /// Cached with write permission by one node (possibly dirty there).
     Exclusive(usize),
@@ -44,7 +49,7 @@ pub struct ReadOutcome {
 pub struct WriteOutcome {
     /// Nodes (excluding the requester) whose cached copies must be
     /// invalidated.
-    pub invalidate_mask: u64,
+    pub invalidate_mask: u128,
     /// A dirty exclusive owner that forwards the block to the requester.
     pub owner_forward: Option<usize>,
     /// Whether home memory must supply the data (false on an upgrade from
@@ -89,7 +94,32 @@ impl DirectoryStats {
 #[derive(Debug, Default)]
 pub struct Directory {
     map: FxHashMap<u64, DirState>,
+    /// Sharer bits of nodes 64–127 (bit `i` is node `64 + i`) for each
+    /// `Shared` block that has any; empty on machines of 64 nodes or fewer.
+    high: FxHashMap<u64, u64>,
     stats: DirectoryStats,
+}
+
+/// `node`'s bit in a sharer set.
+fn bit(node: usize) -> u128 {
+    1u128 << node
+}
+
+/// Remove `block`'s sharer bits above node 63 from `high`, as set bits.
+fn take_high(high: &mut FxHashMap<u64, u64>, block: u64) -> u128 {
+    if high.is_empty() {
+        return 0;
+    }
+    (high.remove(&block).unwrap_or(0) as u128) << 64
+}
+
+/// Keep the bits of `set` above node 63 in `high`; returns the low word.
+fn keep_high(high: &mut FxHashMap<u64, u64>, block: u64, set: u128) -> u64 {
+    let hi = (set >> 64) as u64;
+    if hi != 0 {
+        high.insert(block, hi);
+    }
+    set as u64
 }
 
 impl Directory {
@@ -104,7 +134,7 @@ impl Directory {
     pub fn with_capacity(blocks: usize) -> Self {
         Self {
             map: FxHashMap::with_capacity_and_hasher(blocks, Default::default()),
-            stats: DirectoryStats::default(),
+            ..Self::default()
         }
     }
 
@@ -115,7 +145,6 @@ impl Directory {
     /// where a second probe per request is measurable.
     pub fn read(&mut self, block: u64, requester: usize) -> ReadOutcome {
         self.stats.reads += 1;
-        let bit = 1u64 << requester;
         match self.map.entry(block) {
             Entry::Vacant(v) => {
                 // First reader gets the block exclusively (MESI E-state).
@@ -124,7 +153,8 @@ impl Directory {
             }
             Entry::Occupied(mut o) => match *o.get() {
                 DirState::Shared(mask) => {
-                    o.insert(DirState::Shared(mask | bit));
+                    let set = mask as u128 | take_high(&mut self.high, block) | bit(requester);
+                    o.insert(DirState::Shared(keep_high(&mut self.high, block, set)));
                     ReadOutcome { source: ReadSource::Memory }
                 }
                 DirState::Exclusive(owner) if owner == requester => {
@@ -134,7 +164,8 @@ impl Directory {
                 }
                 DirState::Exclusive(owner) => {
                     self.stats.owner_forwards += 1;
-                    o.insert(DirState::Shared(bit | (1u64 << owner)));
+                    let set = bit(requester) | bit(owner);
+                    o.insert(DirState::Shared(keep_high(&mut self.high, block, set)));
                     ReadOutcome { source: ReadSource::Owner(owner) }
                 }
             },
@@ -144,7 +175,7 @@ impl Directory {
     /// Handle a write miss (or upgrade) for `block` by `requester`.
     pub fn write(&mut self, block: u64, requester: usize) -> WriteOutcome {
         self.stats.writes += 1;
-        let bit = 1u64 << requester;
+        let own = bit(requester);
         let (outcome, invalidations, upgrade) = match self.map.entry(block) {
             Entry::Vacant(v) => {
                 v.insert(DirState::Exclusive(requester));
@@ -163,16 +194,17 @@ impl Directory {
                 o.insert(DirState::Exclusive(requester));
                 match prev {
                     DirState::Shared(mask) => {
-                        let others = mask & !bit;
+                        let set = mask as u128 | take_high(&mut self.high, block);
+                        let others = set & !own;
                         (
                             WriteOutcome {
                                 invalidate_mask: others,
                                 owner_forward: None,
                                 // Upgrade: requester already holds the data.
-                                from_memory: mask & bit == 0,
+                                from_memory: set & own == 0,
                             },
                             others.count_ones() as u64,
-                            mask & bit != 0,
+                            set & own != 0,
                         )
                     }
                     DirState::Exclusive(owner) if owner == requester => (
@@ -187,7 +219,7 @@ impl Directory {
                     ),
                     DirState::Exclusive(owner) => (
                         WriteOutcome {
-                            invalidate_mask: 1u64 << owner,
+                            invalidate_mask: bit(owner),
                             owner_forward: Some(owner),
                             from_memory: false,
                         },
@@ -210,11 +242,12 @@ impl Directory {
                 self.map.remove(&block);
             }
             Some(DirState::Shared(mask)) => {
-                let rest = mask & !(1u64 << node);
+                let rest = (mask as u128 | take_high(&mut self.high, block)) & !bit(node);
                 if rest == 0 {
                     self.map.remove(&block);
                 } else {
-                    self.map.insert(block, DirState::Shared(rest));
+                    let low = keep_high(&mut self.high, block, rest);
+                    self.map.insert(block, DirState::Shared(low));
                 }
             }
             // Racy/stale writeback (already re-owned elsewhere): ignore, the
@@ -235,6 +268,18 @@ impl Directory {
         self.map.get(&block).copied()
     }
 
+    /// Every node a `Shared` block's sharer set names, nodes 64–127
+    /// included (None = not shared).
+    pub fn sharers(&self, block: u64) -> Option<u128> {
+        match self.state(block)? {
+            DirState::Shared(mask) => {
+                let hi = self.high.get(&block).copied().unwrap_or(0);
+                Some(mask as u128 | (hi as u128) << 64)
+            }
+            DirState::Exclusive(_) => None,
+        }
+    }
+
     pub fn stats(&self) -> DirectoryStats {
         self.stats
     }
@@ -250,7 +295,9 @@ impl Directory {
         let mut entries: Vec<(u64, DirState)> =
             self.map.iter().map(|(&b, &s)| (b, s)).collect();
         entries.sort_unstable_by_key(|&(b, _)| b);
-        crate::state::DirectoryState { entries, stats: self.stats }
+        let mut high: Vec<(u64, u64)> = self.high.iter().map(|(&b, &h)| (b, h)).collect();
+        high.sort_unstable_by_key(|&(b, _)| b);
+        crate::state::DirectoryState { entries, high, stats: self.stats }
     }
 
     /// Restore state captured by [`Directory::export_state`], replacing the
@@ -260,6 +307,7 @@ impl Directory {
         for &(b, s) in &st.entries {
             self.map.insert(b, s);
         }
+        self.high = st.high.iter().copied().collect();
         self.stats = st.stats;
     }
 }
@@ -378,6 +426,40 @@ mod tests {
         assert_eq!(d.state(9), before);
         assert_eq!(d.stats().nacks, 3);
         assert_eq!(d.stats().reads, 1, "a NACK is not a transaction");
+    }
+
+    #[test]
+    fn dir_state_stays_two_words() {
+        // The map slot is (block, state); wider sharer sets live aside.
+        assert_eq!(std::mem::size_of::<DirState>(), 16);
+    }
+
+    #[test]
+    fn sharers_above_node_63_do_not_alias() {
+        // A 128-node machine: nodes 64 and 127 share a block with node 0.
+        let mut d = Directory::new();
+        d.read(7, 0);
+        assert_eq!(d.read(7, 64).source, ReadSource::Owner(0));
+        d.read(7, 127);
+        assert_eq!(d.state(7), Some(DirState::Shared(1)));
+        assert_eq!(d.sharers(7), Some(1 | 1 << 64 | 1 << 127));
+        let o = d.write(7, 1);
+        assert_eq!(o.invalidate_mask, 1 | 1 << 64 | 1 << 127);
+        assert_eq!(d.stats().invalidations, 3);
+        assert_eq!(d.state(7), Some(DirState::Exclusive(1)));
+        // Only high nodes share: the low mask is empty, the entry is not.
+        d.read(9, 100);
+        d.read(9, 65);
+        d.writeback(9, 100);
+        assert_eq!(d.sharers(9), Some(1 << 65));
+        let st = d.export_state();
+        assert_eq!(st.high, vec![(9, 1 << 1)]);
+        let mut back = Directory::new();
+        back.import_state(&st);
+        assert_eq!(back.sharers(9), Some(1 << 65));
+        d.writeback(9, 65);
+        assert_eq!(d.state(9), None);
+        assert!(d.export_state().high.is_empty());
     }
 
     #[test]

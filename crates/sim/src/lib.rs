@@ -49,7 +49,7 @@ pub mod util;
 pub use addr::{Addr, HomeMap, NodeId, BLOCK_BYTES, BLOCK_SHIFT, PAGE_BYTES, PAGE_SHIFT};
 pub use config::{
     CacheConfig, DistributionPolicy, FaultPlan, MemoryConfig, NetworkConfig, RetryPolicy,
-    SystemConfig,
+    SystemConfig, MAX_PROCS,
 };
 pub use fault::{FaultState, FaultStats};
 pub use event::{Event, InstructionStream};

@@ -68,6 +68,9 @@ pub struct ProcessorState {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirectoryState {
     pub entries: Vec<(u64, DirState)>,
+    /// Sharer bits of nodes 64–127 per `Shared` block that has any,
+    /// sorted by block.
+    pub high: Vec<(u64, u64)>,
     pub stats: DirectoryStats,
 }
 

@@ -22,6 +22,43 @@ fn op_strategy(n_nodes: usize) -> impl Strategy<Value = Op> {
     })
 }
 
+/// Run `ops` against one block, checking the protocol after every step.
+fn check_coherent(ops: Vec<Op>) {
+    let mut dir = Directory::new();
+    let block = 42u64;
+    // Shadow: which nodes could legitimately hold the block.
+    let mut holders: u128 = 0;
+    for op in ops {
+        match op {
+            Op::Read(p) => {
+                let o = dir.read(block, p);
+                if let ReadSource::Owner(owner) = o.source {
+                    prop_assert_ne!(owner, p, "cannot forward from self");
+                    prop_assert!(holders & (1 << owner) != 0, "forward from non-holder");
+                }
+                holders |= 1 << p;
+            }
+            Op::Write(p) => {
+                let o = dir.write(block, p);
+                prop_assert_eq!(o.invalidate_mask & (1 << p), 0,
+                    "never invalidate the requester");
+                prop_assert!(o.invalidate_mask & !holders == 0,
+                    "invalidation sent to a node that never held the block");
+                holders = 1 << p;
+                prop_assert_eq!(dir.state(block), Some(DirState::Exclusive(p)));
+            }
+            Op::Writeback(p) => {
+                dir.writeback(block, p);
+                holders &= !(1 << p);
+            }
+        }
+        // Global invariant: directory never tracks an empty sharer set,
+        // and the tracked set is a subset of legitimate holders plus
+        // stale entries (stale only possible after writebacks).
+        prop_assert_ne!(dir.sharers(block), Some(0));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -29,42 +66,16 @@ proptest! {
     fn directory_state_stays_coherent(
         ops in prop::collection::vec(op_strategy(8), 1..200),
     ) {
-        let mut dir = Directory::new();
-        let block = 42u64;
-        // Shadow: which nodes could legitimately hold the block.
-        let mut holders: u64 = 0;
-        for op in ops {
-            match op {
-                Op::Read(p) => {
-                    let o = dir.read(block, p);
-                    if let ReadSource::Owner(owner) = o.source {
-                        prop_assert_ne!(owner, p, "cannot forward from self");
-                        prop_assert!(holders & (1 << owner) != 0, "forward from non-holder");
-                    }
-                    holders |= 1 << p;
-                }
-                Op::Write(p) => {
-                    let o = dir.write(block, p);
-                    prop_assert_eq!(o.invalidate_mask & (1 << p), 0,
-                        "never invalidate the requester");
-                    prop_assert!(o.invalidate_mask & !holders == 0,
-                        "invalidation sent to a node that never held the block");
-                    holders = 1 << p;
-                    prop_assert_eq!(dir.state(block), Some(DirState::Exclusive(p)));
-                }
-                Op::Writeback(p) => {
-                    dir.writeback(block, p);
-                    holders &= !(1 << p);
-                }
-            }
-            // Global invariant: directory never tracks an empty sharer set,
-            // and the tracked set is a subset of legitimate holders plus
-            // stale entries (stale only possible after writebacks).
-            match dir.state(block) {
-                Some(DirState::Shared(mask)) => prop_assert!(mask != 0),
-                Some(DirState::Exclusive(_)) | None => {}
-            }
-        }
+        check_coherent(ops);
+    }
+
+    /// The same on a 128-node machine, whose sharers above node 63 live in
+    /// the directory's side table.
+    #[test]
+    fn directory_state_stays_coherent_on_128_nodes(
+        ops in prop::collection::vec(op_strategy(128), 1..200),
+    ) {
+        check_coherent(ops);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Versioned, deterministic binary checkpoint codec (`DSMCKPT6`).
+//! Versioned, deterministic binary checkpoint codec (`DSMCKPT7`).
 //!
 //! A checkpoint is the pair (simulator state, detector-collector state) at a
 //! global interval boundary, plus the metadata needed to rebuild the machine
@@ -21,7 +21,7 @@ use dsm_adapt::{
 };
 use dsm_phase::ddv::{DdvSnap, FrequencySnap};
 use dsm_phase::detector::{CollectorState, DetectorGeometry};
-use dsm_sim::config::{CoreConfig, FaultPlan, RetryPolicy};
+use dsm_sim::config::{CoreConfig, FaultPlan, RetryPolicy, MAX_PROCS};
 use dsm_sim::directory::DirState;
 use dsm_sim::event::Event;
 use dsm_sim::reconfig::ReconfigSnap;
@@ -47,8 +47,10 @@ use crate::wire::{bad_tag, Wire, D, R, W};
 /// bit-exactly. Version 5 carries the targeted-straggler fault-plan fields
 /// (`slowdown_node`, `slowdown_from_cycle`, `slowdown_until_cycle`) the
 /// diagnostics layer's ground-truth plans use. Version 6 drops the shard
-/// count from the metadata: there is only the serial core.
-pub const MAGIC: &[u8; 8] = b"DSMCKPT6";
+/// count from the metadata: there is only the serial core. Version 7
+/// carries the directory's sharer bits of nodes 64–127 (machines of up to
+/// [`MAX_PROCS`] nodes).
+pub const MAGIC: &[u8; 8] = b"DSMCKPT7";
 
 /// The version-independent format prefix shared by every `DSMCKPT` version.
 const MAGIC_FAMILY: &[u8; 7] = b"DSMCKPT";
@@ -77,7 +79,7 @@ pub enum CkptError {
 impl std::fmt::Display for CkptError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CkptError::BadMagic => write!(f, "not a DSMCKPT6 checkpoint (bad magic)"),
+            CkptError::BadMagic => write!(f, "not a DSMCKPT7 checkpoint (bad magic)"),
             CkptError::UnsupportedVersion { version } => {
                 write!(f, "unsupported DSMCKPT version {:?}", *version as char)
             }
@@ -292,7 +294,7 @@ crate::wire_struct!(CoreConfig {
     gshare_entries,
     stall_exposure_num,
 });
-crate::wire_struct!(DirectoryState { entries, stats });
+crate::wire_struct!(DirectoryState { entries, high, stats });
 crate::wire_struct!(NetworkState {
     msgs,
     payload_msgs,
@@ -329,7 +331,7 @@ fn geometry_fits(g: &DetectorGeometry, c: &CollectorState) -> bool {
 }
 
 impl Checkpoint {
-    /// Serialize to the `DSMCKPT6` byte format. Deterministic: the same
+    /// Serialize to the `DSMCKPT7` byte format. Deterministic: the same
     /// checkpoint always encodes to the same bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = W::with_magic(MAGIC);
@@ -337,7 +339,7 @@ impl Checkpoint {
         w.into_bytes()
     }
 
-    /// Decode a `DSMCKPT6` buffer. Total: any input yields `Ok` or a typed
+    /// Decode a `DSMCKPT7` buffer. Total: any input yields `Ok` or a typed
     /// [`CkptError`]; never panics, never over-allocates on hostile lengths.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CkptError> {
         if bytes.len() < MAGIC.len() || &bytes[..MAGIC_FAMILY.len()] != MAGIC_FAMILY {
@@ -359,7 +361,7 @@ impl Checkpoint {
     fn check(&self) -> D<()> {
         let bad = |what| Err(CkptError::BadValue { what });
         let n_procs = self.meta.n_procs;
-        if n_procs == 0 || n_procs > 4096 {
+        if n_procs == 0 || n_procs > MAX_PROCS {
             return bad("n_procs");
         }
         let st = &self.system;
@@ -472,6 +474,7 @@ mod tests {
                 procs: vec![proc(0), proc(1)],
                 directory: DirectoryState {
                     entries: vec![(4, DirState::Shared(0b11)), (9, DirState::Exclusive(1))],
+                    high: vec![(4, 1 << 63)],
                     stats: DirectoryStats { reads: 12, writes: 3, ..Default::default() },
                 },
                 network: NetworkState {
@@ -592,7 +595,7 @@ mod tests {
 
     #[test]
     fn encoded_bytes_are_pinned() {
-        // Any change to these digests is a DSMCKPT6 layout change: bump the
+        // Any change to these digests is a DSMCKPT7 layout change: bump the
         // version digit instead of editing the pin.
         // The pins were recorded with the default geometry in the header,
         // which the sample's 3-bucket collector does not fit (the decoder
@@ -603,11 +606,11 @@ mod tests {
             ck
         };
         let plain = pinned().encode();
-        assert_eq!((plain.len(), fnv1a64(&plain)), (2267, 0x88ffe2da4b7c8c36));
+        assert_eq!((plain.len(), fnv1a64(&plain)), (2291, 0xc2cffc3b63c1bcc2));
         let mut ck = pinned();
         ck.adapt = Some(sample_adapt());
         let with_adapt = ck.encode();
-        assert_eq!((with_adapt.len(), fnv1a64(&with_adapt)), (2538, 0xf6521e10f7e38f64));
+        assert_eq!((with_adapt.len(), fnv1a64(&with_adapt)), (2562, 0xe1eb38f95be2dde8));
     }
 
     #[test]
@@ -692,6 +695,7 @@ mod tests {
             (b"DSMCKPT3\x00\x01\x02\x03", b'3'),
             (b"DSMCKPT4\x00\x01\x02\x03", b'4'),
             (b"DSMCKPT5\x00\x01\x02\x03", b'5'),
+            (b"DSMCKPT6\x00\x01\x02\x03", b'6'),
             (b"DSMCKPT9garbage", b'9'),
         ] {
             assert_eq!(

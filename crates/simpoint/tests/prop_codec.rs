@@ -1,4 +1,4 @@
-//! Property tests for the `DSMCKPT6` checkpoint codec: decoding is *total*
+//! Property tests for the `DSMCKPT7` checkpoint codec: decoding is *total*
 //! (any input — random bytes, corrupted checkpoints, truncations — yields a
 //! typed error or a valid checkpoint, never a panic), and the encoding is
 //! canonical (whatever decodes re-encodes to the identical bytes).
@@ -142,6 +142,7 @@ fn synth(seed: u64, n_procs: usize, n_recs: usize) -> Checkpoint {
                         (b, st)
                     })
                     .collect(),
+                high: Vec::new(),
                 stats: DirectoryStats { reads: g.u(), writes: g.u(), ..Default::default() },
             },
             network: NetworkState {
