@@ -37,7 +37,8 @@ use dsm_sim::event::{ChunkedStream, InstructionStream};
 use dsm_sim::system::System;
 use dsm_simpoint::{
     interval_cpis, mean_and_cov, reconstruct_cpi, relative_error, select, signatures,
-    stratified_members, Checkpoint, CheckpointMeta, Reconstructed, SampleUnit, Selection,
+    stratified_members, Checkpoint, CheckpointMeta, CkptError, Reconstructed, SampleUnit,
+    Selection,
 };
 use dsm_workloads::{make_stream, Workload};
 
@@ -150,14 +151,20 @@ pub fn capture_checkpoint_every(
 /// configuration from the metadata, fast-forward a fresh instruction stream
 /// by the recorded per-processor fetch counts, import the collector state,
 /// and restore the machine state. The result continues bit-identically to
-/// the run the checkpoint was taken from.
-pub fn resume_checkpoint(ck: &Checkpoint) -> AppSystem {
+/// the run the checkpoint was taken from. Metadata that fails
+/// [`ExperimentConfig::validate`] is refused as a `BadValue` naming the
+/// field, as the trace store refuses it, instead of panicking in
+/// `System::new`.
+pub fn resume_checkpoint(ck: &Checkpoint) -> Result<(ExperimentConfig, AppSystem), CkptError> {
     let config = ExperimentConfig {
         app: ck.meta.app,
         n_procs: ck.meta.n_procs,
         scale: ck.meta.scale,
         interval_base: ck.meta.interval_base,
     };
+    config
+        .validate()
+        .map_err(|e| CkptError::BadValue { what: e.field() })?;
     let mut sys_cfg = config.system_config();
     sys_cfg.fault = ck.meta.plan;
     // The snapshot's link vectors are indexed by the captured topology's
@@ -178,20 +185,14 @@ pub fn resume_checkpoint(ck: &Checkpoint) -> AppSystem {
     let mut sys = capture_system(sys_cfg, stream, ck.meta.geometry, TraceCollector::new);
     sys.observer_mut().import_state(&ck.collector);
     sys.restore_state(&ck.system);
-    sys
+    Ok((config, sys))
 }
 
 /// Decode `bytes`, resume, and run to completion. Used by the round-trip
 /// differential tests and the `faults --resume` flag.
-pub fn resume_to_end(bytes: &[u8]) -> SystemTrace {
-    let ck = Checkpoint::decode(bytes).expect("checkpoint decodes");
-    let config = ExperimentConfig {
-        app: ck.meta.app,
-        n_procs: ck.meta.n_procs,
-        scale: ck.meta.scale,
-        interval_base: ck.meta.interval_base,
-    };
-    SystemTrace::from_run(config, resume_checkpoint(&ck).run_to_end())
+pub fn resume_to_end(bytes: &[u8]) -> Result<SystemTrace, CkptError> {
+    let (config, sys) = resume_checkpoint(&Checkpoint::decode(bytes)?)?;
+    Ok(SystemTrace::from_run(config, sys.run_to_end()))
 }
 
 /// One sampled-simulation run: selection, stratified per-cluster
@@ -275,7 +276,7 @@ pub fn sampled_run(config: ExperimentConfig, plan: FaultPlan) -> SimpointResult 
     let checkpoint_bytes: Vec<usize> = ckpts.iter().map(|(_, b)| b.len()).collect();
     let measured: Vec<(u64, f64)> = par_map(ckpts, |(b, bytes)| {
         let ck = Checkpoint::decode(&bytes).expect("checkpoint decodes");
-        let mut sys = resume_checkpoint(&ck);
+        let (_, mut sys) = resume_checkpoint(&ck).expect("checkpoint resumes");
         sys.run_to_interval(b + 1);
         let mut insns = 0u64;
         let mut cycles = 0u64;
@@ -452,10 +453,30 @@ mod tests {
         let config = ExperimentConfig::test(App::Lu, 2);
         let (ckpts, golden) = capture_with_checkpoints(config, FaultPlan::none(), &[2]);
         assert_eq!(ckpts.len(), 1);
-        let resumed = resume_to_end(&ckpts[0].1);
+        let resumed = resume_to_end(&ckpts[0].1).unwrap();
         assert_eq!(resumed.stats, golden.stats);
         assert_eq!(resumed.records, golden.records);
         assert_eq!(resumed.ddv_vectors_exchanged, golden.ddv_vectors_exchanged);
+    }
+
+    #[test]
+    fn unrunnable_checkpoint_is_refused_not_run() {
+        let config = ExperimentConfig::test(App::Lu, 2);
+        let (ckpts, _) = capture_with_checkpoints(config, FaultPlan::none(), &[2]);
+        let edited = |edit: fn(&mut Checkpoint)| {
+            let mut ck = Checkpoint::decode(&ckpts[0].1).unwrap();
+            edit(&mut ck);
+            resume_to_end(&ck.encode()).err()
+        };
+        // Both used to decode and then panic in `System::new`.
+        assert_eq!(
+            edited(|ck| ck.meta.plan.drop_ppm = 2_000_000),
+            Some(CkptError::BadValue { what: "fault plan" })
+        );
+        assert_eq!(
+            edited(|ck| ck.meta.interval_base = 0),
+            Some(CkptError::BadValue { what: "interval_base" })
+        );
     }
 
     #[test]
@@ -467,7 +488,7 @@ mod tests {
             assert_eq!(*b, 2 * (i as u64 + 1));
         }
         // Each one resumes to the identical end state.
-        let resumed = resume_to_end(&ckpts.last().unwrap().1);
+        let resumed = resume_to_end(&ckpts.last().unwrap().1).unwrap();
         assert_eq!(resumed.stats, trace.stats);
     }
 

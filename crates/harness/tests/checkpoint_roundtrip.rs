@@ -21,7 +21,7 @@ fn assert_roundtrip(config: ExperimentConfig, plan: FaultPlan, boundaries: &[u64
     let (ckpts, golden) = capture_with_checkpoints(config, plan, boundaries);
     assert_eq!(ckpts.len(), boundaries.len(), "{}: missing checkpoints", config.label());
     for (b, bytes) in &ckpts {
-        let resumed = resume_to_end(bytes);
+        let resumed = resume_to_end(bytes).expect("checkpoint resumes");
         assert_eq!(
             resumed.stats,
             golden.stats,
@@ -83,7 +83,7 @@ fn roundtrip_routed_fabric_nondefault_topologies() {
         let (ckpts, golden) = capture_with_checkpoints_cfg(config, sys_cfg, &[1, 3]);
         assert_eq!(ckpts.len(), 2, "{}/{}: missing checkpoints", config.label(), kind.name());
         for (b, bytes) in &ckpts {
-            let resumed = resume_to_end(bytes);
+            let resumed = resume_to_end(bytes).expect("checkpoint resumes");
             assert_eq!(
                 resumed.stats,
                 golden.stats,

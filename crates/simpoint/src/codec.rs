@@ -364,6 +364,9 @@ impl Checkpoint {
         if n_procs == 0 || n_procs > MAX_PROCS {
             return bad("n_procs");
         }
+        if self.meta.plan.validate().is_err() {
+            return bad("fault plan");
+        }
         let st = &self.system;
         if st.procs.iter().any(|p| p.gshare.table.iter().any(|&c| c > 3)) {
             return bad("gshare counter > 3");
@@ -663,6 +666,16 @@ mod tests {
         assert_eq!(
             Checkpoint::decode(&ck.encode()),
             Err(CkptError::BadValue { what: "adapt stream length" })
+        );
+    }
+
+    #[test]
+    fn fault_plan_that_cannot_run_is_refused() {
+        let mut ck = sample_checkpoint();
+        ck.meta.plan.drop_ppm = 2_000_000;
+        assert_eq!(
+            Checkpoint::decode(&ck.encode()),
+            Err(CkptError::BadValue { what: "fault plan" })
         );
     }
 
