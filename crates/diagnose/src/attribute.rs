@@ -71,6 +71,50 @@ pub struct NodeTelemetry {
     pub reconfig_events: u64,
 }
 
+/// Why a telemetry slice cannot be joined against a fleet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TelemetryError {
+    /// The slice holds `len` entries for a fleet of `expected` nodes.
+    Len { len: usize, expected: usize },
+    /// `node`'s share `field` is NaN, infinite or negative. Shares are
+    /// ratios of non-negative counts, and attribution takes medians of them.
+    Share { node: usize, field: &'static str },
+}
+
+impl std::fmt::Display for TelemetryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TelemetryError::Len { len, expected } => {
+                write!(f, "telemetry for {len} nodes, expected {expected}")
+            }
+            TelemetryError::Share { node, field } => {
+                write!(f, "node {node} {field} is not a finite non-negative share")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TelemetryError {}
+
+/// Check that `telemetry` holds one entry per node of an `n_nodes` fleet,
+/// each with finite non-negative shares.
+pub fn check_telemetry(telemetry: &[NodeTelemetry], n_nodes: usize) -> Result<(), TelemetryError> {
+    if telemetry.len() != n_nodes {
+        return Err(TelemetryError::Len { len: telemetry.len(), expected: n_nodes });
+    }
+    for (node, t) in telemetry.iter().enumerate() {
+        let shares = [
+            ("remote_miss_share", t.remote_miss_share),
+            ("barrier_stall_share", t.barrier_stall_share),
+            ("mem_stall_share", t.mem_stall_share),
+        ];
+        if let Some(&(field, _)) = shares.iter().find(|(_, x)| !(x.is_finite() && *x >= 0.0)) {
+            return Err(TelemetryError::Share { node, field });
+        }
+    }
+    Ok(())
+}
+
 /// One ranked root-cause hypothesis with its supporting counter deltas
 /// (`(counter name, outlier value − majority median)`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -95,7 +139,8 @@ fn median(mut values: Vec<f64>) -> f64 {
 
 /// Rank the plausible root causes for outlier `node` against the majority
 /// cluster's telemetry baseline. Always returns at least one hint
-/// ([`HintKind::Unknown`] when nothing clears the threshold).
+/// ([`HintKind::Unknown`] when nothing clears the threshold). `telemetry`
+/// must pass [`check_telemetry`] for the fleet `node` and `majority` index.
 pub fn attribute(
     cfg: &DiagnoseConfig,
     node: usize,

@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 
 use dsm_phase::stream::PhaseStream;
 
-pub use attribute::{attribute, Hint, HintKind, NodeTelemetry};
+pub use attribute::{attribute, check_telemetry, Hint, HintKind, NodeTelemetry, TelemetryError};
 pub use cluster::{cluster, flagged_range, majority_index, outlier_scores};
 pub use kernel::{canonical_phases, distance_matrix, pair_distance, slice_distance, PairDistance};
 pub use sink::DiagnosisSink;
@@ -140,14 +140,18 @@ impl Diagnosis {
 
 /// Run the full diagnostic pass: distance matrix → clustering → majority →
 /// outlier ranking → divergent-range flagging → (optionally) root-cause
-/// attribution. `telemetry`, when given, must be indexed by node like
-/// `streams`.
+/// attribution. `telemetry`, when given, is indexed by node like
+/// `streams`; a slice that fails [`check_telemetry`] is refused before any
+/// work is done.
 pub fn diagnose(
     cfg: &DiagnoseConfig,
     streams: &[PhaseStream],
     telemetry: Option<&[NodeTelemetry]>,
-) -> Diagnosis {
+) -> Result<Diagnosis, TelemetryError> {
     let n = streams.len();
+    if let Some(t) = telemetry {
+        check_telemetry(t, n)?;
+    }
     let dist = distance_matrix(cfg, streams);
     let clusters = cluster(&dist, cfg.cluster_threshold);
     let majority = majority_index(&clusters);
@@ -178,7 +182,7 @@ pub fn diagnose(
         })
         .collect();
 
-    Diagnosis { n_nodes: n, aligned_intervals, clusters, majority, scores, outliers }
+    Ok(Diagnosis { n_nodes: n, aligned_intervals, clusters, majority, scores, outliers })
 }
 
 #[cfg(test)]
@@ -212,7 +216,7 @@ mod tests {
 
     #[test]
     fn uniform_fleet_is_one_cluster_with_no_outliers() {
-        let d = diagnose(&DiagnoseConfig::default(), &fleet(8, 24, None), None);
+        let d = diagnose(&DiagnoseConfig::default(), &fleet(8, 24, None), None).unwrap();
         assert_eq!(d.clusters, vec![(0..8).collect::<Vec<_>>()]);
         assert!(d.is_uniform());
         assert_eq!(d.aligned_intervals, 24);
@@ -221,7 +225,7 @@ mod tests {
     #[test]
     fn straggler_is_the_top_outlier_with_a_flagged_epoch() {
         let streams = fleet(8, 24, Some((5, 8..16)));
-        let d = diagnose(&DiagnoseConfig::default(), &streams, None);
+        let d = diagnose(&DiagnoseConfig::default(), &streams, None).unwrap();
         assert!(!d.is_uniform());
         assert_eq!(d.outliers[0].node, 5);
         assert!(d.majority_nodes().len() >= 7);
@@ -244,14 +248,41 @@ mod tests {
         ];
         telemetry[2].mem_stall_share = 0.6;
         telemetry[2].barrier_stall_share = 0.02;
-        let d = diagnose(&DiagnoseConfig::default(), &streams, Some(&telemetry));
+        let d = diagnose(&DiagnoseConfig::default(), &streams, Some(&telemetry)).unwrap();
         assert_eq!(d.outliers[0].node, 2);
         assert_eq!(d.outliers[0].hints[0].kind, HintKind::SlowdownEpoch);
     }
 
     #[test]
+    fn malformed_telemetry_is_a_typed_error() {
+        // Node 2 is an outlier, so attribution would index every majority
+        // peer's entry and take medians over their shares.
+        let streams = fleet(4, 16, Some((2, 4..12)));
+        let cfg = DiagnoseConfig::default();
+        let short = [NodeTelemetry::default()];
+        assert_eq!(
+            diagnose(&cfg, &streams, Some(&short)),
+            Err(TelemetryError::Len { len: 1, expected: 4 })
+        );
+        let ok = NodeTelemetry::default();
+        for (field, bad) in [
+            ("remote_miss_share", NodeTelemetry { remote_miss_share: -0.5, ..ok }),
+            ("barrier_stall_share", NodeTelemetry { barrier_stall_share: f64::INFINITY, ..ok }),
+            ("mem_stall_share", NodeTelemetry { mem_stall_share: f64::NAN, ..ok }),
+        ] {
+            let mut telemetry = [ok; 4];
+            telemetry[0] = bad;
+            let want = Err(TelemetryError::Share { node: 0, field });
+            assert_eq!(diagnose(&cfg, &streams, Some(&telemetry)), want);
+            let mut sink = DiagnosisSink::new(4, 16, cfg.clone());
+            streams.iter().flat_map(|s| s.intervals()).for_each(|c| sink.observe(c));
+            assert_eq!(sink.diagnose(Some(&telemetry)), want);
+        }
+    }
+
+    #[test]
     fn empty_fleet_diagnoses_to_nothing() {
-        let d = diagnose(&DiagnoseConfig::default(), &[], Some(&[]));
+        let d = diagnose(&DiagnoseConfig::default(), &[], Some(&[])).unwrap();
         assert_eq!(d.n_nodes, 0);
         assert_eq!(d.aligned_intervals, 0);
         assert!(d.clusters.is_empty() && d.scores.is_empty());
@@ -262,7 +293,7 @@ mod tests {
     #[test]
     fn single_node_fleet_is_its_own_uniform_majority() {
         let (streams, telemetry) = (fleet(1, 8, Some((0, 0..4))), [NodeTelemetry::default()]);
-        let d = diagnose(&DiagnoseConfig::default(), &streams, Some(&telemetry));
+        let d = diagnose(&DiagnoseConfig::default(), &streams, Some(&telemetry)).unwrap();
         assert_eq!(d.clusters, vec![vec![0]]);
         assert_eq!(d.majority_nodes(), &[0]);
         assert_eq!(d.scores, vec![0.0]);
@@ -277,7 +308,7 @@ mod tests {
         // gives the kernel anything to contrast: the fleet is one cluster.
         let mut streams = fleet(4, 1, Some((2, 0..1)));
         streams[3] = PhaseStream::from_intervals(3, vec![ci(3, 0, 7, 1.0)]);
-        let d = diagnose(&DiagnoseConfig::default(), &streams, None);
+        let d = diagnose(&DiagnoseConfig::default(), &streams, None).unwrap();
         assert_eq!(d.clusters, vec![vec![0, 1, 2, 3]]);
         assert_eq!(d.scores, vec![0.0; 4]);
         assert_eq!(d.aligned_intervals, 1);
@@ -294,7 +325,7 @@ mod tests {
             stream(2, 0..20, 0..0),
             stream(3, 8..16, 0..0),
         ];
-        let d = diagnose(&cfg, &overlapping, None);
+        let d = diagnose(&cfg, &overlapping, None).unwrap();
         assert_eq!(d.aligned_intervals, 8);
         assert_eq!(d.clusters, vec![vec![0, 1, 2, 3]]);
         assert!(d.is_uniform());
@@ -303,7 +334,7 @@ mod tests {
         // maximum distance, is the only outlier, and has no range to flag.
         let disjoint = [stream(0, 0..8, 0..0), stream(1, 0..8, 0..0), stream(2, 16..24, 0..0)];
         let telemetry = [NodeTelemetry::default(); 3];
-        let d = diagnose(&cfg, &disjoint, Some(&telemetry));
+        let d = diagnose(&cfg, &disjoint, Some(&telemetry)).unwrap();
         assert_eq!(d.aligned_intervals, 0);
         assert_eq!(d.clusters, vec![vec![0, 1], vec![2]]);
         assert_eq!(d.majority_nodes(), &[0, 1]);

@@ -13,7 +13,7 @@
 use dsm_phase::stream::PhaseStream;
 use dsm_phase::ClassifiedInterval;
 
-use crate::{diagnose, Diagnosis, DiagnoseConfig, NodeTelemetry};
+use crate::{diagnose, Diagnosis, DiagnoseConfig, NodeTelemetry, TelemetryError};
 
 /// Windowed per-node similarity state over a live stream.
 #[derive(Debug, Clone)]
@@ -82,8 +82,12 @@ impl DiagnosisSink {
     }
 
     /// Run the engine over the retained windows. `telemetry`, when
-    /// available, must be indexed by node like the streams.
-    pub fn diagnose(&self, telemetry: Option<&[NodeTelemetry]>) -> Diagnosis {
+    /// available, is indexed by node like the streams and refused as by
+    /// [`diagnose`].
+    pub fn diagnose(
+        &self,
+        telemetry: Option<&[NodeTelemetry]>,
+    ) -> Result<Diagnosis, TelemetryError> {
         diagnose(&self.cfg, &self.streams, telemetry)
     }
 }
@@ -115,8 +119,8 @@ mod tests {
             .enumerate()
             .map(|(p, v)| PhaseStream::from_intervals(p, v))
             .collect();
-        let online = sink.diagnose(None);
-        let off = diagnose(&cfg, &streams, None);
+        let online = sink.diagnose(None).unwrap();
+        let off = diagnose(&cfg, &streams, None).unwrap();
         assert_eq!(online, off);
         assert_eq!(sink.realigns(), 0);
         assert_eq!(sink.observed(), 60);

@@ -59,8 +59,8 @@ proptest! {
             .map(|p| NodeTelemetry { mem_stall_share: mem[p], ..NodeTelemetry::default() })
             .collect();
         let cfg = DiagnoseConfig::default();
-        let first = diagnose(&cfg, &streams, Some(&telemetry));
-        let second = diagnose(&cfg, &streams, Some(&telemetry));
+        let first = diagnose(&cfg, &streams, Some(&telemetry)).unwrap();
+        let second = diagnose(&cfg, &streams, Some(&telemetry)).unwrap();
         prop_assert_eq!(first, second);
     }
 
@@ -85,8 +85,8 @@ proptest! {
         }
 
         let cfg = DiagnoseConfig::default();
-        let base = diagnose(&cfg, &fleet(&rows), None);
-        let rotated = diagnose(&cfg, &fleet(&permuted_rows), None);
+        let base = diagnose(&cfg, &fleet(&rows), None).unwrap();
+        let rotated = diagnose(&cfg, &fleet(&permuted_rows), None).unwrap();
 
         let mut mapped_clusters: Vec<Vec<usize>> = base
             .clusters
@@ -133,7 +133,7 @@ proptest! {
             let mut streams: Vec<PhaseStream> =
                 (0..3).map(|p| lagged_stream(p, len, 0)).collect();
             streams.push(lagged_stream(3, len, lag));
-            let d = diagnose(&cfg, &streams, None);
+            let d = diagnose(&cfg, &streams, None).unwrap();
             prop_assert!(
                 d.scores[3] + 1e-12 >= prev,
                 "lag {lag}: score {} dropped below {prev}",

@@ -252,7 +252,7 @@ pub struct DiagnoseReport {
 fn diagnose_trace(trace: &SystemTrace) -> Diagnosis {
     let streams = classified_streams(trace);
     let telemetry = node_telemetry(trace, &streams);
-    diagnose(&report_config(), &streams, Some(&telemetry))
+    diagnose(&report_config(), &streams, Some(&telemetry)).expect("one finite share set per node")
 }
 
 /// Capture the serial-init + first-touch placement column: the same

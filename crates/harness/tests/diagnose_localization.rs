@@ -65,7 +65,7 @@ fn online_sink_reproduces_the_offline_diagnosis_exactly() {
     let telemetry = node_telemetry(&faulty, &streams);
 
     let cfg = report_config();
-    let offline = dsm_diagnose::diagnose(&cfg, &streams, Some(&telemetry));
+    let offline = dsm_diagnose::diagnose(&cfg, &streams, Some(&telemetry)).unwrap();
 
     // Replay the same intervals through the online sink in arrival order
     // (interleaved across nodes, index order per node — the serve batch
@@ -80,7 +80,7 @@ fn online_sink_reproduces_the_offline_diagnosis_exactly() {
             }
         }
     }
-    let online = sink.diagnose(Some(&telemetry));
+    let online = sink.diagnose(Some(&telemetry)).unwrap();
     assert_eq!(online, offline, "online and offline verdicts must be identical");
     assert_eq!(sink.realigns(), 0);
 }

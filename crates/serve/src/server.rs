@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use dsm_diagnose::{Diagnosis, NodeTelemetry};
+use dsm_diagnose::{Diagnosis, NodeTelemetry, TelemetryError};
 use dsm_phase::signature::IntervalSignature;
 use dsm_phase::ClassifiedInterval;
 use dsm_telemetry::{MetricsRegistry, Snapshot, SpanSink};
@@ -477,8 +477,9 @@ impl PhaseServer {
     /// `Ok(None)` when the server runs with `diagnose_window == 0`;
     /// `telemetry`, when supplied, must hold one entry per node (proc) of
     /// the tenant, with finite non-negative shares — otherwise the call is
-    /// refused and changes nothing. Also refreshes the tenant's
-    /// `serve/tenant/<id>/diagnose/outliers` gauge.
+    /// refused ([`dsm_diagnose::check_telemetry`]) and changes nothing.
+    /// Also refreshes the tenant's `serve/tenant/<id>/diagnose/outliers`
+    /// gauge.
     pub fn tenant_diagnosis(
         &mut self,
         id: TenantId,
@@ -487,30 +488,17 @@ impl PhaseServer {
         let tick = self.tick;
         let (shard, slot) = self.tenant_mut(id)?;
         let t = shard.slots[slot].as_mut().expect("directory points at live slot");
-        if let Some(tel) = telemetry {
-            if tel.len() != t.cfg.n_procs {
-                return Err(ServeError::BadTelemetryLen {
-                    tenant: id,
-                    len: tel.len(),
-                    expected: t.cfg.n_procs,
-                });
-            }
-            for (node, n) in tel.iter().enumerate() {
-                let shares = [
-                    ("remote_miss_share", n.remote_miss_share),
-                    ("barrier_stall_share", n.barrier_stall_share),
-                    ("mem_stall_share", n.mem_stall_share),
-                ];
-                let bad = shares.iter().find(|(_, x)| !(x.is_finite() && *x >= 0.0));
-                if let Some(&(field, _)) = bad {
-                    return Err(ServeError::BadTelemetryShare { tenant: id, node, field });
-                }
-            }
-        }
         let Some(d) = t.diag.as_ref() else {
             return Ok(None);
         };
-        let diagnosis = d.diagnose(telemetry);
+        let diagnosis = d.diagnose(telemetry).map_err(|e| match e {
+            TelemetryError::Len { len, expected } => {
+                ServeError::BadTelemetryLen { tenant: id, len, expected }
+            }
+            TelemetryError::Share { node, field } => {
+                ServeError::BadTelemetryShare { tenant: id, node, field }
+            }
+        })?;
         if let Some(p) = t.probes {
             shard.reg.set(p.diag_outliers, diagnosis.outliers.len() as f64);
         }
