@@ -295,7 +295,7 @@ impl<S: InstructionStream> AdaptSession<S> {
         let decisions = self.protocol.decisions().to_vec();
         let retunes = self.protocol.retunes();
         let locked_phases = self.protocol.locked_phases();
-        let (stats, collector) = self.sys.run_to_end();
+        let (stats, collector) = self.sys.run();
         AdaptOutcome {
             stats,
             records: collector.records,
@@ -324,7 +324,7 @@ pub fn run_locked<S: InstructionStream>(
         }
         actuator.apply(&mut sys, config);
     }
-    let (stats, collector) = sys.run_to_end();
+    let (stats, collector) = sys.run();
     (stats, collector.records)
 }
 

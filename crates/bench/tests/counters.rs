@@ -143,7 +143,7 @@ fn events_and_footprint_comparisons_are_exact() {
             events,
             sys.events_executed(),
         );
-        let trace = SystemTrace::from_run(cfg, sys.run_to_end());
+        let trace = SystemTrace::from_run(cfg, sys.run());
 
         for ((name, grid), recorded) in grids.iter().zip([bbv, bbv_ddv]) {
             let now: u64 = trace

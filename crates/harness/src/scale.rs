@@ -130,7 +130,7 @@ fn timed_run(cfg: &ExperimentConfig, reference: bool) -> ArmRun {
     system.run_to_interval(u64::MAX);
     let secs = t0.elapsed().as_secs_f64();
     let events = system.events_executed();
-    let (stats, collector) = system.run_to_end();
+    let (stats, collector) = system.run();
     ArmRun {
         secs,
         events,

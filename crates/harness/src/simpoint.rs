@@ -120,7 +120,7 @@ fn capture_checkpoints_inner(
         }
         ckpts.push((b, ck.encode()));
     }
-    (ckpts, SystemTrace::from_run(config, sys.run_to_end()))
+    (ckpts, SystemTrace::from_run(config, sys.run()))
 }
 
 /// Run `config` under `plan`, snapshotting every `every` global interval
@@ -144,7 +144,7 @@ pub fn capture_checkpoint_every(
         ckpts.push((b, snapshot(&sys, config, &sys_cfg, b).encode()));
         b += every;
     }
-    (ckpts, SystemTrace::from_run(config, sys.run_to_end()))
+    (ckpts, SystemTrace::from_run(config, sys.run()))
 }
 
 /// Rebuild a live system from a decoded checkpoint: reconstruct the machine
@@ -192,7 +192,7 @@ pub fn resume_checkpoint(ck: &Checkpoint) -> Result<(ExperimentConfig, AppSystem
 /// differential tests and the `faults --resume` flag.
 pub fn resume_to_end(bytes: &[u8]) -> Result<SystemTrace, CkptError> {
     let (config, sys) = resume_checkpoint(&Checkpoint::decode(bytes)?)?;
-    Ok(SystemTrace::from_run(config, sys.run_to_end()))
+    Ok(SystemTrace::from_run(config, sys.run()))
 }
 
 /// One sampled-simulation run: selection, stratified per-cluster

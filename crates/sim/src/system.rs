@@ -166,6 +166,8 @@ impl<S: InstructionStream, O: SimObserver> System<S, O> {
     }
 
     /// Run to completion of all processor streams; returns final statistics.
+    /// A system already stepped (e.g. via [`System::run_to_interval`]) or
+    /// restored ([`System::restore_state`]) runs on from where it stands.
     ///
     /// Uses the batched event loop: runs of pure compute events
     /// (`Block`/`Fp`) that stay inside one sampling interval execute without
@@ -498,15 +500,7 @@ impl<S: InstructionStream, O: SimObserver> System<S, O> {
                 let fwd = self.deliver_msg(home, owner, false, arrive);
                 fwd + self.deliver_msg(owner, p, true, arrive + fwd)
             } else if o.from_memory {
-                let svc = self.memctrls[home].request_block(block >> 5, arrive);
-                self.procs[p].stats.contention_cycles += svc.queue_delay;
-                let mem = svc.done_at - arrive;
-                let reply = if home != p {
-                    self.deliver_msg(home, p, true, svc.done_at)
-                } else {
-                    0
-                };
-                mem + reply
+                self.memory_fetch(p, block, home, arrive)
             } else {
                 0 // upgrade: data already present, only acks matter
             };
@@ -514,17 +508,7 @@ impl<S: InstructionStream, O: SimObserver> System<S, O> {
         } else {
             let o = self.dir.read(block, p);
             let data_lat = match o.source {
-                ReadSource::Memory => {
-                    let svc = self.memctrls[home].request_block(block >> 5, arrive);
-                    self.procs[p].stats.contention_cycles += svc.queue_delay;
-                    let mem = svc.done_at - arrive;
-                    let reply = if home != p {
-                        self.deliver_msg(home, p, true, svc.done_at)
-                    } else {
-                        0
-                    };
-                    mem + reply
-                }
+                ReadSource::Memory => self.memory_fetch(p, block, home, arrive),
                 ReadSource::Owner(owner) => {
                     // Owner downgrades to shared, forwards data, and the
                     // dirty block is written back to home memory (occupying
@@ -544,6 +528,21 @@ impl<S: InstructionStream, O: SimObserver> System<S, O> {
         };
 
         req_lat + self.cfg.directory_cycles + data_lat.max(inval_lat)
+    }
+
+    /// Home memory supplies `block` to `p`, the request having reached the
+    /// home at `arrive`: the controller's service time (queueing charged to
+    /// `p` as contention) plus the reply when the home is remote.
+    fn memory_fetch(&mut self, p: usize, block: u64, home: usize, arrive: u64) -> u64 {
+        let svc = self.memctrls[home].request_block(block >> 5, arrive);
+        self.procs[p].stats.contention_cycles += svc.queue_delay;
+        let mem = svc.done_at - arrive;
+        let reply = if home != p {
+            self.deliver_msg(home, p, true, svc.done_at)
+        } else {
+            0
+        };
+        mem + reply
     }
 
     /// A dirty L2 victim is written back to its home (buffered: consumes
@@ -710,16 +709,6 @@ impl<S: InstructionStream, O: SimObserver> System<S, O> {
                 return false;
             }
         }
-    }
-
-    /// Like [`System::run`] for a system that has already been stepped
-    /// (e.g. via [`System::run_to_interval`] or after
-    /// [`System::restore_state`]): drive to completion and return the final
-    /// stats plus the observer.
-    pub fn run_to_end(mut self) -> (SystemStats, O) {
-        while self.step_batched() {}
-        let stats = self.finish_stats();
-        (stats, self.observer)
     }
 
     /// Capture the complete dynamic state of the machine. Combined with a
@@ -1395,7 +1384,7 @@ mod tests {
                 let obs_at_snap = sys.observer().0.clone();
 
                 // The snapshotted machine itself must continue unperturbed.
-                let (stats_c, obs_c) = sys.run_to_end();
+                let (stats_c, obs_c) = sys.run();
                 assert_eq!(stats_a, stats_c, "snapshot must not perturb (seed {seed})");
                 assert_eq!(obs_a.0, obs_c.0);
 
@@ -1409,7 +1398,7 @@ mod tests {
                 }
                 let mut restored = System::new(cfg, stream, Rec(obs_at_snap));
                 restored.restore_state(&snap);
-                let (stats_b, obs_b) = restored.run_to_end();
+                let (stats_b, obs_b) = restored.run();
                 assert_eq!(stats_a, stats_b, "restored run diverged (seed {seed})");
                 assert_eq!(obs_a.0, obs_b.0, "observer streams diverged (seed {seed})");
             }
