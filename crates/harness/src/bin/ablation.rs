@@ -6,24 +6,12 @@
 //! [--no-cache]` (default: scaled).
 
 use dsm_analysis::curve::CovCurve;
+use dsm_harness::experiment::scale_from_args;
 use dsm_harness::figures::config_at;
 use dsm_harness::sweep::{ablation_curve, bbv_curve, bbv_ddv_curve, vector_ddv_curve, DdsAblation};
 use dsm_harness::trace::capture_cached;
 use dsm_harness::{parallel, report};
-use dsm_workloads::{App, Scale};
-
-fn parse_scale() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--scale") {
-        Some(i) => match args.get(i + 1).map(|s| s.as_str()) {
-            Some("test") => Scale::Test,
-            Some("scaled") => Scale::Scaled,
-            Some("paper") => Scale::Paper,
-            other => panic!("unknown scale {other:?} (test|scaled|paper)"),
-        },
-        None => Scale::Scaled,
-    }
-}
+use dsm_workloads::App;
 
 fn summarize(c: &CovCurve) -> String {
     let at = |k: f64| {
@@ -35,7 +23,7 @@ fn summarize(c: &CovCurve) -> String {
 }
 
 fn main() {
-    let scale = parse_scale();
+    let scale = scale_from_args();
     let jobs = parallel::init_from_args();
     eprintln!("ablation: running with {jobs} worker(s)");
     let n_procs = 32usize;

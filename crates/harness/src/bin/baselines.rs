@@ -6,11 +6,12 @@
 //! [--cold] [--no-cache]`.
 
 use dsm_analysis::curve::CovCurve;
+use dsm_harness::experiment::scale_from_args;
 use dsm_harness::figures::config_at;
 use dsm_harness::sweep::{bbv_curve, bbv_ddv_curve, branch_count_curve, working_set_curve};
 use dsm_harness::trace::capture_cached;
 use dsm_harness::{parallel, report};
-use dsm_workloads::{App, Scale};
+use dsm_workloads::App;
 
 fn arg_after(flag: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -20,12 +21,7 @@ fn arg_after(flag: &str) -> Option<String> {
 }
 
 fn main() {
-    let scale = match arg_after("--scale").as_deref() {
-        Some("test") => Scale::Test,
-        Some("paper") => Scale::Paper,
-        None | Some("scaled") => Scale::Scaled,
-        other => panic!("unknown scale {other:?}"),
-    };
+    let scale = scale_from_args();
     let n_procs: usize = arg_after("--procs")
         .map(|s| s.parse().unwrap())
         .unwrap_or(32);

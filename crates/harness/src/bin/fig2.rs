@@ -8,25 +8,12 @@
 //! additionally writes one Chrome-trace / metrics / summary triple per
 //! workload at 2 processors plus the engine's cache counters).
 
+use dsm_harness::experiment::scale_from_args;
 use dsm_harness::figures::{figure2_with_report, headline_lu};
 use dsm_harness::{parallel, report, telemetry};
-use dsm_workloads::Scale;
-
-fn parse_scale() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--scale") {
-        Some(i) => match args.get(i + 1).map(|s| s.as_str()) {
-            Some("test") => Scale::Test,
-            Some("scaled") => Scale::Scaled,
-            Some("paper") => Scale::Paper,
-            other => panic!("unknown scale {other:?} (test|scaled|paper)"),
-        },
-        None => Scale::Scaled,
-    }
-}
 
 fn main() {
-    let scale = parse_scale();
+    let scale = scale_from_args();
     let jobs = parallel::init_from_args();
     eprintln!("fig2: running with {jobs} worker(s)");
     let t0 = std::time::Instant::now();

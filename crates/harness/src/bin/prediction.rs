@@ -4,28 +4,16 @@
 //!
 //! Usage: `prediction [--scale test|scaled|paper]` (default: scaled).
 
+use dsm_harness::experiment::scale_from_args;
 use dsm_harness::figures::config_at;
 use dsm_harness::report;
 use dsm_harness::trace::capture_cached;
 use dsm_phase::detector::{DetectorMode, Thresholds, TraceClassifier};
 use dsm_phase::predictor::{accuracy_over, LastPhasePredictor, RlePredictor};
-use dsm_workloads::{App, Scale};
-
-fn parse_scale() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--scale") {
-        Some(i) => match args.get(i + 1).map(|s| s.as_str()) {
-            Some("test") => Scale::Test,
-            Some("scaled") => Scale::Scaled,
-            Some("paper") => Scale::Paper,
-            other => panic!("unknown scale {other:?} (test|scaled|paper)"),
-        },
-        None => Scale::Scaled,
-    }
-}
+use dsm_workloads::App;
 
 fn main() {
-    let scale = parse_scale();
+    let scale = scale_from_args();
     let mut out =
         String::from("Phase prediction accuracy (mean over processors; higher is better)\n\n");
     let mut rows: Vec<Vec<String>> = Vec::new();

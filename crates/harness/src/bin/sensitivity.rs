@@ -7,25 +7,13 @@
 //! so they always simulate (no trace cache); `--jobs` fans the variants and
 //! their threshold sweeps out over the worker pool.
 
+use dsm_harness::experiment::scale_from_args;
 use dsm_harness::sensitivity::{
     bank_sweep, geometry_sweep, interval_sweep, network_model_sweep, placement_sweep,
     SensitivityPoint,
 };
 use dsm_harness::{parallel, report};
-use dsm_workloads::{App, Scale};
-
-fn parse_scale() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--scale") {
-        Some(i) => match args.get(i + 1).map(|s| s.as_str()) {
-            Some("test") => Scale::Test,
-            Some("scaled") => Scale::Scaled,
-            Some("paper") => Scale::Paper,
-            other => panic!("unknown scale {other:?} (test|scaled|paper)"),
-        },
-        None => Scale::Scaled,
-    }
-}
+use dsm_workloads::App;
 
 fn fmt(x: Option<f64>) -> String {
     x.map(|v| format!("{v:.3}"))
@@ -62,7 +50,7 @@ fn render(title: &str, pts: &[SensitivityPoint], out: &mut String, rows: &mut Ve
 }
 
 fn main() {
-    let scale = parse_scale();
+    let scale = scale_from_args();
     let jobs = parallel::jobs_from_args();
     eprintln!("sensitivity: running with {jobs} worker(s)");
     let mut out = String::from("Sensitivity studies (32P unless noted)\n\n");
