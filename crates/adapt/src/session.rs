@@ -24,7 +24,7 @@
 //! With the [`NoopActuator`](crate::actuator::NoopActuator) the session is
 //! a pure observer: its run is bit-identical to a plain capture (pinned by
 //! the `adapt_equivalence` suite). A session snapshots into an
-//! [`AdaptSnap`] (carried by `DSMCKPT6` next to the machine and collector
+//! [`AdaptSnap`] (carried by `DSMCKPT7` next to the machine and collector
 //! state) and resumes mid-tuning bit-exactly: the classifier bank is
 //! rebuilt by replaying classification over the recorded interval prefix,
 //! which is deterministic.
@@ -77,7 +77,7 @@ pub struct ObservedInterval {
 }
 
 /// Everything a mid-run session must carry across a checkpoint besides the
-/// machine and collector state (which `DSMCKPT6` stores separately):
+/// machine and collector state (which `DSMCKPT7` stores separately):
 /// protocol states, the decision log, the observed stream, and the
 /// actuator's private words. The classifier bank is *not* stored — it is
 /// rebuilt deterministically by replaying classification over the first
@@ -220,7 +220,7 @@ impl<S: InstructionStream> AdaptSession<S> {
         self.target
     }
 
-    /// Session state for `DSMCKPT6`. Meaningful at an interval boundary
+    /// Session state for `DSMCKPT7`. Meaningful at an interval boundary
     /// (i.e. between [`AdaptSession::step_boundary`] calls), like
     /// [`System::state_snapshot`].
     pub fn adapt_snap(&self) -> AdaptSnap {

@@ -11,7 +11,7 @@
 //!    pick one representative interval per cluster
 //!    ([`dsm_simpoint::select`]).
 //! 3. **Checkpoint** — re-run the workload once, snapshotting the complete
-//!    machine + collector state (`DSMCKPT6` codec) at each representative's
+//!    machine + collector state (`DSMCKPT7` codec) at each representative's
 //!    interval boundary; the continuation of this run doubles as a golden
 //!    cross-check against the profiling pass.
 //! 4. **Replay + reconstruct** — decode each checkpoint in a worker

@@ -66,7 +66,7 @@ fn roundtrip_all_workloads_2p_fault_free() {
 
 #[test]
 fn roundtrip_routed_fabric_nondefault_topologies() {
-    // The routed-fabric column: the DSMCKPT6 metadata carries the topology and the
+    // The routed-fabric column: the DSMCKPT7 metadata carries the topology and the
     // link-contention flag, and the per-directed-link busy/flit vectors are
     // indexed by that topology's link table — resume must rebuild the same
     // fabric and continue bit-identically, faults included.

@@ -5,7 +5,7 @@
 //! sampling work. This crate implements the SimPoint-style pipeline on top
 //! of the simulator's checkpointable state:
 //!
-//! * [`codec`] — the versioned `DSMCKPT6` binary checkpoint format: a
+//! * [`codec`] — the versioned `DSMCKPT7` binary checkpoint format: a
 //!   [`dsm_sim::SystemState`] plus the detector-collector state
 //!   ([`dsm_phase::detector::CollectorState`]) at a global interval
 //!   boundary, with the metadata needed to rebuild the machine and

@@ -1,4 +1,4 @@
-//! The byte layer shared by the workspace's binary formats: the `DSMCKPT6`
+//! The byte layer shared by the workspace's binary formats: the `DSMCKPT7`
 //! checkpoint codec ([`crate::codec`]) and the harness trace store's
 //! `DSMTRC4` entries.
 //!
