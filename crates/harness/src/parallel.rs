@@ -471,8 +471,10 @@ const TRACE_MAGIC: &[u8; 8] = b"DSMTRC4\n";
 
 // The `DSMTRC4` layout: the experiment point, every interval record, the
 // run's statistics, then the DDV traffic total.
-wire_struct!(ExperimentConfig { app, scale, n_procs, interval_base });
-wire_struct!(SystemTrace { config, records, stats, ddv_vectors_exchanged });
+wire_struct! {
+    ExperimentConfig { app, scale, n_procs, interval_base }
+    SystemTrace { config, records, stats, ddv_vectors_exchanged }
+}
 
 /// Encode `trace` as a `DSMTRC4` trace-store entry. Deterministic.
 pub fn encode_trace(trace: &SystemTrace) -> Vec<u8> {

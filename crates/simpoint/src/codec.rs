@@ -226,97 +226,48 @@ impl Wire for TopologyKind {
 }
 
 // Each layout below is its field list in wire order.
-crate::wire_struct!(Checkpoint { meta, system, collector, adapt });
-crate::wire_struct!(CheckpointMeta {
-    app,
-    n_procs,
-    scale,
-    interval_base,
-    topology,
-    link_contention,
-    plan,
-    geometry,
-    interval_index,
-});
-crate::wire_struct!(FaultPlan {
-    seed,
-    drop_ppm,
-    duplicate_ppm,
-    spike_ppm,
-    spike_cycles,
-    slowdown_ppm,
-    slowdown_window_cycles,
-    slowdown_extra_num,
-    slowdown_issue_num,
-    slowdown_node,
-    slowdown_from_cycle,
-    slowdown_until_cycle,
-    retry,
-});
-crate::wire_struct!(RetryPolicy { timeout_cycles, max_backoff_cycles, max_retries });
-crate::wire_struct!(DetectorGeometry { bbv_entries, footprint_vectors, ws_bits });
-crate::wire_struct!(SystemState {
-    procs,
-    directory,
-    network,
-    memctrls,
-    home,
-    locks,
-    barrier,
-    fault,
-    pending,
-    events_executed,
-    fetched,
-    reconfig,
-});
-crate::wire_struct!(ProcessorState {
-    cycle,
-    commit_carry,
-    fp_carry,
-    interval_progress,
-    interval_start_cycle,
-    interval_index,
-    finished,
-    blocked,
-    blocked_since,
-    stats,
-    l1,
-    l2,
-    gshare,
-    core,
-});
-crate::wire_struct!(CacheState { tags, lru, clock, hits, misses });
-crate::wire_struct!(GshareState { table, history, predictions, mispredictions });
-crate::wire_struct!(CoreConfig {
-    commit_width,
-    fpu_units,
-    mispredict_penalty,
-    gshare_entries,
-    stall_exposure_num,
-});
-crate::wire_struct!(DirectoryState { entries, high, stats });
-crate::wire_struct!(NetworkState {
-    msgs,
-    payload_msgs,
-    total_hops,
-    link_wait_cycles,
-    total_flit_hops,
-    link_busy,
-    link_flits,
-});
-crate::wire_struct!(MemCtrlState { busy_until, requests, total_queue_delay });
-crate::wire_struct!(HomeMapState { first_touch, overrides, touches, track });
-crate::wire_struct!(LockSnap { id, owner, waiters });
-crate::wire_struct!(BarrierSnap { current_id, arrived, arrival_cycle });
-crate::wire_struct!(FaultSnap { draws, stats });
-crate::wire_struct!(ReconfigSnap { dvfs_num, stats });
-crate::wire_struct!(CollectorState { bbv, ws, branches, ddv, records });
-crate::wire_struct!(DdvSnap { mats, gcum, gsnap, queries, vectors_exchanged, gather_rounds });
-crate::wire_struct!(FrequencySnap { cum, snap });
-crate::wire_struct!(AdaptSnap { target, processed, phases, decisions, stream, retunes, actuator });
-crate::wire_struct!(PhaseSnap { phase, state });
-crate::wire_struct!(Decision { interval, phase, kind });
-crate::wire_struct!(ObservedInterval { index, phase, cpi, degraded });
+crate::wire_struct! {
+    Checkpoint { meta, system, collector, adapt }
+    CheckpointMeta {
+        app, n_procs, scale, interval_base, topology, link_contention, plan, geometry,
+        interval_index,
+    }
+    FaultPlan {
+        seed, drop_ppm, duplicate_ppm, spike_ppm, spike_cycles, slowdown_ppm,
+        slowdown_window_cycles, slowdown_extra_num, slowdown_issue_num, slowdown_node,
+        slowdown_from_cycle, slowdown_until_cycle, retry,
+    }
+    RetryPolicy { timeout_cycles, max_backoff_cycles, max_retries }
+    DetectorGeometry { bbv_entries, footprint_vectors, ws_bits }
+    SystemState {
+        procs, directory, network, memctrls, home, locks, barrier, fault, pending, events_executed,
+        fetched, reconfig,
+    }
+    ProcessorState {
+        cycle, commit_carry, fp_carry, interval_progress, interval_start_cycle, interval_index,
+        finished, blocked, blocked_since, stats, l1, l2, gshare, core,
+    }
+    CacheState { tags, lru, clock, hits, misses }
+    GshareState { table, history, predictions, mispredictions }
+    CoreConfig { commit_width, fpu_units, mispredict_penalty, gshare_entries, stall_exposure_num }
+    DirectoryState { entries, high, stats }
+    NetworkState {
+        msgs, payload_msgs, total_hops, link_wait_cycles, total_flit_hops, link_busy, link_flits,
+    }
+    MemCtrlState { busy_until, requests, total_queue_delay }
+    HomeMapState { first_touch, overrides, touches, track }
+    LockSnap { id, owner, waiters }
+    BarrierSnap { current_id, arrived, arrival_cycle }
+    FaultSnap { draws, stats }
+    ReconfigSnap { dvfs_num, stats }
+    CollectorState { bbv, ws, branches, ddv, records }
+    DdvSnap { mats, gcum, gsnap, queries, vectors_exchanged, gather_rounds }
+    FrequencySnap { cum, snap }
+    AdaptSnap { target, processed, phases, decisions, stream, retunes, actuator }
+    PhaseSnap { phase, state }
+    Decision { interval, phase, kind }
+    ObservedInterval { index, phase, cpi, degraded }
+}
 
 /// Whether a collector built for `g` can import `c`: every stored BBV row
 /// has `g.bbv_entries` buckets and every working-set row `g.ws_bits / 64`

@@ -53,10 +53,11 @@ pub const fn floor_of<S, T: Wire>(_f: fn(&S) -> &T) -> usize {
     T::MIN_BYTES
 }
 
-/// Implement [`Wire`] for a struct from its field names in wire order.
+/// Implement [`Wire`] for each listed struct from its field names in wire
+/// order: `wire_struct! { A { x, y } B { z } }`.
 #[macro_export]
 macro_rules! wire_struct {
-    ($t:ty { $($f:ident),* $(,)? }) => {
+    ($($t:ty { $($f:ident),* $(,)? })*) => {$(
         impl $crate::wire::Wire for $t {
             const MIN_BYTES: usize = 0 $(+ $crate::wire::floor_of(|s: &Self| &s.$f))*;
             fn put(&self, w: &mut $crate::wire::W) {
@@ -66,11 +67,11 @@ macro_rules! wire_struct {
                 Ok(Self { $($f: $crate::wire::Wire::get(r)?),* })
             }
         }
-    };
+    )*};
 }
 
 /// The error for an out-of-range one-byte tag.
-pub fn bad_tag(what: &'static str, tag: u8) -> CkptError {
+pub(crate) fn bad_tag(what: &'static str, tag: u8) -> CkptError {
     CkptError::BadTag { what, tag: tag as u64 }
 }
 
@@ -100,7 +101,7 @@ impl W {
     }
 
     /// `v` as its one-byte index in `all`.
-    pub fn index<T: PartialEq>(&mut self, all: &[T], v: &T) {
+    pub(crate) fn index<T: PartialEq>(&mut self, all: &[T], v: &T) {
         self.u8(all.iter().position(|a| a == v).expect("listed variant") as u8);
     }
 }
@@ -143,7 +144,7 @@ impl<'a> R<'a> {
     }
 
     /// A one-byte index into `all`; out of range is a `BadTag` naming `what`.
-    pub fn index<T: Copy>(&mut self, all: &[T], what: &'static str) -> D<T> {
+    pub(crate) fn index<T: Copy>(&mut self, all: &[T], what: &'static str) -> D<T> {
         let tag = self.u8()?;
         all.get(tag as usize).copied().ok_or(bad_tag(what, tag))
     }
@@ -308,46 +309,27 @@ impl Wire for Scale {
     }
 }
 
-crate::wire_struct!(IntervalRecord { proc, index, insns, cycles, bbv, fvec, cvec, dds, ws_sig, branches });
-crate::wire_struct!(ProcStats {
-    cycles,
-    insns,
-    sync_ops,
-    sync_wait_cycles,
-    mem_refs,
-    l1_misses,
-    l2_misses,
-    local_home_misses,
-    remote_home_misses,
-    mem_stall_cycles,
-    contention_cycles,
-    mispredicts,
-    branches,
-    intervals,
-});
-crate::wire_struct!(DirectoryStats { reads, writes, owner_forwards, invalidations, upgrades, writebacks, nacks });
-crate::wire_struct!(FaultStats {
-    messages,
-    drops,
-    retries,
-    forced_deliveries,
-    duplicates,
-    spikes,
-    spike_cycles,
-    timeout_wait_cycles,
-    slowdown_events,
-    slowdown_cycles,
-});
-crate::wire_struct!(ReconfigStats {
-    migrations,
-    migration_stall_cycles,
-    dvfs_epochs,
-    dvfs_extra_cycles,
-    dvfs_saved_cycles,
-    core_switches,
-});
+crate::wire_struct! {
+    IntervalRecord { proc, index, insns, cycles, bbv, fvec, cvec, dds, ws_sig, branches }
+    ProcStats {
+        cycles, insns, sync_ops, sync_wait_cycles, mem_refs, l1_misses, l2_misses,
+        local_home_misses, remote_home_misses, mem_stall_cycles, contention_cycles, mispredicts,
+        branches, intervals,
+    }
+    DirectoryStats { reads, writes, owner_forwards, invalidations, upgrades, writebacks, nacks }
+    FaultStats {
+        messages, drops, retries, forced_deliveries, duplicates, spikes, spike_cycles,
+        timeout_wait_cycles, slowdown_events, slowdown_cycles,
+    }
+    ReconfigStats {
+        migrations, migration_stall_cycles, dvfs_epochs, dvfs_extra_cycles, dvfs_saved_cycles,
+        core_switches,
+    }
+}
 
 // The trace store's run statistics, in `DSMTRC4` field order.
-crate::wire_struct!(SystemStats { procs, directory, faults, network, memctrls, reconfig, finish_cycle });
-crate::wire_struct!(NetworkStats { msgs, payload_msgs, total_hops, link_wait_cycles, total_flit_hops, link_flits });
-crate::wire_struct!(MemCtrlStats { requests, total_queue_delay });
+crate::wire_struct! {
+    SystemStats { procs, directory, faults, network, memctrls, reconfig, finish_cycle }
+    NetworkStats { msgs, payload_msgs, total_hops, link_wait_cycles, total_flit_hops, link_flits }
+    MemCtrlStats { requests, total_queue_delay }
+}
