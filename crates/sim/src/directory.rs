@@ -7,11 +7,11 @@
 //! those actions into network and memory-controller latencies and into
 //! invalidations of the private caches.
 //!
-//! Sharer sets hold up to [`MAX_PROCS`](crate::MAX_PROCS) nodes. A block's map entry keeps
-//! the sharers among nodes 0–63 as a `u64` bitmask, so [`DirState`] stays
-//! 16 bytes; the bits of nodes 64–127 live in a side table that a machine
-//! of 64 nodes or fewer never touches. The sets a request returns are
-//! `u128`.
+//! Sharer sets hold up to [`MAX_PROCS`](crate::MAX_PROCS) nodes. A
+//! block's map entry keeps the sharers among nodes 0–63 as a `u64`
+//! bitmask, so [`DirState`] stays 16 bytes; the bits of nodes 64–127 live
+//! in a side table that a machine of 64 nodes or fewer never touches. The
+//! sets a request returns are `u128`.
 
 use std::collections::hash_map::Entry;
 

@@ -209,8 +209,7 @@ impl Wire for f64 {
     }
 }
 
-/// Integers narrower than `u64` on some target travel as `u64` and are
-/// range-checked on read.
+/// `u32` and `usize` travel as `u64` and are range-checked on read.
 macro_rules! wire_as_u64 {
     ($($t:ty),*) => {$(
         impl Wire for $t {
