@@ -1,19 +1,19 @@
 //! Exact gates on the deterministic counters: events, allocations per
-//! interval, footprint comparisons per classification, and the serve smoke
-//! fleets' outcomes.
+//! interval, footprint comparisons per classification, the heap high-water
+//! of one capture, and the serve smoke fleets' outcomes.
 //!
 //! Every value below is a pure function of the code. A change that moves
 //! one either re-records it here, saying why, or is a regression. The
 //! constants are re-recorded by editing this file; a failure prints each
 //! point with its recorded and new value.
 //!
-//! The counting allocator is process-wide, so every test here holds
+//! The allocation counter is process-wide, so every test here holds
 //! [`SERIAL`] while it runs: no other test allocates while the
-//! steady-state window is counted.
+//! steady-state window is counted. Heap bytes are counted per thread.
 
 use std::sync::{Mutex, MutexGuard};
 
-use dsm_bench::alloc_track::{allocs_during, CountingAlloc};
+use dsm_bench::alloc_track::{allocs_during, heap_high_water_during, CountingAlloc};
 use dsm_bench::bench_matrix;
 use dsm_bench::simbench::{count_events, point_key, steady_state_allocs_per_interval};
 use dsm_harness::experiment::ExperimentConfig;
@@ -50,6 +50,22 @@ const MATRIX: [(&str, u64, u64, u64); 8] = [
     ("art-8p", 16_251, 664, 3_978),
     ("equake-2p", 28_080, 475, 3_584),
     ("equake-8p", 30_726, 1_602, 12_105),
+];
+
+/// `(point, bytes, bytes with telemetry)`: the heap high-water of one
+/// test-scale capture, `capture_system(..).run()` on this thread, above the
+/// heap held before it (the instruction stream is built first and counted
+/// as held). The telemetry build's span rings and metrics registry are heap
+/// too, so it has its own column.
+const HEAP: [(&str, u64, u64); 8] = [
+    ("lu-2p", 1_122_732, 1_525_076),
+    ("lu-8p", 4_453_804, 6_041_996),
+    ("fmm-2p", 1_168_172, 1_570_516),
+    ("fmm-8p", 4_569_388, 6_157_012),
+    ("art-2p", 1_385_356, 1_787_700),
+    ("art-8p", 4_477_548, 6_065_740),
+    ("equake-2p", 1_128_844, 1_531_188),
+    ("equake-8p", 4_504_940, 6_093_132),
 ];
 
 /// The `ServeOutcome` counters of one smoke fleet.
@@ -174,6 +190,32 @@ fn events_and_footprint_comparisons_are_exact() {
         }
     }
     report.assert_clean("an event or comparison count");
+}
+
+#[test]
+fn capture_heap_high_water_is_exact() {
+    let _serial = serial();
+    let matrix = bench_matrix();
+    assert_eq!(matrix.len(), HEAP.len(), "one recorded row per matrix point");
+    let telemetry = dsm_sim::telem::SimTelemetry::new(0).enabled();
+    let mut report = Report::default();
+    for ((app, n), &(key, off, on)) in matrix.into_iter().zip(&HEAP) {
+        assert_eq!(point_key(app, n), key, "matrix order");
+        let cfg = ExperimentConfig::test(app, n);
+        let stream = make_stream(cfg.app, cfg.n_procs, cfg.scale);
+        let (_, bytes) = heap_high_water_during(|| {
+            capture_system(
+                cfg.system_config(),
+                stream,
+                DetectorGeometry::default(),
+                TraceCollector::new,
+            )
+            .run()
+        });
+        let recorded = if telemetry { on } else { off };
+        report.check(format!("{key} heap high-water bytes"), recorded, bytes);
+    }
+    report.assert_clean("a capture's heap high-water");
 }
 
 #[test]
