@@ -58,14 +58,14 @@ const MATRIX: [(&str, u64, u64, u64); 8] = [
 /// as held). The telemetry build's span rings and metrics registry are heap
 /// too, so it has its own column.
 const HEAP: [(&str, u64, u64); 8] = [
-    ("lu-2p", 1_122_732, 1_525_076),
-    ("lu-8p", 4_453_804, 6_041_996),
-    ("fmm-2p", 1_168_172, 1_570_516),
-    ("fmm-8p", 4_569_388, 6_157_012),
-    ("art-2p", 1_385_356, 1_787_700),
-    ("art-8p", 4_477_548, 6_065_740),
-    ("equake-2p", 1_128_844, 1_531_188),
-    ("equake-8p", 4_504_940, 6_093_132),
+    ("lu-2p", 366_876, 762_944),
+    ("lu-8p", 1_235_948, 2_812_516),
+    ("fmm-2p", 392_860, 795_204),
+    ("fmm-8p", 1_336_476, 2_924_100),
+    ("art-2p", 565_488, 967_832),
+    ("art-8p", 1_206_480, 2_794_672),
+    ("equake-2p", 595_728, 991_796),
+    ("equake-8p", 1_467_680, 3_044_248),
 ];
 
 /// The `ServeOutcome` counters of one smoke fleet.

@@ -435,21 +435,6 @@ impl SystemConfig {
         self.interval_insns
     }
 
-    /// Expected simultaneously tracked directory entries: every block cached
-    /// anywhere lives in some L2, so aggregate L2 lines bound the steady
-    /// state (capped so huge configs don't pre-reserve absurd maps). Used to
-    /// pre-size the directory map off the coherence hot path.
-    pub fn directory_capacity_hint(&self) -> usize {
-        let lines = self.l2.size_bytes / self.l2.line_bytes.max(1);
-        ((lines as usize).saturating_mul(self.n_procs)).min(1 << 21)
-    }
-
-    /// Expected distinct locks per run; sized generously since a `LockState`
-    /// is tiny (pre-sizing only avoids rehash churn in lock-heavy phases).
-    pub fn lock_capacity_hint(&self) -> usize {
-        64
-    }
-
     /// Validate internal consistency; returns a human-readable error.
     pub fn validate(&self) -> Result<(), String> {
         if !self.n_procs.is_power_of_two() {

@@ -91,6 +91,11 @@ impl DirectoryStats {
 /// The (logically distributed) directory. Homes are a pure function of the
 /// address, so a single map keyed by block index is behaviourally identical
 /// to per-home maps; per-home latency is charged by the system loop.
+///
+/// The map holds one entry per block some node has fetched, until a dirty
+/// writeback removes it. Clean evictions are silent, so the entry count is
+/// the run's footprint, not the aggregate L2 capacity; the map starts empty
+/// and grows on demand.
 #[derive(Debug, Default)]
 pub struct Directory {
     map: FxHashMap<u64, DirState>,
@@ -125,17 +130,6 @@ fn keep_high(high: &mut FxHashMap<u64, u64>, block: u64, set: u128) -> u64 {
 impl Directory {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Directory pre-sized for an expected number of simultaneously tracked
-    /// blocks (the system derives this from aggregate L2 capacity), so the
-    /// hot coherence path does not rehash-grow the map mid-run. Capacity is
-    /// only a hint; behaviour is identical to [`Directory::new`].
-    pub fn with_capacity(blocks: usize) -> Self {
-        Self {
-            map: FxHashMap::with_capacity_and_hasher(blocks, Default::default()),
-            ..Self::default()
-        }
     }
 
     /// Handle a read miss for `block` by `requester`.
@@ -284,7 +278,9 @@ impl Directory {
         self.stats
     }
 
-    /// Number of tracked (cached-somewhere) blocks.
+    /// Number of blocks with an entry: every block fetched and not since
+    /// written back dirty. An entry may name nodes that have silently
+    /// evicted their clean copy.
     pub fn tracked_blocks(&self) -> usize {
         self.map.len()
     }

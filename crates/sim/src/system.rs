@@ -124,15 +124,12 @@ impl<S: InstructionStream, O: SimObserver> System<S, O> {
         let probes = SimProbes::register(&mut telem, n);
         Self {
             procs: (0..n).map(|i| Processor::new(i, &cfg)).collect(),
-            dir: Directory::with_capacity(cfg.directory_capacity_hint()),
+            dir: Directory::new(),
             net: Network::new(cfg.network, n),
             fault: FaultState::new(cfg.fault),
             memctrls: (0..n).map(|_| MemCtrl::new(cfg.memory)).collect(),
             homes: HomeMap::new(cfg.distribution, n),
-            locks: FxHashMap::with_capacity_and_hasher(
-                cfg.lock_capacity_hint(),
-                Default::default(),
-            ),
+            locks: FxHashMap::default(),
             barrier: BarrierState::new(n),
             stream,
             observer,
