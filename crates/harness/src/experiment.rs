@@ -39,6 +39,10 @@ pub enum ConfigError {
     /// `n_procs` is not a power of two, which every topology, workload
     /// decomposition and DDV distance matrix needs.
     ProcsNotPowerOfTwo { n_procs: usize },
+    /// `n_procs > MAX_PROCS`: the directory's sharer sets are
+    /// [`dsm_sim::MAX_PROCS`] nodes wide, and the simulator refuses a wider
+    /// machine.
+    TooManyProcs { n_procs: usize },
     /// `interval_base < n_procs`: each processor's sampling interval,
     /// `interval_base / n_procs` instructions, would be empty.
     IntervalBaseBelowProcs { interval_base: u64, n_procs: usize },
@@ -48,7 +52,9 @@ impl ConfigError {
     /// The offending field.
     pub fn field(&self) -> &'static str {
         match self {
-            ConfigError::NoProcessors | ConfigError::ProcsNotPowerOfTwo { .. } => "n_procs",
+            ConfigError::NoProcessors
+            | ConfigError::ProcsNotPowerOfTwo { .. }
+            | ConfigError::TooManyProcs { .. } => "n_procs",
             ConfigError::IntervalBaseBelowProcs { .. } => "interval_base",
         }
     }
@@ -61,6 +67,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ProcsNotPowerOfTwo { n_procs } => {
                 write!(f, "{n_procs} processors is not a power of two")
             }
+            ConfigError::TooManyProcs { n_procs } => write!(
+                f,
+                "{n_procs} processors exceeds the {} a machine may have",
+                dsm_sim::MAX_PROCS
+            ),
             ConfigError::IntervalBaseBelowProcs { interval_base, n_procs } => write!(
                 f,
                 "interval base {interval_base} is below the {n_procs} processors it is split over"
@@ -79,6 +90,9 @@ impl ExperimentConfig {
         }
         if !self.n_procs.is_power_of_two() {
             return Err(ConfigError::ProcsNotPowerOfTwo { n_procs: self.n_procs });
+        }
+        if self.n_procs > dsm_sim::MAX_PROCS {
+            return Err(ConfigError::TooManyProcs { n_procs: self.n_procs });
         }
         if self.interval_base < self.n_procs as u64 {
             return Err(ConfigError::IntervalBaseBelowProcs {
@@ -183,6 +197,19 @@ mod tests {
         assert_eq!(err.field(), "interval_base");
         let c = ExperimentConfig { interval_base: 8, ..c };
         assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_machines_past_max_procs() {
+        // `System::new` refuses them, so a capture would panic.
+        for app in App::ALL {
+            let c = ExperimentConfig::paper(app, dsm_sim::MAX_PROCS);
+            assert_eq!(c.validate(), Ok(()));
+        }
+        let c = ExperimentConfig::test(App::Lu, 256);
+        let err = c.validate().unwrap_err();
+        assert_eq!(err, ConfigError::TooManyProcs { n_procs: 256 });
+        assert_eq!(err.field(), "n_procs");
     }
 
     #[test]

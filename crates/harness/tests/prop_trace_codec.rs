@@ -190,6 +190,11 @@ fn invalid_experiment_config_is_a_typed_error() {
         decode_trace(&encode_trace(&synth(5, 3, 1))).err(),
         Some(CkptError::BadValue { what: "n_procs" })
     );
+    // And one wider than the simulator's sharer sets.
+    assert_eq!(
+        decode_trace(&encode_trace(&synth(5, 256, 1))).err(),
+        Some(CkptError::BadValue { what: "n_procs" })
+    );
 }
 
 /// Records a sweep curve cannot take are a typed error, one case per rule;
