@@ -27,7 +27,7 @@ use dsm_workloads::{App, Scale};
 fn resume_mode(path: &str) {
     let bytes = std::fs::read(path).expect("read checkpoint file");
     let ck = Checkpoint::decode(&bytes).expect("decode checkpoint");
-    let trace = resume_to_end(&bytes).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let trace = resume_to_end(&ck).unwrap_or_else(|e| panic!("{path}: {e}"));
     let pairs = vec![
         ("app".to_string(), ck.meta.app.name().to_string()),
         ("n_procs".to_string(), ck.meta.n_procs.to_string()),

@@ -188,10 +188,10 @@ pub fn resume_checkpoint(ck: &Checkpoint) -> Result<(ExperimentConfig, AppSystem
     Ok((config, sys))
 }
 
-/// Decode `bytes`, resume, and run to completion. Used by the round-trip
-/// differential tests and the `faults --resume` flag.
-pub fn resume_to_end(bytes: &[u8]) -> Result<SystemTrace, CkptError> {
-    let (config, sys) = resume_checkpoint(&Checkpoint::decode(bytes)?)?;
+/// Resume a decoded checkpoint and run it to completion. Used by the
+/// round-trip differential tests and the `faults --resume` flag.
+pub fn resume_to_end(ck: &Checkpoint) -> Result<SystemTrace, CkptError> {
+    let (config, sys) = resume_checkpoint(ck)?;
     Ok(SystemTrace::from_run(config, sys.run()))
 }
 
@@ -453,7 +453,7 @@ mod tests {
         let config = ExperimentConfig::test(App::Lu, 2);
         let (ckpts, golden) = capture_with_checkpoints(config, FaultPlan::none(), &[2]);
         assert_eq!(ckpts.len(), 1);
-        let resumed = resume_to_end(&ckpts[0].1).unwrap();
+        let resumed = resume_to_end(&Checkpoint::decode(&ckpts[0].1).unwrap()).unwrap();
         assert_eq!(resumed.stats, golden.stats);
         assert_eq!(resumed.records, golden.records);
         assert_eq!(resumed.ddv_vectors_exchanged, golden.ddv_vectors_exchanged);
@@ -466,7 +466,8 @@ mod tests {
         let edited = |edit: fn(&mut Checkpoint)| {
             let mut ck = Checkpoint::decode(&ckpts[0].1).unwrap();
             edit(&mut ck);
-            resume_to_end(&ck.encode()).err()
+            // Decode refuses a bad fault plan; resume refuses the rest.
+            Checkpoint::decode(&ck.encode()).and_then(|ck| resume_to_end(&ck)).err()
         };
         // Both used to decode and then panic in `System::new`.
         assert_eq!(
@@ -488,7 +489,8 @@ mod tests {
             assert_eq!(*b, 2 * (i as u64 + 1));
         }
         // Each one resumes to the identical end state.
-        let resumed = resume_to_end(&ckpts.last().unwrap().1).unwrap();
+        let last = Checkpoint::decode(&ckpts.last().unwrap().1).unwrap();
+        let resumed = resume_to_end(&last).unwrap();
         assert_eq!(resumed.stats, trace.stats);
     }
 

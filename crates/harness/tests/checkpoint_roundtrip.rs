@@ -13,6 +13,7 @@ use dsm_harness::simpoint::{capture_with_checkpoints, capture_with_checkpoints_c
 use dsm_harness::ExperimentConfig;
 use dsm_sim::config::FaultPlan;
 use dsm_sim::topology::TopologyKind;
+use dsm_simpoint::Checkpoint;
 use dsm_workloads::App;
 
 /// Capture with checkpoints at the given boundaries, then resume from every
@@ -21,7 +22,8 @@ fn assert_roundtrip(config: ExperimentConfig, plan: FaultPlan, boundaries: &[u64
     let (ckpts, golden) = capture_with_checkpoints(config, plan, boundaries);
     assert_eq!(ckpts.len(), boundaries.len(), "{}: missing checkpoints", config.label());
     for (b, bytes) in &ckpts {
-        let resumed = resume_to_end(bytes).expect("checkpoint resumes");
+        let ck = Checkpoint::decode(bytes).expect("checkpoint decodes");
+        let resumed = resume_to_end(&ck).expect("checkpoint resumes");
         assert_eq!(
             resumed.stats,
             golden.stats,
@@ -83,7 +85,8 @@ fn roundtrip_routed_fabric_nondefault_topologies() {
         let (ckpts, golden) = capture_with_checkpoints_cfg(config, sys_cfg, &[1, 3]);
         assert_eq!(ckpts.len(), 2, "{}/{}: missing checkpoints", config.label(), kind.name());
         for (b, bytes) in &ckpts {
-            let resumed = resume_to_end(bytes).expect("checkpoint resumes");
+            let ck = Checkpoint::decode(bytes).expect("checkpoint decodes");
+            let resumed = resume_to_end(&ck).expect("checkpoint resumes");
             assert_eq!(
                 resumed.stats,
                 golden.stats,
