@@ -32,7 +32,8 @@ pub mod synth;
 pub mod tenant;
 
 pub use server::{
-    AdmitError, Ingest, PhaseServer, ServeConfig, ServeError, ServerReport, TenantDiagnosis,
+    AdmitError, Ingest, PhaseServer, ServeConfig, ServeConfigError, ServeError, ServerReport,
+    TenantDiagnosis,
 };
 pub use synth::SynthStream;
 pub use tenant::{TenantConfig, TenantId, TenantStats, TenantSummary};

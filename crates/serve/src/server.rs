@@ -72,6 +72,45 @@ impl Default for ServeConfig {
     }
 }
 
+impl ServeConfig {
+    /// Check that a server with this configuration can make progress: it
+    /// needs at least one shard, and room for at least one signature in
+    /// each tenant's queue, output buffer and batch.
+    pub fn validate(&self) -> Result<(), ServeConfigError> {
+        for (field, value) in [
+            ("shards", self.shards),
+            ("queue_capacity", self.queue_capacity),
+            ("output_capacity", self.output_capacity),
+            ("batch_size", self.batch_size),
+        ] {
+            if value == 0 {
+                return Err(ServeConfigError::Zero { field });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Why a [`ServeConfig`] cannot run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServeConfigError {
+    /// `field` is 0: no tenant could be placed, enqueue, deliver or
+    /// classify anything.
+    Zero { field: &'static str },
+}
+
+impl std::fmt::Display for ServeConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServeConfigError::Zero { field } => {
+                write!(f, "serve config {field} must be at least 1")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ServeConfigError {}
+
 /// Outcome of an [`offer`](PhaseServer::offer): the signature was either
 /// queued or refused. `Busy` means the caller still owns the signature and
 /// may retry after a batch — backpressure is explicit, nothing is dropped.
@@ -281,9 +320,12 @@ pub struct PhaseServer {
 }
 
 impl PhaseServer {
+    /// A server with no tenants. Panics with the
+    /// [`ServeConfig::validate`] error if `cfg` cannot run.
     pub fn new(cfg: ServeConfig) -> Self {
-        assert!(cfg.shards > 0, "need at least one shard");
-        assert!(cfg.queue_capacity > 0 && cfg.output_capacity > 0 && cfg.batch_size > 0);
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         Self {
             shards: (0..cfg.shards).map(|_| Shard::new()).collect(),
             cfg,
@@ -657,6 +699,44 @@ mod tests {
             dds: 10.0 + flavor as f64,
             degraded: false,
         }
+    }
+
+    /// `ServeConfig::validate` on the default config with `edit` applied.
+    fn validate_with(edit: fn(&mut ServeConfig)) -> Result<(), ServeConfigError> {
+        let mut cfg = ServeConfig::default();
+        edit(&mut cfg);
+        cfg.validate()
+    }
+
+    #[test]
+    fn zero_shards_is_a_typed_error() {
+        assert_eq!(validate_with(|_| {}), Ok(()));
+        let err = validate_with(|c| c.shards = 0);
+        assert_eq!(err, Err(ServeConfigError::Zero { field: "shards" }));
+    }
+
+    #[test]
+    fn zero_queue_capacity_is_a_typed_error() {
+        let err = validate_with(|c| c.queue_capacity = 0);
+        assert_eq!(err, Err(ServeConfigError::Zero { field: "queue_capacity" }));
+    }
+
+    #[test]
+    fn zero_output_capacity_is_a_typed_error() {
+        let err = validate_with(|c| c.output_capacity = 0);
+        assert_eq!(err, Err(ServeConfigError::Zero { field: "output_capacity" }));
+    }
+
+    #[test]
+    fn zero_batch_size_is_a_typed_error() {
+        let err = validate_with(|c| c.batch_size = 0);
+        assert_eq!(err, Err(ServeConfigError::Zero { field: "batch_size" }));
+    }
+
+    #[test]
+    #[should_panic(expected = "serve config batch_size must be at least 1")]
+    fn new_panics_with_the_validate_error() {
+        PhaseServer::new(ServeConfig { batch_size: 0, ..ServeConfig::default() });
     }
 
     #[test]
