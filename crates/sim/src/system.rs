@@ -669,6 +669,7 @@ impl<S: InstructionStream, O: SimObserver> System<S, O> {
         if let Some(reg) = self.telem.registry_mut() {
             reg.counter_add("sim/events_executed", self.events_executed);
             reg.counter_add("sim/sched/runnable_at_finish", self.sched.runnable() as u64);
+            reg.gauge_set("sim/directory/tracked_blocks", self.dir.tracked_blocks() as f64);
             stats.publish(reg);
             self.net.publish_links("sim/network", reg);
         }
