@@ -60,10 +60,10 @@ const MATRIX: [(&str, u64, u64, u64); 8] = [
 const HEAP: [(&str, u64, u64); 8] = [
     ("lu-2p", 366_876, 762_944),
     ("lu-8p", 1_235_948, 2_812_516),
-    ("fmm-2p", 392_860, 795_204),
-    ("fmm-8p", 1_336_476, 2_924_100),
-    ("art-2p", 565_488, 967_832),
-    ("art-8p", 1_206_480, 2_794_672),
+    ("fmm-2p", 392_860, 795_260),
+    ("fmm-8p", 1_336_476, 2_924_102),
+    ("art-2p", 565_488, 967_888),
+    ("art-8p", 1_206_480, 2_794_728),
     ("equake-2p", 595_728, 991_796),
     ("equake-8p", 1_467_680, 3_044_248),
 ];
