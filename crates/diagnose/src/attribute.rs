@@ -12,6 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::kernel::median;
 use crate::DiagnoseConfig;
 
 /// The ranked root-cause vocabulary.
@@ -125,18 +126,6 @@ pub struct Hint {
     pub evidence: Vec<(String, f64)>,
 }
 
-fn median(mut values: Vec<f64>) -> f64 {
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let n = values.len();
-    if n == 0 {
-        0.0
-    } else if n % 2 == 1 {
-        values[n / 2]
-    } else {
-        0.5 * (values[n / 2 - 1] + values[n / 2])
-    }
-}
-
 /// Rank the plausible root causes for outlier `node` against the majority
 /// cluster's telemetry baseline. Always returns at least one hint
 /// ([`HintKind::Unknown`] when nothing clears the threshold). `telemetry`
@@ -153,7 +142,9 @@ pub fn attribute(
     if peers.is_empty() {
         return vec![Hint { kind: HintKind::Unknown, score: 0.0, evidence: Vec::new() }];
     }
-    let med = |f: fn(&NodeTelemetry) -> f64| median(peers.iter().map(|t| f(t)).collect());
+    let med = |f: fn(&NodeTelemetry) -> f64| {
+        median(&mut peers.iter().map(|t| f(t)).collect::<Vec<_>>())
+    };
     let med_remote = med(|t| t.remote_miss_share);
     let med_barrier = med(|t| t.barrier_stall_share);
     let med_mem = med(|t| t.mem_stall_share);

@@ -11,7 +11,7 @@
 use dsm_phase::stream::PhaseStream;
 use dsm_phase::ClassifiedInterval;
 
-use crate::kernel::canonical_phases;
+use crate::kernel::{canonical_phases, median};
 use crate::DiagnoseConfig;
 
 /// Average-linkage distance between two clusters.
@@ -82,18 +82,6 @@ pub fn outlier_scores(dist: &[Vec<f64>]) -> Vec<f64> {
             }
         })
         .collect()
-}
-
-fn median(values: &mut [f64]) -> f64 {
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let n = values.len();
-    if n == 0 {
-        0.0
-    } else if n % 2 == 1 {
-        values[n / 2]
-    } else {
-        0.5 * (values[n / 2 - 1] + values[n / 2])
-    }
 }
 
 /// The inclusive true-interval-index range `[first, last]` over which

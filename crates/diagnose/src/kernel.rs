@@ -105,19 +105,18 @@ fn interval_weight(cfg: &DiagnoseConfig, c: &ClassifiedInterval) -> f64 {
     }
 }
 
-/// Median of a value list, floored away from zero. Deterministic: ties and
-/// even lengths resolve by value, not input order.
-fn median_floor(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    let med = if n == 0 {
+/// Median of `values` (0 when empty), sorting them in place.
+/// Deterministic: ties and even lengths resolve by value, not input order.
+pub(crate) fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let n = values.len();
+    if n == 0 {
         0.0
     } else if n % 2 == 1 {
-        v[n / 2]
+        values[n / 2]
     } else {
-        0.5 * (v[n / 2 - 1] + v[n / 2])
-    };
-    med.max(1e-9)
+        0.5 * (values[n / 2 - 1] + values[n / 2])
+    }
 }
 
 /// Per-interval phase-normalized CPI residuals: each interval's CPI divided
@@ -136,7 +135,7 @@ pub(crate) fn cpi_residuals(intervals: &[ClassifiedInterval], canon: &[u32]) -> 
     // rather than noisy. (Falling back to a stream-wide scale instead
     // re-imports exactly the structural level spread this normalization
     // exists to remove.)
-    let scales: Vec<f64> = by_phase.into_iter().map(median_floor).collect();
+    let scales: Vec<f64> = by_phase.into_iter().map(|mut v| median(&mut v).max(1e-9)).collect();
     intervals.iter().zip(canon).map(|(c, &p)| c.cpi / scales[p as usize]).collect()
 }
 

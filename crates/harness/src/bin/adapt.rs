@@ -10,17 +10,14 @@
 //! EXPERIMENTS.md).
 
 use dsm_harness::adapt::{adapt_app, adapt_sweep, assert_noop_differential, AdaptReport};
-use dsm_harness::report;
+use dsm_harness::cli::{self, procs};
+use dsm_harness::{report, ExperimentConfig};
 use dsm_workloads::App;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let n_procs: usize = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(|a| a.parse().expect("n_procs must be an integer"))
-        .unwrap_or(16);
+    let cli = cli::parse("adapt [n_procs] [--smoke]");
+    let smoke = cli.has("--smoke");
+    let n_procs = cli.get("n_procs", 16, procs(|n| ExperimentConfig::test(App::Lu, n)));
 
     let report = if smoke {
         assert_noop_differential(App::Lu, 2);

@@ -9,10 +9,11 @@
 //! EXPERIMENTS.md).
 
 use dsm_harness::diagnose::{full_report, reports_json, reports_text, smoke_report};
+use dsm_harness::cli;
 use dsm_harness::report;
 
 fn main() {
-    let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
+    let smoke = cli::parse("diagnose [--smoke]").has("--smoke");
     let reports = if smoke { smoke_report() } else { full_report() };
 
     let text = reports_text(&reports);

@@ -15,6 +15,7 @@
 //! completion, and prints the resumed machine statistics.
 
 use dsm_analysis::Table;
+use dsm_harness::cli::{self, number, positive};
 use dsm_harness::faults::{fault_sweep, DEFAULT_RATES};
 use dsm_harness::json::Json;
 use dsm_harness::simpoint::{capture_checkpoint_every, resume_to_end};
@@ -66,35 +67,14 @@ fn checkpoint_mode(every: u64, seed: u64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed: u64 = 42;
-    let mut checkpoint_every: Option<u64> = None;
-    let mut resume: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--telemetry-out" {
-            i += 2; // flag plus its directory value
-            continue;
-        }
-        if args[i] == "--checkpoint-every" {
-            checkpoint_every =
-                Some(args[i + 1].parse().expect("--checkpoint-every takes an interval count"));
-            i += 2;
-            continue;
-        }
-        if args[i] == "--resume" {
-            resume = Some(args[i + 1].clone());
-            i += 2;
-            continue;
-        }
-        if !args[i].starts_with("--") {
-            seed = args[i].parse().expect("seed must be an integer");
-        }
-        i += 1;
-    }
+    let cli = cli::parse(
+        "faults [seed] [--telemetry-out <dir>] [--checkpoint-every <n>] [--resume <ckpt>]",
+    );
+    let seed: u64 = cli.get("seed", 42, number);
+    let checkpoint_every = cli.get("--checkpoint-every", None, |s| positive(s).map(Some));
 
-    if let Some(path) = resume {
-        resume_mode(&path);
+    if let Some(path) = cli.value("--resume") {
+        resume_mode(path);
         return;
     }
     if let Some(every) = checkpoint_every {
@@ -119,7 +99,7 @@ fn main() {
         .field("sweeps", Json::Arr(sweeps));
     report::announce(&report::write_json("faults.json", &json).expect("write json"));
 
-    if let Some(dir) = telemetry::telemetry_out_from_args() {
+    if let Some(dir) = cli.telemetry_out() {
         // Instrumented fault-free captures at the sweep's node count; the
         // sweep itself is already summarized in faults.json.
         let paths =

@@ -8,13 +8,16 @@
 //! additionally writes one Chrome-trace / metrics / summary triple per
 //! workload at 2 processors plus the engine's cache counters).
 
-use dsm_harness::experiment::scale_from_args;
+use dsm_harness::cli;
 use dsm_harness::figures::{figure2_with_report, headline_lu};
-use dsm_harness::{parallel, report, telemetry};
+use dsm_harness::{report, telemetry};
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = parallel::init_from_args();
+    let cli = cli::parse(
+        "fig2 [--scale test|scaled|paper] [--jobs N] [--cold] [--no-cache] [--telemetry-out <dir>]",
+    );
+    let scale = cli.scale();
+    let jobs = cli.init_engine();
     eprintln!("fig2: running with {jobs} worker(s)");
     let t0 = std::time::Instant::now();
     let (fig, run_report) = figure2_with_report(scale);
@@ -52,17 +55,12 @@ fn main() {
     );
     eprintln!("{}", run_report.summary());
 
-    if let Some(dir) = telemetry::telemetry_out_from_args() {
-        let paths =
-            telemetry::export_workloads(&dir, scale, 2).expect("write telemetry artifacts");
+    if let Some(dir) = cli.telemetry_out() {
+        let paths = telemetry::export_figure(&dir, scale, "fig2-run", &run_report)
+            .expect("write telemetry artifacts");
         for p in &paths {
             report::announce(p);
         }
-        let mut reg = dsm_telemetry::MetricsRegistry::new();
-        run_report.publish(&mut reg);
-        report::announce(
-            &telemetry::export_registry(&dir, "fig2-run", &reg).expect("write run metrics"),
-        );
     }
     eprintln!("fig2 done in {:?}", t0.elapsed());
 }

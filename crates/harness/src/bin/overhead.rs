@@ -1,7 +1,10 @@
 //! Reproduce the §III-B DDV communication-overhead arithmetic (~160 kB/s
 //! per node, under 0.15 % of a 1.5 GB/s memory controller) and report the
 //! measured overhead of an actual captured run.
+//!
+//! Usage: `overhead`.
 
+use dsm_harness::cli;
 use dsm_harness::experiment::ExperimentConfig;
 use dsm_harness::overhead::{measured_overhead, OverheadModel};
 use dsm_harness::report;
@@ -9,6 +12,7 @@ use dsm_harness::trace::capture_cached;
 use dsm_workloads::App;
 
 fn main() {
+    cli::parse("overhead");
     let mut out = OverheadModel::paper().report();
     out.push('\n');
 

@@ -3,9 +3,8 @@
 //! under seeded service disturbances (tenant stalls, burst arrivals, slow
 //! consumers) and optional churn.
 //!
-//! Usage:
-//!   phased [--smoke] [--tenants N] [--concurrent N] [--trace-tenants N]
-//!          [--intervals N] [--churn-every N] [--seed S] [--jobs N]
+//! Usage: `phased [--smoke] [--tenants N] [--concurrent N] [--trace-tenants N]
+//! [--intervals N] [--churn-every N] [--seed S] [--jobs N]`
 //!
 //! `--smoke` is the CI profile: N concurrent synthetic tenants
 //! (default 1024), short streams, mixed disturbances. Without `--smoke`
@@ -17,51 +16,24 @@
 //! Wall-clock throughput goes to stdout only. The 64/256/1024-tenant smoke
 //! fleets' outcome counters are exact gates in `crates/bench/tests/counters.rs`.
 
+use dsm_harness::cli::{self, number, positive};
 use dsm_harness::json::Json;
 use dsm_harness::serve::{outcome_json, outcome_text, run_scenario, DisturbPlan, ServeScenario};
-use dsm_harness::{parallel, report};
+use dsm_harness::report;
 
 fn main() {
-    let jobs = parallel::jobs_from_args();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut tenants = 1024usize;
-    let mut concurrent = 0usize; // 0 = same as tenants
-    let mut trace_tenants = if smoke { 0 } else { 5 };
-    let mut intervals = if smoke { 24 } else { 64 };
-    let mut churn_every = if smoke { 0 } else { 32 };
-    let mut seed = 42u64;
-    let mut i = 0;
-    while i < args.len() {
-        let take = |name: &str| -> Option<String> {
-            if args[i] == name {
-                Some(args.get(i + 1).unwrap_or_else(|| panic!("{name} needs a value")).clone())
-            } else {
-                None
-            }
-        };
-        if let Some(v) = take("--tenants") {
-            tenants = v.parse().expect("--tenants N");
-            i += 2;
-        } else if let Some(v) = take("--concurrent") {
-            concurrent = v.parse().expect("--concurrent N");
-            i += 2;
-        } else if let Some(v) = take("--trace-tenants") {
-            trace_tenants = v.parse().expect("--trace-tenants N");
-            i += 2;
-        } else if let Some(v) = take("--intervals") {
-            intervals = v.parse().expect("--intervals N");
-            i += 2;
-        } else if let Some(v) = take("--churn-every") {
-            churn_every = v.parse().expect("--churn-every N");
-            i += 2;
-        } else if let Some(v) = take("--seed") {
-            seed = v.parse().expect("--seed S");
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
+    let cli = cli::parse(
+        "phased [--smoke] [--tenants N] [--concurrent N] [--trace-tenants N] \
+         [--intervals N] [--churn-every N] [--seed S] [--jobs N]",
+    );
+    let jobs = cli.jobs();
+    let smoke = cli.has("--smoke");
+    let tenants: usize = cli.get("--tenants", 1024, positive);
+    let mut concurrent: usize = cli.get("--concurrent", 0, number); // 0 = same as tenants
+    let trace_tenants: usize = cli.get("--trace-tenants", if smoke { 0 } else { 5 }, number);
+    let intervals: usize = cli.get("--intervals", if smoke { 24 } else { 64 }, number);
+    let churn_every: u64 = cli.get("--churn-every", if smoke { 0 } else { 32 }, number);
+    let seed: u64 = cli.get("--seed", 42, number);
     if concurrent == 0 {
         concurrent = tenants;
     }
@@ -70,7 +42,7 @@ fn main() {
     sc.concurrent = concurrent.min(tenants);
     sc.trace_tenants = trace_tenants.min(tenants);
     sc.intervals_per_tenant = intervals;
-    sc.churn_every = churn_every as u64;
+    sc.churn_every = churn_every;
     sc.threads = jobs;
     sc.serve.max_tenants = sc.concurrent.max(16);
     if !smoke {

@@ -4,7 +4,7 @@
 //!
 //! Usage: `prediction [--scale test|scaled|paper]` (default: scaled).
 
-use dsm_harness::experiment::scale_from_args;
+use dsm_harness::cli;
 use dsm_harness::figures::config_at;
 use dsm_harness::report;
 use dsm_harness::trace::capture_cached;
@@ -13,7 +13,7 @@ use dsm_phase::predictor::{accuracy_over, LastPhasePredictor, RlePredictor};
 use dsm_workloads::App;
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = cli::parse("prediction [--scale test|scaled|paper]").scale();
     let mut out =
         String::from("Phase prediction accuracy (mean over processors; higher is better)\n\n");
     let mut rows: Vec<Vec<String>> = Vec::new();

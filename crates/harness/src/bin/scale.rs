@@ -9,9 +9,10 @@
 //! between the two arms before any number is reported.
 
 use dsm_analysis::Table;
+use dsm_harness::cli::{self, number};
 use dsm_harness::json::Json;
 use dsm_harness::scale::{scale_sweep, ScalePoint, Spread};
-use dsm_harness::{parallel, report};
+use dsm_harness::report;
 use dsm_workloads::App;
 
 fn render(points: &[ScalePoint]) -> String {
@@ -48,28 +49,10 @@ fn render(points: &[ScalePoint]) -> String {
 }
 
 fn main() {
-    parallel::jobs_from_args();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut samples = 3usize;
-    let mut app = App::Ocean;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--samples" => {
-                samples = args[i + 1].parse().expect("--samples N");
-                i += 2;
-            }
-            "--app" => {
-                let name = args[i + 1].to_lowercase();
-                app = *App::EXTENDED
-                    .iter()
-                    .find(|a| a.name().to_lowercase() == name)
-                    .unwrap_or_else(|| panic!("unknown app {:?}", args[i + 1]));
-                i += 2;
-            }
-            _ => i += 1,
-        }
-    }
+    let cli = cli::parse("scale [--samples N] [--app NAME] [--jobs N]");
+    cli.jobs();
+    let samples: usize = cli.get("--samples", 3, number);
+    let app = cli.get("--app", App::Ocean, cli::app);
 
     let points = scale_sweep(app, samples);
     let out = render(&points);

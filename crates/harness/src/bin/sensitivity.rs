@@ -7,12 +7,12 @@
 //! so they always simulate (no trace cache); `--jobs` fans the variants and
 //! their threshold sweeps out over the worker pool.
 
-use dsm_harness::experiment::scale_from_args;
+use dsm_harness::cli;
 use dsm_harness::sensitivity::{
     bank_sweep, geometry_sweep, interval_sweep, network_model_sweep, placement_sweep,
     SensitivityPoint,
 };
-use dsm_harness::{parallel, report};
+use dsm_harness::report;
 use dsm_workloads::App;
 
 fn fmt(x: Option<f64>) -> String {
@@ -50,8 +50,9 @@ fn render(title: &str, pts: &[SensitivityPoint], out: &mut String, rows: &mut Ve
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = parallel::jobs_from_args();
+    let cli = cli::parse("sensitivity [--scale test|scaled|paper] [--jobs N]");
+    let scale = cli.scale();
+    let jobs = cli.jobs();
     eprintln!("sensitivity: running with {jobs} worker(s)");
     let mut out = String::from("Sensitivity studies (32P unless noted)\n\n");
     let mut rows: Vec<Vec<String>> = Vec::new();

@@ -12,9 +12,10 @@
 //! Artefacts land under `results/simpoint/` (schemas in EXPERIMENTS.md) and
 //! are byte-identical across reruns.
 
+use dsm_harness::cli;
 use dsm_harness::json::Json;
 use dsm_harness::simpoint::{sampled_run, write_artifacts, SimpointResult};
-use dsm_harness::{parallel, report, ExperimentConfig};
+use dsm_harness::{report, ExperimentConfig};
 use dsm_sim::config::FaultPlan;
 use dsm_workloads::{App, Scale};
 
@@ -33,8 +34,9 @@ fn row(r: &SimpointResult) -> String {
 }
 
 fn main() {
-    parallel::jobs_from_args();
-    let ci = std::env::args().any(|a| a == "--ci");
+    let cli = cli::parse("simpoint [--ci] [--jobs N]");
+    cli.jobs();
+    let ci = cli.has("--ci");
 
     let configs: Vec<ExperimentConfig> = if ci {
         // Scaled LU at 2 processors: small enough for a CI smoke, but with

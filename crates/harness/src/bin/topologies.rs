@@ -13,16 +13,22 @@
 //! matrix runs one smoke per layout.
 
 use dsm_analysis::Table;
+use dsm_harness::cli::{self, layout, procs};
 use dsm_harness::json::Json;
 use dsm_harness::topology::{topology_point, topology_sweep};
 use dsm_harness::{report, ExperimentConfig};
 use dsm_sim::topology::TopologyKind;
 use dsm_workloads::App;
 
+/// A node count every layout can be built over.
+fn every_layout(s: &str) -> Result<usize, String> {
+    let n = procs(|n| ExperimentConfig::test(App::Lu, n))(s)?;
+    let unfit = TopologyKind::ALL.into_iter().find(|k| !k.supports(n));
+    unfit.map_or(Ok(n), |k| Err(format!("the {} layout cannot span {n} nodes", k.name())))
+}
+
 /// `--smoke <topology>`: one small capture on one layout, table to stdout.
-fn smoke_mode(name: &str) {
-    let kind = TopologyKind::from_name(name)
-        .unwrap_or_else(|| panic!("unknown topology {name:?} (see TopologyKind::ALL)"));
+fn smoke_mode(kind: TopologyKind) {
     let (p, trace) = topology_point(ExperimentConfig::test(App::Lu, 2), kind);
     let pairs = vec![
         ("topology".to_string(), p.kind.name().to_string()),
@@ -41,25 +47,10 @@ fn smoke_mode(name: &str) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut n_procs: usize = 8;
-    let mut smoke: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--smoke" {
-            smoke = Some(args[i + 1].clone());
-            i += 2;
-            continue;
-        }
-        if !args[i].starts_with("--") {
-            n_procs = args[i].parse().expect("n_procs must be an integer");
-            assert!(n_procs.is_power_of_two(), "every layout needs a power of two");
-        }
-        i += 1;
-    }
-
-    if let Some(name) = smoke {
-        smoke_mode(&name);
+    let cli = cli::parse("topologies [n_procs] [--smoke <topology>]");
+    let n_procs = cli.get("n_procs", 8, every_layout);
+    if let Some(kind) = cli.get("--smoke", None, |s| layout(s).map(Some)) {
+        smoke_mode(kind);
         return;
     }
 

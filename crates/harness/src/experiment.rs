@@ -16,21 +16,6 @@ pub struct ExperimentConfig {
     pub interval_base: u64,
 }
 
-/// The `--scale test|scaled|paper` argument of the harness binaries
-/// (`scaled` when absent). Panics on any other value.
-pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--scale") {
-        Some(i) => match args.get(i + 1).map(|s| s.as_str()) {
-            Some("test") => Scale::Test,
-            Some("scaled") => Scale::Scaled,
-            Some("paper") => Scale::Paper,
-            other => panic!("unknown scale {other:?} (test|scaled|paper)"),
-        },
-        None => Scale::Scaled,
-    }
-}
-
 /// Why an [`ExperimentConfig`] cannot describe a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {

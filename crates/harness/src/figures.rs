@@ -11,7 +11,7 @@ use crate::experiment::ExperimentConfig;
 use crate::json::Json;
 use crate::parallel::{capture_matrix, RunReport};
 use crate::sweep::{bbv_curve, bbv_ddv_curve};
-use crate::trace::capture_cached;
+use crate::trace::{capture_cached, SystemTrace};
 
 /// Maximum phase count plotted (the paper's x-axes run to 25).
 pub const MAX_PHASES: usize = 25;
@@ -206,6 +206,45 @@ pub fn config_at(app: App, p: usize, scale: Scale) -> ExperimentConfig {
         Scale::Scaled => ExperimentConfig::scaled(app, p),
         Scale::Test => ExperimentConfig::test(app, p),
     }
+}
+
+/// The detector-comparison table of `ablation` and `baselines`: every
+/// workload at `n_procs`, captured through the engine, then each of
+/// `curves(trace)` at the 7-, 15- and 25-phase budgets with its name padded
+/// to `width`. Returns the text, the CSV rows (`app, name, phases, cov`)
+/// and the engine's run report.
+pub fn budget_table(
+    name: &str,
+    n_procs: usize,
+    scale: Scale,
+    width: usize,
+    curves: impl Fn(&SystemTrace) -> Vec<(&'static str, CovCurve)>,
+) -> (String, Vec<Vec<String>>, RunReport) {
+    let configs: Vec<_> = App::ALL.iter().map(|&app| config_at(app, n_procs, scale)).collect();
+    let (traces, run_report) = capture_matrix(name, &configs);
+    let (mut out, mut rows) = (String::new(), Vec::new());
+    for (app, trace) in App::ALL.into_iter().zip(&traces) {
+        out.push_str(&format!("{}:\n", app.name()));
+        for (label, curve) in curves(trace) {
+            let at = |k: f64| {
+                curve.cov_at_phases(k).map(|v| format!("{v:.3}")).unwrap_or_else(|| "  n/a".into())
+            };
+            out.push_str(&format!(
+                "  {label:<width$} @7={} @15={} @25={}\n",
+                at(7.0),
+                at(15.0),
+                at(25.0)
+            ));
+            for k in [7.0, 15.0, 25.0] {
+                if let Some(cov) = curve.cov_at_phases(k) {
+                    let cells = [app.name().into(), label.into(), format!("{k}"), format!("{cov:.6}")];
+                    rows.push(cells.to_vec());
+                }
+            }
+        }
+        out.push('\n');
+    }
+    (out, rows, run_report)
 }
 
 /// The paper's §III-A LU headline: CoV at a fixed (7-phase) budget for

@@ -4,6 +4,7 @@
 //! regenerate every table and figure of the paper:
 //!
 //! * [`experiment`] — experiment configuration (app × node count × scale);
+//! * [`cli`] — the binaries' one command-line parser (exit status 2 on bad input);
 //! * [`trace`] — one-simulation-per-configuration capture of per-interval
 //!   feature records, with an in-memory cache shared across sweeps;
 //! * [`sweep`] — threshold sweeps producing CoV curves for BBV, BBV+DDV,
@@ -39,6 +40,7 @@
 
 pub mod adapt;
 pub mod adaptive;
+pub mod cli;
 pub mod diagnose;
 pub mod experiment;
 pub mod faults;

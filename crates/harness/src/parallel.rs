@@ -65,24 +65,6 @@ pub fn jobs() -> usize {
     }
 }
 
-/// Parse `--jobs N` from the command line (or `DSM_JOBS` from the
-/// environment), set the process-wide knob, and return the result.
-pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let from_flag = args
-        .iter()
-        .position(|a| a == "--jobs" || a == "-j")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok());
-    let from_env = std::env::var("DSM_JOBS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok());
-    if let Some(n) = from_flag.or(from_env) {
-        set_jobs(n.max(1));
-    }
-    jobs()
-}
-
 // ---------------------------------------------------------------------------
 // Worker pool
 // ---------------------------------------------------------------------------
@@ -147,17 +129,27 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Bump when the on-disk trace layout changes: old entries become misses
-/// instead of decoding garbage.
-const TRACE_FORMAT: &str = "dsm-trace-v2";
+/// FNV-1a digest of the `DSMTRC4` entries of every [`App::EXTENDED`]
+/// workload captured at 2 nodes and Test scale, in that order. It moves
+/// when the simulated output or the entry layout moves, and [`cache_key`]
+/// hashes it, so entries stored by other code become misses instead of
+/// stale hits. A change that shows only at Scaled or Paper inputs leaves
+/// it in place: run such a change `--cold`.
+///
+/// [`App::EXTENDED`]: dsm_workloads::App::EXTENDED
+pub const TRACE_DIGEST: u64 = 0xb360_9aa0_3627_1e8f;
 
 /// Content hash of everything that determines a captured trace: the
-/// experiment point, the derived machine configuration, and the collector
-/// geometry. Any field change (via `Debug` of the full structs) changes
-/// the key.
+/// simulator ([`TRACE_DIGEST`]), the experiment point, the derived machine
+/// configuration, and the collector geometry. Any field change (via
+/// `Debug` of the full structs) changes the key.
 pub fn cache_key(config: &ExperimentConfig) -> String {
+    key_for(TRACE_DIGEST, config)
+}
+
+fn key_for(digest: u64, config: &ExperimentConfig) -> String {
     let desc = format!(
-        "{TRACE_FORMAT}|{:?}|{}|{:?}|{}|{:?}|{:?}",
+        "{digest:016x}|{:?}|{}|{:?}|{}|{:?}|{:?}",
         config.app,
         config.n_procs,
         config.scale,
@@ -439,24 +431,16 @@ pub fn capture_matrix(
     (traces, report)
 }
 
-/// Standard binary preamble: parse `--jobs`/`-j N`, `--cold` (clear the
-/// store first), and `--no-cache` (disable persistence); enable the disk
-/// store otherwise. Returns the worker count.
-pub fn init_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let n = jobs_from_args();
-    if args.iter().any(|a| a == "--no-cache") {
-        set_trace_store_dir(None);
-    } else {
-        let dir = default_store_dir();
-        set_trace_store_dir(Some(dir.clone()));
-        if args.iter().any(|a| a == "--cold") {
-            if let Ok(store) = TraceStore::open(&dir) {
-                store.clear().expect("clear trace store");
-            }
+/// The trace store of a binary run: off under `no_cache`, else on at
+/// [`default_store_dir`] and emptied first under `cold`.
+pub fn init_store(cold: bool, no_cache: bool) {
+    let dir = (!no_cache).then(default_store_dir);
+    if let Some(dir) = dir.as_ref().filter(|_| cold) {
+        if let Ok(store) = TraceStore::open(dir) {
+            store.clear().expect("clear trace store");
         }
     }
-    n
+    set_trace_store_dir(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -642,10 +626,22 @@ mod tests {
 
     #[test]
     fn dsmtrc4_bytes_are_pinned() {
-        // Any change to this digest is a DSMTRC4 layout change: bump the
-        // magic and `TRACE_FORMAT` instead of editing the pin.
-        let bytes = encode_trace(&trace::capture(ExperimentConfig::test(App::Lu, 2)));
-        assert_eq!((bytes.len(), fnv1a64(&bytes)), (8522, 0xc3e10e93cdf9d771));
+        // The digest moves when the simulated output or the DSMTRC4 layout
+        // moves; `dsmtrc4_synthetic_bytes_are_pinned` pins the layout
+        // alone. `cache_key` hashes the same constant, so re-pinning it
+        // turns every stored trace into a miss.
+        let mut bytes = Vec::new();
+        for app in App::EXTENDED {
+            bytes.extend(encode_trace(&trace::capture(ExperimentConfig::test(app, 2))));
+        }
+        assert_eq!(fnv1a64(&bytes), TRACE_DIGEST, "{:#x}", fnv1a64(&bytes));
+    }
+
+    #[test]
+    fn cache_key_follows_the_trace_digest() {
+        let c = ExperimentConfig::test(App::Lu, 2);
+        assert_eq!(key_for(TRACE_DIGEST, &c), cache_key(&c));
+        assert_ne!(key_for(TRACE_DIGEST ^ 1, &c), cache_key(&c));
     }
 
     /// A fixed trace with every encoded field set to a distinct value, so

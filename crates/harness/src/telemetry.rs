@@ -169,29 +169,31 @@ pub fn export_registry(dir: &Path, label: &str, reg: &MetricsRegistry) -> io::Re
     Ok(path)
 }
 
-/// Parse `--telemetry-out <dir>` from the command line. `None` when the
-/// flag is absent (telemetry export off — the default).
-pub fn telemetry_out_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--telemetry-out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-}
-
 /// Capture every workload at `n_procs`/`scale` with telemetry and export
 /// one artifact triple per workload into `dir`. Returns all written paths.
 pub fn export_workloads(dir: &Path, scale: Scale, n_procs: usize) -> io::Result<Vec<PathBuf>> {
     let mut paths = Vec::new();
     for app in App::ALL {
-        let config = match scale {
-            Scale::Test => ExperimentConfig::test(app, n_procs),
-            Scale::Scaled => ExperimentConfig::scaled(app, n_procs),
-            Scale::Paper => ExperimentConfig::paper(app, n_procs),
-        };
+        let config = crate::figures::config_at(app, n_procs, scale);
         let cap = capture_with_telemetry(config);
         paths.extend(export_run(dir, &config.label(), &cap.snapshot)?);
     }
+    Ok(paths)
+}
+
+/// The figure binaries' `--telemetry-out DIR`: [`export_workloads`] at 2
+/// nodes, then `run`'s deterministic counters as `<label>.metrics.jsonl`.
+/// Returns all written paths.
+pub fn export_figure(
+    dir: &Path,
+    scale: Scale,
+    label: &str,
+    run: &crate::parallel::RunReport,
+) -> io::Result<Vec<PathBuf>> {
+    let mut paths = export_workloads(dir, scale, 2)?;
+    let mut reg = MetricsRegistry::new();
+    run.publish(&mut reg);
+    paths.push(export_registry(dir, label, &reg)?);
     Ok(paths)
 }
 

@@ -38,6 +38,4 @@ pub use codec::{Checkpoint, CheckpointMeta, CkptError, MAGIC};
 pub use reconstruct::{
     interval_cpis, mean_and_cov, reconstruct_cpi, relative_error, IntervalCpi, Reconstructed,
 };
-pub use select::{
-    manhattan, select, signatures, stratified_members, SampleUnit, Selection, Simpoint,
-};
+pub use select::{select, signatures, stratified_members, SampleUnit, Selection, Simpoint};

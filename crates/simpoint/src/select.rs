@@ -16,6 +16,7 @@
 //! selection, bit for bit.
 
 use dsm_phase::detector::IntervalRecord;
+use dsm_phase::distance::manhattan;
 use dsm_sim::util::splitmix64;
 
 /// One selected representative interval.
@@ -125,12 +126,6 @@ pub fn signatures(records: &[Vec<IntervalRecord>]) -> Vec<Vec<f64>> {
         }
     }
     sigs
-}
-
-/// Manhattan distance between two equal-length vectors.
-pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
 }
 
 /// A tiny deterministic RNG: counter-indexed splitmix64 draws.
