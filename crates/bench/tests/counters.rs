@@ -1,6 +1,7 @@
 //! Exact gates on the deterministic counters: events, allocations per
 //! interval, footprint comparisons per classification, the heap high-water
-//! of one capture, and the serve smoke fleets' outcomes.
+//! of one capture and of one serve smoke fleet, and the serve smoke fleets'
+//! outcomes.
 //!
 //! Every value below is a pure function of the code. A change that moves
 //! one either re-records it here, saying why, or is a regression. The
@@ -66,6 +67,17 @@ const HEAP: [(&str, u64, u64); 8] = [
     ("art-8p", 1_206_480, 2_794_728),
     ("equake-2p", 595_728, 991_796),
     ("equake-8p", 1_467_680, 3_044_248),
+];
+
+/// `(tenants, bytes, bytes with telemetry)`: the heap high-water of one
+/// single-threaded smoke fleet, [`run_scenario`] on this thread, above the
+/// heap held before it. The fleet's scripts, server, per-node streams and
+/// latency record are all built and dropped inside the run. The serve path
+/// has no feature-gated probes, so both columns agree.
+const SERVE_HEAP: [(usize, u64, u64); 3] = [
+    (64, 1_860_564, 1_860_564),
+    (256, 2_689_246, 2_689_246),
+    (1024, 6_060_240, 6_060_240),
 ];
 
 /// The `ServeOutcome` counters of one smoke fleet.
@@ -242,4 +254,24 @@ fn serve_smoke_fleets_are_exact() {
         report.check(format!("{tenants}-tenant smoke fleet"), recorded, now);
     }
     report.assert_clean("a serve smoke fleet's outcome");
+}
+
+#[test]
+fn serve_heap_high_water_is_exact() {
+    let _serial = serial();
+    let telemetry = dsm_sim::telem::SimTelemetry::new(0).enabled();
+    let mut report = Report::default();
+    for &(tenants, off, on) in &SERVE_HEAP {
+        // One batch thread keeps every allocation on this, the counted,
+        // thread; `smoke` otherwise takes the worker-pool size.
+        let sc = ServeScenario { threads: 1, ..ServeScenario::smoke(tenants, 42) };
+        let (_, bytes) = heap_high_water_during(|| run_scenario(&sc));
+        let recorded = if telemetry { on } else { off };
+        report.check(
+            format!("{tenants}-tenant smoke fleet heap high-water bytes"),
+            recorded,
+            bytes,
+        );
+    }
+    report.assert_clean("a serve smoke fleet's heap high-water");
 }
