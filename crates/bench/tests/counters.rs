@@ -75,9 +75,9 @@ const HEAP: [(&str, u64, u64); 8] = [
 /// latency record are all built and dropped inside the run. The serve path
 /// has no feature-gated probes, so both columns agree.
 const SERVE_HEAP: [(usize, u64, u64); 3] = [
-    (64, 1_860_564, 1_860_564),
-    (256, 2_689_246, 2_689_246),
-    (1024, 6_060_240, 6_060_240),
+    (64, 1_848_788, 1_848_788),
+    (256, 2_646_750, 2_646_750),
+    (1024, 5_844_922, 5_844_922),
 ];
 
 /// The `ServeOutcome` counters of one smoke fleet.

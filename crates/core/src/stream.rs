@@ -15,6 +15,9 @@
 //! front offset and compacts the buffer only once the evicted prefix is at
 //! least as long as the retained part, so a consumer that windows after
 //! every push moves each interval at most once per window length.
+//! Compaction also gives back capacity beyond twice the retained length, so
+//! right after each compaction a stream windowed to `W` intervals holds at
+//! most `2W` slots, whatever its history.
 
 use serde::{Deserialize, Serialize};
 
@@ -144,7 +147,10 @@ impl PhaseStream {
     /// retained suffix keeps its true indices; `first_index` advances. The
     /// evicted prefix is dropped from the buffer once it is at least as
     /// long as the retained suffix, so each retained interval is moved at
-    /// most once per that many evictions.
+    /// most once per that many evictions. That compaction also releases
+    /// capacity beyond twice the retained length: the buffer's capacity
+    /// right after it is at most `2 * len()`, so a windowed stream's memory
+    /// follows its window, not its largest burst.
     pub fn evict_to(&mut self, index: u64) {
         let drop = index.saturating_sub(self.first_index).min(self.len() as u64);
         if drop > 0 {
@@ -153,6 +159,7 @@ impl PhaseStream {
             if self.front >= self.len() {
                 self.intervals.drain(..self.front);
                 self.front = 0;
+                self.intervals.shrink_to(2 * self.intervals.len());
             }
         }
     }
@@ -212,6 +219,44 @@ mod tests {
         // An emptied stream re-anchors on the next push.
         s.push(ci(0, 10, 0)).unwrap();
         assert_eq!(s.first_index(), 10);
+    }
+
+    /// Trim a stream to `window` intervals with `trim_every` pushes between
+    /// trims; after every compaction the buffer's capacity is at most twice
+    /// the retained length, and the retained suffix is the last `window`.
+    fn assert_window_bounds_capacity(window: usize, trim_every: usize) {
+        let mut s = PhaseStream::new(0);
+        let mut compactions = 0;
+        for i in 0..(20 * window as u64 + 50) {
+            s.push(ci(0, i, 0)).unwrap();
+            if s.len() < trim_every {
+                continue;
+            }
+            let first = s.first_index();
+            s.truncate_front(window);
+            if s.first_index() > first && s.front == 0 {
+                compactions += 1;
+                assert!(
+                    s.intervals.capacity() <= 2 * s.len(),
+                    "W={window} every {trim_every}: capacity {} holds {} intervals",
+                    s.intervals.capacity(),
+                    s.len()
+                );
+            }
+            assert_eq!((s.first_index(), s.len()), (i + 1 - window as u64, window));
+            assert_eq!(s.intervals().last().map(|c| c.index), Some(i));
+        }
+        assert!(compactions > 0, "W={window} every {trim_every}: never compacted");
+    }
+
+    #[test]
+    fn windowed_capacity_follows_the_window() {
+        for window in [1, 2, 256] {
+            // Grow to 2W+1, then trim to W (the benchmark driver's pattern).
+            assert_window_bounds_capacity(window, 2 * window + 1);
+            // Trim to W after every push (the serve scenario's pattern).
+            assert_window_bounds_capacity(window, window + 1);
+        }
     }
 
     #[test]

@@ -20,6 +20,15 @@
 //! runs whole shards on separate host threads — shards share no tenant
 //! state, and results are merged in shard order, so the parallel batch is
 //! bit-identical to the serial one at any thread count.
+//!
+//! ## Memory
+//!
+//! The server holds live state, not history. Each tenant's queue and output
+//! buffer are bounded by [`ServeConfig`]; each shard records latency as an
+//! exact histogram — one counter per latency in ticks — so its latency
+//! record is O(largest latency), not O(classifications), and
+//! [`latency_percentiles`](PhaseServer::latency_percentiles) reads the
+//! nearest rank off the merged counts without copying or sorting samples.
 
 use std::collections::HashMap;
 
@@ -203,16 +212,67 @@ impl std::fmt::Display for AdmitError {
 
 impl std::error::Error for AdmitError {}
 
+/// Ingest-to-classify latencies as exact counts: `counts[t]` is the number
+/// of classifications that waited `t` ticks. Recording is one increment;
+/// memory is one counter per tick up to the largest latency seen, however
+/// many classifications there were.
+#[derive(Debug, Default)]
+struct LatencyHistogram {
+    counts: Vec<u64>,
+}
+
+impl LatencyHistogram {
+    fn record(&mut self, ticks: u64) {
+        let t = ticks as usize;
+        if t >= self.counts.len() {
+            self.counts.resize(t + 1, 0);
+        }
+        self.counts[t] += 1;
+    }
+
+    /// Nearest-rank `quantiles` over the union of `hists`: the latency at
+    /// rank `ceil(q·n)`, clamped to `[1, n]`, of the `n` merged samples in
+    /// ascending order — the number sorting every sample would give. Zeros
+    /// when the union is empty.
+    fn percentiles<'a>(
+        hists: impl Iterator<Item = &'a LatencyHistogram> + Clone,
+        quantiles: &[f64],
+    ) -> Vec<u64> {
+        let len = hists.clone().map(|h| h.counts.len()).max().unwrap_or(0);
+        // `cum[t]` = samples at most `t` ticks.
+        let mut cum = vec![0u64; len];
+        for h in hists {
+            for (c, &k) in cum.iter_mut().zip(&h.counts) {
+                *c += k;
+            }
+        }
+        let mut total = 0;
+        for c in &mut cum {
+            total += *c;
+            *c = total;
+        }
+        if total == 0 {
+            return vec![0; quantiles.len()];
+        }
+        quantiles
+            .iter()
+            .map(|&q| {
+                let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+                cum.partition_point(|&c| c < rank) as u64
+            })
+            .collect()
+    }
+}
+
 /// One tenant shard: a slab of tenant slots (freelist-reused), its own
-/// metrics registry and span track, and the shard's latency samples.
+/// metrics registry and span track, and the shard's latency histogram.
 #[derive(Debug)]
 struct Shard {
     slots: Vec<Option<TenantState>>,
     free: Vec<usize>,
     reg: MetricsRegistry,
     spans: SpanSink,
-    /// Ingest-to-classify latencies in ticks, in classification order.
-    latencies: Vec<u64>,
+    latencies: LatencyHistogram,
 }
 
 impl Shard {
@@ -222,7 +282,7 @@ impl Shard {
             free: Vec::new(),
             reg: MetricsRegistry::new(),
             spans: SpanSink::new(1, dsm_telemetry::DEFAULT_RING_CAPACITY),
-            latencies: Vec::new(),
+            latencies: LatencyHistogram::default(),
         }
     }
 
@@ -254,7 +314,7 @@ impl Shard {
                 slot.stats.output_high_water =
                     slot.stats.output_high_water.max(slot.output.len() as u64);
                 let latency = tick - arrival;
-                self.latencies.push(latency);
+                self.latencies.record(latency);
                 if let Some(p) = slot.probes {
                     self.reg.add(p.classified, 1);
                     self.reg.record(p.latency, latency);
@@ -597,22 +657,15 @@ impl PhaseServer {
     }
 
     /// Ingest-to-classify latency percentiles in ticks over every
-    /// classification so far. Quantiles use the nearest-rank method on the
-    /// sorted merged samples; shard interleaving is irrelevant after the
-    /// sort, so this is deterministic at any thread count.
+    /// classification so far. Quantiles use the nearest-rank method,
+    /// `ceil(q·n)` clamped to `[1, n]`, over the merged samples. Each shard
+    /// keeps exact counts per latency tick rather than the samples, so this
+    /// walks the merged counts' cumulative sum instead of sorting: memory is
+    /// O(largest latency in ticks), not O(classifications), and the result
+    /// is the one a sort of every sample gives. Shard order is irrelevant to
+    /// the counts, so this is deterministic at any thread count.
     pub fn latency_percentiles(&self, quantiles: &[f64]) -> Vec<u64> {
-        let mut all: Vec<u64> = self.shards.iter().flat_map(|s| s.latencies.iter().copied()).collect();
-        if all.is_empty() {
-            return vec![0; quantiles.len()];
-        }
-        all.sort_unstable();
-        quantiles
-            .iter()
-            .map(|&q| {
-                let rank = ((q * all.len() as f64).ceil() as usize).clamp(1, all.len());
-                all[rank - 1]
-            })
-            .collect()
+        LatencyHistogram::percentiles(self.shards.iter().map(|s| &s.latencies), quantiles)
     }
 
     /// Aggregate accounting across live and retired tenants.
@@ -955,6 +1008,84 @@ mod tests {
         while srv.run_batch() > 0 {}
         // ceil(q·3) ranks: 1/3 → 1st, 0.5 → 2nd, 1.0 → 3rd.
         assert_eq!(srv.latency_percentiles(&[1.0 / 3.0, 0.5, 1.0]), vec![1, 2, 3]);
+    }
+
+    const QUANTILES: [f64; 7] = [0.0, 1e-9, 1.0 / 3.0, 0.5, 0.99, 0.999, 1.0];
+
+    /// The reference rule: every sample sorted, nearest rank `ceil(q·n)`
+    /// clamped to `[1, n]`, zeros when there are no samples.
+    fn sorted_reference(samples: &[u64], quantiles: &[f64]) -> Vec<u64> {
+        let mut all = samples.to_vec();
+        if all.is_empty() {
+            return vec![0; quantiles.len()];
+        }
+        all.sort_unstable();
+        quantiles
+            .iter()
+            .map(|&q| {
+                let rank = ((q * all.len() as f64).ceil() as usize).clamp(1, all.len());
+                all[rank - 1]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn histogram_percentiles_match_the_sorted_reference() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let empty: [LatencyHistogram; 0] = [];
+        assert_eq!(LatencyHistogram::percentiles(empty.iter(), &QUANTILES), vec![0; 7]);
+        for case in 0..400 {
+            let shards = 1 + (next() % 16) as usize;
+            let samples = next() % ([0, 1, 7, 300, 3000][case % 5] + 1);
+            let spread = 1 + next() % [1, 3, 64, 5000][case % 4];
+            let mut hists: Vec<LatencyHistogram> =
+                (0..shards).map(|_| LatencyHistogram::default()).collect();
+            let mut all = Vec::new();
+            for _ in 0..samples {
+                // Half the cases skew toward short waits with a long tail.
+                let t = if case % 2 == 0 {
+                    next() % spread
+                } else {
+                    (next() % spread) * (next() % spread) / spread
+                };
+                hists[(next() % shards as u64) as usize].record(t);
+                all.push(t);
+            }
+            assert_eq!(
+                LatencyHistogram::percentiles(hists.iter(), &QUANTILES),
+                sorted_reference(&all, &QUANTILES),
+                "case {case}: {samples} samples over {shards} shards, spread {spread}"
+            );
+        }
+    }
+
+    #[test]
+    fn served_percentiles_match_the_sorted_reference() {
+        // batch_size 1 classifies one signature per tenant per tick, so
+        // tenant k's `k + 1` offers at tick 0 wait 1, 2, …, k + 1 ticks.
+        let cfg = ServeConfig { shards: 4, batch_size: 1, ..ServeConfig::default() };
+        let mut srv = PhaseServer::new(cfg);
+        let mut expected = Vec::new();
+        for k in 0..11u64 {
+            let t = srv.admit(tcfg(1)).unwrap();
+            for i in 0..=k {
+                srv.offer(t, sig(0, i, i % 3)).unwrap();
+                expected.push(i + 1);
+            }
+        }
+        assert_eq!(srv.latency_percentiles(&QUANTILES), sorted_reference(&[], &QUANTILES));
+        while srv.run_batch() > 0 {}
+        let want = sorted_reference(&expected, &QUANTILES);
+        assert_eq!(srv.latency_percentiles(&QUANTILES), want);
+        let p = sorted_reference(&expected, &[0.50, 0.99, 0.999]);
+        assert_eq!(srv.report().latency_ticks, (p[0], p[1], p[2]));
     }
 
     #[test]
