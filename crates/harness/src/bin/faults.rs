@@ -9,7 +9,7 @@
 //! summary triple per workload (telemetry schema also in EXPERIMENTS.md).
 //!
 //! `--checkpoint-every <n>` replaces the sweep: every workload runs once
-//! under the mixed fault plan at the given seed, writing a `DSMCKPT6`
+//! under the mixed fault plan at the given seed, writing a `DSMCKPT7`
 //! checkpoint to `results/checkpoints/` at every `n`-th global interval
 //! boundary. `--resume <ckpt>` restores one of those files, simulates it to
 //! completion, and prints the resumed machine statistics.
@@ -24,11 +24,15 @@ use dsm_sim::config::FaultPlan;
 use dsm_simpoint::Checkpoint;
 use dsm_workloads::{App, Scale};
 
+/// `--resume <ckpt>`: the checkpoint file, read and decoded.
+fn checkpoint(path: &str) -> Result<Checkpoint, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read it: {e}"))?;
+    Checkpoint::decode(&bytes).map_err(|e| e.to_string())
+}
+
 /// `--resume <ckpt>`: restore the checkpoint, run to completion, report.
-fn resume_mode(path: &str) {
-    let bytes = std::fs::read(path).expect("read checkpoint file");
-    let ck = Checkpoint::decode(&bytes).expect("decode checkpoint");
-    let trace = resume_to_end(&ck).unwrap_or_else(|e| panic!("{path}: {e}"));
+fn resume_mode(path: &str, ck: &Checkpoint) {
+    let trace = resume_to_end(ck).unwrap_or_else(|e| panic!("{path}: {e}"));
     let pairs = vec![
         ("app".to_string(), ck.meta.app.name().to_string()),
         ("n_procs".to_string(), ck.meta.n_procs.to_string()),
@@ -72,9 +76,10 @@ fn main() {
     );
     let seed: u64 = cli.get("seed", 42, number);
     let checkpoint_every = cli.get("--checkpoint-every", None, |s| positive(s).map(Some));
+    let resume = cli.get("--resume", None, |s| checkpoint(s).map(Some));
 
-    if let Some(path) = cli.value("--resume") {
-        resume_mode(path);
+    if let (Some(path), Some(ck)) = (cli.value("--resume"), resume) {
+        resume_mode(path, &ck);
         return;
     }
     if let Some(every) = checkpoint_every {

@@ -139,11 +139,15 @@ impl Cli {
     }
 
     /// The worker count asked for: `--jobs N`, else `env` (the value of
-    /// `DSM_JOBS`, ignored unless it is a count). `None` leaves the
-    /// hardware parallelism.
+    /// `DSM_JOBS`, which must then be a count). `None` leaves the hardware
+    /// parallelism.
     pub fn try_jobs(&self, env: Option<String>) -> Result<Option<usize>, CliError> {
-        let env = env.and_then(|s| s.parse().ok());
-        Ok(self.try_get("--jobs", None, |s| number(s).map(Some))?.or(env))
+        match (self.value("--jobs"), env) {
+            (None, Some(value)) => number(&value).map(Some).map_err(|expected| {
+                CliError::BadValue { flag: "DSM_JOBS".into(), value, expected }
+            }),
+            _ => self.try_get("--jobs", None, |s| number(s).map(Some)),
+        }
     }
 
     /// Size the worker pool from [`Cli::try_jobs`] (`--jobs 0` means 1) and
@@ -294,7 +298,13 @@ mod tests {
         let env = |s: &str| Some(s.to_string());
         assert_eq!(parse(&[]).unwrap().try_jobs(env("5")), Ok(Some(5)));
         assert_eq!(parse(&["-j", "2"]).unwrap().try_jobs(env("5")), Ok(Some(2)));
-        assert_eq!(parse(&[]).unwrap().try_jobs(env("many")), Ok(None));
+        assert_eq!(parse(&[]).unwrap().try_jobs(env("0")), Ok(Some(0)));
+        assert_eq!(
+            parse(&[]).unwrap().try_jobs(env("many")),
+            Err(bad("DSM_JOBS", "many", "expected a non-negative integer"))
+        );
+        // `--jobs` wins, so DSM_JOBS is not read at all.
+        assert_eq!(parse(&["--jobs", "3"]).unwrap().try_jobs(env("many")), Ok(Some(3)));
         assert_eq!(parse(&[]).unwrap().try_jobs(None), Ok(None));
     }
 

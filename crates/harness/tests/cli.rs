@@ -85,3 +85,20 @@ fn malformed_command_lines_are_refused() {
         assert!(stderr.contains(says), "{name} {args:?}: {stderr}");
     }
 }
+
+#[test]
+fn faults_refuses_a_resume_file_it_cannot_restore() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let missing = dir.join(format!("dsm-cli-missing-{pid}.ckpt"));
+    let text = dir.join(format!("dsm-cli-text-{pid}.ckpt"));
+    std::fs::write(&text, "not a checkpoint\n").unwrap();
+    let cases = [(&missing, "cannot read it"), (&text, "bad magic")];
+    for (case, (path, says)) in cases.into_iter().enumerate() {
+        let path = path.display().to_string();
+        let stderr = refused("faults", &["--resume", &path], 200 + case);
+        assert!(stderr.contains(&format!("bad --resume {path:?}")), "{stderr}");
+        assert!(stderr.contains(says), "{path}: {stderr}");
+    }
+    std::fs::remove_file(&text).unwrap();
+}
