@@ -235,17 +235,19 @@ impl LatencyHistogram {
     /// ascending order — the number sorting every sample would give. Zeros
     /// when the union is empty.
     fn percentiles<'a>(
-        hists: impl Iterator<Item = &'a LatencyHistogram> + Clone,
+        hists: impl Iterator<Item = &'a LatencyHistogram>,
         quantiles: &[f64],
     ) -> Vec<u64> {
-        let len = hists.clone().map(|h| h.counts.len()).max().unwrap_or(0);
-        // `cum[t]` = samples at most `t` ticks.
-        let mut cum = vec![0u64; len];
+        let mut cum: Vec<u64> = Vec::new();
         for h in hists {
+            if cum.len() < h.counts.len() {
+                cum.resize(h.counts.len(), 0);
+            }
             for (c, &k) in cum.iter_mut().zip(&h.counts) {
                 *c += k;
             }
         }
+        // Prefix sums: `cum[t]` becomes the samples that waited at most `t`.
         let mut total = 0;
         for c in &mut cum {
             total += *c;
