@@ -24,7 +24,7 @@
 //! With the [`NoopActuator`](crate::actuator::NoopActuator) the session is
 //! a pure observer: its run is bit-identical to a plain capture (pinned by
 //! the `adapt_equivalence` suite). A session snapshots into an
-//! [`AdaptSnap`] (carried by `DSMCKPT7` next to the machine and collector
+//! [`AdaptSnap`] (carried by `DSMCKPT8` next to the machine and collector
 //! state) and resumes mid-tuning bit-exactly: the classifier bank is
 //! rebuilt by replaying classification over the recorded interval prefix,
 //! which is deterministic.
@@ -77,7 +77,7 @@ pub struct ObservedInterval {
 }
 
 /// Everything a mid-run session must carry across a checkpoint besides the
-/// machine and collector state (which `DSMCKPT7` stores separately):
+/// machine and collector state (which `DSMCKPT8` stores separately):
 /// protocol states, the decision log, the observed stream, and the
 /// actuator's private words. The classifier bank is *not* stored — it is
 /// rebuilt deterministically by replaying classification over the first
@@ -148,6 +148,8 @@ pub struct AdaptSession<S: InstructionStream> {
     /// Proc-0 records consumed.
     processed: u64,
     n_procs: usize,
+    /// The normalized BBV of the record being classified.
+    bbv: Vec<f64>,
 }
 
 impl<S: InstructionStream> AdaptSession<S> {
@@ -167,6 +169,7 @@ impl<S: InstructionStream> AdaptSession<S> {
             target: 0,
             processed: 0,
             n_procs,
+            bbv: Vec::new(),
         }
     }
 
@@ -191,10 +194,12 @@ impl<S: InstructionStream> AdaptSession<S> {
             sys.observer().records[0].len() >= snap.processed as usize,
             "restored collector holds fewer proc-0 records than the session consumed"
         );
+        let mut bbv = Vec::new();
         for (i, obs) in snap.stream.iter().enumerate() {
             let r = &sys.observer().records[0][i];
             debug_assert_eq!(r.index, obs.index);
-            let ci = bank.classify_raw(0, r.index, r.cpi(), &r.bbv, r.dds, obs.degraded);
+            r.normalized_bbv_into(&mut bbv);
+            let ci = bank.classify_raw(0, r.index, r.cpi(), &bbv, r.dds, obs.degraded);
             debug_assert_eq!(ci.phase_id, obs.phase, "replayed classification diverged");
         }
         Self {
@@ -207,6 +212,7 @@ impl<S: InstructionStream> AdaptSession<S> {
             target: snap.target,
             processed: snap.processed,
             n_procs,
+            bbv,
         }
     }
 
@@ -220,7 +226,7 @@ impl<S: InstructionStream> AdaptSession<S> {
         self.target
     }
 
-    /// Session state for `DSMCKPT7`. Meaningful at an interval boundary
+    /// Session state for `DSMCKPT8`. Meaningful at an interval boundary
     /// (i.e. between [`AdaptSession::step_boundary`] calls), like
     /// [`System::state_snapshot`].
     pub fn adapt_snap(&self) -> AdaptSnap {
@@ -249,7 +255,8 @@ impl<S: InstructionStream> AdaptSession<S> {
             let (obs, next_cfg) = {
                 let r = &self.sys.observer().records[0][self.processed as usize];
                 let degraded = self.degraded(r.index);
-                let ci = self.bank.classify_raw(0, r.index, r.cpi(), &r.bbv, r.dds, degraded);
+                r.normalized_bbv_into(&mut self.bbv);
+                let ci = self.bank.classify_raw(0, r.index, r.cpi(), &self.bbv, r.dds, degraded);
                 let obs = ObservedInterval {
                     index: r.index,
                     phase: ci.phase_id,

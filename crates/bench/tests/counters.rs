@@ -59,14 +59,14 @@ const MATRIX: [(&str, u64, u64, u64); 8] = [
 /// as held). The telemetry build's span rings and metrics registry are heap
 /// too, so it has its own column.
 const HEAP: [(&str, u64, u64); 8] = [
-    ("lu-2p", 366_876, 762_944),
-    ("lu-8p", 1_235_948, 2_812_516),
-    ("fmm-2p", 392_860, 795_260),
-    ("fmm-8p", 1_336_476, 2_924_102),
-    ("art-2p", 565_488, 967_888),
-    ("art-8p", 1_206_480, 2_794_728),
-    ("equake-2p", 595_728, 991_796),
-    ("equake-8p", 1_467_680, 3_044_248),
+    ("lu-2p", 365_788, 761_856),
+    ("lu-8p", 1_233_644, 2_810_212),
+    ("fmm-2p", 378_396, 780_796),
+    ("fmm-8p", 1_299_420, 2_887_046),
+    ("art-2p", 562_816, 965_216),
+    ("art-8p", 1_194_384, 2_782_632),
+    ("equake-2p", 595_344, 991_412),
+    ("equake-8p", 1_464_992, 3_041_560),
 ];
 
 /// `(tenants, bytes, bytes with telemetry)`: the heap high-water of one
@@ -178,7 +178,8 @@ fn events_and_footprint_comparisons_are_exact() {
                 .records
                 .iter()
                 .map(|recs| {
-                    let stream = TraceClassifier::bbv_stream(recs, None);
+                    let rows = TraceClassifier::bbv_rows(recs);
+                    let stream = TraceClassifier::bbv_stream(recs, &rows, None);
                     TraceClassifier::sweep_proc(
                         stream,
                         manhattan_rows,

@@ -22,6 +22,21 @@ fn bucket_of(bb: u32, n: usize) -> usize {
     (dsm_sim::util::splitmix64(bb as u64) % n as u64) as usize
 }
 
+/// Append the normalized vector of bucket counts `buckets` whose sum is
+/// `total` to `out`: each `b / total`, or zeros when `total` is 0. Every
+/// normalized BBV is computed here, the live accumulator's
+/// ([`BbvAccumulator::normalized_into`]) and a captured record's
+/// ([`IntervalRecord::normalized_bbv_into`](crate::detector::IntervalRecord::normalized_bbv_into))
+/// alike, so the two agree bit for bit on the same counts.
+pub fn push_normalized<T: Copy + Into<u64>>(buckets: &[T], total: u64, out: &mut Vec<f64>) {
+    if total == 0 {
+        out.resize(out.len() + buckets.len(), 0.0);
+        return;
+    }
+    let t = total as f64;
+    out.extend(buckets.iter().map(|&b| b.into() as f64 / t));
+}
+
 impl BbvAccumulator {
     pub fn new(entries: usize) -> Self {
         assert!(entries > 0);
@@ -68,12 +83,7 @@ impl BbvAccumulator {
     /// classification can reuse one allocation for the life of the detector.
     pub fn normalized_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        if self.total == 0 {
-            out.resize(self.buckets.len(), 0.0);
-            return;
-        }
-        let t = self.total as f64;
-        out.extend(self.buckets.iter().map(|&b| b as f64 / t));
+        push_normalized(&self.buckets, self.total, out);
     }
 
     /// Overwrite this accumulator with `other`, reusing the bucket buffer

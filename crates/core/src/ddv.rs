@@ -324,11 +324,17 @@ impl DdvState {
 
     /// The DDS formula over explicit vectors (exposed for ablations, which
     /// recompute DDS with `C ≡ 1` or `D ≡ 1`).
-    pub fn dds_of(fvec: &[u64], dist_row: &[f64], cvec: &[u64]) -> f64 {
+    /// The counts may be the live gather's `u64`s or a captured record's
+    /// `u32`s; both widen exactly to `f64`.
+    pub fn dds_of<F: Copy + Into<u64>, C: Copy + Into<u64>>(
+        fvec: &[F],
+        dist_row: &[f64],
+        cvec: &[C],
+    ) -> f64 {
         fvec.iter()
             .zip(dist_row)
             .zip(cvec)
-            .map(|((&f, &d), &c)| f as f64 * d * c as f64)
+            .map(|((&f, &d), &c)| f.into() as f64 * d * c.into() as f64)
             .sum()
     }
 

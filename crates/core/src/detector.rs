@@ -6,7 +6,7 @@
 //!   interval as it completes, exactly as the paper's hardware would
 //!   (BBV accumulator + DDV query + footprint-table lookup per interval).
 //! * [`TraceCollector`] + [`TraceClassifier`] — the collector records each
-//!   interval's *feature snapshot* (normalized BBV, `F_i`, `C`, DDS,
+//!   interval's *feature snapshot* (BBV bucket counts, `F_i`, `C`, DDS,
 //!   working-set signature, branch count, CPI) without classifying;
 //!   the classifier then replays the footprint-table logic offline for any
 //!   threshold. Because classification never feeds back into execution in
@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 
 use dsm_sim::observer::{IntervalStats, SimObserver};
 
-use crate::bbv::BbvAccumulator;
+use crate::bbv::{push_normalized, BbvAccumulator};
 use crate::ddv::{hypercube_distance, DdvSnap, DdvState};
 use crate::distance::{manhattan_rows, relative_diff};
 use crate::footprint::FootprintTable;
@@ -63,7 +63,17 @@ impl Thresholds {
     }
 }
 
-/// Everything the hardware saw about one completed sampling interval.
+/// Everything the hardware saw about one completed sampling interval, as
+/// the hardware counted it: the BBV and the per-home vectors are the
+/// integer counters themselves, not derived values.
+///
+/// The counts are `u32`. [`TraceCollector`] converts each one with a
+/// checked conversion that panics naming the field if a count exceeds
+/// `u32::MAX`. No run comes close: a BBV bucket holds at most the
+/// interval's instructions, and an `F_i` or `C` entry at most the run's
+/// memory references. Across every app at the scaled 2/8/32-node and
+/// paper 2/16-node points, the largest bucket is 524,221 and the largest
+/// `F_i` or `C` entry 264,791.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IntervalRecord {
     pub proc: usize,
@@ -72,12 +82,14 @@ pub struct IntervalRecord {
     pub insns: u64,
     /// Elapsed cycles.
     pub cycles: u64,
-    /// Normalized BBV accumulator.
-    pub bbv: Vec<f64>,
+    /// The BBV accumulator's bucket counts at the interval's end. Readers
+    /// take the normalized vector from [`Self::normalized_bbv_into`].
+    pub bbv: Vec<u32>,
     /// The requester's own per-home access counts (`F_i`).
-    pub fvec: Vec<u64>,
-    /// The contention vector (`C`).
-    pub cvec: Vec<u64>,
+    pub fvec: Vec<u32>,
+    /// The contention vector (`C`): per-home access counts of every node
+    /// over the requester's window.
+    pub cvec: Vec<u32>,
     /// The data distribution scalar.
     pub dds: f64,
     /// Working-set signature words (Dhodapkar–Smith baseline).
@@ -90,6 +102,28 @@ impl IntervalRecord {
     /// Cycles per (non-sync) instruction: [`IntervalStats::cpi`] itself.
     pub fn cpi(&self) -> f64 {
         IntervalStats { index: self.index, insns: self.insns, cycles: self.cycles }.cpi()
+    }
+
+    /// Instructions the BBV accumulated: the sum of its buckets, which is
+    /// the accumulator's own running total.
+    pub fn bbv_total(&self) -> u64 {
+        self.bbv.iter().map(|&b| u64::from(b)).sum()
+    }
+
+    /// The normalized BBV into `out` (cleared first): each bucket over
+    /// [`Self::bbv_total`], or all zeros for an empty interval. Bit-identical
+    /// to the accumulator's [`BbvAccumulator::normalized_into`] at the
+    /// interval's end.
+    pub fn normalized_bbv_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        push_normalized(&self.bbv, self.bbv_total(), out);
+    }
+
+    /// [`Self::normalized_bbv_into`] into a new vector.
+    pub fn normalized_bbv(&self) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.bbv.len());
+        self.normalized_bbv_into(&mut out);
+        out
     }
 
     /// Extension signature (not in the paper): the normalized BBV followed
@@ -105,7 +139,7 @@ impl IntervalRecord {
     /// live in `[0, 2(1 + data_weight)]`).
     pub fn vector_ddv(&self, dist_row: &[f64], data_weight: f64) -> Vec<f64> {
         let mut v = Vec::with_capacity(self.bbv.len() + self.fvec.len());
-        v.extend_from_slice(&self.bbv);
+        self.normalized_bbv_into(&mut v);
         let mut total = 0.0;
         for (&f, &d) in self.fvec.iter().zip(dist_row) {
             let w = f as f64 * d;
@@ -334,16 +368,18 @@ impl SimObserver for TraceCollector {
     }
 
     fn on_interval(&mut self, proc: usize, stats: IntervalStats) {
+        // The buckets are read before the gather resets them.
+        let bbv = counts("BBV bucket", self.gather.bbv[proc].raw());
         self.gather.end_interval(proc, stats.index);
-        let g = &mut self.gather;
+        let g = &self.gather;
         self.records[proc].push(IntervalRecord {
             proc,
             index: stats.index,
             insns: stats.insns,
             cycles: stats.cycles,
-            bbv: std::mem::take(&mut g.bbv_out),
-            fvec: std::mem::take(&mut g.sample.fvec),
-            cvec: std::mem::take(&mut g.sample.cvec),
+            bbv,
+            fvec: counts("F_i", &g.sample.fvec),
+            cvec: counts("C", &g.sample.cvec),
             dds: g.sample.dds,
             ws_sig: self.ws[proc].words().to_vec(),
             branches: self.branches[proc],
@@ -351,6 +387,16 @@ impl SimObserver for TraceCollector {
         self.ws[proc].clear();
         self.branches[proc] = 0;
     }
+}
+
+/// Hardware counters as an [`IntervalRecord`] stores them. A count above
+/// `u32::MAX` cannot come from a real run (see [`IntervalRecord`]), so it
+/// panics naming `field` rather than wrapping.
+fn counts(field: &str, raw: &[u64]) -> Vec<u32> {
+    let narrow = |&c: &u64| {
+        u32::try_from(c).unwrap_or_else(|_| panic!("{field} count {c} exceeds u32::MAX"))
+    };
+    raw.iter().map(narrow).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -541,21 +587,40 @@ impl TraceClassifier {
             DetectorMode::BbvDdv => Some(thresholds.dds),
         };
         let point = [(thresholds.bbv, dds_thr)];
-        let stream = Self::bbv_stream(records, None);
+        let rows = Self::bbv_rows(records);
+        let stream = Self::bbv_stream(records, &rows, None);
         Self::sweep_proc(stream, manhattan_rows, &point, footprint_vectors).classes.swap_remove(0)
     }
 
+    /// Every record's normalized BBV
+    /// ([`IntervalRecord::normalized_bbv_into`]), one row after another: the
+    /// rows [`Self::bbv_stream`] replays. Built per processor when a sweep
+    /// starts, so the captured trace keeps only the counts.
+    pub fn bbv_rows(records: &[IntervalRecord]) -> Vec<f64> {
+        let width = records.first().map_or(0, |r| r.bbv.len());
+        let mut rows = Vec::with_capacity(width * records.len());
+        for r in records {
+            assert_eq!(r.bbv.len(), width, "one BBV width per processor");
+            push_normalized(&r.bbv, r.bbv_total(), &mut rows);
+        }
+        rows
+    }
+
     /// The `(signature, DDS)` stream the BBV and BBV+DDV sweeps replay:
-    /// each record's BBV with its own DDS, or with `dds[i]` when given.
+    /// record `i`'s row of `rows` (normally [`Self::bbv_rows`] of
+    /// `records`) with the record's own DDS, or with `dds[i]` when given.
     pub fn bbv_stream<'a>(
         records: &'a [IntervalRecord],
+        rows: &'a [f64],
         dds: Option<&'a [f64]>,
     ) -> impl ExactSizeIterator<Item = (&'a [f64], f64)> + 'a {
+        let width = records.first().map_or(0, |r| r.bbv.len());
+        assert_eq!(rows.len(), width * records.len(), "one row per record");
         if let Some(dds) = dds {
             assert_eq!(records.len(), dds.len());
         }
         let with_dds = move |(i, r): (usize, &'a IntervalRecord)| {
-            (r.bbv.as_slice(), dds.map_or(r.dds, |d| d[i]))
+            (&rows[i * width..(i + 1) * width], dds.map_or(r.dds, |d| d[i]))
         };
         records.iter().enumerate().map(with_dds)
     }
@@ -701,7 +766,8 @@ impl TraceClassifier {
         footprint_vectors: usize,
     ) -> Vec<u32> {
         let point = [(thresholds.bbv, Some(thresholds.dds))];
-        let stream = Self::bbv_stream(records, Some(dds));
+        let rows = Self::bbv_rows(records);
+        let stream = Self::bbv_stream(records, &rows, Some(dds));
         Self::sweep_proc(stream, manhattan_rows, &point, footprint_vectors).classes.swap_remove(0)
     }
 }
@@ -1148,5 +1214,45 @@ mod tests {
             32,
         );
         assert_ne!(ids[0], ids[1]);
+    }
+
+    #[test]
+    fn records_keep_counts_that_normalize_to_the_served_bbv() {
+        let mut coll = TraceCollector::for_hypercube(2, DetectorGeometry::default());
+        let mut ext = crate::signature::SignatureExtractor::new(
+            2,
+            hypercube_distance(2),
+            DetectorGeometry::default(),
+        );
+        for (i, code) in [7, 9, 7].into_iter().enumerate() {
+            for obs in [&mut coll as &mut dyn SimObserver, &mut ext] {
+                obs.on_block_commit(0, code, 30);
+                obs.on_block_commit(0, code + 1, 20);
+                obs.on_mem_commit(0, 1, 0x40, false);
+                obs.on_interval(0, stats(i as u64, 50, 100));
+            }
+        }
+        // An interval with no committed block normalizes to zeros.
+        coll.on_interval(0, stats(3, 0, 100));
+        ext.on_interval(0, stats(3, 0, 100));
+        let recs = &coll.records[0];
+        assert_eq!(recs[0].bbv_total(), 50);
+        assert_eq!(recs[0].fvec, vec![0, 1]);
+        for (r, s) in recs.iter().zip(&ext.signatures[0]) {
+            assert_eq!(r.normalized_bbv(), s.bbv, "interval {}", r.index);
+        }
+        let rows = TraceClassifier::bbv_rows(recs);
+        assert_eq!(rows.len(), 4 * DEFAULT_BBV_ENTRIES);
+        let streamed: Vec<&[f64]> =
+            TraceClassifier::bbv_stream(recs, &rows, None).map(|(row, _)| row).collect();
+        for (row, s) in streamed.into_iter().zip(&ext.signatures[0]) {
+            assert_eq!(row, s.bbv.as_slice());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "F_i count 4294967296 exceeds u32::MAX")]
+    fn a_count_past_u32_names_its_field() {
+        counts("F_i", &[3, u64::from(u32::MAX) + 1]);
     }
 }

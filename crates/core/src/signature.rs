@@ -77,16 +77,16 @@ impl IntervalSignature {
         IntervalStats { index: self.index, insns: self.insns, cycles: self.cycles }.cpi()
     }
 
-    /// Build a signature from a captured [`IntervalRecord`] (trace replay:
-    /// stored traces are captured on a reliable system, so `degraded` is
-    /// false).
+    /// Build a signature from a captured [`IntervalRecord`], its BBV
+    /// normalized from the record's counts (trace replay: stored traces are
+    /// captured on a reliable system, so `degraded` is false).
     pub fn from_record(r: &IntervalRecord) -> Self {
         Self {
             proc: r.proc,
             index: r.index,
             insns: r.insns,
             cycles: r.cycles,
-            bbv: r.bbv.clone(),
+            bbv: r.normalized_bbv(),
             dds: r.dds,
             degraded: false,
         }
@@ -440,7 +440,7 @@ mod tests {
             index: 3,
             insns: 500,
             cycles: 1250,
-            bbv: vec![0.5, 0.5],
+            bbv: vec![3, 3],
             fvec: vec![1, 0],
             cvec: vec![1, 1],
             dds: 42.0,
@@ -450,6 +450,6 @@ mod tests {
         let s = IntervalSignature::from_record(&r);
         assert_eq!(s.cpi(), r.cpi());
         assert!(!s.degraded);
-        assert_eq!(s.bbv, r.bbv);
+        assert_eq!(s.bbv, [0.5, 0.5]);
     }
 }

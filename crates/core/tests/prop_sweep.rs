@@ -6,9 +6,12 @@
 //! every interval, thresholds of 0 and above 2, grids whose DDS columns
 //! hold many thresholds (duplicated and out of order, so classes split
 //! repeatedly), all-zero DDS, NaN DDS values, NaN and infinite DDS
-//! thresholds, a NaN BBV lane, and BBVs of 4 lanes and of the 32 lanes
-//! the real accumulator has (so whole groups of the sweep's distance
-//! kernel run, not only its remainder).
+//! thresholds, empty intervals (all-zero bucket counts), and BBVs of 4
+//! lanes and of the 32 lanes the real accumulator has (so whole groups of
+//! the sweep's distance kernel run, not only its remainder). Records hold
+//! bucket counts, which always normalize to finite rows; a NaN lane is
+//! written into the replayed rows themselves, since the sweep takes any
+//! rows.
 //!
 //! The distance is one more input: the same records also replay as a
 //! scalar stream under `relative_diff` (the branch-count baseline, NaN
@@ -30,7 +33,7 @@ use dsm_phase::working_set::rel_distance;
 /// accumulator width.
 const BBV_LENS: [usize; 2] = [4, 32];
 
-fn record(index: usize, bbv: Vec<f64>, dds: f64) -> IntervalRecord {
+fn record(index: usize, bbv: Vec<u32>, dds: f64) -> IntervalRecord {
     IntervalRecord {
         proc: 0,
         index: index as u64,
@@ -45,26 +48,30 @@ fn record(index: usize, bbv: Vec<f64>, dds: f64) -> IntervalRecord {
     }
 }
 
-fn normalized(raw: &[f64]) -> Vec<f64> {
-    let total: f64 = raw.iter().sum();
-    raw.iter().map(|x| x / total).collect()
+/// Bucket counts for random lanes in `(0, 1)`.
+fn counts(raw: &[f64]) -> Vec<u32> {
+    raw.iter().map(|x| (x * 1000.0).round() as u32).collect()
 }
 
-/// One grid point replayed alone, storing each entry's BBV: the phase ids
-/// and the footprint entries the replay looked at.
+/// One grid point replayed alone, storing each entry's BBV (record `i`'s
+/// row of `rows`): the phase ids and the footprint entries the replay
+/// looked at.
 fn replay(
     records: &[IntervalRecord],
+    rows: &[f64],
     dds: Option<&[f64]>,
     (bbv_thr, dds_thr): (f64, Option<f64>),
     capacity: usize,
 ) -> (Vec<u32>, u64) {
+    let width = rows.len() / records.len().max(1);
     let mut table: FootprintTable = FootprintTable::new(capacity);
     let ids = records
         .iter()
+        .zip(rows.chunks(width.max(1)))
         .enumerate()
-        .map(|(i, r)| {
+        .map(|(i, (r, row))| {
             let d = dds.map_or(r.dds, |dds| dds[i]);
-            table.classify(&r.bbv, d, bbv_thr, dds_thr).phase_id
+            table.classify(row, d, bbv_thr, dds_thr).phase_id
         })
         .collect();
     (ids, table.comparisons())
@@ -135,31 +142,34 @@ fn words_of(raw: &[f64]) -> Vec<u64> {
     vec![word(0.8, 0), word(0.9, 3)]
 }
 
-/// A record stream drawn from a small palette of BBVs (so distances tie
-/// exactly) mixed with fresh random ones.
+/// A record stream drawn from a small palette of bucket counts (so
+/// distances tie exactly) mixed with fresh random ones and empty
+/// intervals, and the rows the sweep replays: the records' normalized BBVs,
+/// with a NaN written into one lane when `nan_at` says so.
 fn stream(
-    palette: &[Vec<f64>],
+    palette: &[Vec<u32>],
     picks: &[(usize, Vec<f64>, f64)],
     zero_dds: bool,
     nan_at: Option<(usize, usize)>,
     len: usize,
-) -> Vec<IntervalRecord> {
-    let mut records: Vec<IntervalRecord> = picks
+) -> (Vec<IntervalRecord>, Vec<f64>) {
+    let records: Vec<IntervalRecord> = picks
         .iter()
         .enumerate()
         .map(|(i, (pick, raw, dds))| {
-            let bbv = palette
-                .get(*pick)
-                .cloned()
-                .unwrap_or_else(|| normalized(&raw[..len]));
+            let bbv = match palette.get(*pick) {
+                Some(p) => p.clone(),
+                None if *pick == 7 => vec![0; len],
+                None => counts(&raw[..len]),
+            };
             record(i, bbv, if zero_dds { 0.0 } else { *dds })
         })
         .collect();
+    let mut rows = TraceClassifier::bbv_rows(&records);
     if let Some((at, lane)) = nan_at {
-        let n = records.len();
-        records[at % n].bbv[lane % len] = f64::NAN;
+        rows[(at % records.len()) * len + lane % len] = f64::NAN;
     }
-    records
+    (records, rows)
 }
 
 fn bbv_thresholds() -> impl Strategy<Value = f64> {
@@ -203,15 +213,15 @@ proptest! {
             80,
         ),
     ) {
-        let palette: Vec<Vec<f64>> = palette_raw.iter().map(|p| normalized(&p[..len])).collect();
-        let records = stream(&palette, &picks, zero_dds, nan_at, len);
+        let palette: Vec<Vec<u32>> = palette_raw.iter().map(|p| counts(&p[..len])).collect();
+        let (records, rows) = stream(&palette, &picks, zero_dds, nan_at, len);
         let external = &external[..records.len()];
 
         // Records' own DDS (BBV points where the DDS gate is `None`,
         // BBV+DDV points elsewhere), then an externally supplied DDS.
         for dds in [None, Some(external)] {
             let swept = TraceClassifier::sweep_proc(
-                TraceClassifier::bbv_stream(&records, dds),
+                TraceClassifier::bbv_stream(&records, &rows, dds),
                 manhattan_rows,
                 &grid,
                 capacity,
@@ -219,7 +229,7 @@ proptest! {
             prop_assert_eq!(swept.class_of.len(), grid.len());
             let mut per_point = 0;
             for (&class, &point) in swept.class_of.iter().zip(&grid) {
-                let (want, comparisons) = replay(&records, dds, point, capacity);
+                let (want, comparisons) = replay(&records, &rows, dds, point, capacity);
                 prop_assert_eq!(&swept.classes[class], &want, "point {:?}", point);
                 per_point += comparisons;
             }
@@ -256,20 +266,22 @@ proptest! {
             );
         }
 
-        // The one-point entry points agree with the same replay.
+        // The one-point entry points, which normalize the records' counts
+        // themselves, agree with the same replay of the rows without NaN.
         let (bbv, dds) = grid[0];
         let thr = Thresholds { bbv, dds: dds.unwrap_or(0.5) };
+        let rows = TraceClassifier::bbv_rows(&records);
         prop_assert_eq!(
             TraceClassifier::classify_proc(&records, DetectorMode::Bbv, thr, capacity),
-            replay(&records, None, (bbv, None), capacity).0
+            replay(&records, &rows, None, (bbv, None), capacity).0
         );
         prop_assert_eq!(
             TraceClassifier::classify_proc(&records, DetectorMode::BbvDdv, thr, capacity),
-            replay(&records, None, (bbv, Some(thr.dds)), capacity).0
+            replay(&records, &rows, None, (bbv, Some(thr.dds)), capacity).0
         );
         prop_assert_eq!(
             TraceClassifier::classify_proc_with_dds(&records, external, thr, capacity),
-            replay(&records, Some(external), (bbv, Some(thr.dds)), capacity).0
+            replay(&records, &rows, Some(external), (bbv, Some(thr.dds)), capacity).0
         );
     }
 }
@@ -280,45 +292,45 @@ proptest! {
 /// own.
 #[test]
 fn nan_lane_behaviour_is_pinned_in_both_paths() {
-    let a = vec![0.7, 0.1, 0.1, 0.1];
-    let b = vec![0.1, 0.7, 0.1, 0.1];
-    let mut nan = a.clone();
-    nan[2] = f64::NAN;
+    let a = vec![7, 1, 1, 1];
+    let b = vec![1, 7, 1, 1];
     let grid = [(0.1, None), (0.1, Some(0.5))];
+    // Records `a`/`b` in `order`, with a NaN written into lane 2 of row
+    // `nan`, which is otherwise `a`.
+    let with_nan = |order: [&Vec<u32>; 4], nan: usize| {
+        let records: Vec<IntervalRecord> =
+            order.into_iter().enumerate().map(|(i, v)| record(i, v.clone(), 1.0)).collect();
+        let mut rows = TraceClassifier::bbv_rows(&records);
+        rows[nan * 4 + 2] = f64::NAN;
+        (records, rows)
+    };
 
-    let stored_nan: Vec<IntervalRecord> = [nan.clone(), a.clone(), b.clone(), a.clone()]
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| record(i, v, 1.0))
-        .collect();
-    let stream = TraceClassifier::bbv_stream(&stored_nan, None);
+    let (stored_nan, rows) = with_nan([&a, &a, &b, &a], 0);
+    let stream = TraceClassifier::bbv_stream(&stored_nan, &rows, None);
     let swept = TraceClassifier::sweep_proc(stream, manhattan_rows, &grid, 32);
     for (&class, &point) in swept.class_of.iter().zip(&grid) {
         assert_eq!(swept.classes[class], [0, 1, 2, 1]);
-        assert_eq!(swept.classes[class], replay(&stored_nan, None, point, 32).0);
+        assert_eq!(swept.classes[class], replay(&stored_nan, &rows, None, point, 32).0);
     }
 
-    let nan_query: Vec<IntervalRecord> = [b.clone(), a.clone(), nan, b]
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| record(i, v, 1.0))
-        .collect();
-    let stream = TraceClassifier::bbv_stream(&nan_query, None);
+    let (nan_query, rows) = with_nan([&b, &a, &a, &b], 2);
+    let stream = TraceClassifier::bbv_stream(&nan_query, &rows, None);
     let swept = TraceClassifier::sweep_proc(stream, manhattan_rows, &grid, 32);
     for (&class, &point) in swept.class_of.iter().zip(&grid) {
         assert_eq!(swept.classes[class], [0, 1, 2, 0]);
-        assert_eq!(swept.classes[class], replay(&nan_query, None, point, 32).0);
+        assert_eq!(swept.classes[class], replay(&nan_query, &rows, None, point, 32).0);
     }
 }
 
 #[test]
 fn empty_stream_and_empty_grid() {
-    let stream = TraceClassifier::bbv_stream(&[], None);
+    let stream = TraceClassifier::bbv_stream(&[], &[], None);
     let swept = TraceClassifier::sweep_proc(stream, manhattan_rows, &[(0.5, None)], 4);
     assert_eq!(swept.classes, vec![Vec::<u32>::new()]);
     assert_eq!(swept.class_of, vec![0]);
-    let records = vec![record(0, vec![1.0, 0.0, 0.0, 0.0], 0.0)];
-    let stream = TraceClassifier::bbv_stream(&records, None);
+    let records = vec![record(0, vec![1, 0, 0, 0], 0.0)];
+    let rows = TraceClassifier::bbv_rows(&records);
+    let stream = TraceClassifier::bbv_stream(&records, &rows, None);
     let swept = TraceClassifier::sweep_proc(stream, manhattan_rows, &[], 4);
     assert!(swept.classes.is_empty() && swept.class_of.is_empty());
 }

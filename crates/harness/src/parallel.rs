@@ -13,7 +13,7 @@
 //!    [`SystemTrace`]s persisted on disk keyed by a hash of
 //!    `(app, n_procs, scale, interval_base, SystemConfig, DetectorGeometry)`,
 //!    so re-running figures/sweeps/ablations skips simulation entirely.
-//!    Entries use the `DSMTRC4` layout ([`encode_trace`]/[`decode_trace`]),
+//!    Entries use the `DSMTRC5` layout ([`encode_trace`]/[`decode_trace`]),
 //!    declared as `Wire` field lists over `dsm_simpoint::wire`, the byte
 //!    layer of the checkpoint codec; decoding is total and any error is a
 //!    cache miss;
@@ -30,8 +30,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use dsm_phase::detector::{DetectorGeometry, IntervalRecord};
-use dsm_simpoint::wire::{Wire, R, W};
+use dsm_phase::detector::DetectorGeometry;
+use dsm_simpoint::wire::{check_records, RecordShape, Wire, R, W};
 use dsm_simpoint::{wire_struct, CkptError};
 
 use crate::experiment::ExperimentConfig;
@@ -129,7 +129,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a digest of the `DSMTRC4` entries of every [`App::EXTENDED`]
+/// FNV-1a digest of the `DSMTRC5` entries of every [`App::EXTENDED`]
 /// workload captured at 2 nodes and Test scale, in that order. It moves
 /// when the simulated output or the entry layout moves, and [`cache_key`]
 /// hashes it, so entries stored by other code become misses instead of
@@ -137,7 +137,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// it in place: run such a change `--cold`.
 ///
 /// [`App::EXTENDED`]: dsm_workloads::App::EXTENDED
-pub const TRACE_DIGEST: u64 = 0xb360_9aa0_3627_1e8f;
+pub const TRACE_DIGEST: u64 = 0xd055_88e7_d163_d09a;
 
 /// Content hash of everything that determines a captured trace: the
 /// simulator ([`TRACE_DIGEST`]), the experiment point, the derived machine
@@ -449,72 +449,49 @@ pub fn init_store(cold: bool, no_cache: bool) {
 
 /// Trace-store entry magic. v2 added `DirectoryStats.nacks` and
 /// `SystemStats.faults` (fault injection); v3 the route-aware fabric
-/// (`NetworkStats.total_flit_hops` and per-link flit counters). Entries of
+/// (`NetworkStats.total_flit_hops` and per-link flit counters); v5 stores
+/// each record's BBV bucket counts, `F_i` and `C` as range-checked `u32`
+/// counts instead of a normalized `f64` BBV and `u64` counts. Entries of
 /// any other version decode as a cache miss, never a panic.
-const TRACE_MAGIC: &[u8; 8] = b"DSMTRC4\n";
+const TRACE_MAGIC: &[u8; 8] = b"DSMTRC5\n";
 
-// The `DSMTRC4` layout: the experiment point, every interval record, the
+// The `DSMTRC5` layout: the experiment point, every interval record, the
 // run's statistics, then the DDV traffic total.
 wire_struct! {
     ExperimentConfig { app, scale, n_procs, interval_base }
     SystemTrace { config, records, stats, ddv_vectors_exchanged }
 }
 
-/// Encode `trace` as a `DSMTRC4` trace-store entry. Deterministic.
+/// Encode `trace` as a `DSMTRC5` trace-store entry. Deterministic.
 pub fn encode_trace(trace: &SystemTrace) -> Vec<u8> {
     let mut w = W::with_magic(TRACE_MAGIC);
     trace.put(&mut w);
     w.into_bytes()
 }
 
-/// Decode a `DSMTRC4` entry. Total: any input yields a trace or a typed
+/// Decode a `DSMTRC5` entry. Total: any input yields a trace or a typed
 /// [`CkptError`]; it never panics and never reserves more than the input
 /// could hold. An experiment point that fails
-/// [`ExperimentConfig::validate`], or records whose geometry the sweeps
-/// cannot take (`check_geometry`), is a `BadValue` naming the field.
+/// [`ExperimentConfig::validate`], a record list per processor missing or
+/// extra, or a record the sweeps cannot take ([`check_records`], at the
+/// first record's BBV and working-set widths) is a `BadValue` naming the
+/// field.
 pub fn decode_trace(bytes: &[u8]) -> Result<SystemTrace, CkptError> {
     let mut r = R::new(bytes.strip_prefix(TRACE_MAGIC).ok_or(CkptError::BadMagic)?);
     let trace = SystemTrace::get(&mut r)?;
+    let n_procs = trace.config.n_procs;
     trace
         .config
         .validate()
         .map_err(|e| CkptError::BadValue { what: e.field() })?;
-    check_geometry(trace.config.n_procs, &trace.records)?;
+    if trace.records.len() != n_procs {
+        return Err(CkptError::BadValue { what: "records per processor" });
+    }
+    let first = trace.records.iter().flatten().next();
+    let (bbv_entries, ws_words) = first.map_or((0, 0), |r| (r.bbv.len(), r.ws_sig.len()));
+    check_records(&trace.records, RecordShape { n_procs, bbv_entries, ws_words })?;
     r.finish()?;
     Ok(trace)
-}
-
-/// The record geometry every sweep curve relies on, as every capture has
-/// it: one record list per processor, each record naming its processor,
-/// one BBV length and one non-empty working-set width per trace, one
-/// `F_i` and one `C` entry per processor, and a non-negative DDS.
-fn check_geometry(n_procs: usize, records: &[Vec<IntervalRecord>]) -> Result<(), CkptError> {
-    let bad = |what| Err(CkptError::BadValue { what });
-    if records.len() != n_procs {
-        return bad("records per processor");
-    }
-    let first = records.iter().flatten().next();
-    let (bbv_len, ws_len) = first.map_or((0, 0), |r| (r.bbv.len(), r.ws_sig.len()));
-    for (p, recs) in records.iter().enumerate() {
-        for rec in recs {
-            if rec.proc != p {
-                return bad("record processor");
-            }
-            if rec.bbv.len() != bbv_len {
-                return bad("record BBV length");
-            }
-            if rec.ws_sig.is_empty() || rec.ws_sig.len() != ws_len {
-                return bad("record working-set width");
-            }
-            if rec.fvec.len() != n_procs || rec.cvec.len() != n_procs {
-                return bad("record per-home vector length");
-            }
-            if rec.dds < 0.0 {
-                return bad("record DDS");
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -625,9 +602,9 @@ mod tests {
     }
 
     #[test]
-    fn dsmtrc4_bytes_are_pinned() {
-        // The digest moves when the simulated output or the DSMTRC4 layout
-        // moves; `dsmtrc4_synthetic_bytes_are_pinned` pins the layout
+    fn trace_bytes_are_pinned() {
+        // The digest moves when the simulated output or the DSMTRC5 layout
+        // moves; `synthetic_trace_bytes_are_pinned` pins the layout
         // alone. `cache_key` hashes the same constant, so re-pinning it
         // turns every stored trace into a miss.
         let mut bytes = Vec::new();
@@ -647,6 +624,7 @@ mod tests {
     /// A fixed trace with every encoded field set to a distinct value, so
     /// reordering, dropping or retyping any field moves the digest.
     fn pinned_trace() -> SystemTrace {
+        use dsm_phase::detector::IntervalRecord;
         use dsm_sim::directory::DirectoryStats;
         use dsm_sim::memctrl::MemCtrlStats;
         use dsm_sim::network::NetworkStats;
@@ -665,9 +643,9 @@ mod tests {
                         index: i,
                         insns: n(),
                         cycles: n(),
-                        bbv: vec![0.125, 0.5 + i as f64, 0.375],
-                        fvec: vec![n(), n()],
-                        cvec: vec![n(), n()],
+                        bbv: vec![125, 500 + i as u32, 375],
+                        fvec: vec![n() as u32, n() as u32],
+                        cvec: vec![n() as u32, n() as u32],
                         dds: 2.5 * (p as f64 + 1.0),
                         ws_sig: vec![n()],
                         branches: n(),
@@ -750,13 +728,13 @@ mod tests {
     }
 
     #[test]
-    fn dsmtrc4_synthetic_bytes_are_pinned() {
+    fn synthetic_trace_bytes_are_pinned() {
         // Covers every field the captured pin above leaves zero (fault and
         // reconfiguration counters among them). A digest change is a
         // layout change: bump the magic instead of editing the pin.
         let trace = pinned_trace();
         let bytes = encode_trace(&trace);
-        assert_eq!((bytes.len(), fnv1a64(&bytes)), (1170, 0x7cb17be2c05aec83));
+        assert_eq!((bytes.len(), fnv1a64(&bytes)), (1170, 0x62a8617419ff4a52));
         let back = decode_trace(&bytes).expect("pinned trace decodes");
         assert_eq!(back.config, trace.config);
         assert_eq!(back.records, trace.records);

@@ -112,7 +112,8 @@ fn sweep_curve(
 }
 
 /// A BBV or BBV+DDV curve over `grid`, with `dds[proc]` replacing the
-/// records' own DDS when given.
+/// records' own DDS when given. Each processor's normalized BBV rows are
+/// built when its replay starts and dropped when it ends.
 fn bbv_sweep_curve(
     trace: &SystemTrace,
     dds: Option<&[Vec<f64>]>,
@@ -120,7 +121,8 @@ fn bbv_sweep_curve(
     capacity: usize,
 ) -> CovCurve {
     sweep_curve(trace, grid, |proc, recs, grid| {
-        let stream = TraceClassifier::bbv_stream(recs, dds.map(|d| d[proc].as_slice()));
+        let rows = TraceClassifier::bbv_rows(recs);
+        let stream = TraceClassifier::bbv_stream(recs, &rows, dds.map(|d| d[proc].as_slice()));
         TraceClassifier::sweep_proc(stream, manhattan_rows, grid, capacity)
     })
 }
@@ -198,7 +200,7 @@ pub fn ablated_dds(
     rec: &IntervalRecord,
     dist_row: &[f64],
     ones_d: &[f64],
-    ones_c: &[u64],
+    ones_c: &[u32],
     which: DdsAblation,
 ) -> f64 {
     match which {
@@ -331,12 +333,13 @@ mod tests {
         let (mut swept, mut per_point) = (0, 0);
         for recs in &trace.records {
             let cap = DEFAULT_FOOTPRINT_VECTORS;
-            let stream = TraceClassifier::bbv_stream(recs, None);
+            let rows = TraceClassifier::bbv_rows(recs);
+            let stream = TraceClassifier::bbv_stream(recs, &rows, None);
             swept += TraceClassifier::sweep_proc(stream, manhattan_rows, grid, cap).comparisons;
             for &(bbv_thr, dds_thr) in grid {
                 let mut table: FootprintTable = FootprintTable::new(cap);
                 for r in recs {
-                    table.classify(&r.bbv, r.dds, bbv_thr, dds_thr);
+                    table.classify(&r.normalized_bbv(), r.dds, bbv_thr, dds_thr);
                 }
                 per_point += table.comparisons();
             }
@@ -371,7 +374,7 @@ mod tests {
             index: 0,
             insns: 100,
             cycles: 100,
-            bbv: vec![1.0],
+            bbv: vec![1],
             fvec: vec![2, 3],
             cvec: vec![10, 20],
             dds: 0.0,

@@ -165,7 +165,7 @@ mod tests {
         assert!(r.insns > 0);
         assert!(r.cycles > 0);
         assert_eq!(r.fvec.len(), 2);
-        assert!((r.bbv.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        assert!((r.normalized_bbv().iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     #[test]

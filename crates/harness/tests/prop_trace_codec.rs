@@ -1,9 +1,9 @@
-//! Property tests for the `DSMTRC4` trace-store codec, to the same standard
+//! Property tests for the `DSMTRC5` trace-store codec, to the same standard
 //! as the checkpoint codec's `prop_codec`: decoding is *total* (random
 //! bytes, truncations, byte flips, hostile length prefixes, bad app/scale
 //! tags, trailing bytes, experiment points that fail
-//! `ExperimentConfig::validate` and record geometry the sweeps cannot take
-//! yield a typed error — a store miss — never a panic or a huge
+//! `ExperimentConfig::validate`, record geometry the sweeps cannot take
+//! and counts past `u32::MAX` yield a typed error — a store miss — never a panic or a huge
 //! allocation), the encoding is canonical (whatever decodes re-encodes to
 //! the identical bytes), and every trace that decodes runs all six sweep
 //! curves.
@@ -27,7 +27,7 @@ use dsm_sim::{FaultStats, ProcStats, ReconfigStats};
 use dsm_simpoint::CkptError;
 use dsm_workloads::{App, Scale};
 
-const MAGIC: &[u8] = b"DSMTRC4\n";
+const MAGIC: &[u8] = b"DSMTRC5\n";
 
 /// Deterministic value stream for synthesizing trace contents.
 struct Gen(u64);
@@ -39,6 +39,9 @@ impl Gen {
     }
     fn vec(&mut self, n: usize) -> Vec<u64> {
         (0..n).map(|_| self.u() % 10_000).collect()
+    }
+    fn counts(&mut self, n: usize) -> Vec<u32> {
+        (0..n).map(|_| (self.u() % 10_000) as u32).collect()
     }
 }
 
@@ -54,9 +57,9 @@ fn synth(seed: u64, n_procs: usize, n_recs: usize) -> SystemTrace {
                     index: i as u64,
                     insns: g.u() % 100_000,
                     cycles: g.u() % 1_000_000,
-                    bbv: (0..4).map(|_| (g.u() % 1000) as f64 / 1000.0).collect(),
-                    fvec: g.vec(n_procs),
-                    cvec: g.vec(n_procs),
+                    bbv: g.counts(4),
+                    fvec: g.counts(n_procs),
+                    cvec: g.counts(n_procs),
                     dds: (g.u() % 100_000) as f64 / 7.0,
                     ws_sig: g.vec(2),
                     branches: g.u() % 5000,
@@ -155,7 +158,7 @@ fn bad_tags_magic_and_trailing_bytes_are_typed_errors() {
         bad[MAGIC.len() + 1] = tag;
         assert_eq!(decode_trace(&bad).err(), Some(CkptError::BadTag { what: "scale", tag: tag as u64 }));
     }
-    for old in [&b"DSMTRC2\n"[..], b"DSMTRC3\n", b"DSMCKPT6", b""] {
+    for old in [&b"DSMTRC2\n"[..], b"DSMTRC3\n", b"DSMTRC4\n", b"DSMCKPT6", b""] {
         let mut bad = old.to_vec();
         bad.extend_from_slice(&bytes[MAGIC.len()..]);
         assert_eq!(decode_trace(&bad).err(), Some(CkptError::BadMagic), "{old:?}");
@@ -202,12 +205,12 @@ fn invalid_experiment_config_is_a_typed_error() {
 #[test]
 fn hostile_record_geometry_is_a_typed_error() {
     type Edit = fn(&mut Vec<Vec<IntervalRecord>>);
-    let cases: [(&str, Edit); 10] = [
+    let cases: [(&str, Edit); 12] = [
         ("records per processor", |r| r.push(r[0].clone())),
         ("records per processor", |r| r.truncate(3)),
         ("record processor", |r| r[1][0].proc = 0),
         ("record BBV length", |r| r[2][1].bbv.truncate(3)),
-        ("record BBV length", |r| r[0][0].bbv.push(0.5)),
+        ("record BBV length", |r| r[0][0].bbv.push(5)),
         ("record working-set width", |r| r[1][1].ws_sig.push(0)),
         ("record working-set width", |r| {
             r.iter_mut().flatten().for_each(|rec| rec.ws_sig.clear())
@@ -215,6 +218,8 @@ fn hostile_record_geometry_is_a_typed_error() {
         ("record per-home vector length", |r| r[3][0].fvec.truncate(3)),
         ("record per-home vector length", |r| r[3][1].cvec.push(1)),
         ("record DDS", |r| r[0][1].dds = -1.0),
+        ("record DDS", |r| r[2][0].dds = f64::NAN),
+        ("record DDS", |r| r[1][1].dds = f64::INFINITY),
     ];
     for (what, edit) in cases {
         let mut trace = synth(13, 4, 2);
@@ -223,6 +228,31 @@ fn hostile_record_geometry_is_a_typed_error() {
         assert_eq!(got, Some(CkptError::BadValue { what }), "{what}");
     }
     run_every_curve(&decode_trace(&encode_trace(&synth(13, 4, 2))).unwrap());
+}
+
+/// A BBV bucket, `F_i` or `C` count past `u32::MAX` on the wire is a typed
+/// error: each field's marker count is found in the encoding and widened.
+#[test]
+fn count_past_u32_is_a_typed_error() {
+    type Edit = fn(&mut IntervalRecord, u32);
+    let fields: [Edit; 3] =
+        [|r, m| r.bbv[2] = m, |r, m| r.fvec[1] = m, |r, m| r.cvec[0] = m];
+    for edit in fields {
+        let marker = 0xdead_beef;
+        let mut trace = synth(17, 2, 2);
+        edit(&mut trace.records[1][0], marker);
+        let bytes = encode_trace(&trace);
+        let at = bytes
+            .windows(8)
+            .position(|w| w == u64::from(marker).to_le_bytes())
+            .expect("marker encoded");
+        let mut bad = bytes.clone();
+        bad[at..at + 8].copy_from_slice(&(u64::from(u32::MAX) + 1).to_le_bytes());
+        assert_eq!(decode_trace(&bad).err(), Some(CkptError::BadValue { what: "u32" }));
+        // `u32::MAX` itself is a count like any other.
+        bad[at..at + 8].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+        assert!(decode_trace(&bad).is_ok());
+    }
 }
 
 proptest! {

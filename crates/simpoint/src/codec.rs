@@ -1,4 +1,4 @@
-//! Versioned, deterministic binary checkpoint codec (`DSMCKPT7`).
+//! Versioned, deterministic binary checkpoint codec (`DSMCKPT8`).
 //!
 //! A checkpoint is the pair (simulator state, detector-collector state) at a
 //! global interval boundary, plus the metadata needed to rebuild the machine
@@ -11,7 +11,7 @@
 //! Decoding is total: corrupt or truncated input of any shape produces a
 //! typed [`CkptError`], never a panic or an attempted huge allocation. The
 //! byte layer and the layouts this format shares with the harness trace
-//! store (`DSMTRC4`) live in [`crate::wire`]. This module adds the
+//! store (`DSMTRC5`) live in [`crate::wire`]. This module adds the
 //! checkpoint-only layouts, each one [`Wire`] field list or hand-written
 //! tag encoding, and the invariants [`Checkpoint::decode`] checks once the
 //! layout has parsed.
@@ -32,7 +32,7 @@ use dsm_sim::state::{
 use dsm_sim::topology::TopologyKind;
 use dsm_workloads::{App, Scale};
 
-use crate::wire::{bad_tag, Wire, D, R, W};
+use crate::wire::{bad_tag, check_records, RecordShape, Wire, D, R, W};
 
 /// Magic prefix: format name plus version digit. Version 2 added the
 /// route-aware fabric: the topology + link-contention flag in the metadata
@@ -49,8 +49,11 @@ use crate::wire::{bad_tag, Wire, D, R, W};
 /// diagnostics layer's ground-truth plans use. Version 6 drops the shard
 /// count from the metadata: there is only the serial core. Version 7
 /// carries the directory's sharer bits of nodes 64–127 (machines of up to
-/// [`MAX_PROCS`] nodes).
-pub const MAGIC: &[u8; 8] = b"DSMCKPT7";
+/// [`MAX_PROCS`] nodes). Version 8 stores each captured record's BBV as
+/// the accumulator's bucket counts and its `F_i` and `C` as counts, all
+/// range-checked `u32`s, instead of a normalized `f64` BBV and `u64`
+/// counts.
+pub const MAGIC: &[u8; 8] = b"DSMCKPT8";
 
 /// The version-independent format prefix shared by every `DSMCKPT` version.
 const MAGIC_FAMILY: &[u8; 7] = b"DSMCKPT";
@@ -79,7 +82,7 @@ pub enum CkptError {
 impl std::fmt::Display for CkptError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CkptError::BadMagic => write!(f, "not a DSMCKPT7 checkpoint (bad magic)"),
+            CkptError::BadMagic => write!(f, "not a DSMCKPT8 checkpoint (bad magic)"),
             CkptError::UnsupportedVersion { version } => {
                 write!(f, "unsupported DSMCKPT version {:?}", *version as char)
             }
@@ -282,7 +285,7 @@ fn geometry_fits(g: &DetectorGeometry, c: &CollectorState) -> bool {
 }
 
 impl Checkpoint {
-    /// Serialize to the `DSMCKPT7` byte format. Deterministic: the same
+    /// Serialize to the `DSMCKPT8` byte format. Deterministic: the same
     /// checkpoint always encodes to the same bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = W::with_magic(MAGIC);
@@ -290,7 +293,7 @@ impl Checkpoint {
         w.into_bytes()
     }
 
-    /// Decode a `DSMCKPT7` buffer. Total: any input yields `Ok` or a typed
+    /// Decode a `DSMCKPT8` buffer. Total: any input yields `Ok` or a typed
     /// [`CkptError`]; never panics, never over-allocates on hostile lengths.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CkptError> {
         if bytes.len() < MAGIC.len() || &bytes[..MAGIC_FAMILY.len()] != MAGIC_FAMILY {
@@ -355,9 +358,12 @@ impl Checkpoint {
         {
             return bad("collector sized for a different machine");
         }
-        if !geometry_fits(&self.meta.geometry, c) {
+        let g = &self.meta.geometry;
+        if !geometry_fits(g, c) {
             return bad("geometry does not fit the collector");
         }
+        let shape = RecordShape { n_procs: n, bbv_entries: g.bbv_entries, ws_words: g.ws_bits / 64 };
+        check_records(&c.records, shape)?;
         // `processed` counts proc-0 records consumed, which legitimately runs
         // ahead of the global minimum boundary `target` — only the stream-length
         // pairing is an invariant.
@@ -496,7 +502,7 @@ mod tests {
                         index: 0,
                         insns: 100,
                         cycles: 210,
-                        bbv: vec![0.25, 0.75, 0.0],
+                        bbv: vec![1, 3, 0],
                         fvec: vec![3, 1],
                         cvec: vec![5, 1],
                         dds: 17.5,
@@ -549,7 +555,7 @@ mod tests {
 
     #[test]
     fn encoded_bytes_are_pinned() {
-        // Any change to these digests is a DSMCKPT7 layout change: bump the
+        // Any change to these digests is a DSMCKPT8 layout change: bump the
         // version digit instead of editing the pin.
         // The pins were recorded with the default geometry in the header,
         // which the sample's 3-bucket collector does not fit (the decoder
@@ -560,11 +566,11 @@ mod tests {
             ck
         };
         let plain = pinned().encode();
-        assert_eq!((plain.len(), fnv1a64(&plain)), (2291, 0xc2cffc3b63c1bcc2));
+        assert_eq!((plain.len(), fnv1a64(&plain)), (2291, 0x1026d7ed7cf01657));
         let mut ck = pinned();
         ck.adapt = Some(sample_adapt());
         let with_adapt = ck.encode();
-        assert_eq!((with_adapt.len(), fnv1a64(&with_adapt)), (2562, 0xe1eb38f95be2dde8));
+        assert_eq!((with_adapt.len(), fnv1a64(&with_adapt)), (2562, 0x5199911d853f257f));
     }
 
     #[test]
@@ -660,6 +666,7 @@ mod tests {
             (b"DSMCKPT4\x00\x01\x02\x03", b'4'),
             (b"DSMCKPT5\x00\x01\x02\x03", b'5'),
             (b"DSMCKPT6\x00\x01\x02\x03", b'6'),
+            (b"DSMCKPT7\x00\x01\x02\x03", b'7'),
             (b"DSMCKPT9garbage", b'9'),
         ] {
             assert_eq!(

@@ -80,6 +80,7 @@ pub fn signatures(records: &[Vec<IntervalRecord>]) -> Vec<Vec<f64>> {
         .iter()
         .find_map(|r| r.first())
         .map_or(0, |r| r.bbv.len());
+    let mut bbv = Vec::with_capacity(bbv_dim);
     let mut sigs: Vec<Vec<f64>> = (0..n_intervals)
         .map(|i| {
             let mut sig = vec![0.0; bbv_dim + 2 * n_procs + 2];
@@ -87,16 +88,17 @@ pub fn signatures(records: &[Vec<IntervalRecord>]) -> Vec<Vec<f64>> {
             for recs in records {
                 let r = &recs[i];
                 insns += r.insns;
-                for (s, &v) in sig.iter_mut().zip(r.bbv.iter()) {
+                r.normalized_bbv_into(&mut bbv);
+                for (s, &v) in sig.iter_mut().zip(bbv.iter()) {
                     *s += v / n_procs as f64;
                 }
                 for (s, &f) in sig[bbv_dim..bbv_dim + n_procs].iter_mut().zip(r.fvec.iter()) {
-                    *s += f as f64;
+                    *s += f64::from(f);
                 }
                 for (s, &c) in
                     sig[bbv_dim + n_procs..bbv_dim + 2 * n_procs].iter_mut().zip(r.cvec.iter())
                 {
-                    *s += c as f64;
+                    *s += f64::from(c);
                 }
             }
             let f_mass: f64 = sig[bbv_dim..bbv_dim + n_procs].iter().sum();
@@ -481,7 +483,7 @@ fn optimal_breaks(vals: &[f64], m: usize) -> Vec<usize> {
 mod tests {
     use super::*;
 
-    fn rec(proc: usize, index: u64, bbv: Vec<f64>, fvec: Vec<u64>) -> IntervalRecord {
+    fn rec(proc: usize, index: u64, bbv: Vec<u32>, fvec: Vec<u32>) -> IntervalRecord {
         IntervalRecord {
             proc,
             index,
@@ -499,8 +501,8 @@ mod tests {
     #[test]
     fn signatures_concatenate_code_and_data_blocks() {
         let records = vec![
-            vec![rec(0, 0, vec![1.0, 0.0], vec![3, 1])],
-            vec![rec(1, 0, vec![0.0, 1.0], vec![1, 3])],
+            vec![rec(0, 0, vec![5, 0], vec![3, 1])],
+            vec![rec(1, 0, vec![0, 5], vec![1, 3])],
         ];
         let sigs = signatures(&records);
         assert_eq!(sigs.len(), 1);
@@ -523,7 +525,7 @@ mod tests {
         let records = vec![(0..6)
             .map(|i| {
                 let vol = if i == 0 { 100 } else { 10 };
-                rec(0, i, vec![1.0], vec![vol, vol])
+                rec(0, i, vec![1], vec![vol, vol])
             })
             .collect::<Vec<_>>()];
         let sigs = signatures(&records);
@@ -541,10 +543,10 @@ mod tests {
     fn signatures_use_min_interval_count() {
         let records = vec![
             vec![
-                rec(0, 0, vec![1.0], vec![1]),
-                rec(0, 1, vec![1.0], vec![1]),
+                rec(0, 0, vec![1], vec![1]),
+                rec(0, 1, vec![1], vec![1]),
             ],
-            vec![rec(1, 0, vec![1.0], vec![1])],
+            vec![rec(1, 0, vec![1], vec![1])],
         ];
         assert_eq!(signatures(&records).len(), 1);
     }

@@ -1,6 +1,6 @@
-//! The byte layer shared by the workspace's binary formats: the `DSMCKPT7`
+//! The byte layer shared by the workspace's binary formats: the `DSMCKPT8`
 //! checkpoint codec ([`crate::codec`]) and the harness trace store's
-//! `DSMTRC4` entries.
+//! `DSMTRC5` entries.
 //!
 //! Every encoded type implements [`Wire`]: `put` appends it to a [`W`],
 //! `get` reads it back from an [`R`], and `MIN_BYTES` is the fewest bytes
@@ -20,8 +20,12 @@
 //! yields a value or a typed [`CkptError`].
 //!
 //! The layouts both formats carry ([`IntervalRecord`] and the run
-//! counters) and the trace store's [`SystemStats`] live here; the
-//! checkpoint-only layouts live in [`crate::codec`].
+//! counters) and the trace store's [`SystemStats`] live here, with the
+//! rules every decoded record must meet ([`check_records`]); the
+//! checkpoint-only layouts live in [`crate::codec`]. A record's BBV
+//! buckets, `F_i` and `C` are `u32` counts, so a count above `u32::MAX` is
+//! a `BadValue`, and a decoded BBV normalizes to a finite, non-negative
+//! vector by construction.
 
 use dsm_phase::detector::IntervalRecord;
 use dsm_sim::directory::DirectoryStats;
@@ -326,7 +330,48 @@ crate::wire_struct! {
     }
 }
 
-// The trace store's run statistics, in `DSMTRC4` field order.
+/// The widths every interval record of one capture shares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordShape {
+    /// Processors: the length of `F_i` and of `C`.
+    pub n_procs: usize,
+    /// BBV buckets.
+    pub bbv_entries: usize,
+    /// Working-set signature words.
+    pub ws_words: usize,
+}
+
+/// The rules every decoded record list meets, shared by the checkpoint and
+/// trace-store decoders: `records[p]` holds processor `p`'s records, each
+/// naming processor `p`, with `shape`'s BBV width, one `F_i` and one `C`
+/// count per processor, a non-empty working set of `shape`'s width, and a
+/// finite, non-negative DDS. The first rule broken is a `BadValue` naming
+/// it. The caller checks how many lists there are.
+pub fn check_records(records: &[Vec<IntervalRecord>], shape: RecordShape) -> D<()> {
+    let bad = |what| Err(CkptError::BadValue { what });
+    for (p, recs) in records.iter().enumerate() {
+        for rec in recs {
+            if rec.proc != p {
+                return bad("record processor");
+            }
+            if rec.bbv.len() != shape.bbv_entries {
+                return bad("record BBV length");
+            }
+            if rec.ws_sig.is_empty() || rec.ws_sig.len() != shape.ws_words {
+                return bad("record working-set width");
+            }
+            if rec.fvec.len() != shape.n_procs || rec.cvec.len() != shape.n_procs {
+                return bad("record per-home vector length");
+            }
+            if !(rec.dds.is_finite() && rec.dds >= 0.0) {
+                return bad("record DDS");
+            }
+        }
+    }
+    Ok(())
+}
+
+// The trace store's run statistics, in `DSMTRC5` field order.
 crate::wire_struct! {
     SystemStats { procs, directory, faults, network, memctrls, reconfig, finish_cycle }
     NetworkStats { msgs, payload_msgs, total_hops, link_wait_cycles, total_flit_hops, link_flits }

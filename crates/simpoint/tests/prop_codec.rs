@@ -1,4 +1,4 @@
-//! Property tests for the `DSMCKPT7` checkpoint codec: decoding is *total*
+//! Property tests for the `DSMCKPT8` checkpoint codec: decoding is *total*
 //! (any input — random bytes, corrupted checkpoints, truncations — yields a
 //! typed error or a valid checkpoint, never a panic), and the encoding is
 //! canonical (whatever decodes re-encodes to the identical bytes).
@@ -32,6 +32,9 @@ impl Gen {
     }
     fn vec(&mut self, n: usize) -> Vec<u64> {
         (0..n).map(|_| self.u() % 10_000).collect()
+    }
+    fn counts(&mut self, n: usize) -> Vec<u32> {
+        (0..n).map(|_| (self.u() % 10_000) as u32).collect()
     }
 }
 
@@ -107,9 +110,9 @@ fn synth(seed: u64, n_procs: usize, n_recs: usize) -> Checkpoint {
                     index: i as u64,
                     insns: g.u() % 100_000,
                     cycles: g.u() % 1_000_000,
-                    bbv: (0..4).map(|_| (g.u() % 1000) as f64 / 1000.0).collect(),
-                    fvec: g.vec(n_procs),
-                    cvec: g.vec(n_procs),
+                    bbv: g.counts(4),
+                    fvec: g.counts(n_procs),
+                    cvec: g.counts(n_procs),
                     dds: (g.u() % 100_000) as f64 / 7.0,
                     ws_sig: g.vec(2),
                     branches: g.u() % 5000,
@@ -321,6 +324,29 @@ fn geometry_must_fit_collector_state() {
                 ck.meta.geometry
             );
         }
+    }
+}
+
+/// A captured record the trace decoder would refuse is refused here too:
+/// both decoders run the same per-record rules.
+#[test]
+fn corrupted_record_is_a_typed_error() {
+    type Edit = fn(&mut Vec<Vec<IntervalRecord>>);
+    let cases: [(&str, Edit); 8] = [
+        ("record processor", |r| r[1][0].proc = 0),
+        ("record BBV length", |r| r[0][1].bbv.push(7)),
+        ("record working-set width", |r| r[1][1].ws_sig.push(0)),
+        ("record per-home vector length", |r| r[0][0].fvec.truncate(1)),
+        ("record per-home vector length", |r| r[1][0].cvec.push(1)),
+        ("record DDS", |r| r[0][0].dds = -0.5),
+        ("record DDS", |r| r[1][1].dds = f64::NAN),
+        ("record DDS", |r| r[0][1].dds = f64::INFINITY),
+    ];
+    for (what, edit) in cases {
+        let mut ck = synth(21, 2, 2);
+        assert!(Checkpoint::decode(&ck.encode()).is_ok());
+        edit(&mut ck.collector.records);
+        assert_eq!(Checkpoint::decode(&ck.encode()), Err(CkptError::BadValue { what }), "{what}");
     }
 }
 

@@ -45,6 +45,12 @@ enum Phase {
 struct ProcState {
     k: usize,
     phase: Phase,
+    /// Interior phase: the next block of the trailing submatrix to visit,
+    /// row-major. Each `fill` emits one owned block update, so a stream
+    /// buffers one block's events instead of the whole phase's (2 MiB per
+    /// processor at 2 scaled nodes, a transient that stops fitting in a
+    /// fragmented heap and raises a long run's peak memory).
+    next: usize,
 }
 
 /// Blocked LU workload.
@@ -87,7 +93,7 @@ impl Lu {
             pc,
             input,
             blocks,
-            state: vec![ProcState { k: 0, phase: Phase::Diag }; p],
+            state: vec![ProcState { k: 0, phase: Phase::Diag, next: 0 }; p],
         }
     }
 
@@ -165,7 +171,7 @@ impl ChunkGen for Lu {
     }
 
     fn fill(&mut self, proc: usize, buf: &mut Vec<Event>) {
-        let ProcState { k, phase } = self.state[proc];
+        let ProcState { k, phase, next } = self.state[proc];
         if phase == Phase::Done {
             return;
         }
@@ -193,16 +199,18 @@ impl ChunkGen for Lu {
                 self.state[proc].phase = Phase::Interior;
             }
             Phase::Interior => {
-                for i in k + 1..nb {
-                    for j in k + 1..nb {
-                        if self.owner(i, j) == proc {
-                            self.emit_bmodd(buf, i, j, k);
-                        }
+                let m = nb - k - 1;
+                for c in next..m * m {
+                    let (i, j) = (k + 1 + c / m, k + 1 + c % m);
+                    if self.owner(i, j) == proc {
+                        self.emit_bmodd(buf, i, j, k);
+                        self.state[proc].next = c + 1;
+                        return;
                     }
                 }
                 buf.push(Event::Barrier { id: Self::barrier_id(k, 2) });
                 if k + 1 < nb {
-                    self.state[proc] = ProcState { k: k + 1, phase: Phase::Diag };
+                    self.state[proc] = ProcState { k: k + 1, phase: Phase::Diag, next: 0 };
                 } else {
                     self.state[proc].phase = Phase::Done;
                 }
@@ -278,6 +286,26 @@ mod tests {
     }
 
     #[test]
+    fn each_fill_holds_at_most_one_interior_block_update() {
+        let mut lu = Lu::new(2, LuInput::at(Scale::Test));
+        let (mut fills, mut updates) = (0, 0);
+        loop {
+            let mut buf = Vec::new();
+            lu.fill(0, &mut buf);
+            if buf.is_empty() {
+                break;
+            }
+            let n = buf
+                .iter()
+                .filter(|e| matches!(e, Event::Block { bb: BB_INTERIOR_OUTER, .. }))
+                .count();
+            assert!(n <= 1, "fill {fills} holds {n} interior block updates");
+            (fills, updates) = (fills + 1, updates + n);
+        }
+        assert!(updates > 1, "the trailing submatrices hold several blocks");
+    }
+
+    #[test]
     fn work_shrinks_as_factorization_proceeds() {
         let mut lu = Lu::new(2, LuInput::at(Scale::Test));
         // Count interior-phase instructions per step for proc 0.
@@ -288,8 +316,12 @@ mod tests {
             lu.fill(0, &mut diag);
             let mut perim = Vec::new();
             lu.fill(0, &mut perim);
+            // The interior phase comes one block update per fill, up to
+            // its barrier.
             let mut interior = Vec::new();
-            lu.fill(0, &mut interior);
+            while !matches!(interior.last(), Some(Event::Barrier { .. })) {
+                lu.fill(0, &mut interior);
+            }
             let insns: u64 = interior.iter().map(|e| e.nonsync_insns()).sum();
             per_step.push(insns);
         }

@@ -59,11 +59,14 @@ fn fingerprint(trace: &SystemTrace) -> Json {
             for v in [r.proc as u64, r.index, r.insns, r.cycles, r.branches] {
                 fnv1a64(&mut rec_hash, v);
             }
-            for &x in &r.bbv {
+            for x in r.normalized_bbv() {
                 fnv1a64(&mut rec_hash, x.to_bits());
             }
-            for v in r.fvec.iter().chain(&r.cvec).chain(&r.ws_sig) {
-                fnv1a64(&mut rec_hash, *v);
+            for &v in r.fvec.iter().chain(&r.cvec) {
+                fnv1a64(&mut rec_hash, u64::from(v));
+            }
+            for &v in &r.ws_sig {
+                fnv1a64(&mut rec_hash, v);
             }
             fnv1a64(&mut rec_hash, r.dds.to_bits());
         }

@@ -39,9 +39,10 @@ impl Bytes {
         self.u64(v.len() as u64);
         v.iter().for_each(|&x| self.f64(x));
     }
-    fn u64s(&mut self, v: &[u64]) {
+    /// Counts widened to `u64`, so `u32` and `u64` counts hash alike.
+    fn u64s<T: Copy + Into<u64>>(&mut self, v: &[T]) {
         self.u64(v.len() as u64);
-        v.iter().for_each(|&x| self.u64(x));
+        v.iter().for_each(|&x| self.u64(x.into()));
     }
     fn digest(&self) -> (usize, u64) {
         (self.0.len(), fnv1a64(&self.0))
@@ -108,13 +109,15 @@ fn reference_records_digest(app: App) -> (usize, u64) {
     let (_, coll) = System::new(sys_cfg, make_stream(app, N, Scale::Test), coll).run();
     let mut b = Bytes::default();
     for r in coll.records.iter().flatten() {
-        let IntervalRecord { proc, index, insns, cycles, bbv, fvec, cvec, dds, ws_sig, branches } =
-            r;
+        let IntervalRecord {
+            proc, index, insns, cycles, bbv: _, fvec, cvec, dds, ws_sig, branches,
+        } = r;
         b.u64(*proc as u64);
         b.u64(*index);
         b.u64(*insns);
         b.u64(*cycles);
-        b.f64s(bbv);
+        // The BBV hashes normalized, as the digest was first recorded.
+        b.f64s(&r.normalized_bbv());
         b.u64s(fvec);
         b.u64s(cvec);
         b.f64(*dds);

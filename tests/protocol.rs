@@ -10,7 +10,8 @@ fn fvec_conserves_committed_accesses() {
     for app in [App::Lu, App::Art] {
         let trace = capture(ExperimentConfig::test(app, 4));
         for (proc, records) in trace.records.iter().enumerate() {
-            let counted: u64 = records.iter().map(|r| r.fvec.iter().sum::<u64>()).sum();
+            let counted: u64 =
+                records.iter().flat_map(|r| &r.fvec).map(|&f| u64::from(f)).sum();
             let committed = trace.stats.procs[proc].mem_refs;
             // Every access in a closed interval is counted exactly once;
             // only the tail after the last interval boundary is uncounted.
@@ -143,7 +144,7 @@ fn intervals_have_positive_cpi_and_expected_length() {
             assert!(r.insns >= expected, "interval shorter than configured");
             assert!(r.insns < expected * 3, "interval absurdly long: {}", r.insns);
             assert!(r.cpi() > 0.05 && r.cpi() < 1000.0, "CPI out of range: {}", r.cpi());
-            assert!((r.bbv.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+            assert!((r.normalized_bbv().iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
     }
 }
