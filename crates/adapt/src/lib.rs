@@ -25,7 +25,7 @@
 //! * [`session`] — the closed loop: simulate an interval, classify it
 //!   online, feed the protocol, reconfigure before the next interval. A
 //!   [`NoopActuator`] session is bit-identical to a plain capture;
-//!   [`AdaptSnap`] rides in `DSMCKPT8` so a checkpoint taken mid-tuning
+//!   [`AdaptSnap`] rides in `DSMCKPT9` so a checkpoint taken mid-tuning
 //!   resumes bit-exactly.
 //!
 //! Degraded intervals — where the availability model says a remote DDV row

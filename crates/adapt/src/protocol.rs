@@ -84,7 +84,7 @@ enum PhaseState {
     Locked(usize),
 }
 
-/// Serializable mirror of one phase's protocol state (DSMCKPT8 carries a
+/// Serializable mirror of one phase's protocol state (DSMCKPT9 carries a
 /// sorted vector of these so a resume continues mid-tuning bit-exactly).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum PhaseStateSnap {

@@ -59,14 +59,14 @@ const MATRIX: [(&str, u64, u64, u64); 8] = [
 /// as held). The telemetry build's span rings and metrics registry are heap
 /// too, so it has its own column.
 const HEAP: [(&str, u64, u64); 8] = [
-    ("lu-2p", 365_788, 761_856),
-    ("lu-8p", 1_233_644, 2_810_212),
-    ("fmm-2p", 378_396, 780_796),
-    ("fmm-8p", 1_299_420, 2_887_046),
-    ("art-2p", 562_816, 965_216),
-    ("art-8p", 1_194_384, 2_782_632),
-    ("equake-2p", 595_344, 991_412),
-    ("equake-8p", 1_464_992, 3_041_560),
+    ("lu-2p", 226_172, 622_240),
+    ("lu-8p", 675_948, 2_252_516),
+    ("fmm-2p", 238_780, 641_180),
+    ("fmm-8p", 741_724, 2_329_350),
+    ("art-2p", 161_056, 563_456),
+    ("art-8p", 636_688, 2_224_936),
+    ("equake-2p", 455_728, 851_796),
+    ("equake-8p", 907_296, 2_483_864),
 ];
 
 /// `(tenants, bytes, bytes with telemetry)`: the heap high-water of one

@@ -781,9 +781,10 @@ impl TraceClassifier {
 /// Internally this is the crate's shared gather half (see
 /// [`crate::signature`]) composed with a [`ClassifierBank`] — the same
 /// kernel `dsm-serve` runs per tenant, so in-simulator and served
-/// classification are bit-identical by construction. The gather's reusable
-/// buffers keep the end-of-interval path (DDV query + BBV normalization +
-/// table lookup) allocation-free in steady state.
+/// classification are bit-identical by construction. Reusable buffers (the
+/// gather's DDS sample, the detector's BBV row) keep the end-of-interval
+/// path (DDV query + BBV normalization + table lookup) allocation-free in
+/// steady state.
 pub struct OnlineDetector {
     pub(crate) gather: Gather,
     pub(crate) bank: ClassifierBank,
@@ -795,6 +796,8 @@ pub struct OnlineDetector {
     /// Cumulative interval cycles per processor — the timestamp base for
     /// classification spans (one plain add per *interval*, not per event).
     cum_cycles: Vec<u64>,
+    /// The interval being classified's normalized BBV, reused.
+    bbv_row: Vec<f64>,
 }
 
 impl OnlineDetector {
@@ -831,6 +834,7 @@ impl OnlineDetector {
             telem,
             probes,
             cum_cycles: vec![0; n_procs],
+            bbv_row: Vec::new(),
         }
     }
 
@@ -910,12 +914,13 @@ impl SimObserver for OnlineDetector {
     }
 
     fn on_interval(&mut self, proc: usize, stats: IntervalStats) {
+        self.gather.bbv[proc].normalized_into(&mut self.bbv_row);
         let degraded = self.gather.end_interval(proc, stats.index);
         let c = self.bank.classify_raw(
             proc,
             stats.index,
             stats.cpi(),
-            &self.gather.bbv_out,
+            &self.bbv_row,
             self.gather.sample.dds,
             degraded,
         );

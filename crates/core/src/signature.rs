@@ -212,14 +212,14 @@ impl GatherStyle {
 }
 
 /// The gather half every observer runs: per-processor BBV accumulators
-/// and the DDV state, folded at each interval end into a normalized BBV, a
-/// [`DdsSample`] and a staleness verdict, all in reusable buffers.
+/// and the DDV state, folded at each interval end into a [`DdsSample`] and
+/// a staleness verdict in a reusable buffer. Each observer reads the
+/// interval's BBV, raw or normalized, before [`Self::end_interval`]
+/// resets it.
 pub(crate) struct Gather {
     pub(crate) bbv: Vec<BbvAccumulator>,
     pub(crate) ddv: DdvState,
     style: GatherStyle,
-    /// The last completed interval's normalized BBV.
-    pub(crate) bbv_out: Vec<f64>,
     /// The last completed interval's `F_i`, `C` and DDS.
     pub(crate) sample: DdsSample,
 }
@@ -227,7 +227,7 @@ pub(crate) struct Gather {
 impl Gather {
     /// A gather over one accumulator per processor of `ddv`'s machine.
     pub(crate) fn new(bbv: Vec<BbvAccumulator>, ddv: DdvState, style: GatherStyle) -> Self {
-        Self { bbv, ddv, style, bbv_out: Vec::new(), sample: DdsSample::empty() }
+        Self { bbv, ddv, style, sample: DdsSample::empty() }
     }
 
     #[inline]
@@ -241,8 +241,8 @@ impl Gather {
     }
 
     /// End `proc`'s interval `index`: gather its DDV rows into
-    /// [`Self::sample`], normalize its BBV into [`Self::bbv_out`] and start
-    /// the next interval. Returns true when the DDS is too stale to trust.
+    /// [`Self::sample`], reset its BBV and start the next interval. Returns
+    /// true when the DDS is too stale to trust.
     pub(crate) fn end_interval(&mut self, proc: usize, index: u64) -> bool {
         let degraded = match &mut self.style {
             GatherStyle::Aggregate => {
@@ -260,7 +260,6 @@ impl Gather {
                 staleness > model.max_staleness
             }
         };
-        self.bbv[proc].normalized_into(&mut self.bbv_out);
         self.bbv[proc].reset();
         degraded
     }
@@ -328,13 +327,14 @@ impl SimObserver for SignatureExtractor {
     }
 
     fn on_interval(&mut self, proc: usize, stats: IntervalStats) {
+        let bbv = self.gather.bbv[proc].normalized();
         let degraded = self.gather.end_interval(proc, stats.index);
         self.signatures[proc].push(IntervalSignature {
             proc,
             index: stats.index,
             insns: stats.insns,
             cycles: stats.cycles,
-            bbv: std::mem::take(&mut self.gather.bbv_out),
+            bbv,
             dds: self.gather.sample.dds,
             degraded,
         });

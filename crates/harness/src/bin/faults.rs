@@ -9,7 +9,7 @@
 //! summary triple per workload (telemetry schema also in EXPERIMENTS.md).
 //!
 //! `--checkpoint-every <n>` replaces the sweep: every workload runs once
-//! under the mixed fault plan at the given seed, writing a `DSMCKPT8`
+//! under the mixed fault plan at the given seed, writing a `DSMCKPT9`
 //! checkpoint to `results/checkpoints/` at every `n`-th global interval
 //! boundary. `--resume <ckpt>` restores one of those files, simulates it to
 //! completion, and prints the resumed machine statistics.

@@ -120,12 +120,7 @@ impl ExperimentConfig {
 
     /// The simulated machine for this experiment.
     pub fn system_config(&self) -> SystemConfig {
-        match self.scale {
-            Scale::Paper => SystemConfig::with_interval_base(self.n_procs, self.interval_base),
-            // Reduced inputs keep the paper's working-set-to-cache ratio by
-            // shrinking the L2 (DESIGN.md §7).
-            Scale::Scaled | Scale::Test => SystemConfig::scaled(self.n_procs, self.interval_base),
-        }
+        self.scale.system_config(self.n_procs, self.interval_base)
     }
 
     /// Stable label for caches, filenames, and report headers.

@@ -68,7 +68,7 @@ fn roundtrip_all_workloads_2p_fault_free() {
 
 #[test]
 fn roundtrip_routed_fabric_nondefault_topologies() {
-    // The routed-fabric column: the DSMCKPT8 metadata carries the topology and the
+    // The routed-fabric column: the DSMCKPT9 metadata carries the topology and the
     // link-contention flag, and the per-directed-link busy/flit vectors are
     // indexed by that topology's link table — resume must rebuild the same
     // fabric and continue bit-identically, faults included.

@@ -454,6 +454,9 @@ impl SystemConfig {
             if sets == 0 || !sets.is_power_of_two() {
                 return Err(format!("{name} set count {sets} must be a nonzero power of two"));
             }
+            if let Some(e) = crate::cache::word_fit_error(c) {
+                return Err(format!("{name} {e}"));
+            }
         }
         if !self.core.gshare_entries.is_power_of_two() {
             return Err("gshare entries must be a power of two".into());
@@ -524,6 +527,22 @@ mod tests {
         let mut c = SystemConfig::paper(4);
         c.interval_insns = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_refuses_caches_whose_line_word_overflows() {
+        // Ranks of up to 16 ways fit the line word; 32 ways do not.
+        let mut c = SystemConfig::paper(4);
+        c.l2.assoc = 16;
+        assert!(c.validate().is_ok());
+        c.l2.assoc = 32;
+        let e = c.validate().unwrap_err();
+        assert!(e.starts_with("L2 associativity 32 exceeds 16"), "{e}");
+        // A 2-set cache of 4-byte lines leaves 61-bit tags.
+        let mut c = SystemConfig::paper(4);
+        c.l1 = CacheConfig { size_bytes: 8, assoc: 1, line_bytes: 4, latency_cycles: 1 };
+        let e = c.validate().unwrap_err();
+        assert!(e.starts_with("L1 61-bit tags"), "{e}");
     }
 
     #[test]

@@ -88,53 +88,67 @@ pub trait ChunkGen {
 /// per-event queue traffic and no intermediate copy of each chunk.
 pub struct ChunkedStream<G: ChunkGen> {
     gen: G,
-    bufs: Vec<Vec<Event>>,
-    /// Read cursor into each processor's buffer.
-    pos: Vec<usize>,
-    done: Vec<bool>,
+    lanes: Vec<Lane>,
+}
+
+/// One processor's buffered chunk, its read cursor, and whether the
+/// generator has ended its stream.
+struct Lane {
+    buf: Vec<Event>,
+    pos: usize,
+    done: bool,
 }
 
 impl<G: ChunkGen> ChunkedStream<G> {
     pub fn new(gen: G) -> Self {
         let n = gen.n_procs();
-        Self {
-            gen,
-            bufs: (0..n).map(|_| Vec::with_capacity(4096)).collect(),
-            pos: vec![0; n],
-            done: vec![false; n],
-        }
+        let lanes =
+            (0..n).map(|_| Lane { buf: Vec::with_capacity(4096), pos: 0, done: false }).collect();
+        Self { gen, lanes }
     }
 
     /// Access the wrapped generator (e.g. for ground-truth phase labels).
     pub fn generator(&self) -> &G {
         &self.gen
     }
+
+    /// `proc`'s buffer is drained: fill the next chunk and return its
+    /// first event, or [`Event::End`] once the generator has none.
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self, proc: usize) -> Event {
+        let lane = &mut self.lanes[proc];
+        if lane.done {
+            return Event::End;
+        }
+        lane.buf.clear();
+        self.gen.fill(proc, &mut lane.buf);
+        match lane.buf.first() {
+            Some(&e) => {
+                lane.pos = 1;
+                e
+            }
+            None => {
+                lane.done = true;
+                Event::End
+            }
+        }
+    }
 }
 
 impl<G: ChunkGen> InstructionStream for ChunkedStream<G> {
     fn n_procs(&self) -> usize {
-        self.bufs.len()
+        self.lanes.len()
     }
 
     #[inline]
     fn next(&mut self, proc: usize) -> Event {
-        loop {
-            let buf = &mut self.bufs[proc];
-            if let Some(&e) = buf.get(self.pos[proc]) {
-                self.pos[proc] += 1;
-                return e;
-            }
-            if self.done[proc] {
-                return Event::End;
-            }
-            buf.clear();
-            self.pos[proc] = 0;
-            self.gen.fill(proc, buf);
-            if buf.is_empty() {
-                self.done[proc] = true;
-                return Event::End;
-            }
+        let lane = &mut self.lanes[proc];
+        if let Some(&e) = lane.buf.get(lane.pos) {
+            lane.pos += 1;
+            return e;
         }
+        self.refill(proc)
     }
 }
 

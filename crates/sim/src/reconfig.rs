@@ -92,7 +92,7 @@ impl ReconfigStats {
 }
 
 /// Snapshot of the reconfiguration layer (checkpointed as part of
-/// [`crate::state::SystemState`] so DSMCKPT8 resumes mid-tuning
+/// [`crate::state::SystemState`] so DSMCKPT9 resumes mid-tuning
 /// bit-exactly).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReconfigSnap {

@@ -13,16 +13,29 @@
 //! event of the old loop; at 32–64 nodes the win is modest per call but the
 //! call sits on the hottest path in the repo.
 
+/// The winner of two sibling subtrees: the smaller key, the left one on a
+/// tie. Every id on the left is below every id on the right, so this is
+/// the smaller `(key, id)` pair.
+#[inline]
+fn winner(left: (u64, u32), right: (u64, u32)) -> (u64, u32) {
+    if right.0 < left.0 {
+        right
+    } else {
+        left
+    }
+}
+
 /// Tournament tree of `u64` keys with deterministic left-wins tie-break.
 #[derive(Debug, Clone)]
 pub struct MinTree {
     n: usize,
     /// Leaf count, power of two (≥ `n`); unused leaves hold `u64::MAX`.
     size: usize,
-    keys: Vec<u64>,
-    /// Winner leaf index per tree node; `win[1]` is the overall winner.
-    /// Leaves live at `win[size..2 * size]` and hold their own index.
-    win: Vec<u32>,
+    /// The `(key, id)` of each tree node's winner; `node[1]` is the overall
+    /// winner, and the leaves live at `node[size..2 * size]` in id order.
+    /// A replay compares the pairs held in the two children, without
+    /// reading any other array.
+    node: Vec<(u64, u32)>,
 }
 
 impl MinTree {
@@ -31,19 +44,14 @@ impl MinTree {
         assert!(n > 0, "scheduler needs at least one processor");
         assert!(n <= u32::MAX as usize);
         let size = n.next_power_of_two();
-        let mut keys = vec![u64::MAX; size];
-        for k in keys[..n].iter_mut() {
-            *k = 0;
-        }
-        let mut win = vec![0u32; 2 * size];
-        for (i, w) in win[size..].iter_mut().enumerate() {
-            *w = i as u32;
+        let mut node = vec![(u64::MAX, 0); 2 * size];
+        for (i, leaf) in node[size..].iter_mut().enumerate() {
+            *leaf = (if i < n { 0 } else { u64::MAX }, i as u32);
         }
         for k in (1..size).rev() {
-            let (l, r) = (win[2 * k], win[2 * k + 1]);
-            win[k] = if keys[l as usize] <= keys[r as usize] { l } else { r };
+            node[k] = winner(node[2 * k], node[2 * k + 1]);
         }
-        Self { n, size, keys, win }
+        Self { n, size, node }
     }
 
     /// Number of participants.
@@ -58,39 +66,37 @@ impl MinTree {
     /// Current key of participant `i`.
     #[inline]
     pub fn key(&self, i: usize) -> u64 {
-        self.keys[i]
+        self.node[self.size + i].0
     }
 
     /// Participants whose key is not the parked `u64::MAX` sentinel — i.e.
     /// still runnable. O(n); telemetry/diagnostics only (0 at clean finish).
     pub fn runnable(&self) -> usize {
-        self.keys[..self.n].iter().filter(|&&k| k != u64::MAX).count()
+        self.node[self.size..self.size + self.n].iter().filter(|l| l.0 != u64::MAX).count()
     }
 
     /// Update participant `i`'s key and replay its path to the root.
     ///
-    /// The replay stops early once a node's winner is an *unchanged*
-    /// participant equal to the stored winner: only `i`'s key moved, so
-    /// every ancestor comparison then sees the same (key, leaf) pair and
-    /// cannot change. Updates to a processor that was not the running
-    /// minimum (lock grants, barrier releases, memory wakeups) usually
-    /// terminate after one level.
+    /// The replay stops early once a node's winner pair is unchanged: every
+    /// ancestor comparison then sees the same pairs and cannot change.
+    /// Updates to a processor that was not the running minimum (lock
+    /// grants, barrier releases, memory wakeups) usually terminate after
+    /// one level.
     #[inline]
     pub fn set_key(&mut self, i: usize, key: u64) {
         debug_assert!(i < self.n);
-        if self.keys[i] == key {
+        let mut k = self.size + i;
+        if self.node[k].0 == key {
             return;
         }
-        self.keys[i] = key;
-        let leaf = i as u32;
-        let mut k = (self.size + i) >> 1;
+        self.node[k].0 = key;
+        k >>= 1;
         while k >= 1 {
-            let (l, r) = (self.win[2 * k], self.win[2 * k + 1]);
-            let w = if self.keys[l as usize] <= self.keys[r as usize] { l } else { r };
-            if self.win[k] == w && w != leaf {
+            let w = winner(self.node[2 * k], self.node[2 * k + 1]);
+            if self.node[k] == w {
                 return;
             }
-            self.win[k] = w;
+            self.node[k] = w;
             k >>= 1;
         }
     }
@@ -99,12 +105,8 @@ impl MinTree {
     /// key is `u64::MAX` (no runnable processor).
     #[inline]
     pub fn min(&self) -> Option<usize> {
-        let w = self.win[1] as usize;
-        if self.keys[w] == u64::MAX {
-            None
-        } else {
-            Some(w)
-        }
+        let (key, id) = self.node[1];
+        (key != u64::MAX).then_some(id as usize)
     }
 }
 

@@ -20,15 +20,14 @@ use crate::fault::FaultStats;
 use crate::reconfig::ReconfigSnap;
 use crate::stats::ProcStats;
 
-/// One cache's dynamic state (tag/LRU arrays plus counters). Geometry is
+/// One cache's dynamic state (line words plus counters). Geometry is
 /// config-derived and not stored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheState {
-    /// Packed per-line state words, set-major (see `crate::cache`).
+    /// Per-line state words (tag, flags and LRU rank), set-major; see
+    /// `crate::cache` for the layout and [`crate::cache::Cache::check_state`]
+    /// for the rules a set obeys.
     pub tags: Vec<u64>,
-    /// Last-use clock per line, same indexing.
-    pub lru: Vec<u64>,
-    pub clock: u64,
     pub hits: u64,
     pub misses: u64,
 }

@@ -2,7 +2,7 @@
 //! policy stays a *partition* of the page space (each page has exactly one
 //! home, in range), first-touch assignment is deterministic under replay,
 //! migration overrides re-home whole pages without disturbing others, and
-//! `export_state`/`import_state` round-trips bit-exactly (the `DSMCKPT8`
+//! `export_state`/`import_state` round-trips bit-exactly (the `DSMCKPT9`
 //! substrate for mid-tuning resume).
 
 use proptest::prelude::*;
@@ -110,7 +110,7 @@ proptest! {
 
     /// export → import into a fresh map reproduces resolution and counters
     /// exactly, and re-export is bit-identical (canonical sorted form) —
-    /// the invariant `DSMCKPT8` mid-tuning resume rests on.
+    /// the invariant `DSMCKPT9` mid-tuning resume rests on.
     #[test]
     fn export_import_roundtrip_is_exact(
         policy_sel in 0usize..4,

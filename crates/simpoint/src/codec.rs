@@ -1,4 +1,4 @@
-//! Versioned, deterministic binary checkpoint codec (`DSMCKPT8`).
+//! Versioned, deterministic binary checkpoint codec (`DSMCKPT9`).
 //!
 //! A checkpoint is the pair (simulator state, detector-collector state) at a
 //! global interval boundary, plus the metadata needed to rebuild the machine
@@ -21,6 +21,7 @@ use dsm_adapt::{
 };
 use dsm_phase::ddv::{DdvSnap, FrequencySnap};
 use dsm_phase::detector::{CollectorState, DetectorGeometry};
+use dsm_sim::cache::Cache;
 use dsm_sim::config::{CoreConfig, FaultPlan, RetryPolicy, MAX_PROCS};
 use dsm_sim::directory::DirState;
 use dsm_sim::event::Event;
@@ -52,8 +53,10 @@ use crate::wire::{bad_tag, check_records, RecordShape, Wire, D, R, W};
 /// [`MAX_PROCS`] nodes). Version 8 stores each captured record's BBV as
 /// the accumulator's bucket counts and its `F_i` and `C` as counts, all
 /// range-checked `u32`s, instead of a normalized `f64` BBV and `u64`
-/// counts.
-pub const MAGIC: &[u8; 8] = b"DSMCKPT8";
+/// counts. Version 9 drops each cache's last-use clocks: a line's LRU rank
+/// lives in its state word, and the decoder refuses a set whose ranks
+/// break the rank rule ([`Cache::check_state`]).
+pub const MAGIC: &[u8; 8] = b"DSMCKPT9";
 
 /// The version-independent format prefix shared by every `DSMCKPT` version.
 const MAGIC_FAMILY: &[u8; 7] = b"DSMCKPT";
@@ -82,7 +85,7 @@ pub enum CkptError {
 impl std::fmt::Display for CkptError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CkptError::BadMagic => write!(f, "not a DSMCKPT8 checkpoint (bad magic)"),
+            CkptError::BadMagic => write!(f, "not a DSMCKPT9 checkpoint (bad magic)"),
             CkptError::UnsupportedVersion { version } => {
                 write!(f, "unsupported DSMCKPT version {:?}", *version as char)
             }
@@ -250,7 +253,7 @@ crate::wire_struct! {
         cycle, commit_carry, fp_carry, interval_progress, interval_start_cycle, interval_index,
         finished, blocked, blocked_since, stats, l1, l2, gshare, core,
     }
-    CacheState { tags, lru, clock, hits, misses }
+    CacheState { tags, hits, misses }
     GshareState { table, history, predictions, mispredictions }
     CoreConfig { commit_width, fpu_units, mispredict_penalty, gshare_entries, stall_exposure_num }
     DirectoryState { entries, high, stats }
@@ -285,7 +288,7 @@ fn geometry_fits(g: &DetectorGeometry, c: &CollectorState) -> bool {
 }
 
 impl Checkpoint {
-    /// Serialize to the `DSMCKPT8` byte format. Deterministic: the same
+    /// Serialize to the `DSMCKPT9` byte format. Deterministic: the same
     /// checkpoint always encodes to the same bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = W::with_magic(MAGIC);
@@ -293,7 +296,7 @@ impl Checkpoint {
         w.into_bytes()
     }
 
-    /// Decode a `DSMCKPT8` buffer. Total: any input yields `Ok` or a typed
+    /// Decode a `DSMCKPT9` buffer. Total: any input yields `Ok` or a typed
     /// [`CkptError`]; never panics, never over-allocates on hostile lengths.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CkptError> {
         if bytes.len() < MAGIC.len() || &bytes[..MAGIC_FAMILY.len()] != MAGIC_FAMILY {
@@ -346,6 +349,13 @@ impl Checkpoint {
         if n != n_procs {
             return bad("system sized for a different machine");
         }
+        // Cache geometry depends on the input scale alone.
+        let machine = self.meta.scale.system_config(1, 1);
+        for p in &st.procs {
+            Cache::check_state(&machine.l1, &p.l1)
+                .and_then(|()| Cache::check_state(&machine.l2, &p.l2))
+                .or_else(bad)?;
+        }
         let c = &self.collector;
         if c.bbv.len() != n
             || c.ws.len() != n
@@ -382,11 +392,20 @@ mod tests {
     use dsm_sim::reconfig::ReconfigStats;
     use dsm_sim::{FaultStats, ProcStats};
 
+    /// The state word of a valid clean line (see `dsm_sim::cache`).
+    fn line(tag: u64, rank: u64) -> u64 {
+        rank << 60 | tag << 2 | 1
+    }
+
     fn sample_checkpoint() -> Checkpoint {
-        let cache = |k: u64| CacheState {
-            tags: vec![k, k + 1, 0],
-            lru: vec![3, 2, 1],
-            clock: 9 + k,
+        // A direct-mapped L1 of three sets and one 8-way L2 set holding
+        // three lines, most recent first: tag 7, then k, then 3.
+        let cache = |l2: bool, k: u64| CacheState {
+            tags: if l2 {
+                vec![line(k, 1), 0, line(7, 0), 0, 0, line(3, 2), 0, 0]
+            } else {
+                vec![line(k, 0), line(k + 1, 0), 0]
+            },
             hits: 5,
             misses: 2,
         };
@@ -401,8 +420,8 @@ mod tests {
             blocked: p == 1,
             blocked_since: 950,
             stats: ProcStats { cycles: 1000 + p, insns: 800, ..Default::default() },
-            l1: cache(p),
-            l2: cache(p + 10),
+            l1: cache(false, p),
+            l2: cache(true, p + 10),
             gshare: GshareState {
                 table: vec![0, 1, 2, 3],
                 history: 0b1011,
@@ -555,7 +574,7 @@ mod tests {
 
     #[test]
     fn encoded_bytes_are_pinned() {
-        // Any change to these digests is a DSMCKPT8 layout change: bump the
+        // Any change to these digests is a DSMCKPT9 layout change: bump the
         // version digit instead of editing the pin.
         // The pins were recorded with the default geometry in the header,
         // which the sample's 3-bucket collector does not fit (the decoder
@@ -566,11 +585,11 @@ mod tests {
             ck
         };
         let plain = pinned().encode();
-        assert_eq!((plain.len(), fnv1a64(&plain)), (2291, 0x1026d7ed7cf01657));
+        assert_eq!((plain.len(), fnv1a64(&plain)), (2211, 0xa09e5bb52e270fde));
         let mut ck = pinned();
         ck.adapt = Some(sample_adapt());
         let with_adapt = ck.encode();
-        assert_eq!((with_adapt.len(), fnv1a64(&with_adapt)), (2562, 0x5199911d853f257f));
+        assert_eq!((with_adapt.len(), fnv1a64(&with_adapt)), (2482, 0xd65489d6b619712c));
     }
 
     #[test]
@@ -667,7 +686,8 @@ mod tests {
             (b"DSMCKPT5\x00\x01\x02\x03", b'5'),
             (b"DSMCKPT6\x00\x01\x02\x03", b'6'),
             (b"DSMCKPT7\x00\x01\x02\x03", b'7'),
-            (b"DSMCKPT9garbage", b'9'),
+            (b"DSMCKPT8\x00\x01\x02\x03", b'8'),
+            (b"DSMCKPTAgarbage", b'A'),
         ] {
             assert_eq!(
                 Checkpoint::decode(payload),

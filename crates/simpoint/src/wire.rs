@@ -1,4 +1,4 @@
-//! The byte layer shared by the workspace's binary formats: the `DSMCKPT8`
+//! The byte layer shared by the workspace's binary formats: the `DSMCKPT9`
 //! checkpoint codec ([`crate::codec`]) and the harness trace store's
 //! `DSMTRC5` entries.
 //!

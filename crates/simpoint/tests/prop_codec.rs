@@ -1,4 +1,4 @@
-//! Property tests for the `DSMCKPT8` checkpoint codec: decoding is *total*
+//! Property tests for the `DSMCKPT9` checkpoint codec: decoding is *total*
 //! (any input — random bytes, corrupted checkpoints, truncations — yields a
 //! typed error or a valid checkpoint, never a panic), and the encoding is
 //! canonical (whatever decodes re-encodes to the identical bytes).
@@ -38,17 +38,32 @@ impl Gen {
     }
 }
 
+/// The state word of a valid line (see `dsm_sim::cache`): LRU rank in
+/// the top four bits, then the tag, then DIRTY and VALID.
+fn line(tag: u64, rank: u64, dirty: bool) -> u64 {
+    rank << 60 | tag << 2 | (dirty as u64) << 1 | 1
+}
+
+/// Two sets of a `ways`-way cache that keep the rank rule: a random subset
+/// of each set is valid, ranked `0..k` in a random order.
+fn cache(g: &mut Gen, ways: usize) -> CacheState {
+    let mut tags = vec![0; 2 * ways];
+    for set in tags.chunks_mut(ways) {
+        let mut order: Vec<usize> = (0..ways).filter(|_| !g.u().is_multiple_of(3)).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, (g.u() % (i as u64 + 1)) as usize);
+        }
+        for (rank, &way) in order.iter().enumerate() {
+            set[way] = line(g.u() % 10_000, rank as u64, g.u().is_multiple_of(2));
+        }
+    }
+    CacheState { tags, hits: g.u(), misses: g.u() }
+}
+
 /// Build a structurally valid checkpoint whose every field is derived from
 /// `seed`; `n_procs` and `n_recs` vary the shape.
 fn synth(seed: u64, n_procs: usize, n_recs: usize) -> Checkpoint {
     let mut g = Gen(seed);
-    let cache = |g: &mut Gen| CacheState {
-        tags: g.vec(4),
-        lru: g.vec(4),
-        clock: g.u(),
-        hits: g.u(),
-        misses: g.u(),
-    };
     let procs: Vec<ProcessorState> = (0..n_procs)
         .map(|_| ProcessorState {
             cycle: g.u(),
@@ -66,8 +81,8 @@ fn synth(seed: u64, n_procs: usize, n_recs: usize) -> Checkpoint {
                 l1_misses: g.u(),
                 ..Default::default()
             },
-            l1: cache(&mut g),
-            l2: cache(&mut g),
+            l1: cache(&mut g, 1),
+            l2: cache(&mut g, 8),
             gshare: GshareState {
                 table: (0..8).map(|_| (g.u() % 4) as u8).collect(),
                 history: g.u(),
@@ -348,6 +363,47 @@ fn corrupted_record_is_a_typed_error() {
         edit(&mut ck.collector.records);
         assert_eq!(Checkpoint::decode(&ck.encode()), Err(CkptError::BadValue { what }), "{what}");
     }
+}
+
+/// Cache states no run can produce are typed errors: resuming one would
+/// silently reorder a set's LRU stack or write back to an address no
+/// access made. The scale fixes the geometry: a direct-mapped L1 of 512
+/// sets of 32-byte lines (50-bit tags) and an 8-way L2.
+#[test]
+fn hostile_cache_state_is_a_typed_error() {
+    type Edit = fn(&mut ProcessorState);
+    let cases: [(&str, Edit); 6] = [
+        ("cache set ranks are not 0..k", |p| {
+            p.l2.tags[..8].copy_from_slice(&[line(1, 0, false), line(2, 2, false), 0, 0, 0, 0, 0, 0])
+        }),
+        ("cache set ranks are not 0..k", |p| {
+            p.l2.tags[..8].copy_from_slice(&[line(1, 1, false), line(2, 1, true), 0, 0, 0, 0, 0, 0])
+        }),
+        ("cache set ranks are not 0..k", |p| p.l1.tags[0] = line(5, 1, false)),
+        ("invalid cache line is not zero", |p| p.l2.tags[8..].copy_from_slice(&[1 << 60; 8])),
+        ("cache tag wider than its field", |p| p.l1.tags[1] = line(1 << 50, 0, true)),
+        ("cache lines are not whole sets", |p| p.l2.tags.truncate(12)),
+    ];
+    for (what, edit) in cases {
+        let mut ck = synth(33, 2, 1);
+        ck.meta.scale = Scale::Test;
+        assert!(Checkpoint::decode(&ck.encode()).is_ok());
+        edit(&mut ck.system.procs[1]);
+        assert_eq!(Checkpoint::decode(&ck.encode()), Err(CkptError::BadValue { what }), "{what}");
+    }
+    // The widest tag a 50-bit field holds still decodes.
+    let mut ck = synth(33, 2, 1);
+    ck.system.procs[0].l1.tags[1] = line((1 << 50) - 1, 0, false);
+    assert!(Checkpoint::decode(&ck.encode()).is_ok());
+}
+
+/// A checkpoint of the previous format, whose caches carried last-use
+/// clocks, is refused by its version digit before any field is read.
+#[test]
+fn previous_version_is_refused_by_its_digit() {
+    let mut bytes = synth(5, 2, 1).encode();
+    bytes[7] = b'8';
+    assert_eq!(Checkpoint::decode(&bytes), Err(CkptError::UnsupportedVersion { version: b'8' }));
 }
 
 proptest! {

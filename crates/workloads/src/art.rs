@@ -55,7 +55,9 @@ pub struct Art {
     /// Shared winner scoreboard, homed at node 0.
     scoreboard: Region,
     epochs: usize,
-    state: Vec<usize>, // next epoch per proc
+    /// Per proc: the epoch in progress and the next scanfield position to
+    /// consider in it.
+    cursor: Vec<(usize, usize)>,
 }
 
 impl Art {
@@ -69,7 +71,7 @@ impl Art {
         let image = (0..p).map(|q| alloc.alloc(q, input.f1_lines * 32)).collect();
         let scoreboard = alloc.alloc(0, 32);
         let epochs = input.positions.div_ceil(EPOCH_POSITIONS);
-        Self { p, input, weights, image, scoreboard, epochs, state: vec![0; p] }
+        Self { p, input, weights, image, scoreboard, epochs, cursor: vec![(0, 0); p] }
     }
 
     /// The run stage a scanfield position belongs to: first third trains
@@ -166,20 +168,21 @@ impl ChunkGen for Art {
         self.p
     }
 
+    /// One owned position per call, then the epoch's barrier, so a
+    /// chunk never holds more than one position's events.
     fn fill(&mut self, proc: usize, buf: &mut Vec<Event>) {
-        let epoch = self.state[proc];
+        let (epoch, next) = self.cursor[proc];
         if epoch >= self.epochs {
             return;
         }
-        let lo = epoch * EPOCH_POSITIONS;
         let hi = ((epoch + 1) * EPOCH_POSITIONS).min(self.input.positions);
-        for position in lo..hi {
-            if position % self.p == proc {
-                self.emit_position(buf, proc, position);
-            }
+        if let Some(position) = (next..hi).find(|s| s % self.p == proc) {
+            self.emit_position(buf, proc, position);
+            self.cursor[proc].1 = position + 1;
+        } else {
+            buf.push(Event::Barrier { id: epoch as u32 });
+            self.cursor[proc] = (epoch + 1, hi);
         }
-        buf.push(Event::Barrier { id: epoch as u32 });
-        self.state[proc] += 1;
     }
 }
 

@@ -5,6 +5,7 @@
 //! the paper's own use of MinneSPEC-reduced inputs and 3 M-instruction
 //! intervals; `Test` is tiny, for unit/integration tests.
 
+use dsm_sim::config::SystemConfig;
 use serde::{Deserialize, Serialize};
 
 /// Input scale selector.
@@ -16,6 +17,19 @@ pub enum Scale {
     Scaled,
     /// Table II magnitudes (minutes per run).
     Paper,
+}
+
+impl Scale {
+    /// The machine inputs of this scale run on: Table I at paper scale,
+    /// and for the reduced inputs the same machine with a smaller L2, so
+    /// that their working sets keep the paper's working-set-to-cache ratio
+    /// (DESIGN.md §7). The cache geometry depends on the scale alone.
+    pub fn system_config(self, n_procs: usize, interval_base: u64) -> SystemConfig {
+        match self {
+            Scale::Paper => SystemConfig::with_interval_base(n_procs, interval_base),
+            Scale::Scaled | Scale::Test => SystemConfig::scaled(n_procs, interval_base),
+        }
+    }
 }
 
 /// LU: dense matrix dimension and block size ("512×512 matrix, 16×16

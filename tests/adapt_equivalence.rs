@@ -13,7 +13,7 @@
 //! 3. **Conservation under faults** — with real actuators reconfiguring
 //!    the machine mid-run under a lossy fault plan, every workload still
 //!    completes and the coherence conservation invariant holds.
-//! 4. **Mid-tuning resume** — a `DSMCKPT8` checkpoint taken inside the
+//! 4. **Mid-tuning resume** — a `DSMCKPT9` checkpoint taken inside the
 //!    exploration of the first phase round-trips through bytes and resumes
 //!    to a bit-exact final state.
 
@@ -188,7 +188,7 @@ fn adaptation_conserves_coherence_under_faults() {
     }
 }
 
-/// `DSMCKPT8` carries the tuning-protocol state: a checkpoint taken
+/// `DSMCKPT9` carries the tuning-protocol state: a checkpoint taken
 /// mid-exploration round-trips through real bytes and resumes bit-exactly.
 #[test]
 fn dsmckpt6_mid_tuning_checkpoint_resumes_bit_exactly() {
