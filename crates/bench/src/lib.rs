@@ -4,8 +4,9 @@
 //! exactly: events per bench-matrix point ([`simbench::count_events`]),
 //! the online detector's steady-state allocations per interval
 //! ([`simbench::steady_state_allocs_per_interval`], counted by
-//! [`alloc_track::CountingAlloc`]), the heap high-water of one capture
-//! per matrix point ([`alloc_track::heap_high_water_during`]), plus the
+//! [`alloc_track::CountingAlloc`]), the allocations and heap high-water
+//! of one capture per matrix point ([`alloc_track::allocs_during`],
+//! [`alloc_track::heap_high_water_during`]), plus the
 //! matrix itself. Wall-clock
 //! performance is measured by the repository benchmark (`perfbench/`) and
 //! the `scale` bin, not here.

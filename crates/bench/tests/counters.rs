@@ -1,16 +1,16 @@
 //! Exact gates on the deterministic counters: events, allocations per
-//! interval, footprint comparisons per classification, the heap high-water
-//! of one capture and of one serve smoke fleet, and the serve smoke fleets'
-//! outcomes.
+//! interval, footprint comparisons per classification, the allocations and
+//! heap high-water of one capture, the heap high-water of one serve smoke
+//! fleet, and the serve smoke fleets' outcomes.
 //!
 //! Every value below is a pure function of the code. A change that moves
 //! one either re-records it here, saying why, or is a regression. The
 //! constants are re-recorded by editing this file; a failure prints each
 //! point with its recorded and new value.
 //!
-//! The allocation counter is process-wide, so every test here holds
-//! [`SERIAL`] while it runs: no other test allocates while the
-//! steady-state window is counted. Heap bytes are counted per thread.
+//! Allocations and heap bytes are counted per thread, and every test here
+//! runs its measured code on its own thread. Each test also holds
+//! [`SERIAL`] while it runs, so the gates run one at a time.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -67,6 +67,21 @@ const HEAP: [(&str, u64, u64); 8] = [
     ("art-8p", 636_688, 2_224_936),
     ("equake-2p", 455_728, 851_796),
     ("equake-8p", 907_296, 2_483_864),
+];
+
+/// `(point, allocations, allocations with telemetry, intervals)`: the heap
+/// allocations (`alloc` and `realloc` calls) one test-scale capture,
+/// `capture_system(..).run()`, makes, and the intervals it captures. The
+/// instruction stream is built first and not counted.
+const ALLOCS: [(&str, u64, u64, usize); 8] = [
+    ("lu-2p", 130, 313, 16),
+    ("lu-8p", 267, 664, 30),
+    ("fmm-2p", 413, 596, 84),
+    ("fmm-8p", 981, 1_361, 195),
+    ("art-2p", 133, 316, 17),
+    ("art-8p", 416, 813, 65),
+    ("equake-2p", 179, 362, 27),
+    ("equake-8p", 586, 983, 105),
 ];
 
 /// `(tenants, bytes, bytes with telemetry)`: the heap high-water of one
@@ -229,6 +244,33 @@ fn capture_heap_high_water_is_exact() {
         report.check(format!("{key} heap high-water bytes"), recorded, bytes);
     }
     report.assert_clean("a capture's heap high-water");
+}
+
+#[test]
+fn capture_allocations_are_exact() {
+    let _serial = serial();
+    let matrix = bench_matrix();
+    assert_eq!(matrix.len(), ALLOCS.len(), "one recorded row per matrix point");
+    let telemetry = dsm_sim::telem::SimTelemetry::new(0).enabled();
+    let mut report = Report::default();
+    for ((app, n), &(key, off, on, intervals)) in matrix.into_iter().zip(&ALLOCS) {
+        assert_eq!(point_key(app, n), key, "matrix order");
+        let cfg = ExperimentConfig::test(app, n);
+        let stream = make_stream(cfg.app, cfg.n_procs, cfg.scale);
+        let ((_, collector), allocs) = allocs_during(|| {
+            capture_system(
+                cfg.system_config(),
+                stream,
+                DetectorGeometry::default(),
+                TraceCollector::new,
+            )
+            .run()
+        });
+        let recorded = if telemetry { on } else { off };
+        report.check(format!("{key} allocations"), recorded, allocs);
+        report.check(format!("{key} intervals"), intervals, collector.total_intervals());
+    }
+    report.assert_clean("a capture's allocation count");
 }
 
 #[test]
