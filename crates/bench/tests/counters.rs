@@ -59,14 +59,14 @@ const MATRIX: [(&str, u64, u64, u64); 8] = [
 /// as held). The telemetry build's span rings and metrics registry are heap
 /// too, so it has its own column.
 const HEAP: [(&str, u64, u64); 8] = [
-    ("lu-2p", 226_172, 622_240),
-    ("lu-8p", 675_948, 2_252_516),
-    ("fmm-2p", 238_780, 641_180),
-    ("fmm-8p", 741_724, 2_329_350),
-    ("art-2p", 161_056, 563_456),
-    ("art-8p", 636_688, 2_224_936),
-    ("equake-2p", 455_728, 851_796),
-    ("equake-8p", 907_296, 2_483_864),
+    ("lu-2p", 225_660, 621_728),
+    ("lu-8p", 673_900, 2_250_468),
+    ("fmm-2p", 230_588, 632_988),
+    ("fmm-8p", 725_340, 2_312_966),
+    ("art-2p", 159_520, 561_920),
+    ("art-8p", 631_568, 2_219_816),
+    ("equake-2p", 455_216, 851_284),
+    ("equake-8p", 905_248, 2_481_816),
 ];
 
 /// `(point, allocations, allocations with telemetry, intervals)`: the heap
@@ -74,14 +74,14 @@ const HEAP: [(&str, u64, u64); 8] = [
 /// `capture_system(..).run()`, makes, and the intervals it captures. The
 /// instruction stream is built first and not counted.
 const ALLOCS: [(&str, u64, u64, usize); 8] = [
-    ("lu-2p", 130, 313, 16),
-    ("lu-8p", 267, 664, 30),
-    ("fmm-2p", 413, 596, 84),
-    ("fmm-8p", 981, 1_361, 195),
-    ("art-2p", 133, 316, 17),
-    ("art-8p", 416, 813, 65),
-    ("equake-2p", 179, 362, 27),
-    ("equake-8p", 586, 983, 105),
+    ("lu-2p", 82, 265, 16),
+    ("lu-8p", 177, 574, 30),
+    ("fmm-2p", 161, 344, 84),
+    ("fmm-8p", 396, 776, 195),
+    ("art-2p", 82, 265, 17),
+    ("art-8p", 221, 618, 65),
+    ("equake-2p", 98, 281, 27),
+    ("equake-8p", 271, 668, 105),
 ];
 
 /// `(tenants, bytes, bytes with telemetry)`: the heap high-water of one

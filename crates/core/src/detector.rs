@@ -25,6 +25,8 @@
 //! vector-DDV extension replay through that same sweep, each with its own
 //! signature and distance.
 
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
 
 use dsm_sim::observer::{IntervalStats, SimObserver};
@@ -74,7 +76,12 @@ impl Thresholds {
 /// memory references. Across every app at the scaled 2/8/32-node and
 /// paper 2/16-node points, the largest bucket is 524,221 and the largest
 /// `F_i` or `C` entry 264,791.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Every counter lives in one heap block, so a record is one allocation:
+/// the BBV buckets, then `F_i`, then `C`, then the working-set words as
+/// `u32` halves (low half first). [`Self::new`] builds it and the slice
+/// accessors read it.
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct IntervalRecord {
     pub proc: usize,
     pub index: u64,
@@ -82,23 +89,83 @@ pub struct IntervalRecord {
     pub insns: u64,
     /// Elapsed cycles.
     pub cycles: u64,
-    /// The BBV accumulator's bucket counts at the interval's end. Readers
-    /// take the normalized vector from [`Self::normalized_bbv_into`].
-    pub bbv: Vec<u32>,
-    /// The requester's own per-home access counts (`F_i`).
-    pub fvec: Vec<u32>,
-    /// The contention vector (`C`): per-home access counts of every node
-    /// over the requester's window.
-    pub cvec: Vec<u32>,
     /// The data distribution scalar.
     pub dds: f64,
-    /// Working-set signature words (Dhodapkar–Smith baseline).
-    pub ws_sig: Vec<u64>,
     /// Committed dynamic branches (Balasubramonian baseline).
     pub branches: u64,
+    counts: Box<[u32]>,
+    bbv_len: u32,
+    fvec_len: u32,
+    cvec_len: u32,
 }
 
 impl IntervalRecord {
+    /// A record holding `bbv`, `fvec`, `cvec` and the working-set words
+    /// `ws_sig` in its one counter block.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        proc: usize,
+        index: u64,
+        insns: u64,
+        cycles: u64,
+        bbv: impl IntoIterator<Item = u32, IntoIter: ExactSizeIterator>,
+        fvec: impl IntoIterator<Item = u32, IntoIter: ExactSizeIterator>,
+        cvec: impl IntoIterator<Item = u32, IntoIter: ExactSizeIterator>,
+        dds: f64,
+        ws_sig: &[u64],
+        branches: u64,
+    ) -> Self {
+        let (bbv, fvec, cvec) = (bbv.into_iter(), fvec.into_iter(), cvec.into_iter());
+        let lens = [bbv.len(), fvec.len(), cvec.len()];
+        let mut counts = Vec::with_capacity(lens.iter().sum::<usize>() + 2 * ws_sig.len());
+        counts.extend(bbv.chain(fvec).chain(cvec));
+        counts.extend(ws_sig.iter().flat_map(|&w| [w as u32, (w >> 32) as u32]));
+        let [bbv_len, fvec_len, cvec_len] =
+            lens.map(|len| u32::try_from(len).expect("record vector length fits u32"));
+        Self {
+            proc,
+            index,
+            insns,
+            cycles,
+            dds,
+            branches,
+            counts: counts.into_boxed_slice(),
+            bbv_len,
+            fvec_len,
+            cvec_len,
+        }
+    }
+
+    /// The BBV accumulator's bucket counts at the interval's end. Readers
+    /// take the normalized vector from [`Self::normalized_bbv_into`].
+    pub fn bbv(&self) -> &[u32] {
+        &self.counts[..self.bbv_len as usize]
+    }
+
+    /// The requester's own per-home access counts (`F_i`).
+    pub fn fvec(&self) -> &[u32] {
+        let start = self.bbv_len as usize;
+        &self.counts[start..start + self.fvec_len as usize]
+    }
+
+    /// The contention vector (`C`): per-home access counts of every node
+    /// over the requester's window.
+    pub fn cvec(&self) -> &[u32] {
+        let start = (self.bbv_len + self.fvec_len) as usize;
+        &self.counts[start..start + self.cvec_len as usize]
+    }
+
+    /// Working-set signature words (Dhodapkar–Smith baseline) as `u32`
+    /// halves, low half first.
+    pub fn ws_sig(&self) -> &[u32] {
+        &self.counts[(self.bbv_len + self.fvec_len + self.cvec_len) as usize..]
+    }
+
+    /// The working-set signature words as the hardware keeps them.
+    pub fn ws_words(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.ws_sig().chunks_exact(2).map(|h| u64::from(h[0]) | u64::from(h[1]) << 32)
+    }
+
     /// Cycles per (non-sync) instruction: [`IntervalStats::cpi`] itself.
     pub fn cpi(&self) -> f64 {
         IntervalStats { index: self.index, insns: self.insns, cycles: self.cycles }.cpi()
@@ -107,7 +174,7 @@ impl IntervalRecord {
     /// Instructions the BBV accumulated: the sum of its buckets, which is
     /// the accumulator's own running total.
     pub fn bbv_total(&self) -> u64 {
-        self.bbv.iter().map(|&b| u64::from(b)).sum()
+        self.bbv().iter().map(|&b| u64::from(b)).sum()
     }
 
     /// The normalized BBV into `out` (cleared first): each bucket over
@@ -116,12 +183,12 @@ impl IntervalRecord {
     /// interval's end.
     pub fn normalized_bbv_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        push_normalized(&self.bbv, self.bbv_total(), out);
+        push_normalized(self.bbv(), self.bbv_total(), out);
     }
 
     /// [`Self::normalized_bbv_into`] into a new vector.
     pub fn normalized_bbv(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.bbv.len());
+        let mut out = Vec::with_capacity(self.bbv().len());
         self.normalized_bbv_into(&mut out);
         out
     }
@@ -138,10 +205,10 @@ impl IntervalRecord {
     /// behaviour; the vector then sums to `1 + data_weight`, so thresholds
     /// live in `[0, 2(1 + data_weight)]`).
     pub fn vector_ddv(&self, dist_row: &[f64], data_weight: f64) -> Vec<f64> {
-        let mut v = Vec::with_capacity(self.bbv.len() + self.fvec.len());
+        let mut v = Vec::with_capacity(self.bbv().len() + self.fvec().len());
         self.normalized_bbv_into(&mut v);
         let mut total = 0.0;
-        for (&f, &d) in self.fvec.iter().zip(dist_row) {
+        for (&f, &d) in self.fvec().iter().zip(dist_row) {
             let w = f as f64 * d;
             total += w;
             v.push(w);
@@ -149,11 +216,29 @@ impl IntervalRecord {
         // Every term is >= 0, so total == 0 means the data half is already
         // all zeros (the unnormalizable case keeps a zero data half).
         if total > 0.0 {
-            for w in &mut v[self.bbv.len()..] {
+            for w in &mut v[self.bbv().len()..] {
                 *w = *w / total * data_weight;
             }
         }
         v
+    }
+}
+
+/// Field by field, with the counters as the slices the accessors return.
+impl fmt::Debug for IntervalRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IntervalRecord")
+            .field("proc", &self.proc)
+            .field("index", &self.index)
+            .field("insns", &self.insns)
+            .field("cycles", &self.cycles)
+            .field("bbv", &self.bbv())
+            .field("fvec", &self.fvec())
+            .field("cvec", &self.cvec())
+            .field("dds", &self.dds)
+            .field("ws_sig", &self.ws_sig())
+            .field("branches", &self.branches)
+            .finish()
     }
 }
 
@@ -368,22 +453,22 @@ impl SimObserver for TraceCollector {
     }
 
     fn on_interval(&mut self, proc: usize, stats: IntervalStats) {
+        let g = &mut self.gather;
+        g.gather_rows(proc, stats.index);
         // The buckets are read before the gather resets them.
-        let bbv = counts("BBV bucket", self.gather.bbv[proc].raw());
-        self.gather.end_interval(proc, stats.index);
-        let g = &self.gather;
-        self.records[proc].push(IntervalRecord {
+        self.records[proc].push(IntervalRecord::new(
             proc,
-            index: stats.index,
-            insns: stats.insns,
-            cycles: stats.cycles,
-            bbv,
-            fvec: counts("F_i", &g.sample.fvec),
-            cvec: counts("C", &g.sample.cvec),
-            dds: g.sample.dds,
-            ws_sig: self.ws[proc].words().to_vec(),
-            branches: self.branches[proc],
-        });
+            stats.index,
+            stats.insns,
+            stats.cycles,
+            counts("BBV bucket", g.bbv[proc].raw()),
+            counts("F_i", &g.sample.fvec),
+            counts("C", &g.sample.cvec),
+            g.sample.dds,
+            self.ws[proc].words(),
+            self.branches[proc],
+        ));
+        g.bbv[proc].reset();
         self.ws[proc].clear();
         self.branches[proc] = 0;
     }
@@ -392,11 +477,11 @@ impl SimObserver for TraceCollector {
 /// Hardware counters as an [`IntervalRecord`] stores them. A count above
 /// `u32::MAX` cannot come from a real run (see [`IntervalRecord`]), so it
 /// panics naming `field` rather than wrapping.
-fn counts(field: &str, raw: &[u64]) -> Vec<u32> {
-    let narrow = |&c: &u64| {
+fn counts<'a>(field: &'a str, raw: &'a [u64]) -> impl ExactSizeIterator<Item = u32> + 'a {
+    let narrow = move |&c: &u64| {
         u32::try_from(c).unwrap_or_else(|_| panic!("{field} count {c} exceeds u32::MAX"))
     };
-    raw.iter().map(narrow).collect()
+    raw.iter().map(narrow)
 }
 
 // ---------------------------------------------------------------------------
@@ -597,11 +682,11 @@ impl TraceClassifier {
     /// rows [`Self::bbv_stream`] replays. Built per processor when a sweep
     /// starts, so the captured trace keeps only the counts.
     pub fn bbv_rows(records: &[IntervalRecord]) -> Vec<f64> {
-        let width = records.first().map_or(0, |r| r.bbv.len());
+        let width = records.first().map_or(0, |r| r.bbv().len());
         let mut rows = Vec::with_capacity(width * records.len());
         for r in records {
-            assert_eq!(r.bbv.len(), width, "one BBV width per processor");
-            push_normalized(&r.bbv, r.bbv_total(), &mut rows);
+            assert_eq!(r.bbv().len(), width, "one BBV width per processor");
+            push_normalized(r.bbv(), r.bbv_total(), &mut rows);
         }
         rows
     }
@@ -614,7 +699,7 @@ impl TraceClassifier {
         rows: &'a [f64],
         dds: Option<&'a [f64]>,
     ) -> impl ExactSizeIterator<Item = (&'a [f64], f64)> + 'a {
-        let width = records.first().map_or(0, |r| r.bbv.len());
+        let width = records.first().map_or(0, |r| r.bbv().len());
         assert_eq!(rows.len(), width * records.len(), "one row per record");
         if let Some(dds) = dds {
             assert_eq!(records.len(), dds.len());
@@ -967,16 +1052,16 @@ mod tests {
         drive(&mut c, 0, 9, &[1, 1, 1], 1);
         assert_eq!(c.records[0].len(), 2);
         let r0 = &c.records[0][0];
-        assert_eq!(r0.fvec, vec![2, 1]);
+        assert_eq!(r0.fvec(), [2, 1]);
         assert_eq!(r0.insns, 500);
         assert!((r0.cpi() - 2.0).abs() < 1e-12);
         assert_eq!(r0.branches, 10);
         // Second interval's counters started fresh.
         let r1 = &c.records[0][1];
-        assert_eq!(r1.fvec, vec![0, 3]);
+        assert_eq!(r1.fvec(), [0, 3]);
         assert_eq!(r1.branches, 10);
         // BBVs of different code differ.
-        assert_ne!(r0.bbv, r1.bbv);
+        assert_ne!(r0.bbv(), r1.bbv());
     }
 
     #[test]
@@ -988,8 +1073,8 @@ mod tests {
         }
         drive(&mut c, 0, 7, &[0], 0);
         let r = &c.records[0][0];
-        assert_eq!(r.fvec, vec![1, 0]);
-        assert_eq!(r.cvec, vec![6, 0], "C includes P1's accesses");
+        assert_eq!(r.fvec(), [1, 0]);
+        assert_eq!(r.cvec(), [6, 0], "C includes P1's accesses");
         assert!(r.dds >= 6.0);
     }
 
@@ -1242,7 +1327,7 @@ mod tests {
         ext.on_interval(0, stats(3, 0, 100));
         let recs = &coll.records[0];
         assert_eq!(recs[0].bbv_total(), 50);
-        assert_eq!(recs[0].fvec, vec![0, 1]);
+        assert_eq!(recs[0].fvec(), [0, 1]);
         for (r, s) in recs.iter().zip(&ext.signatures[0]) {
             assert_eq!(r.normalized_bbv(), s.bbv, "interval {}", r.index);
         }
@@ -1258,6 +1343,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "F_i count 4294967296 exceeds u32::MAX")]
     fn a_count_past_u32_names_its_field() {
-        counts("F_i", &[3, u64::from(u32::MAX) + 1]);
+        counts("F_i", &[3, u64::from(u32::MAX) + 1]).for_each(drop);
     }
 }

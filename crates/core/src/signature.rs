@@ -240,11 +240,20 @@ impl Gather {
         self.ddv.record_access(proc, home);
     }
 
-    /// End `proc`'s interval `index`: gather its DDV rows into
-    /// [`Self::sample`], reset its BBV and start the next interval. Returns
-    /// true when the DDS is too stale to trust.
+    /// End `proc`'s interval `index`: [`Self::gather_rows`], then reset its
+    /// BBV and start the next interval. Returns true when the DDS is too
+    /// stale to trust.
     pub(crate) fn end_interval(&mut self, proc: usize, index: u64) -> bool {
-        let degraded = match &mut self.style {
+        let degraded = self.gather_rows(proc, index);
+        self.bbv[proc].reset();
+        degraded
+    }
+
+    /// Gather `proc`'s DDV rows for interval `index` into [`Self::sample`],
+    /// leaving its BBV as it is. Returns true when the DDS is too stale to
+    /// trust.
+    pub(crate) fn gather_rows(&mut self, proc: usize, index: u64) -> bool {
+        match &mut self.style {
             GatherStyle::Aggregate => {
                 self.ddv.end_interval_into(proc, &mut self.sample);
                 false
@@ -259,9 +268,7 @@ impl Gather {
                 });
                 staleness > model.max_staleness
             }
-        };
-        self.bbv[proc].reset();
-        degraded
+        }
     }
 
     /// The model and row collector of a deadline gather.
@@ -435,18 +442,7 @@ mod tests {
 
     #[test]
     fn signature_from_record_preserves_cpi() {
-        let r = IntervalRecord {
-            proc: 1,
-            index: 3,
-            insns: 500,
-            cycles: 1250,
-            bbv: vec![3, 3],
-            fvec: vec![1, 0],
-            cvec: vec![1, 1],
-            dds: 42.0,
-            ws_sig: vec![],
-            branches: 10,
-        };
+        let r = IntervalRecord::new(1, 3, 500, 1250, [3, 3], [1, 0], [1, 1], 42.0, &[], 10);
         let s = IntervalSignature::from_record(&r);
         assert_eq!(s.cpi(), r.cpi());
         assert!(!s.degraded);

@@ -63,12 +63,16 @@ impl WsSignature {
 }
 
 /// Relative signature distance between two signatures' words of equal
-/// width: `|A Δ B| / |A ∪ B|` in [0, 1] (0 for two empty signatures).
-pub fn rel_distance(a: &[u64], b: &[u64]) -> f64 {
+/// width: `|A Δ B| / |A ∪ B|` in [0, 1] (0 for two empty signatures). It
+/// counts bits, so the signature's `u64` words and the `u32` halves an
+/// [`IntervalRecord`](crate::detector::IntervalRecord) stores give the
+/// same distance.
+pub fn rel_distance<T: Copy + Into<u64>>(a: &[T], b: &[T]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let mut sym = 0u32;
     let mut uni = 0u32;
-    for (a, b) in a.iter().zip(b) {
+    for (&a, &b) in a.iter().zip(b) {
+        let (a, b): (u64, u64) = (a.into(), b.into());
         sym += (a ^ b).count_ones();
         uni += (a | b).count_ones();
     }

@@ -34,18 +34,7 @@ use dsm_phase::working_set::rel_distance;
 const BBV_LENS: [usize; 2] = [4, 32];
 
 fn record(index: usize, bbv: Vec<u32>, dds: f64) -> IntervalRecord {
-    IntervalRecord {
-        proc: 0,
-        index: index as u64,
-        insns: 100,
-        cycles: 150,
-        bbv,
-        fvec: vec![],
-        cvec: vec![],
-        dds,
-        ws_sig: vec![],
-        branches: 1,
-    }
+    IntervalRecord::new(0, index as u64, 100, 150, bbv, [], [], dds, &[], 1)
 }
 
 /// Bucket counts for random lanes in `(0, 1)`.

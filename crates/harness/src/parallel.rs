@@ -488,7 +488,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<SystemTrace, CkptError> {
         return Err(CkptError::BadValue { what: "records per processor" });
     }
     let first = trace.records.iter().flatten().next();
-    let (bbv_entries, ws_words) = first.map_or((0, 0), |r| (r.bbv.len(), r.ws_sig.len()));
+    let (bbv_entries, ws_words) = first.map_or((0, 0), |r| (r.bbv().len(), r.ws_words().len()));
     check_records(&trace.records, RecordShape { n_procs, bbv_entries, ws_words })?;
     r.finish()?;
     Ok(trace)
@@ -638,17 +638,19 @@ mod tests {
         let records = (0..2)
             .map(|p| {
                 (0..2)
-                    .map(|i| IntervalRecord {
-                        proc: p,
-                        index: i,
-                        insns: n(),
-                        cycles: n(),
-                        bbv: vec![125, 500 + i as u32, 375],
-                        fvec: vec![n() as u32, n() as u32],
-                        cvec: vec![n() as u32, n() as u32],
-                        dds: 2.5 * (p as f64 + 1.0),
-                        ws_sig: vec![n()],
-                        branches: n(),
+                    .map(|i| {
+                        IntervalRecord::new(
+                            p,
+                            i,
+                            n(),
+                            n(),
+                            [125, 500 + i as u32, 375],
+                            [n() as u32, n() as u32],
+                            [n() as u32, n() as u32],
+                            2.5 * (p as f64 + 1.0),
+                            &[n()],
+                            n(),
+                        )
                     })
                     .collect()
             })

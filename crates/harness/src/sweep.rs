@@ -204,10 +204,10 @@ pub fn ablated_dds(
     which: DdsAblation,
 ) -> f64 {
     match which {
-        DdsAblation::Full => DdvState::dds_of(&rec.fvec, dist_row, &rec.cvec),
-        DdsAblation::NoContention => DdvState::dds_of(&rec.fvec, dist_row, ones_c),
-        DdsAblation::NoDistance => DdvState::dds_of(&rec.fvec, ones_d, &rec.cvec),
-        DdsAblation::FrequencyOnly => DdvState::dds_of(&rec.fvec, ones_d, ones_c),
+        DdsAblation::Full => DdvState::dds_of(rec.fvec(), dist_row, rec.cvec()),
+        DdsAblation::NoContention => DdvState::dds_of(rec.fvec(), dist_row, ones_c),
+        DdsAblation::NoDistance => DdvState::dds_of(rec.fvec(), ones_d, rec.cvec()),
+        DdsAblation::FrequencyOnly => DdvState::dds_of(rec.fvec(), ones_d, ones_c),
     }
 }
 
@@ -257,7 +257,7 @@ pub fn vector_ddv_curve(trace: &SystemTrace, data_weight: f64) -> CovCurve {
 pub fn working_set_curve(trace: &SystemTrace) -> CovCurve {
     let grid = line_grid(BBV_SWEEP_POINTS, 1e-3, 1.0);
     sweep_curve(trace, &grid, |_, recs, grid| {
-        let stream = recs.iter().map(|r| (r.ws_sig.as_slice(), 0.0));
+        let stream = recs.iter().map(|r| (r.ws_sig(), 0.0));
         let distance = rowwise(rel_distance);
         TraceClassifier::sweep_proc(stream, distance, grid, DEFAULT_FOOTPRINT_VECTORS)
     })
@@ -369,18 +369,7 @@ mod tests {
     #[test]
     fn ablated_dds_formulas() {
         use dsm_phase::detector::IntervalRecord;
-        let rec = IntervalRecord {
-            proc: 0,
-            index: 0,
-            insns: 100,
-            cycles: 100,
-            bbv: vec![1],
-            fvec: vec![2, 3],
-            cvec: vec![10, 20],
-            dds: 0.0,
-            ws_sig: vec![0],
-            branches: 1,
-        };
+        let rec = IntervalRecord::new(0, 0, 100, 100, [1], [2, 3], [10, 20], 0.0, &[0], 1);
         let dist = [1.0, 3.0];
         let ablated = |which| ablated_dds(&rec, &dist, &[1.0; 2], &[1; 2], which);
         assert_eq!(ablated(DdsAblation::Full), 2.0 * 10.0 + 3.0 * 3.0 * 20.0);

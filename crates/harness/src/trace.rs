@@ -164,7 +164,7 @@ mod tests {
         let r = &t.records[0][0];
         assert!(r.insns > 0);
         assert!(r.cycles > 0);
-        assert_eq!(r.fvec.len(), 2);
+        assert_eq!(r.fvec().len(), 2);
         assert!((r.normalized_bbv().iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 

@@ -45,6 +45,28 @@ impl Gen {
     }
 }
 
+/// A record's count vectors, edited by a test and rebuilt into the record.
+struct Counts {
+    bbv: Vec<u32>,
+    fvec: Vec<u32>,
+    cvec: Vec<u32>,
+    ws: Vec<u64>,
+}
+
+/// Rebuild `r` with its counts passed through `edit`.
+fn edit_counts(r: &mut IntervalRecord, edit: impl FnOnce(&mut Counts)) {
+    let mut c = Counts {
+        bbv: r.bbv().to_vec(),
+        fvec: r.fvec().to_vec(),
+        cvec: r.cvec().to_vec(),
+        ws: r.ws_words().collect(),
+    };
+    edit(&mut c);
+    let (proc, index, insns, cycles, dds, branches) =
+        (r.proc, r.index, r.insns, r.cycles, r.dds, r.branches);
+    *r = IntervalRecord::new(proc, index, insns, cycles, c.bbv, c.fvec, c.cvec, dds, &c.ws, branches);
+}
+
 /// A trace whose every field is derived from `seed`; `n_procs` and
 /// `n_recs` vary the shape. Its experiment point is always valid.
 fn synth(seed: u64, n_procs: usize, n_recs: usize) -> SystemTrace {
@@ -52,17 +74,19 @@ fn synth(seed: u64, n_procs: usize, n_recs: usize) -> SystemTrace {
     let records = (0..n_procs)
         .map(|p| {
             (0..n_recs)
-                .map(|i| IntervalRecord {
-                    proc: p,
-                    index: i as u64,
-                    insns: g.u() % 100_000,
-                    cycles: g.u() % 1_000_000,
-                    bbv: g.counts(4),
-                    fvec: g.counts(n_procs),
-                    cvec: g.counts(n_procs),
-                    dds: (g.u() % 100_000) as f64 / 7.0,
-                    ws_sig: g.vec(2),
-                    branches: g.u() % 5000,
+                .map(|i| {
+                    IntervalRecord::new(
+                        p,
+                        i as u64,
+                        g.u() % 100_000,
+                        g.u() % 1_000_000,
+                        g.counts(4),
+                        g.counts(n_procs),
+                        g.counts(n_procs),
+                        (g.u() % 100_000) as f64 / 7.0,
+                        &g.vec(2),
+                        g.u() % 5000,
+                    )
                 })
                 .collect()
         })
@@ -209,14 +233,14 @@ fn hostile_record_geometry_is_a_typed_error() {
         ("records per processor", |r| r.push(r[0].clone())),
         ("records per processor", |r| r.truncate(3)),
         ("record processor", |r| r[1][0].proc = 0),
-        ("record BBV length", |r| r[2][1].bbv.truncate(3)),
-        ("record BBV length", |r| r[0][0].bbv.push(5)),
-        ("record working-set width", |r| r[1][1].ws_sig.push(0)),
+        ("record BBV length", |r| edit_counts(&mut r[2][1], |c| c.bbv.truncate(3))),
+        ("record BBV length", |r| edit_counts(&mut r[0][0], |c| c.bbv.push(5))),
+        ("record working-set width", |r| edit_counts(&mut r[1][1], |c| c.ws.push(0))),
         ("record working-set width", |r| {
-            r.iter_mut().flatten().for_each(|rec| rec.ws_sig.clear())
+            r.iter_mut().flatten().for_each(|rec| edit_counts(rec, |c| c.ws.clear()))
         }),
-        ("record per-home vector length", |r| r[3][0].fvec.truncate(3)),
-        ("record per-home vector length", |r| r[3][1].cvec.push(1)),
+        ("record per-home vector length", |r| edit_counts(&mut r[3][0], |c| c.fvec.truncate(3))),
+        ("record per-home vector length", |r| edit_counts(&mut r[3][1], |c| c.cvec.push(1))),
         ("record DDS", |r| r[0][1].dds = -1.0),
         ("record DDS", |r| r[2][0].dds = f64::NAN),
         ("record DDS", |r| r[1][1].dds = f64::INFINITY),
@@ -235,8 +259,11 @@ fn hostile_record_geometry_is_a_typed_error() {
 #[test]
 fn count_past_u32_is_a_typed_error() {
     type Edit = fn(&mut IntervalRecord, u32);
-    let fields: [Edit; 3] =
-        [|r, m| r.bbv[2] = m, |r, m| r.fvec[1] = m, |r, m| r.cvec[0] = m];
+    let fields: [Edit; 3] = [
+        |r, m| edit_counts(r, |c| c.bbv[2] = m),
+        |r, m| edit_counts(r, |c| c.fvec[1] = m),
+        |r, m| edit_counts(r, |c| c.cvec[0] = m),
+    ];
     for edit in fields {
         let marker = 0xdead_beef;
         let mut trace = synth(17, 2, 2);

@@ -516,18 +516,18 @@ mod tests {
                     gather_rounds: 14,
                 },
                 records: vec![
-                    vec![IntervalRecord {
-                        proc: 0,
-                        index: 0,
-                        insns: 100,
-                        cycles: 210,
-                        bbv: vec![1, 3, 0],
-                        fvec: vec![3, 1],
-                        cvec: vec![5, 1],
-                        dds: 17.5,
-                        ws_sig: vec![0b11],
-                        branches: 9,
-                    }],
+                    vec![IntervalRecord::new(
+                        0,
+                        0,
+                        100,
+                        210,
+                        [1, 3, 0],
+                        [3, 1],
+                        [5, 1],
+                        17.5,
+                        &[0b11],
+                        9,
+                    )],
                     vec![],
                 ],
             },

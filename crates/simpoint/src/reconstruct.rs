@@ -95,18 +95,7 @@ mod tests {
     use super::*;
 
     fn rec(proc: usize, index: u64, insns: u64, cycles: u64) -> IntervalRecord {
-        IntervalRecord {
-            proc,
-            index,
-            insns,
-            cycles,
-            bbv: vec![],
-            fvec: vec![],
-            cvec: vec![],
-            dds: 0.0,
-            ws_sig: vec![],
-            branches: 0,
-        }
+        IntervalRecord::new(proc, index, insns, cycles, [], [], [], 0.0, &[], 0)
     }
 
     #[test]

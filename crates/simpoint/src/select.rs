@@ -79,7 +79,7 @@ pub fn signatures(records: &[Vec<IntervalRecord>]) -> Vec<Vec<f64>> {
     let bbv_dim = records
         .iter()
         .find_map(|r| r.first())
-        .map_or(0, |r| r.bbv.len());
+        .map_or(0, |r| r.bbv().len());
     let mut bbv = Vec::with_capacity(bbv_dim);
     let mut sigs: Vec<Vec<f64>> = (0..n_intervals)
         .map(|i| {
@@ -92,11 +92,11 @@ pub fn signatures(records: &[Vec<IntervalRecord>]) -> Vec<Vec<f64>> {
                 for (s, &v) in sig.iter_mut().zip(bbv.iter()) {
                     *s += v / n_procs as f64;
                 }
-                for (s, &f) in sig[bbv_dim..bbv_dim + n_procs].iter_mut().zip(r.fvec.iter()) {
+                for (s, &f) in sig[bbv_dim..bbv_dim + n_procs].iter_mut().zip(r.fvec()) {
                     *s += f64::from(f);
                 }
                 for (s, &c) in
-                    sig[bbv_dim + n_procs..bbv_dim + 2 * n_procs].iter_mut().zip(r.cvec.iter())
+                    sig[bbv_dim + n_procs..bbv_dim + 2 * n_procs].iter_mut().zip(r.cvec())
                 {
                     *s += f64::from(c);
                 }
@@ -484,18 +484,7 @@ mod tests {
     use super::*;
 
     fn rec(proc: usize, index: u64, bbv: Vec<u32>, fvec: Vec<u32>) -> IntervalRecord {
-        IntervalRecord {
-            proc,
-            index,
-            insns: 100,
-            cycles: 200,
-            bbv,
-            fvec,
-            cvec: vec![],
-            dds: 0.0,
-            ws_sig: vec![],
-            branches: 1,
-        }
+        IntervalRecord::new(proc, index, 100, 200, bbv, fvec, [], 0.0, &[], 1)
     }
 
     #[test]

@@ -104,6 +104,14 @@ impl W {
         self.out.push(v);
     }
 
+    /// `items` as a `Vec<T>` encodes them: a `u64` length, then each item.
+    pub fn items<T: Wire>(&mut self, items: &[T]) {
+        self.u64(items.len() as u64);
+        for v in items {
+            v.put(self);
+        }
+    }
+
     /// `v` as its one-byte index in `all`.
     pub(crate) fn index<T: PartialEq>(&mut self, all: &[T], v: &T) {
         self.u8(all.iter().position(|a| a == v).expect("listed variant") as u8);
@@ -253,10 +261,7 @@ impl<T: Wire> Wire for Option<T> {
 impl<T: Wire> Wire for Vec<T> {
     const MIN_BYTES: usize = 8;
     fn put(&self, w: &mut W) {
-        w.u64(self.len() as u64);
-        for v in self {
-            v.put(w);
-        }
+        w.items(self);
     }
     fn get(r: &mut R) -> D<Self> {
         let n = r.len(T::MIN_BYTES)?;
@@ -312,8 +317,30 @@ impl Wire for Scale {
     }
 }
 
+/// A record's fields in the order `proc, index, insns, cycles, bbv, fvec,
+/// cvec, dds, ws_sig, branches`, each as its `Vec` or scalar encodes: the
+/// counts as `u32`s and the working-set signature as `u64` words.
+impl Wire for IntervalRecord {
+    const MIN_BYTES: usize = 10 * 8;
+    fn put(&self, w: &mut W) {
+        (self.proc, self.index, self.insns, self.cycles).put(w);
+        w.items(self.bbv());
+        w.items(self.fvec());
+        w.items(self.cvec());
+        self.dds.put(w);
+        w.u64(self.ws_words().len() as u64);
+        self.ws_words().for_each(|word| w.u64(word));
+        self.branches.put(w);
+    }
+    fn get(r: &mut R) -> D<Self> {
+        let (proc, index, insns, cycles) = Wire::get(r)?;
+        let (bbv, fvec, cvec): (Vec<u32>, Vec<u32>, Vec<u32>) = Wire::get(r)?;
+        let (dds, ws_sig, branches): (f64, Vec<u64>, u64) = Wire::get(r)?;
+        Ok(IntervalRecord::new(proc, index, insns, cycles, bbv, fvec, cvec, dds, &ws_sig, branches))
+    }
+}
+
 crate::wire_struct! {
-    IntervalRecord { proc, index, insns, cycles, bbv, fvec, cvec, dds, ws_sig, branches }
     ProcStats {
         cycles, insns, sync_ops, sync_wait_cycles, mem_refs, l1_misses, l2_misses,
         local_home_misses, remote_home_misses, mem_stall_cycles, contention_cycles, mispredicts,
@@ -337,7 +364,7 @@ pub struct RecordShape {
     pub n_procs: usize,
     /// BBV buckets.
     pub bbv_entries: usize,
-    /// Working-set signature words.
+    /// Working-set signature words (`u64`s).
     pub ws_words: usize,
 }
 
@@ -354,13 +381,13 @@ pub fn check_records(records: &[Vec<IntervalRecord>], shape: RecordShape) -> D<(
             if rec.proc != p {
                 return bad("record processor");
             }
-            if rec.bbv.len() != shape.bbv_entries {
+            if rec.bbv().len() != shape.bbv_entries {
                 return bad("record BBV length");
             }
-            if rec.ws_sig.is_empty() || rec.ws_sig.len() != shape.ws_words {
+            if rec.ws_sig().is_empty() || rec.ws_sig().len() != 2 * shape.ws_words {
                 return bad("record working-set width");
             }
-            if rec.fvec.len() != shape.n_procs || rec.cvec.len() != shape.n_procs {
+            if rec.fvec().len() != shape.n_procs || rec.cvec().len() != shape.n_procs {
                 return bad("record per-home vector length");
             }
             if !(rec.dds.is_finite() && rec.dds >= 0.0) {

@@ -120,17 +120,19 @@ fn synth(seed: u64, n_procs: usize, n_recs: usize) -> Checkpoint {
     let records: Vec<Vec<IntervalRecord>> = (0..n_procs)
         .map(|p| {
             (0..n_recs)
-                .map(|i| IntervalRecord {
-                    proc: p,
-                    index: i as u64,
-                    insns: g.u() % 100_000,
-                    cycles: g.u() % 1_000_000,
-                    bbv: g.counts(4),
-                    fvec: g.counts(n_procs),
-                    cvec: g.counts(n_procs),
-                    dds: (g.u() % 100_000) as f64 / 7.0,
-                    ws_sig: g.vec(2),
-                    branches: g.u() % 5000,
+                .map(|i| {
+                    IntervalRecord::new(
+                        p,
+                        i as u64,
+                        g.u() % 100_000,
+                        g.u() % 1_000_000,
+                        g.counts(4),
+                        g.counts(n_procs),
+                        g.counts(n_procs),
+                        (g.u() % 100_000) as f64 / 7.0,
+                        &g.vec(2),
+                        g.u() % 5000,
+                    )
                 })
                 .collect()
         })
@@ -342,6 +344,28 @@ fn geometry_must_fit_collector_state() {
     }
 }
 
+/// A record's count vectors, edited by a test and rebuilt into the record.
+struct Counts {
+    bbv: Vec<u32>,
+    fvec: Vec<u32>,
+    cvec: Vec<u32>,
+    ws: Vec<u64>,
+}
+
+/// Rebuild `r` with its counts passed through `edit`.
+fn edit_counts(r: &mut IntervalRecord, edit: impl FnOnce(&mut Counts)) {
+    let mut c = Counts {
+        bbv: r.bbv().to_vec(),
+        fvec: r.fvec().to_vec(),
+        cvec: r.cvec().to_vec(),
+        ws: r.ws_words().collect(),
+    };
+    edit(&mut c);
+    let (proc, index, insns, cycles, dds, branches) =
+        (r.proc, r.index, r.insns, r.cycles, r.dds, r.branches);
+    *r = IntervalRecord::new(proc, index, insns, cycles, c.bbv, c.fvec, c.cvec, dds, &c.ws, branches);
+}
+
 /// A captured record the trace decoder would refuse is refused here too:
 /// both decoders run the same per-record rules.
 #[test]
@@ -349,10 +373,10 @@ fn corrupted_record_is_a_typed_error() {
     type Edit = fn(&mut Vec<Vec<IntervalRecord>>);
     let cases: [(&str, Edit); 8] = [
         ("record processor", |r| r[1][0].proc = 0),
-        ("record BBV length", |r| r[0][1].bbv.push(7)),
-        ("record working-set width", |r| r[1][1].ws_sig.push(0)),
-        ("record per-home vector length", |r| r[0][0].fvec.truncate(1)),
-        ("record per-home vector length", |r| r[1][0].cvec.push(1)),
+        ("record BBV length", |r| edit_counts(&mut r[0][1], |c| c.bbv.push(7))),
+        ("record working-set width", |r| edit_counts(&mut r[1][1], |c| c.ws.push(0))),
+        ("record per-home vector length", |r| edit_counts(&mut r[0][0], |c| c.fvec.truncate(1))),
+        ("record per-home vector length", |r| edit_counts(&mut r[1][0], |c| c.cvec.push(1))),
         ("record DDS", |r| r[0][0].dds = -0.5),
         ("record DDS", |r| r[1][1].dds = f64::NAN),
         ("record DDS", |r| r[0][1].dds = f64::INFINITY),

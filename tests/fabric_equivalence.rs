@@ -62,10 +62,10 @@ fn fingerprint(trace: &SystemTrace) -> Json {
             for x in r.normalized_bbv() {
                 fnv1a64(&mut rec_hash, x.to_bits());
             }
-            for &v in r.fvec.iter().chain(&r.cvec) {
+            for &v in r.fvec().iter().chain(r.cvec()) {
                 fnv1a64(&mut rec_hash, u64::from(v));
             }
-            for &v in &r.ws_sig {
+            for v in r.ws_words() {
                 fnv1a64(&mut rec_hash, v);
             }
             fnv1a64(&mut rec_hash, r.dds.to_bits());

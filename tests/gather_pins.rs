@@ -14,7 +14,7 @@ use dsm_phase_detection::prelude::*;
 use dsm_phase_detection::sim::network::Network;
 
 use dsm_harness::parallel::fnv1a64;
-use dsm_phase::detector::{AvailabilityModel, ClassifiedInterval, IntervalRecord};
+use dsm_phase::detector::{AvailabilityModel, ClassifiedInterval};
 use dsm_phase::signature::SignatureExtractor;
 use dsm_phase::IntervalSignature;
 
@@ -109,20 +109,17 @@ fn reference_records_digest(app: App) -> (usize, u64) {
     let (_, coll) = System::new(sys_cfg, make_stream(app, N, Scale::Test), coll).run();
     let mut b = Bytes::default();
     for r in coll.records.iter().flatten() {
-        let IntervalRecord {
-            proc, index, insns, cycles, bbv: _, fvec, cvec, dds, ws_sig, branches,
-        } = r;
-        b.u64(*proc as u64);
-        b.u64(*index);
-        b.u64(*insns);
-        b.u64(*cycles);
+        b.u64(r.proc as u64);
+        b.u64(r.index);
+        b.u64(r.insns);
+        b.u64(r.cycles);
         // The BBV hashes normalized, as the digest was first recorded.
         b.f64s(&r.normalized_bbv());
-        b.u64s(fvec);
-        b.u64s(cvec);
-        b.f64(*dds);
-        b.u64s(ws_sig);
-        b.u64(*branches);
+        b.u64s(r.fvec());
+        b.u64s(r.cvec());
+        b.f64(r.dds);
+        b.u64s(&r.ws_words().collect::<Vec<u64>>());
+        b.u64(r.branches);
     }
     let ddv = coll.ddv();
     b.u64(ddv.queries());

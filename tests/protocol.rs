@@ -11,7 +11,7 @@ fn fvec_conserves_committed_accesses() {
         let trace = capture(ExperimentConfig::test(app, 4));
         for (proc, records) in trace.records.iter().enumerate() {
             let counted: u64 =
-                records.iter().flat_map(|r| &r.fvec).map(|&f| u64::from(f)).sum();
+                records.iter().flat_map(|r| r.fvec()).map(|&f| u64::from(f)).sum();
             let committed = trace.stats.procs[proc].mem_refs;
             // Every access in a closed interval is counted exactly once;
             // only the tail after the last interval boundary is uncounted.
@@ -37,8 +37,8 @@ fn contention_vector_dominates_own_frequency_vector() {
     let trace = capture(ExperimentConfig::test(App::Fmm, 8));
     for records in &trace.records {
         for r in records {
-            for (c, f) in r.cvec.iter().zip(&r.fvec) {
-                assert!(c >= f, "C must dominate F: C={:?} F={:?}", r.cvec, r.fvec);
+            for (c, f) in r.cvec().iter().zip(r.fvec()) {
+                assert!(c >= f, "C must dominate F: C={:?} F={:?}", r.cvec(), r.fvec());
             }
         }
     }
@@ -51,7 +51,7 @@ fn dds_matches_recorded_features() {
     let ddv = DdvState::for_hypercube(4);
     for (proc, records) in trace.records.iter().enumerate() {
         for r in records {
-            let expect = DdvState::dds_of(&r.fvec, ddv.dist_row(proc), &r.cvec);
+            let expect = DdvState::dds_of(r.fvec(), ddv.dist_row(proc), r.cvec());
             assert!(
                 (expect - r.dds).abs() <= expect.abs() * 1e-12,
                 "DDS mismatch: {} vs {}",
