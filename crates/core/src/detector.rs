@@ -25,8 +25,6 @@
 //! vector-DDV extension replay through that same sweep, each with its own
 //! signature and distance.
 
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 
 use dsm_sim::observer::{IntervalStats, SimObserver};
@@ -81,7 +79,7 @@ impl Thresholds {
 /// the BBV buckets, then `F_i`, then `C`, then the working-set words as
 /// `u32` halves (low half first). [`Self::new`] builds it and the slice
 /// accessors read it.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IntervalRecord {
     pub proc: usize,
     pub index: u64,
@@ -221,24 +219,6 @@ impl IntervalRecord {
             }
         }
         v
-    }
-}
-
-/// Field by field, with the counters as the slices the accessors return.
-impl fmt::Debug for IntervalRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("IntervalRecord")
-            .field("proc", &self.proc)
-            .field("index", &self.index)
-            .field("insns", &self.insns)
-            .field("cycles", &self.cycles)
-            .field("bbv", &self.bbv())
-            .field("fvec", &self.fvec())
-            .field("cvec", &self.cvec())
-            .field("dds", &self.dds)
-            .field("ws_sig", &self.ws_sig())
-            .field("branches", &self.branches)
-            .finish()
     }
 }
 

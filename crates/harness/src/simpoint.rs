@@ -33,7 +33,7 @@ use std::path::PathBuf;
 
 use dsm_phase::detector::{DetectorGeometry, TraceCollector};
 use dsm_sim::config::{FaultPlan, SystemConfig};
-use dsm_sim::event::{ChunkedStream, InstructionStream};
+use dsm_sim::event::{ChunkedStream, Event, InstructionStream};
 use dsm_sim::system::System;
 use dsm_simpoint::{
     interval_cpis, mean_and_cov, reconstruct_cpi, relative_error, select, signatures,
@@ -154,7 +154,9 @@ pub fn capture_checkpoint_every(
 /// the run the checkpoint was taken from. Metadata that fails
 /// [`ExperimentConfig::validate`] is refused as a `BadValue` naming the
 /// field, as the trace store refuses it, instead of panicking in
-/// `System::new`.
+/// `System::new`. So is a fetch count past the end of the processor's
+/// stream, and machine state whose lengths do not fit the rebuilt system
+/// ([`System::state_misfit`]).
 pub fn resume_checkpoint(ck: &Checkpoint) -> Result<(ExperimentConfig, AppSystem), CkptError> {
     let config = ExperimentConfig {
         app: ck.meta.app,
@@ -174,15 +176,22 @@ pub fn resume_checkpoint(ck: &Checkpoint) -> Result<(ExperimentConfig, AppSystem
 
     // Streams are pure functions of (app, n_procs, scale); replaying the
     // recorded fetch counts puts a fresh one exactly where the snapshotted
-    // stream stopped (including the parked pending events).
+    // stream stopped (including the parked pending events). A processor
+    // fetches nothing after its stream's end, so a count past it is refused
+    // rather than replayed.
     let mut stream = make_stream(config.app, config.n_procs, config.scale);
     for (p, &n) in ck.system.fetched.iter().enumerate() {
-        for _ in 0..n {
-            let _ = stream.next(p);
+        for i in 1..=n {
+            if stream.next(p) == Event::End && i < n {
+                return Err(CkptError::BadValue { what: "fetch count past the stream's end" });
+            }
         }
     }
 
     let mut sys = capture_system(sys_cfg, stream, ck.meta.geometry, TraceCollector::new);
+    if let Some(what) = sys.state_misfit(&ck.system) {
+        return Err(CkptError::BadValue { what });
+    }
     sys.observer_mut().import_state(&ck.collector);
     sys.restore_state(&ck.system);
     Ok((config, sys))

@@ -101,10 +101,15 @@ impl Gshare {
         }
     }
 
+    /// Whether `st` holds one counter per entry of this predictor's table.
+    pub fn fits(&self, st: &crate::state::GshareState) -> bool {
+        st.table.len() == self.table.len()
+    }
+
     /// Restore state captured by [`Gshare::export_state`] on a predictor
     /// with the same table size.
     pub fn import_state(&mut self, st: &crate::state::GshareState) {
-        assert_eq!(st.table.len(), self.table.len(), "gshare size mismatch");
+        assert!(self.fits(st), "gshare size mismatch");
         for (c, &b) in self.table.iter_mut().zip(&st.table) {
             debug_assert!(b <= 3, "2-bit counter out of range");
             *c = Counter(b);

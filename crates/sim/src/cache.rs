@@ -249,10 +249,16 @@ impl Cache {
         CacheState { tags: self.tags.clone(), hits: self.hits, misses: self.misses }
     }
 
+    /// Whether `st` holds one word per line of this cache, so
+    /// [`Cache::import_state`] can take it.
+    pub fn fits(&self, st: &CacheState) -> bool {
+        st.tags.len() == self.tags.len()
+    }
+
     /// Restore dynamic state captured by [`Cache::export_state`] on a cache
     /// with the same geometry.
     pub fn import_state(&mut self, st: &CacheState) {
-        assert_eq!(st.tags.len(), self.tags.len(), "cache geometry mismatch");
+        assert!(self.fits(st), "cache geometry mismatch");
         self.tags.copy_from_slice(&st.tags);
         self.hits = st.hits;
         self.misses = st.misses;

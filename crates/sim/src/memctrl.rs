@@ -102,10 +102,15 @@ impl MemCtrl {
         }
     }
 
+    /// Whether `st` holds one entry per bank of this controller.
+    pub fn fits(&self, st: &crate::state::MemCtrlState) -> bool {
+        st.busy_until.len() == self.busy_until.len()
+    }
+
     /// Restore state captured by [`MemCtrl::export_state`] on a controller
     /// with the same bank count.
     pub fn import_state(&mut self, st: &crate::state::MemCtrlState) {
-        assert_eq!(st.busy_until.len(), self.busy_until.len(), "bank count mismatch");
+        assert!(self.fits(st), "bank count mismatch");
         self.busy_until.copy_from_slice(&st.busy_until);
         self.requests = st.requests;
         self.total_queue_delay = st.total_queue_delay;

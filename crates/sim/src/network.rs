@@ -269,11 +269,15 @@ impl Network {
         }
     }
 
+    /// Whether `st` holds one entry per directed link of this network.
+    pub fn fits(&self, st: &crate::state::NetworkState) -> bool {
+        st.link_busy.len() == self.link_busy.len() && st.link_flits.len() == self.link_flits.len()
+    }
+
     /// Restore state captured by [`Network::export_state`] on a network of
     /// the same topology.
     pub fn import_state(&mut self, st: &crate::state::NetworkState) {
-        assert_eq!(st.link_busy.len(), self.link_busy.len(), "topology mismatch");
-        assert_eq!(st.link_flits.len(), self.link_flits.len(), "topology mismatch");
+        assert!(self.fits(st), "topology mismatch");
         self.msgs = st.msgs;
         self.payload_msgs = st.payload_msgs;
         self.total_hops = st.total_hops;

@@ -746,6 +746,36 @@ impl<S: InstructionStream, O: SimObserver> System<S, O> {
         }
     }
 
+    /// The first part of `st` whose length differs from the component of
+    /// this machine it would be restored into, or `None` when every length
+    /// fits. [`System::restore_state`] panics on a snapshot that does not
+    /// fit; a caller holding untrusted state checks it here first.
+    pub fn state_misfit(&self, st: &SystemState) -> Option<&'static str> {
+        if st.procs.len() != self.procs.len() {
+            return Some("snapshot processors");
+        }
+        for (pr, ps) in self.procs.iter().zip(&st.procs) {
+            if !pr.l1.fits(&ps.l1) {
+                return Some("L1 cache lines");
+            }
+            if !pr.l2.fits(&ps.l2) {
+                return Some("L2 cache lines");
+            }
+            if !pr.gshare.fits(&ps.gshare) {
+                return Some("gshare entries");
+            }
+        }
+        let banks_fit = st.memctrls.len() == self.memctrls.len()
+            && self.memctrls.iter().zip(&st.memctrls).all(|(m, ms)| m.fits(ms));
+        if !banks_fit {
+            return Some("memory banks");
+        }
+        if !self.net.fits(&st.network) {
+            return Some("network links");
+        }
+        None
+    }
+
     /// Restore state captured by [`System::state_snapshot`]. The system
     /// must have been built from the same configuration, with a stream
     /// already fast-forwarded by `st.fetched[p]` calls to `next(p)` per
