@@ -177,7 +177,10 @@ impl<S: InstructionStream> AdaptSession<S> {
     /// system must already be restored (state + collector + fast-forwarded
     /// stream, as for any checkpoint resume); this replays classification
     /// over the recorded prefix to rebuild the bank, then installs the
-    /// snapshotted protocol and actuator state.
+    /// snapshotted protocol and actuator state. The `DSMCKPT9` decoder
+    /// refuses a snapshot whose stream does not pair with the collector's
+    /// proc-0 records, so the asserts here only catch a snapshot handed to
+    /// a machine it was not taken from.
     pub fn resume(
         mut sys: System<S, TraceCollector>,
         mut actuator: Box<dyn Actuator>,

@@ -90,9 +90,9 @@ const ALLOCS: [(&str, u64, u64, usize); 8] = [
 /// latency record are all built and dropped inside the run. The serve path
 /// has no feature-gated probes, so both columns agree.
 const SERVE_HEAP: [(usize, u64, u64); 3] = [
-    (64, 1_848_788, 1_848_788),
-    (256, 2_646_750, 2_646_750),
-    (1024, 5_844_922, 5_844_922),
+    (64, 1_825_108, 1_825_108),
+    (256, 2_555_358, 2_555_358),
+    (1024, 5_470_778, 5_470_778),
 ];
 
 /// The `ServeOutcome` counters of one smoke fleet.

@@ -18,10 +18,37 @@
 //! Compaction also gives back capacity beyond twice the retained length, so
 //! right after each compaction a stream windowed to `W` intervals holds at
 //! most `2W` slots, whatever its history.
+//!
+//! A stream is node-pure and contiguous, so an interval's `proc` and `index`
+//! are always `node` and `first_index + position`. Each retained interval is
+//! therefore kept as a 16-byte [`StreamEntry`] — the classification outputs
+//! only — and [`PhaseStream::iter`] rebuilds the full
+//! [`ClassifiedInterval`]s on the fly.
 
 use serde::{Deserialize, Serialize};
 
 use crate::detector::ClassifiedInterval;
+
+/// What a [`PhaseStream`] keeps of one classified interval: everything but
+/// the node and index, which the stream already knows.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct StreamEntry {
+    pub cpi: f64,
+    pub phase_id: u32,
+    pub is_new_phase: bool,
+    /// See [`ClassifiedInterval::degraded`].
+    pub degraded: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<StreamEntry>() == 16);
+
+impl StreamEntry {
+    /// The classified interval this entry holds, at `index` on `node`.
+    pub fn interval(self, node: usize, index: u64) -> ClassifiedInterval {
+        let StreamEntry { cpi, phase_id, is_new_phase, degraded } = self;
+        ClassifiedInterval { proc: node, index, phase_id, is_new_phase, cpi, degraded }
+    }
+}
 
 /// One node's classified-interval sequence, in interval-index order with no
 /// gaps. The building block every cross-node analysis consumes.
@@ -35,7 +62,7 @@ pub struct PhaseStream {
     /// and waits for the next compaction. `front` stays below the retained
     /// length (or is 0), so an empty stream holds an empty buffer.
     front: usize,
-    intervals: Vec<ClassifiedInterval>,
+    intervals: Vec<StreamEntry>,
 }
 
 /// Streams are equal when they hold the same retained intervals for the
@@ -85,8 +112,7 @@ impl PhaseStream {
     /// wrong node or out of index order — offline inputs are programmer
     /// errors, not runtime conditions.
     pub fn from_intervals(node: usize, intervals: Vec<ClassifiedInterval>) -> Self {
-        let first_index = intervals.first().map_or(0, |c| c.index);
-        let mut s = Self { node, first_index, front: 0, intervals: Vec::with_capacity(intervals.len()) };
+        let mut s = Self { intervals: Vec::with_capacity(intervals.len()), ..Self::new(node) };
         for c in intervals {
             s.push(c).expect("offline stream must be contiguous and node-pure");
         }
@@ -116,14 +142,18 @@ impl PhaseStream {
         self.len() == 0
     }
 
-    /// The retained intervals, in index order.
-    pub fn intervals(&self) -> &[ClassifiedInterval] {
+    /// The retained entries, in index order: entry `i` is interval
+    /// `first_index() + i`.
+    pub fn intervals(&self) -> &[StreamEntry] {
         &self.intervals[self.front..]
     }
 
-    /// Iterate the retained intervals in index order.
-    pub fn iter(&self) -> std::slice::Iter<'_, ClassifiedInterval> {
-        self.intervals().iter()
+    /// The retained intervals in index order, rebuilt from their entries.
+    pub fn iter(
+        &self,
+    ) -> impl ExactSizeIterator<Item = ClassifiedInterval> + DoubleEndedIterator + '_ {
+        let (node, first) = (self.node, self.first_index);
+        self.intervals().iter().enumerate().map(move |(i, e)| e.interval(node, first + i as u64))
     }
 
     /// Append the next classified interval. The first push fixes the
@@ -139,7 +169,8 @@ impl PhaseStream {
         } else if c.index != self.next_index() {
             return Err(StreamError::Gap { expected: self.next_index(), got: c.index });
         }
-        self.intervals.push(c);
+        let ClassifiedInterval { phase_id, is_new_phase, cpi, degraded, .. } = c;
+        self.intervals.push(StreamEntry { cpi, phase_id, is_new_phase, degraded });
         Ok(())
     }
 
@@ -172,14 +203,6 @@ impl PhaseStream {
     }
 }
 
-impl<'a> IntoIterator for &'a PhaseStream {
-    type Item = &'a ClassifiedInterval;
-    type IntoIter = std::slice::Iter<'a, ClassifiedInterval>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,7 +232,7 @@ mod tests {
         s.truncate_front(4);
         assert_eq!(s.len(), 4);
         assert_eq!(s.first_index(), 6);
-        assert_eq!(s.intervals()[0].index, 6);
+        assert_eq!(s.iter().next().map(|c| c.index), Some(6));
         s.evict_to(8);
         assert_eq!((s.first_index(), s.len()), (8, 2));
         // Evicting past the end empties but never underflows.
@@ -244,7 +267,7 @@ mod tests {
                 );
             }
             assert_eq!((s.first_index(), s.len()), (i + 1 - window as u64, window));
-            assert_eq!(s.intervals().last().map(|c| c.index), Some(i));
+            assert_eq!(s.iter().next_back().map(|c| c.index), Some(i));
         }
         assert!(compactions > 0, "W={window} every {trim_every}: never compacted");
     }
@@ -263,7 +286,7 @@ mod tests {
     fn from_intervals_round_trips() {
         let v: Vec<_> = (3..8).map(|i| ci(1, i, (i % 2) as u32)).collect();
         let s = PhaseStream::from_intervals(1, v.clone());
-        assert_eq!(s.intervals(), &v[..]);
+        assert!(s.iter().eq(v.iter().copied()));
         assert_eq!(s.first_index(), 3);
         assert_eq!(s.iter().count(), 5);
     }

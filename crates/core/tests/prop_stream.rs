@@ -1,8 +1,9 @@
 //! `PhaseStream` against an eager model: random `push`, `evict_to` and
 //! `truncate_front` sequences must leave the stream observably identical
-//! to a plain `Vec` that drops its evicted prefix at once, and streams
-//! that hold the same intervals compare equal whatever evicted prefix
-//! each still carries.
+//! to a plain `Vec<ClassifiedInterval>` that drops its evicted prefix at
+//! once — the same errors, bounds and, rebuilt from the stream's compact
+//! entries, the same intervals — and streams that hold the same intervals
+//! compare equal whatever evicted prefix each still carries.
 
 use proptest::prelude::*;
 
@@ -13,6 +14,18 @@ const NODE: usize = 3;
 
 fn ci(proc: usize, index: u64, phase_id: u32) -> ClassifiedInterval {
     ClassifiedInterval { proc, index, phase_id, is_new_phase: false, cpi: 1.0, degraded: false }
+}
+
+/// An interval whose every payload field varies with `seed`.
+fn varied(proc: usize, index: u64, seed: u64) -> ClassifiedInterval {
+    ClassifiedInterval {
+        proc,
+        index,
+        phase_id: (seed % 5) as u32,
+        is_new_phase: seed.is_multiple_of(3),
+        cpi: 0.25 + seed as f64 / 8.0,
+        degraded: seed % 4 == 1,
+    }
 }
 
 /// The eager reference: evicting drains the prefix immediately.
@@ -53,9 +66,13 @@ fn assert_matches(s: &PhaseStream, m: &Model) {
     assert_eq!(s.next_index(), m.next_index());
     assert_eq!(s.len(), m.intervals.len());
     assert_eq!(s.is_empty(), m.intervals.is_empty());
-    assert_eq!(s.intervals(), &m.intervals[..]);
-    assert!(s.iter().eq(m.intervals.iter()));
-    assert!(s.into_iter().eq(m.intervals.iter()));
+    assert_eq!(s.iter().len(), m.intervals.len());
+    assert!(s.iter().eq(m.intervals.iter().copied()));
+    assert!(s.iter().rev().eq(m.intervals.iter().rev().copied()));
+    assert_eq!(s.intervals().len(), m.intervals.len());
+    for (i, (e, c)) in s.intervals().iter().zip(&m.intervals).enumerate() {
+        assert_eq!(e.interval(NODE, s.first_index() + i as u64), *c);
+    }
 }
 
 /// `s`'s retained intervals behind an evicted prefix of `dead` intervals.
@@ -65,8 +82,8 @@ fn with_dead_prefix(s: &PhaseStream, dead: u64) -> PhaseStream {
     for i in start..s.first_index() {
         t.push(ci(NODE, i, u32::MAX)).unwrap();
     }
-    for c in s {
-        t.push(*c).unwrap();
+    for c in s.iter() {
+        t.push(c).unwrap();
     }
     t.evict_to(s.first_index());
     t
@@ -77,7 +94,7 @@ proptest! {
 
     #[test]
     fn stream_matches_eager_model(
-        ops in prop::collection::vec((0u8..5, 0u64..48), 0..160),
+        ops in prop::collection::vec((0u8..7, 0u64..48), 0..160),
         dead in 0u64..24,
     ) {
         let mut s = PhaseStream::new(NODE);
@@ -86,14 +103,14 @@ proptest! {
             match op {
                 // The next contiguous interval (the common case).
                 0 | 1 => {
-                    let c = ci(NODE, m.next_index(), arg as u32);
+                    let c = varied(NODE, m.next_index(), arg);
                     prop_assert_eq!(s.push(c), m.push(c));
                 }
                 // An arbitrary index, or another node: gaps, refusals and
                 // re-anchoring an emptied stream.
                 2 => {
                     let proc = if arg % 7 == 0 { NODE + 1 } else { NODE };
-                    let c = ci(proc, m.next_index() + arg % 3 + arg / 16, 0);
+                    let c = varied(proc, m.next_index() + arg % 3 + arg / 16, arg);
                     prop_assert_eq!(s.push(c), m.push(c));
                 }
                 3 => {
@@ -101,7 +118,7 @@ proptest! {
                     s.evict_to(index);
                     m.evict_to(index);
                 }
-                _ => {
+                4 => {
                     let window = (arg % 12) as usize;
                     s.truncate_front(window);
                     if m.intervals.len() > window {
@@ -109,13 +126,26 @@ proptest! {
                         m.evict_to(to);
                     }
                 }
+                // Evict everything, then re-anchor at an index before or
+                // after the old end (a wrong node is still refused).
+                _ => {
+                    let to = m.next_index() + arg % 2;
+                    s.evict_to(to);
+                    m.evict_to(to);
+                    assert_matches(&s, &m);
+                    let index = (m.next_index() + 3 * arg).saturating_sub(40);
+                    let stray = varied(NODE + 1 + arg as usize, index, arg);
+                    prop_assert_eq!(s.push(stray), m.push(stray));
+                    let c = varied(NODE, index, arg + 1);
+                    prop_assert_eq!(s.push(c), m.push(c));
+                }
             }
             assert_matches(&s, &m);
         }
 
         // Equality ignores the evicted prefix each stream still carries.
         if !s.is_empty() {
-            let fresh = PhaseStream::from_intervals(NODE, s.intervals().to_vec());
+            let fresh = PhaseStream::from_intervals(NODE, s.iter().collect());
             prop_assert_eq!(&fresh, &s);
             let dead = dead.min(s.first_index());
             let padded = with_dead_prefix(&s, dead);

@@ -9,9 +9,8 @@
 //! therefore the diagnosis — a pure function of the distance matrix.
 
 use dsm_phase::stream::PhaseStream;
-use dsm_phase::ClassifiedInterval;
 
-use crate::kernel::{canonical_phases, median};
+use crate::kernel::{canonical_phases, cpi_residuals, median, range_slice};
 use crate::DiagnoseConfig;
 
 /// Average-linkage distance between two clusters.
@@ -116,19 +115,15 @@ pub fn flagged_range(
     if lo >= hi {
         return None;
     }
-    let slice = |s: &PhaseStream| -> Vec<ClassifiedInterval> {
-        let f = s.first_index();
-        s.intervals()[(lo - f) as usize..(hi - f) as usize].to_vec()
-    };
-    let own = slice(&streams[node]);
-    let own_canon = canonical_phases(&own);
-    let own_res = crate::kernel::cpi_residuals(&own, &own_canon);
-    let peer_slices: Vec<Vec<ClassifiedInterval>> = peers.iter().map(|&p| slice(&streams[p])).collect();
+    let own = range_slice(&streams[node], lo, hi);
+    let own_canon = canonical_phases(own);
+    let own_res = cpi_residuals(own, &own_canon);
+    let peer_slices: Vec<_> = peers.iter().map(|&p| range_slice(&streams[p], lo, hi)).collect();
     let peer_canons: Vec<Vec<u32>> = peer_slices.iter().map(|s| canonical_phases(s)).collect();
     let peer_res: Vec<Vec<f64>> = peer_slices
         .iter()
         .zip(&peer_canons)
-        .map(|(s, c)| crate::kernel::cpi_residuals(s, c))
+        .map(|(s, c)| cpi_residuals(s, c))
         .collect();
 
     let n = (hi - lo) as usize;
@@ -187,6 +182,7 @@ pub fn flagged_range(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsm_phase::ClassifiedInterval;
 
     fn ci(proc: usize, index: u64, phase_id: u32, cpi: f64) -> ClassifiedInterval {
         ClassifiedInterval { proc, index, phase_id, is_new_phase: false, cpi, degraded: false }

@@ -36,14 +36,13 @@
 //!   normalized shift magnitude plus half the residual disagreement. A node
 //!   running the right phases *late* is penalized in proportion to how late.
 
-use dsm_phase::stream::PhaseStream;
-use dsm_phase::ClassifiedInterval;
+use dsm_phase::stream::{PhaseStream, StreamEntry};
 
 use crate::DiagnoseConfig;
 
 /// Renumber a stream's phase ids in first-appearance order, making
 /// sequences comparable across nodes.
-pub fn canonical_phases(intervals: &[ClassifiedInterval]) -> Vec<u32> {
+pub fn canonical_phases(intervals: &[StreamEntry]) -> Vec<u32> {
     let mut map: Vec<u32> = Vec::new();
     intervals
         .iter()
@@ -97,7 +96,7 @@ impl DiagnoseConfig {
 }
 
 #[inline]
-fn interval_weight(cfg: &DiagnoseConfig, c: &ClassifiedInterval) -> f64 {
+fn interval_weight(cfg: &DiagnoseConfig, c: &StreamEntry) -> f64 {
     if c.degraded {
         cfg.degraded_weight
     } else {
@@ -124,7 +123,7 @@ pub(crate) fn median(values: &mut [f64]) -> f64 {
 /// node the residual is ≈1 everywhere (a phase id names homogeneous
 /// behaviour); a slowdown epoch pushes in-epoch instances above their
 /// phase's median.
-pub(crate) fn cpi_residuals(intervals: &[ClassifiedInterval], canon: &[u32]) -> Vec<f64> {
+pub(crate) fn cpi_residuals(intervals: &[StreamEntry], canon: &[u32]) -> Vec<f64> {
     let n_phases = canon.iter().copied().max().map_or(0, |m| m as usize + 1);
     let mut by_phase: Vec<Vec<f64>> = vec![Vec::new(); n_phases];
     for (c, &p) in intervals.iter().zip(canon) {
@@ -156,8 +155,8 @@ fn shifted_mismatch(ca: &[u32], cb: &[u32], shift: i64) -> f64 {
 /// (callers align by true interval index first — see [`pair_distance`]).
 pub fn slice_distance(
     cfg: &DiagnoseConfig,
-    a: &[ClassifiedInterval],
-    b: &[ClassifiedInterval],
+    a: &[StreamEntry],
+    b: &[StreamEntry],
 ) -> PairDistance {
     if a.is_empty() && b.is_empty() {
         return PairDistance::zero();
@@ -216,7 +215,7 @@ pub fn slice_distance(
 
 /// The slice of `s` covering true interval indices `[lo, hi)` (clamped to
 /// what the stream retains).
-fn range_slice(s: &PhaseStream, lo: u64, hi: u64) -> &[ClassifiedInterval] {
+pub(crate) fn range_slice(s: &PhaseStream, lo: u64, hi: u64) -> &[StreamEntry] {
     let lo = lo.max(s.first_index()).min(s.next_index());
     let hi = hi.max(lo).min(s.next_index());
     &s.intervals()[(lo - s.first_index()) as usize..(hi - s.first_index()) as usize]
@@ -254,6 +253,7 @@ pub fn distance_matrix(cfg: &DiagnoseConfig, streams: &[PhaseStream]) -> Vec<Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsm_phase::ClassifiedInterval;
 
     fn ci(proc: usize, index: u64, phase_id: u32, cpi: f64, degraded: bool) -> ClassifiedInterval {
         ClassifiedInterval { proc, index, phase_id, is_new_phase: false, cpi, degraded }

@@ -275,7 +275,7 @@ mod tests {
             let want = Err(TelemetryError::Share { node: 0, field });
             assert_eq!(diagnose(&cfg, &streams, Some(&telemetry)), want);
             let mut sink = DiagnosisSink::new(4, 16, cfg.clone());
-            streams.iter().flat_map(|s| s.intervals()).for_each(|c| sink.observe(c));
+            streams.iter().flat_map(PhaseStream::iter).for_each(|c| sink.observe(&c));
             assert_eq!(sink.diagnose(Some(&telemetry)), want);
         }
     }

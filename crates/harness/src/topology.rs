@@ -12,7 +12,7 @@
 //! does the detector still see the same phases".
 
 use dsm_phase::detector::DetectorMode;
-use dsm_sim::topology::TopologyKind;
+use dsm_sim::topology::{link_label, TopologyKind};
 use dsm_workloads::App;
 
 use crate::experiment::ExperimentConfig;
@@ -77,14 +77,16 @@ pub fn topology_point(config: ExperimentConfig, kind: TopologyKind) -> (Topology
     let (cov_bbv, _) = classified_cov(&trace, DetectorMode::Bbv, SWEEP_THRESHOLDS);
     let (cov_bbv_ddv, phases) = classified_cov(&trace, DetectorMode::BbvDdv, SWEEP_THRESHOLDS);
 
-    let topo = kind.build(config.n_procs);
+    // The layout's shape, without routing every node pair again: the
+    // capture's fabric already did.
+    let links = kind.links(config.n_procs);
     let net = &trace.stats.network;
     let carrying: Vec<u64> = net.link_flits.iter().copied().filter(|&f| f > 0).collect();
     let mean = carrying.iter().sum::<u64>() as f64 / carrying.len().max(1) as f64;
     let point = TopologyPoint {
         kind,
-        diameter: topo.diameter(),
-        n_links: topo.n_links(),
+        diameter: kind.diameter(config.n_procs),
+        n_links: links.len(),
         cov_bbv,
         cov_bbv_ddv,
         phases,
@@ -94,7 +96,7 @@ pub fn topology_point(config: ExperimentConfig, kind: TopologyKind) -> (Topology
         link_wait_cycles: net.link_wait_cycles,
         total_flit_hops: net.total_flit_hops,
         peak_link_flits: net.peak_link_flits(),
-        hottest_link: net.hottest_link().map(|l| topo.link_label(l)),
+        hottest_link: net.hottest_link().map(|l| link_label(config.n_procs, links[l])),
         imbalance: if mean > 0.0 { net.peak_link_flits() as f64 / mean } else { 1.0 },
     };
     (point, trace)

@@ -73,10 +73,11 @@ fn online_sink_reproduces_the_offline_diagnosis_exactly() {
     let window = streams.iter().map(|s| s.len()).max().unwrap();
     let mut sink = DiagnosisSink::new(streams.len(), window, cfg);
     let longest = streams.iter().map(|s| s.len()).max().unwrap() as u64;
-    for i in 0..longest {
-        for s in &streams {
-            if let Some(c) = s.intervals().get(i as usize) {
-                sink.observe(c);
+    let mut per_node: Vec<_> = streams.iter().map(|s| s.iter()).collect();
+    for _ in 0..longest {
+        for node in &mut per_node {
+            if let Some(c) = node.next() {
+                sink.observe(&c);
             }
         }
     }

@@ -22,7 +22,9 @@
 //!
 //! Each layout is a builder that supplies its vertex count, its edge list
 //! and its next-hop rule; one loop walks the rule between every node pair
-//! to fill the route table. Every route is a pure function of
+//! to fill the route table. [`TopologyKind::links`] and
+//! [`TopologyKind::diameter`] answer the layout's shape questions without
+//! that walk. Every route is a pure function of
 //! `(layout, src, dst)` — no adaptivity, no randomness — so simulations stay
 //! bit-reproducible, and link ids are indices into the sorted edge table,
 //! so checkpoints restore in-flight link occupancy by index.
@@ -82,6 +84,30 @@ impl TopologyKind {
     /// Panics when `!self.supports(n)` — node counts are validated with the
     /// rest of the machine configuration, not at message time.
     pub fn build(self, n: usize) -> Topology {
+        Topology::from_layout(self, n, self.layout(n))
+    }
+
+    /// The sorted directed link table of [`build`](Self::build) (a link id
+    /// indexes it), without routing any node pair. Same panic as `build`.
+    pub fn links(self, n: usize) -> Vec<(usize, usize)> {
+        sorted_links(self.layout(n).edges)
+    }
+
+    /// Longest route over all node pairs of an `n`-node layout, in links:
+    /// the closed form of what routing every pair would find.
+    pub fn diameter(self, n: usize) -> u32 {
+        let (rows, cols) = grid_dims(n);
+        let diameter = match self {
+            TopologyKind::Hypercube => n.trailing_zeros() as usize,
+            TopologyKind::Mesh2D => rows - 1 + cols - 1,
+            TopologyKind::Torus2D => rows / 2 + cols / 2,
+            TopologyKind::Ring => n / 2,
+            TopologyKind::FatTree => 2 * n.trailing_zeros() as usize,
+        };
+        diameter as u32
+    }
+
+    fn layout(self, n: usize) -> Layout {
         assert!(self.supports(n), "{} cannot be built over {n} nodes", self.name());
         match self {
             TopologyKind::Hypercube => hypercube(n),
@@ -91,6 +117,29 @@ impl TopologyKind {
             TopologyKind::FatTree => fat_tree(n),
         }
     }
+}
+
+/// A layout before routing: its routing vertices (nodes first, then any
+/// switches), its directed links in any order, and its next-hop rule —
+/// `next_hop(cur, dst)` is the next vertex on the way to node `dst`.
+struct Layout {
+    n_vertices: usize,
+    edges: Vec<(usize, usize)>,
+    next_hop: Box<dyn Fn(usize, usize) -> usize>,
+}
+
+fn sorted_links(mut edges: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
+    edges.sort_unstable();
+    edges.dedup();
+    debug_assert!(edges.iter().all(|&(a, b)| a != b), "self-loop in link table");
+    edges
+}
+
+/// Display label of the directed link `(from, to)` over `n_nodes` nodes,
+/// e.g. `"3->7"`; internal switches are prefixed `s`, e.g. `"0->s4"`.
+pub fn link_label(n_nodes: usize, (from, to): (usize, usize)) -> String {
+    let name = |v: usize| if v < n_nodes { v.to_string() } else { format!("s{v}") };
+    format!("{}->{}", name(from), name(to))
 }
 
 /// One interconnect layout over `n_nodes` endpoint nodes: its directed link
@@ -108,30 +157,21 @@ pub struct Topology {
     route_links: Vec<u32>,
     /// Route `i` is `route_links[route_starts[i]..route_starts[i + 1]]`.
     route_starts: Vec<u32>,
-    /// Longest route, in links.
+    /// Longest route, in links ([`TopologyKind::diameter`]).
     diameter: u32,
 }
 
 impl Topology {
-    /// Sort and deduplicate `edges`, then walk `next_hop` from every node to
-    /// every other to fill the route table. `next_hop(cur, dst)` is the next
-    /// vertex on the way to node `dst`; every step must follow a link, and a
-    /// route may not revisit a vertex (a rule that cycles panics here
-    /// instead of growing the table without bound).
-    fn from_rule(
-        kind: TopologyKind,
-        n_nodes: usize,
-        n_vertices: usize,
-        mut edges: Vec<(usize, usize)>,
-        next_hop: impl Fn(usize, usize) -> usize,
-    ) -> Self {
-        edges.sort_unstable();
-        edges.dedup();
-        debug_assert!(edges.iter().all(|&(a, b)| a != b), "self-loop in link table");
+    /// Sort and deduplicate the layout's links, then walk its `next_hop`
+    /// from every node to every other to fill the route table. Every step
+    /// must follow a link, and a route may not revisit a vertex (a rule
+    /// that cycles panics here instead of growing the table without bound).
+    fn from_layout(kind: TopologyKind, n_nodes: usize, layout: Layout) -> Self {
+        let Layout { n_vertices, edges, next_hop } = layout;
+        let edges = sorted_links(edges);
         let mut route_links = Vec::new();
         let mut route_starts = Vec::with_capacity(n_nodes * n_nodes + 1);
         route_starts.push(0);
-        let mut diameter = 0;
         for a in 0..n_nodes {
             for b in 0..n_nodes {
                 let start = route_links.len();
@@ -145,10 +185,10 @@ impl Topology {
                     route_links.push(link as u32);
                     cur = nxt;
                 }
-                diameter = diameter.max((route_links.len() - start) as u32);
                 route_starts.push(route_links.len() as u32);
             }
         }
+        let diameter = kind.diameter(n_nodes);
         Self { kind, n_nodes, n_vertices, edges, route_links, route_starts, diameter }
     }
 
@@ -197,23 +237,22 @@ impl Topology {
         self.diameter
     }
 
-    /// Display label of a directed link, e.g. `"3->7"`; internal switches
-    /// are prefixed `s`, e.g. `"0->s4"`.
+    /// Display label of a directed link ([`link_label`]).
     pub fn link_label(&self, link: usize) -> String {
-        let name = |v: usize| if v < self.n_nodes { v.to_string() } else { format!("s{v}") };
-        let (a, b) = self.edges[link];
-        format!("{}->{}", name(a), name(b))
+        link_label(self.n_nodes, self.edges[link])
     }
 }
 
 /// Hypercube with e-cube (dimension-order) routing, lowest differing bit
 /// first — the link-visit order of the original analytical model.
-fn hypercube(n: usize) -> Topology {
+fn hypercube(n: usize) -> Layout {
     let dim = n.trailing_zeros();
     let edges = (0..n).flat_map(|v| (0..dim).map(move |d| (v, v ^ (1 << d)))).collect();
-    Topology::from_rule(TopologyKind::Hypercube, n, n, edges, |cur, dst| {
-        cur ^ (1 << (cur ^ dst).trailing_zeros())
-    })
+    Layout {
+        n_vertices: n,
+        edges,
+        next_hop: Box::new(|cur, dst| cur ^ (1 << (cur ^ dst).trailing_zeros())),
+    }
 }
 
 /// Near-square factorization: the largest divisor of `n` not exceeding
@@ -229,7 +268,7 @@ fn grid_dims(n: usize) -> (usize, usize) {
 }
 
 /// 2-D mesh with XY (column-first) dimension-order routing.
-fn mesh2d(n: usize) -> Topology {
+fn mesh2d(n: usize) -> Layout {
     let (rows, cols) = grid_dims(n);
     let mut edges = Vec::new();
     for v in 0..n {
@@ -240,7 +279,7 @@ fn mesh2d(n: usize) -> Topology {
             edges.extend([(v, v + cols), (v + cols, v)]);
         }
     }
-    Topology::from_rule(TopologyKind::Mesh2D, n, n, edges, |cur, dst| {
+    let next_hop = move |cur: usize, dst: usize| {
         let (cr, cc) = (cur / cols, cur % cols);
         let (dr, dc) = (dst / cols, dst % cols);
         if cc != dc {
@@ -254,7 +293,8 @@ fn mesh2d(n: usize) -> Topology {
         } else {
             cur - cols
         }
-    })
+    };
+    Layout { n_vertices: n, edges, next_hop: Box::new(next_hop) }
 }
 
 /// The neighbour of `cur` one step toward `dst != cur` around a cycle of
@@ -271,7 +311,7 @@ fn wrap_next(cur: usize, dst: usize, len: usize) -> usize {
 
 /// 2-D torus: the mesh grid plus wraparound links, per-axis
 /// shortest-direction dimension-order routing (columns first).
-fn torus2d(n: usize) -> Topology {
+fn torus2d(n: usize) -> Layout {
     let (rows, cols) = grid_dims(n);
     let mut edges = Vec::new();
     for v in 0..n {
@@ -285,7 +325,7 @@ fn torus2d(n: usize) -> Topology {
             edges.extend([(v, down), (down, v)]);
         }
     }
-    Topology::from_rule(TopologyKind::Torus2D, n, n, edges, |cur, dst| {
+    let next_hop = move |cur: usize, dst: usize| {
         let (cr, cc) = (cur / cols, cur % cols);
         let (dr, dc) = (dst / cols, dst % cols);
         if cc != dc {
@@ -293,18 +333,19 @@ fn torus2d(n: usize) -> Topology {
         } else {
             wrap_next(cr, dr, rows) * cols + cc
         }
-    })
+    };
+    Layout { n_vertices: n, edges, next_hop: Box::new(next_hop) }
 }
 
 /// Ring with shortest-direction routing; the exact-half tie resolves
 /// clockwise (increasing ids).
-fn ring(n: usize) -> Topology {
+fn ring(n: usize) -> Layout {
     let edges = if n > 1 {
         (0..n).flat_map(|v| [(v, (v + 1) % n), (v, (v + n - 1) % n)]).collect()
     } else {
         Vec::new()
     };
-    Topology::from_rule(TopologyKind::Ring, n, n, edges, |cur, dst| wrap_next(cur, dst, n))
+    Layout { n_vertices: n, edges, next_hop: Box::new(move |cur, dst| wrap_next(cur, dst, n)) }
 }
 
 /// Binary fat-tree over `n` (power-of-two) leaf nodes. Internal switches
@@ -313,13 +354,13 @@ fn ring(n: usize) -> Topology {
 /// climb to the lowest common ancestor and descend. Link bandwidth is
 /// uniform, so root links are the contention hot spot by construction —
 /// the layout with the worst peak demand in the topology sweep.
-fn fat_tree(n: usize) -> Topology {
-    let heap = |v: usize| if v < n { n + v } else { v - n + 1 };
-    let vertex = |h: usize| if h >= n { h - n } else { n + h - 1 };
+fn fat_tree(n: usize) -> Layout {
+    let heap = move |v: usize| if v < n { n + v } else { v - n + 1 };
+    let vertex = move |h: usize| if h >= n { h - n } else { n + h - 1 };
     let depth = |h: usize| usize::BITS - 1 - h.leading_zeros();
     let edges =
         (2..2 * n).flat_map(|h| [(vertex(h), vertex(h / 2)), (vertex(h / 2), vertex(h))]).collect();
-    Topology::from_rule(TopologyKind::FatTree, n, 2 * n - 1, edges, |cur, dst| {
+    let next_hop = move |cur: usize, dst: usize| {
         let (hc, hd) = (heap(cur), heap(dst));
         let (dc, dd) = (depth(hc), depth(hd));
         if dd > dc && (hd >> (dd - dc)) == hc {
@@ -328,7 +369,8 @@ fn fat_tree(n: usize) -> Topology {
         } else {
             vertex(hc / 2)
         }
-    })
+    };
+    Layout { n_vertices: 2 * n - 1, edges, next_hop: Box::new(next_hop) }
 }
 
 #[cfg(test)]
@@ -340,8 +382,9 @@ mod tests {
     use super::*;
 
     /// Every route is a contiguous chain of links from source to
-    /// destination, its length is the closed-form hop count, and the
-    /// longest route is the closed-form diameter.
+    /// destination, its length is the closed-form hop count, the longest
+    /// route is the closed-form diameter, and the unrouted link table is
+    /// the routed one's.
     fn check_routes(t: &Topology) {
         let (kind, n) = (t.kind(), t.n_nodes());
         for a in 0..n {
@@ -358,7 +401,11 @@ mod tests {
                 assert_eq!(cur, b, "{a}->{b}: route does not arrive");
             }
         }
-        assert_eq!(t.diameter(), closed_form::diameter(kind, n), "{kind:?}/{n}");
+        let longest =
+            (0..n).flat_map(|a| (0..n).map(move |b| (a, b))).map(|(a, b)| t.hops(a, b)).max();
+        assert_eq!(Some(t.diameter()), longest, "{kind:?}/{n}");
+        let table: Vec<_> = (0..t.n_links()).map(|l| t.link_endpoints(l)).collect();
+        assert_eq!(kind.links(n), table, "{kind:?}/{n}");
     }
 
     #[test]

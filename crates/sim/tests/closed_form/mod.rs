@@ -1,9 +1,10 @@
-//! Closed-form hop counts and diameters of the five interconnect layouts.
+//! Closed-form hop counts of the five interconnect layouts.
 //!
 //! The simulator derives every route by walking each layout's next-hop rule
 //! (`dsm_sim::topology`). These formulas are the independent reference its
 //! route table is checked against, by the topology unit tests and by
-//! `prop_fabric`.
+//! `prop_fabric`; the longest routed path is in turn the reference for the
+//! simulator's own closed-form `TopologyKind::diameter`.
 
 use super::TopologyKind;
 
@@ -35,17 +36,4 @@ pub fn hops(kind: TopologyKind, n: usize, a: usize, b: usize) -> u32 {
         TopologyKind::FatTree => 2 * (usize::BITS - (a ^ b).leading_zeros()) as usize,
     };
     hops as u32
-}
-
-/// Longest route over all node pairs of an `n`-node layout.
-pub fn diameter(kind: TopologyKind, n: usize) -> u32 {
-    let (rows, cols) = grid(n);
-    let diameter = match kind {
-        TopologyKind::Hypercube => n.trailing_zeros() as usize,
-        TopologyKind::Mesh2D => rows - 1 + cols - 1,
-        TopologyKind::Torus2D => rows / 2 + cols / 2,
-        TopologyKind::Ring => n / 2,
-        TopologyKind::FatTree => 2 * n.trailing_zeros() as usize,
-    };
-    diameter as u32
 }

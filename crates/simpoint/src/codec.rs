@@ -375,10 +375,19 @@ impl Checkpoint {
         let shape = RecordShape { n_procs: n, bbv_entries: g.bbv_entries, ws_words: g.ws_bits / 64 };
         check_records(&c.records, shape)?;
         // `processed` counts proc-0 records consumed, which legitimately runs
-        // ahead of the global minimum boundary `target` — only the stream-length
-        // pairing is an invariant.
-        if self.adapt.as_ref().is_some_and(|a| a.processed as usize != a.stream.len()) {
-            return bad("adapt stream length");
+        // ahead of the global minimum boundary `target` — but never past the
+        // records the collector holds, and the stream pairs one entry with
+        // each consumed record, index for index: resume replays them.
+        if let Some(a) = &self.adapt {
+            if a.processed as usize != a.stream.len() {
+                return bad("adapt stream length");
+            }
+            if a.stream.len() > c.records[0].len() {
+                return bad("adapt processed beyond the collector");
+            }
+            if a.stream.iter().zip(&c.records[0]).any(|(o, r)| o.index != r.index) {
+                return bad("adapt stream index");
+            }
         }
         Ok(())
     }
@@ -618,10 +627,23 @@ mod tests {
         assert_eq!(back.encode(), bytes);
     }
 
+    /// The sample checkpoint carrying [`sample_adapt`], with proc 0's
+    /// collector extended to the three records the snapshot consumed.
+    fn sample_with_adapt() -> Checkpoint {
+        let mut ck = sample_checkpoint();
+        let recs = &mut ck.collector.records[0];
+        for index in 1..3 {
+            let mut next = recs[0].clone();
+            next.index = index;
+            recs.push(next);
+        }
+        ck.adapt = Some(sample_adapt());
+        ck
+    }
+
     #[test]
     fn roundtrip_with_adapt_section() {
-        let mut ck = sample_checkpoint();
-        ck.adapt = Some(sample_adapt());
+        let ck = sample_with_adapt();
         let bytes = ck.encode();
         let back = Checkpoint::decode(&bytes).unwrap();
         assert_eq!(back, ck);
@@ -642,6 +664,27 @@ mod tests {
         assert_eq!(
             Checkpoint::decode(&ck.encode()),
             Err(CkptError::BadValue { what: "adapt stream length" })
+        );
+    }
+
+    #[test]
+    fn adapt_snapshot_past_the_collector_rejected() {
+        // Three consumed intervals, but proc 0 recorded only one.
+        let mut ck = sample_checkpoint();
+        ck.adapt = Some(sample_adapt());
+        assert_eq!(
+            Checkpoint::decode(&ck.encode()),
+            Err(CkptError::BadValue { what: "adapt processed beyond the collector" })
+        );
+    }
+
+    #[test]
+    fn adapt_stream_off_its_records_rejected() {
+        let mut ck = sample_with_adapt();
+        ck.adapt.as_mut().unwrap().stream[1].index = 5;
+        assert_eq!(
+            Checkpoint::decode(&ck.encode()),
+            Err(CkptError::BadValue { what: "adapt stream index" })
         );
     }
 

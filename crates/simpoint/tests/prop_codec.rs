@@ -257,14 +257,16 @@ fn synth(seed: u64, n_procs: usize, n_recs: usize) -> Checkpoint {
             },
             records,
         },
-        adapt: if g.u().is_multiple_of(2) { None } else { Some(synth_adapt(&mut g, n_procs)) },
+        adapt: if g.u().is_multiple_of(2) { None } else { Some(synth_adapt(&mut g, n_procs, n_recs)) },
     }
 }
 
-/// Build a structurally valid mid-tuning adaptation snapshot (the decode
-/// invariant requires `processed == stream.len()` and `processed <= target`).
-fn synth_adapt(g: &mut Gen, n_procs: usize) -> AdaptSnap {
-    let processed = g.u() % 6;
+/// Build a structurally valid mid-tuning adaptation snapshot over a
+/// collector of `n_recs` records per processor (the decode invariant
+/// requires `processed == stream.len()`, `processed <= target`, and one
+/// stream entry per consumed proc-0 record, index for index).
+fn synth_adapt(g: &mut Gen, n_procs: usize, n_recs: usize) -> AdaptSnap {
+    let processed = g.u() % (n_recs as u64 + 1);
     let stream: Vec<ObservedInterval> = (0..processed)
         .map(|i| ObservedInterval {
             index: i,
