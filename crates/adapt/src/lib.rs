@@ -6,18 +6,13 @@
 //! Once tuning is complete, the best configuration is selected, and
 //! subsequently applied whenever that phase is predicted." This crate holds
 //! the one implementation of that protocol and makes the locked
-//! configuration a **real machine reconfiguration applied mid-run**. The
-//! harness's `adaptive` module drives the same [`Protocol`] over a
-//! synthetic cost surface (one multiplier per configuration) instead of a
-//! simulated machine.
+//! configuration a **real machine reconfiguration applied mid-run**.
 //!
 //! Three layers:
 //!
 //! * [`protocol`] — the per-phase trial/lock state machine, the only one
-//!   in the workspace; the abstract and concrete pipelines are drivers
-//!   that score its trials. Its transition structure is positional
-//!   (score-independent), which is what makes the decision-sequence
-//!   differential between the two drivers meaningful.
+//!   in the workspace. Its transition structure is positional: scores pick
+//!   which configuration locks, never when.
 //! * [`actuator`] — what a configuration number *means* on the machine:
 //!   phase-guided home-node page migration, DVFS-style stall-scaling
 //!   epochs, or heterogeneous big/little core profiles, all through the

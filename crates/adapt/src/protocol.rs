@@ -7,17 +7,13 @@
 //!
 //! [`Protocol`] is the per-phase trial/lock machine behind that sentence —
 //! the only one in the workspace — decoupled from *how* configurations are
-//! scored. Its callers are drivers that own the cost side: the concrete
-//! [`crate::session::AdaptSession`] scores with CPI measured on the real
-//! simulated machine, and the harness's abstract `adaptive` pipelines
-//! charge each interval a synthetic cost multiplier for the configuration
-//! [`Protocol::current`] reports and feed that cost back as the score. The
-//! transition structure is **positional** — which config a phase trials
-//! next and when it locks depend only on the order of non-degraded
-//! arrivals of that phase, never on the scores — so every driver emits the
-//! same decision sequence on the same classified stream (scores pick
-//! *which* config locks, not *when*). The `adapt_equivalence` differential
-//! suite pins this.
+//! scored: [`crate::session::AdaptSession`] scores each trial with the CPI
+//! measured on the real simulated machine. The transition structure is
+//! **positional** — which config a phase trials next and when it locks
+//! depend only on the order of non-degraded arrivals of that phase, never
+//! on the scores (scores pick *which* config locks, not *when*). The
+//! `adapt_equivalence` differential suite replays a session's classified
+//! stream through a fresh protocol and requires the identical decision log.
 //!
 //! Degraded intervals (DDS too stale, classification fell back to BBV-only)
 //! are **never spent as tuning trials**: a trial measured on an interval the
@@ -50,8 +46,7 @@ pub enum DecisionKind {
     /// order, independent of scores.
     Trial { config: usize },
     /// Tuning for the phase completed and `config` was locked. The locked
-    /// number depends on the measured scores; differential comparisons
-    /// against a differently-scored run compare [`Decision::key`] instead.
+    /// number depends on the measured scores; [`Decision::key`] drops it.
     Lock { config: usize },
 }
 
@@ -67,8 +62,8 @@ pub struct Decision {
 
 impl Decision {
     /// Score-independent projection: two runs of the protocol over the same
-    /// `(phase, degraded)` stream produce identical key sequences no matter
-    /// how trials are scored (the locked config number is the only
+    /// `(index, phase, degraded)` stream produce identical key sequences no
+    /// matter how trials are scored (the locked config number is the only
     /// score-dependent part of a decision).
     pub fn key(&self) -> (u64, u32, u8, usize) {
         match self.kind {
@@ -135,16 +130,6 @@ impl Protocol {
     /// Phases that entered the tuning protocol.
     pub fn retunes(&self) -> u64 {
         self.retunes
-    }
-
-    /// The configuration `phase` runs now: `Trial { config }` while it is
-    /// exploring, `Lock { config }` once tuned, `None` if the protocol has
-    /// never observed it (degraded arrivals create no state).
-    pub fn current(&self, phase: u32) -> Option<DecisionKind> {
-        self.states.get(&phase).map(|s| match *s {
-            PhaseState::Tuning { config, .. } => DecisionKind::Trial { config },
-            PhaseState::Locked(config) => DecisionKind::Lock { config },
-        })
     }
 
     /// Phases whose tuning has completed.
@@ -295,15 +280,13 @@ mod tests {
     }
 
     #[test]
-    fn current_reports_the_config_in_force() {
+    fn observe_returns_the_config_in_force() {
         let mut p = Protocol::new(TuningPolicy { n_configs: 2, trials_per_config: 1 });
-        assert_eq!(p.current(5), None);
-        p.observe(0, 5, 1.0, true);
-        assert_eq!(p.current(5), None, "a degraded arrival creates no state");
-        p.observe(1, 5, 2.0, false);
-        assert_eq!(p.current(5), Some(DecisionKind::Trial { config: 1 }));
-        p.observe(2, 5, 1.0, false);
-        assert_eq!(p.current(5), Some(DecisionKind::Lock { config: 1 }));
+        assert_eq!(p.observe(0, 5, 1.0, true), None);
+        assert_eq!(p.retunes(), 0, "a degraded arrival creates no state");
+        assert_eq!(p.observe(1, 5, 2.0, false), Some(1), "next trial config");
+        assert_eq!(p.observe(2, 5, 1.0, false), Some(1), "locked config");
+        assert_eq!(p.decisions().last().unwrap().kind, DecisionKind::Lock { config: 1 });
     }
 
     #[test]
@@ -365,5 +348,68 @@ mod tests {
             assert_eq!(a.observe(i, 7, 1.5, false), b.observe(i, 7, 1.5, false));
         }
         assert_eq!(a.decisions(), b.decisions());
+    }
+
+    /// A seeded classified stream `(index, phase, cpi, degraded)` and
+    /// policy: up to 8 phases in runs, up to 300 intervals, 1-5 configs,
+    /// 1-3 trials, up to 40% degraded.
+    fn seeded_stream(seed: u64) -> (Vec<(u64, u32, f64, bool)>, TuningPolicy) {
+        let mut s = seed;
+        let mut next = move || {
+            s = dsm_sim::util::splitmix64(s);
+            s
+        };
+        let n_phases = 1 + next() % 8;
+        let len = next() % 301;
+        let policy = TuningPolicy {
+            n_configs: 1 + (next() % 5) as usize,
+            trials_per_config: 1 + (next() % 3) as usize,
+        };
+        let degraded_ppm = next() % 400_001;
+        let mut phase = 0u64;
+        let stream = (0..len)
+            .map(|index| {
+                if next() % 10 < 3 {
+                    phase = next() % n_phases;
+                }
+                let cpi = 0.5 + 0.75 * phase as f64 + (next() % 1000) as f64 / 1000.0;
+                (index, phase as u32, cpi, next() % 1_000_000 < degraded_ppm)
+            })
+            .collect();
+        (stream, policy)
+    }
+
+    #[test]
+    fn decisions_over_seeded_streams_are_pinned() {
+        // FNV-1a over every decision and re-tune count of 64 seeded
+        // streams, each scored by its own CPI (as the session scores).
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |w: u64| {
+            for b in w.to_le_bytes() {
+                digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let (mut degraded, mut locks) = (0, 0);
+        for seed in 0..64 {
+            let (stream, policy) = seeded_stream(seed);
+            let mut p = Protocol::new(policy);
+            for &(index, phase, cpi, deg) in &stream {
+                p.observe(index, phase, cpi, deg);
+                degraded += deg as usize;
+            }
+            for d in p.decisions() {
+                let (kind, config) = match d.kind {
+                    DecisionKind::Trial { config } => (0, config),
+                    DecisionKind::Lock { config } => (1, config),
+                };
+                locks += kind;
+                for w in [d.interval, d.phase as u64, kind, config as u64] {
+                    eat(w);
+                }
+            }
+            eat(p.retunes());
+        }
+        assert!(degraded > 0 && locks > 0, "pin must cover degraded intervals and locks");
+        assert_eq!(digest, 0x2ac8_ecb2_c1b1_adb8, "Protocol decisions over seeded streams");
     }
 }

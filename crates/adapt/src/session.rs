@@ -1,7 +1,6 @@
 //! [`AdaptSession`]: the closed loop. A live simulated machine, an online
 //! classifier, the §II tuning protocol, and an actuator — wired so that
-//! locked configurations are *real reconfigurations applied mid-run*, not
-//! cost-model multipliers.
+//! locked configurations are *real reconfigurations applied mid-run*.
 //!
 //! Per global interval boundary:
 //!
@@ -16,9 +15,8 @@
 //!    [`Machine`](dsm_sim::reconfig::Machine) seam before the next interval
 //!    runs.
 //!
-//! The trial score is the interval's **measured CPI on the real machine** —
-//! the concrete counterpart of the harness's abstract cost-multiplier
-//! surface. One interval of lag is inherent (a phase is only known once its
+//! The trial score is the interval's **measured CPI on the real machine**.
+//! One interval of lag is inherent (a phase is only known once its
 //! interval completes); the §II protocol has the same property.
 //!
 //! With the [`NoopActuator`](crate::actuator::NoopActuator) the session is
@@ -66,8 +64,9 @@ impl Default for AdaptConfig {
     }
 }
 
-/// One classified interval as the session saw it — the concrete loop's
-/// classified stream, comparable 1:1 with the abstract pipeline's input.
+/// One classified interval as the session saw it and fed to the
+/// [`Protocol`]: replaying a session's stream through a fresh protocol with
+/// `observe(index, phase, cpi, degraded)` reproduces its decision log.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ObservedInterval {
     pub index: u64,

@@ -106,17 +106,6 @@ pub fn phase_count(pairs: &[(u32, f64)]) -> usize {
     PhaseGroups::default().cov_and_count(pairs.iter().copied()).1
 }
 
-/// Fraction of intervals spent tuning, the x-axis alternative for CoV
-/// curves (paper §II: "a measure of tuning overhead (the fraction of
-/// intervals that are spent in tuning)"). Each distinct phase must try
-/// `trials_per_phase` configurations before settling.
-pub fn tuning_fraction(phases: usize, trials_per_phase: usize, total_intervals: usize) -> f64 {
-    if total_intervals == 0 {
-        return 0.0;
-    }
-    ((phases * trials_per_phase) as f64 / total_intervals as f64).min(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,13 +155,5 @@ mod tests {
     fn empty_stream() {
         assert_eq!(identifier_cov(&[]), 0.0);
         assert_eq!(phase_count(&[]), 0);
-    }
-
-    #[test]
-    fn tuning_fraction_behaviour() {
-        assert_eq!(tuning_fraction(5, 4, 100), 0.2);
-        assert_eq!(tuning_fraction(0, 4, 100), 0.0);
-        assert_eq!(tuning_fraction(1000, 4, 100), 1.0, "clamped");
-        assert_eq!(tuning_fraction(5, 4, 0), 0.0);
     }
 }

@@ -101,29 +101,6 @@ impl CovCurve {
         compared > 0
     }
 
-    /// The §II form of the CoV curve: CoV against the *fraction of
-    /// intervals spent tuning* instead of the raw phase count ("the CoV
-    /// curve, which plots CoV against a measure of tuning overhead (the
-    /// fraction of intervals that are spent in tuning)").
-    ///
-    /// Every distinct phase costs `trials_per_phase` exploratory intervals
-    /// out of `intervals_per_proc` total, so a point at `k` phases maps to
-    /// x = min(1, k·trials / intervals).
-    pub fn tuning_axis(
-        &self,
-        trials_per_phase: usize,
-        intervals_per_proc: usize,
-        max_phases: usize,
-    ) -> Vec<(f64, f64)> {
-        self.lower_envelope(max_phases)
-            .into_iter()
-            .map(|(k, cov)| {
-                let frac = (k * trials_per_phase) as f64 / intervals_per_proc.max(1) as f64;
-                (frac.min(1.0), cov)
-            })
-            .collect()
-    }
-
     /// Mean CoV over the envelope in `[lo, hi]` phases — a scalar summary
     /// used for cross-configuration comparisons.
     pub fn mean_envelope_cov(&self, lo: usize, hi: usize) -> Option<f64> {
@@ -202,17 +179,6 @@ mod tests {
         let m = c.mean_envelope_cov(2, 3).unwrap();
         assert!((m - 0.3).abs() < 1e-12);
         assert!(c.mean_envelope_cov(10, 20).is_none());
-    }
-
-    #[test]
-    fn tuning_axis_maps_phases_to_fractions() {
-        let c = CovCurve::new(vec![pt(5.0, 0.4), pt(10.0, 0.2)]);
-        let axis = c.tuning_axis(4, 100, 25);
-        // 5 phases * 4 trials / 100 intervals = 0.2; 10 * 4 / 100 = 0.4.
-        assert_eq!(axis, vec![(0.2, 0.4), (0.4, 0.2)]);
-        // Clamped at 1.0 for absurd budgets.
-        let axis = c.tuning_axis(40, 100, 25);
-        assert!(axis.iter().all(|(x, _)| *x <= 1.0));
     }
 
     #[test]

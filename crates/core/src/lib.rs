@@ -53,7 +53,7 @@ pub use detector::{
 pub use footprint::{FootprintTable, Match};
 pub use signature::{ClassifierBank, IntervalSignature, SignatureExtractor};
 pub use stream::{PhaseStream, StreamEntry, StreamError};
-pub use predictor::{LastPhasePredictor, Markov2Predictor, PhasePredictor, RlePredictor};
+pub use predictor::{LastPhasePredictor, PhasePredictor, RlePredictor};
 
 /// Default accumulator size (32 in the paper: "a 32-entry accumulator and a
 /// 32-vector footprint table").

@@ -138,60 +138,6 @@ impl PhasePredictor for RlePredictor {
     }
 }
 
-/// Second-order Markov predictor: the table is keyed by the last two phase
-/// ids, capturing transition patterns the run-length key misses (e.g.
-/// non-periodic phase grammars like A,B,A,C,A,B,...). Falls back to
-/// last-phase when untrained.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Markov2Predictor {
-    #[serde(skip)]
-    table: FxHashMap<(u32, u32), u32>,
-    prev: Option<u32>,
-    current: Option<u32>,
-    made: u64,
-    correct: u64,
-}
-
-impl Markov2Predictor {
-    pub fn new() -> Self {
-        Self { table: FxHashMap::default(), prev: None, current: None, made: 0, correct: 0 }
-    }
-}
-
-impl Default for Markov2Predictor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PhasePredictor for Markov2Predictor {
-    fn predict(&self) -> Option<u32> {
-        let cur = self.current?;
-        match self.prev {
-            Some(prev) => Some(*self.table.get(&(prev, cur)).unwrap_or(&cur)),
-            None => Some(cur),
-        }
-    }
-
-    fn observe(&mut self, phase: u32) {
-        if let Some(pred) = self.predict() {
-            self.made += 1;
-            if pred == phase {
-                self.correct += 1;
-            }
-        }
-        if let (Some(prev), Some(cur)) = (self.prev, self.current) {
-            self.table.insert((prev, cur), phase);
-        }
-        self.prev = self.current;
-        self.current = Some(phase);
-    }
-
-    fn stats(&self) -> (u64, u64) {
-        (self.made, self.correct)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,33 +201,5 @@ mod tests {
         }
         // Does not panic and still predicts the run continues.
         assert_eq!(p.predict(), Some(1));
-    }
-
-    #[test]
-    fn markov2_learns_pair_grammar() {
-        // A,B,A,C repeated: the successor depends on the *pair* of
-        // preceding phases (B,A -> C but C,A -> B), which first-order
-        // last-phase prediction cannot learn.
-        let mut stream = Vec::new();
-        for _ in 0..30 {
-            stream.extend_from_slice(&[0u32, 1, 0, 2]);
-        }
-        let mut m2 = Markov2Predictor::new();
-        let m2_acc = accuracy_over(&mut m2, &stream);
-        let mut last = LastPhasePredictor::new();
-        let last_acc = accuracy_over(&mut last, &stream);
-        assert!(
-            m2_acc > 0.9,
-            "second-order Markov must learn the pair grammar, got {m2_acc}"
-        );
-        assert!(m2_acc > last_acc);
-    }
-
-    #[test]
-    fn markov2_untrained_falls_back_to_last() {
-        let mut p = Markov2Predictor::new();
-        assert_eq!(p.predict(), None);
-        p.observe(5);
-        assert_eq!(p.predict(), Some(5));
     }
 }

@@ -127,10 +127,14 @@ pub fn flagged_range(
         .collect();
 
     let n = (hi - lo) as usize;
+    // The peers' canonical ids and residuals at one position, refilled per t.
+    let mut ids: Vec<u32> = Vec::with_capacity(peers.len());
+    let mut res: Vec<f64> = Vec::with_capacity(peers.len());
     let divergent: Vec<bool> = (0..n)
         .map(|t| {
             // Majority phase mode at t (tie → smallest canonical id).
-            let mut ids: Vec<u32> = peer_canons.iter().map(|c| c[t]).collect();
+            ids.clear();
+            ids.extend(peer_canons.iter().map(|c| c[t]));
             ids.sort_unstable();
             let mut mode = ids[0];
             let mut mode_count = 0usize;
@@ -146,7 +150,8 @@ pub fn flagged_range(
             if own_canon[t] != mode {
                 return true;
             }
-            let mut res: Vec<f64> = peer_res.iter().map(|r| r[t]).collect();
+            res.clear();
+            res.extend(peer_res.iter().map(|r| r[t]));
             let med = median(&mut res);
             (own_res[t] - med).abs() > cfg.cpi_flag_rel * med.max(1e-9)
         })

@@ -1,9 +1,8 @@
-//! The concrete adaptation sweep: the §II tuning protocol driving **real
-//! machine reconfiguration** mid-run, per workload and actuator.
+//! The adaptation sweep: the §II tuning protocol driving **real machine
+//! reconfiguration** mid-run, per workload and actuator.
 //!
-//! Where [`crate::adaptive`] scores configurations on an abstract
-//! cost-multiplier surface, this sweep runs `dsm_adapt::AdaptSession`
-//! against the live simulator: each actuator's locked configuration is an
+//! This sweep runs `dsm_adapt::AdaptSession` against the live simulator:
+//! each actuator's locked configuration is an
 //! actual page re-homing, DVFS epoch, or core-profile swap, and the cycles
 //! reported are the machine's own finish cycle. Three arms per actuator:
 //!

@@ -313,11 +313,12 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b't') => s.push('\t'),
                     Some(b'u') => {
                         let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err(format!("bad \\u escape at offset {pos}"));
+                        }
+                        let code = hex.iter().fold(0, |acc, &h| {
+                            acc * 16 + (h as char).to_digit(16).unwrap()
+                        });
                         s.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
                         *pos += 4;
                     }
@@ -326,11 +327,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                s.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of plain characters up to the next quote or
+                // escape. Both are ASCII, so the run ends on a char boundary
+                // and each byte is validated once.
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                s.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -388,6 +392,23 @@ mod tests {
         let v = Json::Str("a\"b\\c\nd\u{1}".into());
         let text = v.to_string();
         assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn non_ascii_strings_roundtrip() {
+        for text in ["é", "日本", "🎉", "a é 日本 🎉 z", "\"é\\日\n🎉"] {
+            let v = Json::Str(text.into());
+            assert_eq!(parse(&v.to_string()).unwrap(), v, "{text:?}");
+        }
+        assert_eq!(parse(r#""\u00e9\u65e5""#).unwrap(), Json::Str("é日".into()));
+    }
+
+    #[test]
+    fn unicode_escape_needs_four_hex_digits() {
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\u041""#).is_err());
+        assert!(parse(r#""\u 041""#).is_err());
+        assert_eq!(parse(r#""\u0041""#).unwrap(), Json::Str("A".into()));
     }
 
     #[test]

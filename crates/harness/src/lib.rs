@@ -14,11 +14,10 @@
 //! * [`tables`] — Tables I and II;
 //! * [`overhead`] — the §III-B communication-overhead model (~160 kB/s,
 //!   <0.15 % of memory-controller bandwidth);
-//! * [`adaptive`] — the §II trial-and-error reconfiguration loop, to turn
-//!   CoV/phase-count numbers into end-to-end tuning cost;
-//! * [`adapt`] — the concrete counterpart: `dsm_adapt::AdaptSession` runs
-//!   against the live simulator so locked configurations are real
-//!   reconfigurations (page migration, DVFS epochs, big/little cores);
+//! * [`adapt`] — the §II trial-and-error reconfiguration loop:
+//!   `dsm_adapt::AdaptSession` runs against the live simulator so locked
+//!   configurations are real reconfigurations (page migration, DVFS
+//!   epochs, big/little cores);
 //! * [`faults`] — the fault-injection robustness sweep: CoV-of-CPI
 //!   degradation vs a fault-free golden run, with conservation checks;
 //! * [`diagnose`] — cross-node phase-similarity diagnostics: straggler
@@ -39,7 +38,6 @@
 //!   summary exporters behind every binary's `--telemetry-out` flag.
 
 pub mod adapt;
-pub mod adaptive;
 pub mod cli;
 pub mod diagnose;
 pub mod experiment;

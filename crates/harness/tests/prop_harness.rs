@@ -1,10 +1,8 @@
-//! Property tests for the harness: threshold generation, the adaptive
-//! tuning protocol's cost bounds, and the experiment engine's
-//! content-addressed cache keys.
+//! Property tests for the harness: threshold generation and the experiment
+//! engine's content-addressed cache keys.
 
 use proptest::prelude::*;
 
-use dsm_harness::adaptive::{run_tuning, TuningPolicy};
 use dsm_harness::parallel::cache_key;
 use dsm_harness::sweep::log_spaced;
 use dsm_harness::ExperimentConfig;
@@ -40,32 +38,6 @@ proptest! {
         prop_assert!((v[0] - lo).abs() / lo < 1e-9);
         prop_assert!((v[n - 1] - hi).abs() / hi < 1e-9);
         prop_assert!(v.windows(2).all(|w| w[1] > w[0]));
-    }
-
-    #[test]
-    fn tuning_never_beats_the_oracle(
-        stream in prop::collection::vec((0u32..6, 0.1f64..10.0, 100u64..10_000), 0..200),
-        n_configs in 1usize..6,
-        trials in 1usize..3,
-    ) {
-        let out = run_tuning(&stream, TuningPolicy { n_configs, trials_per_config: trials });
-        prop_assert!(out.tuned_cycles >= out.oracle_cycles - 1e-6,
-            "tuned {} < oracle {}", out.tuned_cycles, out.oracle_cycles);
-        prop_assert!(out.untuned_cycles >= out.oracle_cycles - 1e-6);
-        prop_assert!(out.tuning_intervals <= out.total_intervals);
-        prop_assert_eq!(out.total_intervals, stream.len());
-        let frac = out.tuning_fraction();
-        prop_assert!((0.0..=1.0).contains(&frac));
-    }
-
-    #[test]
-    fn tuning_cost_is_bounded_by_config_surface(
-        stream in prop::collection::vec((0u32..4, 0.1f64..10.0, 100u64..10_000), 1..100),
-    ) {
-        // Even the worst configuration multiplies cycles by at most 1.3, so
-        // tuned cycles are within 1.3/0.85 of the oracle.
-        let out = run_tuning(&stream, TuningPolicy::default());
-        prop_assert!(out.tuned_cycles <= out.oracle_cycles * (1.3 / 0.85) + 1e-6);
     }
 
     #[test]

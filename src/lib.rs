@@ -10,7 +10,7 @@
 //! | [`workloads`] (`dsm-workloads`) | Structural models of SPLASH-2 LU/FMM and SPEC-OMP Art/Equake, plus synthetic phased workloads |
 //! | [`phase`] (`dsm-phase`) | **The paper's contribution**: BBV accumulator + footprint table, the DDV (frequency matrix, contention vector, DDS), online/offline detectors, predictors, related-work baselines |
 //! | [`analysis`] (`dsm-analysis`) | CoV of CPI, identifier CoV, CoV curves, tables, ASCII plots |
-//! | [`harness`] (`dsm-harness`) | Experiment orchestration: Figures 2 & 4, Tables I & II, the §III-B overhead model, DDS ablations, the §II adaptive-tuning loop |
+//! | [`harness`] (`dsm-harness`) | Experiment orchestration: Figures 2 & 4, Tables I & II, the §III-B overhead model, DDS ablations, the §II adaptation sweep |
 //!
 //! ## Quick start
 //!

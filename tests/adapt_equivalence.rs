@@ -4,12 +4,10 @@
 //!    is bit-identical to a plain capture: same machine statistics, same
 //!    observer stream, zero reconfiguration counters. Classification and
 //!    the tuning protocol run, but the machine never notices.
-//! 2. **Abstract/concrete agreement** — the one §II protocol
-//!    (`dsm_adapt::Protocol`) driven two ways (by the abstract cost-surface
-//!    loop in `dsm_harness::adaptive` and by the live machine loop in
-//!    `dsm_adapt`) produces *identical decision-key sequences* on the same
-//!    classified stream, degraded intervals included: only the scores
-//!    differ.
+//! 2. **Protocol replay** — the live machine loop's decision log is exactly
+//!    what a fresh `dsm_adapt::Protocol` decides when the session's
+//!    classified stream is replayed through it, degraded intervals
+//!    included: same trials, same locked configs, same re-tune count.
 //! 3. **Conservation under faults** — with real actuators reconfiguring
 //!    the machine mid-run under a lossy fault plan, every workload still
 //!    completes and the coherence conservation invariant holds.
@@ -18,10 +16,9 @@
 //!    to a bit-exact final state.
 
 use dsm_adapt::{
-    AdaptConfig, AdaptSession, Decision, DvfsActuator, HeteroActuator, MigrationActuator,
-    NoopActuator,
+    AdaptConfig, AdaptSession, DvfsActuator, HeteroActuator, MigrationActuator, NoopActuator,
+    Protocol,
 };
-use dsm_phase_detection::harness::adaptive::{run_tuning_stream, TuningInterval};
 use dsm_phase_detection::harness::trace::capture_with_faults;
 use dsm_phase_detection::phase::detector::AvailabilityModel;
 use dsm_phase_detection::phase::detector::DetectorGeometry as Geometry;
@@ -85,13 +82,15 @@ fn noop_actuator_is_bit_identical_to_plain_capture() {
     }
 }
 
-/// The concrete session's classified stream, replayed through the abstract
-/// protocol, must yield the same score-independent decision-key sequence
-/// ([`Decision::key`]): same trial positions, same lock positions, same
-/// phases — on every workload and with degraded intervals in the stream.
+/// The concrete session's classified stream, replayed through a fresh
+/// [`Protocol`] with the call the session makes per interval
+/// (`observe(index, phase, cpi, degraded)`), must reproduce the session's
+/// decision log exactly, locked configs included, and its re-tune count:
+/// on every workload and with degraded intervals in the stream.
 #[test]
-fn abstract_and_concrete_protocols_agree_on_decision_keys() {
+fn session_decisions_replay_through_a_fresh_protocol() {
     let availability = Some(AvailabilityModel { seed: 11, miss_ppm: 150_000, max_staleness: 0 });
+    let mut locked = Vec::new();
     for (app, avail) in [(App::Lu, None), (App::Fmm, availability), (App::Equake, availability)] {
         let cfg = ExperimentConfig::test(app, 4);
         let adapt_cfg = AdaptConfig { availability: avail, ..AdaptConfig::default() };
@@ -102,33 +101,21 @@ fn abstract_and_concrete_protocols_agree_on_decision_keys() {
         )
         .run();
 
-        // Replay the exact classified stream through the abstract loop.
-        let stream: Vec<TuningInterval> = out
-            .stream
-            .iter()
-            .map(|o| TuningInterval {
-                index: o.index,
-                phase: o.phase,
-                cpi: o.cpi,
-                insns: 1,
-                degraded: o.degraded,
-            })
-            .collect();
-        let (abstract_outcome, abstract_decisions) = run_tuning_stream(&stream, adapt_cfg.policy);
-
-        let keys = |d: &[Decision]| d.iter().map(Decision::key).collect::<Vec<_>>();
+        let mut replay = Protocol::new(adapt_cfg.policy);
+        for o in &out.stream {
+            replay.observe(o.index, o.phase, o.cpi, o.degraded);
+        }
+        locked.push(out.locked_phases);
         assert_eq!(
-            keys(&abstract_decisions),
-            keys(&out.decisions),
-            "{}: abstract and concrete protocols diverged on decision keys",
+            replay.decisions(),
+            &out.decisions[..],
+            "{}: protocol replay diverged from the session's decisions",
             app.name()
         );
-        assert_eq!(abstract_outcome.tuning_intervals, out.decisions.iter()
-            .filter(|d| matches!(d.kind, dsm_adapt::DecisionKind::Trial { .. }))
-            .count());
+        assert_eq!(replay.retunes(), out.retunes, "{}: re-tune count diverged", app.name());
 
-        // Degraded intervals are spectators in both drivers: no
-        // decision may sit on a degraded interval's index.
+        // Degraded intervals are spectators: no decision may sit on a
+        // degraded interval's index.
         let degraded: Vec<u64> =
             out.stream.iter().filter(|o| o.degraded).map(|o| o.index).collect();
         if avail.is_some() {
@@ -143,6 +130,7 @@ fn abstract_and_concrete_protocols_agree_on_decision_keys() {
             );
         }
     }
+    assert!(locked.iter().any(|&n| n > 0), "no workload locked a phase: {locked:?}");
 }
 
 /// Real reconfiguration under a lossy network: every actuator family keeps
