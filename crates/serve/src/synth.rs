@@ -101,6 +101,35 @@ mod tests {
         assert_ne!(a, SynthStream::new(43, 2, 32).signature(1, 17), "seed matters");
     }
 
+    /// Digest of every field of `sig`, the floats by their bits.
+    fn mix(h: u64, sig: &IntervalSignature) -> u64 {
+        let fields = [sig.proc as u64, sig.index, sig.insns, sig.cycles, sig.dds.to_bits()];
+        sig.bbv
+            .iter()
+            .map(|w| w.to_bits())
+            .chain(fields)
+            .fold(h, |h, x| splitmix64(h ^ x))
+    }
+
+    #[test]
+    fn signatures_are_pinned() {
+        // Several seeds, widths and procs; indices cover every phase twice
+        // over, plus far-off indices whose products wrap.
+        let mut h = 0u64;
+        for seed in [0, 1, 42, 0xdead_beef, u64::MAX] {
+            for bbv_entries in [1, 7, 32] {
+                let s = SynthStream::new(seed, 3, bbv_entries);
+                let far = [1 << 40, u64::MAX / 3, u64::MAX];
+                for index in (0..2 * s.phases * s.run_len).chain(far) {
+                    for proc in 0..3 {
+                        h = mix(h, &s.signature(proc, index));
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0xcd2e_1e65_57de_bafb, "synthetic signatures changed: digest {h:#018x}");
+    }
+
     #[test]
     fn phase_structure_classifies_stably() {
         let s = SynthStream::new(7, 1, 32);
