@@ -756,7 +756,7 @@ impl TraceClassifier {
             classes.push(SweepClass {
                 span: start..start + run.len(),
                 column: columns.len(),
-                table: FootprintTable::new(footprint_vectors),
+                table: FootprintTable::reserved(footprint_vectors),
                 ids: Vec::with_capacity(records),
             });
             columns.push(grid[run[0]].1);

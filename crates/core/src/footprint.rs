@@ -94,16 +94,26 @@ pub struct FootprintTable<S = Box<[f64]>> {
 }
 
 impl<S: Default> FootprintTable<S> {
+    /// An empty table of `capacity` entries. Its entries grow as they are
+    /// allocated: a table that sees a few phases stays a few entries long.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         Self {
-            entries: Vec::with_capacity(capacity),
+            entries: Vec::new(),
             capacity,
             clock: 0,
             next_phase_id: 0,
             evictions: 0,
             comparisons: 0,
         }
+    }
+
+    /// [`Self::new`] with room for all `capacity` entries reserved up
+    /// front, for tables expected to fill.
+    pub(crate) fn reserved(capacity: usize) -> Self {
+        let mut table = Self::new(capacity);
+        table.entries.reserve_exact(capacity);
+        table
     }
 
     /// The classification gate, over any stored signature type:

@@ -36,6 +36,8 @@
 //!   normalized shift magnitude plus half the residual disagreement. A node
 //!   running the right phases *late* is penalized in proportion to how late.
 
+use std::cell::OnceCell;
+
 use dsm_phase::stream::{PhaseStream, StreamEntry};
 
 use crate::DiagnoseConfig;
@@ -164,13 +166,34 @@ pub fn slice_distance(
     if a.is_empty() || b.is_empty() {
         return PairDistance::max(cfg);
     }
-    let ca = canonical_phases(a);
-    let cb = canonical_phases(b);
+    slice_distance_with(cfg, &Shape::of(a), &Shape::of(b))
+}
+
+/// A slice's canonical phase ids and CPI residuals: what the distance
+/// reads of each side beyond the intervals themselves.
+struct Shape<'a> {
+    intervals: &'a [StreamEntry],
+    canon: Vec<u32>,
+    residuals: Vec<f64>,
+}
+
+impl<'a> Shape<'a> {
+    fn of(intervals: &'a [StreamEntry]) -> Self {
+        let canon = canonical_phases(intervals);
+        let residuals = cpi_residuals(intervals, &canon);
+        Self { intervals, canon, residuals }
+    }
+}
+
+/// [`slice_distance`] of two non-empty slices, from their shapes.
+fn slice_distance_with(cfg: &DiagnoseConfig, a: &Shape, b: &Shape) -> PairDistance {
+    let (ca, cb) = (&a.canon, &b.canon);
+    let (ra, rb) = (&a.residuals, &b.residuals);
+    let (a, b) = (a.intervals, b.intervals);
     let n = a.len().min(b.len());
 
     // Time-aligned phase + CPI terms, degraded intervals down-weighted.
     // CPI is compared as phase-normalized residuals on each side.
-    let (ra, rb) = (cpi_residuals(a, &ca), cpi_residuals(b, &cb));
     let mut wsum = 0.0;
     let mut phase_acc = 0.0;
     let mut cpi_acc = 0.0;
@@ -194,10 +217,10 @@ pub fn slice_distance(
 
     // Lag term: best shift in ±max_lag by (residual, |shift|, shift) —
     // the lexicographic tie-break keeps the choice deterministic.
-    let (mut best_shift, mut best_res) = (0i64, shifted_mismatch(&ca, &cb, 0));
+    let (mut best_shift, mut best_res) = (0i64, shifted_mismatch(ca, cb, 0));
     for mag in 1..=cfg.max_lag as i64 {
         for s in [mag, -mag] {
-            let res = shifted_mismatch(&ca, &cb, s);
+            let res = shifted_mismatch(ca, cb, s);
             if res < best_res {
                 best_res = res;
                 best_shift = s;
@@ -236,15 +259,26 @@ pub fn pair_distance(cfg: &DiagnoseConfig, a: &PhaseStream, b: &PhaseStream) -> 
     slice_distance(cfg, range_slice(a, lo, hi), range_slice(b, lo, hi))
 }
 
-/// Full symmetric distance matrix over the fleet (diagonal zero).
+/// Full symmetric distance matrix over the fleet (diagonal zero). A pair
+/// whose aligned range is both streams' whole retained window reuses each
+/// stream's shape, computed at most once; any other pair (round-robin
+/// delivery leaves nodes an interval apart) takes [`pair_distance`].
 pub fn distance_matrix(cfg: &DiagnoseConfig, streams: &[PhaseStream]) -> Vec<Vec<f64>> {
     let n = streams.len();
+    let shapes: Vec<OnceCell<Shape>> = streams.iter().map(|_| OnceCell::new()).collect();
+    let shape = |k: usize| shapes[k].get_or_init(|| Shape::of(streams[k].intervals()));
+    let window = |s: &PhaseStream| (s.first_index(), s.next_index());
     let mut m = vec![vec![0.0; n]; n];
     for i in 0..n {
         for j in (i + 1)..n {
-            let d = pair_distance(cfg, &streams[i], &streams[j]).total;
-            m[i][j] = d;
-            m[j][i] = d;
+            let (a, b) = (&streams[i], &streams[j]);
+            let d = if window(a) == window(b) && !a.is_empty() {
+                slice_distance_with(cfg, shape(i), shape(j))
+            } else {
+                pair_distance(cfg, a, b)
+            };
+            m[i][j] = d.total;
+            m[j][i] = d.total;
         }
     }
     m
@@ -382,5 +416,37 @@ mod tests {
             }
         }
         assert!(m[0][1] > 0.0);
+    }
+
+    #[test]
+    fn matrix_matches_pairwise_distances_on_any_windows() {
+        // Equal whole windows take the shared shapes; a node an interval
+        // ahead, a trimmed node and an empty one take the per-pair path.
+        let cfg = DiagnoseConfig::default();
+        let slow = PhaseStream::from_intervals(
+            3,
+            [4, 4, 7, 4, 7, 7]
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| ci(3, i as u64, p, 1.0 + i as f64, i == 2))
+                .collect(),
+        );
+        let mut trimmed = stream(5, &[0, 1, 0, 1, 0, 1], 1.0);
+        trimmed.evict_to(2);
+        let streams = vec![
+            stream(0, &[0, 0, 1, 1, 2, 2], 1.0),
+            stream(1, &[3, 3, 1, 1, 3, 3], 2.0),
+            stream(2, &[0, 0, 1, 1, 2, 2, 0], 1.0),
+            slow,
+            stream(4, &[], 1.0),
+            trimmed,
+        ];
+        let m = distance_matrix(&cfg, &streams);
+        for (i, a) in streams.iter().enumerate() {
+            for (j, b) in streams.iter().enumerate().skip(i + 1) {
+                let d = pair_distance(&cfg, a, b).total;
+                assert_eq!(m[i][j].to_bits(), d.to_bits(), "pair ({i}, {j})");
+            }
+        }
     }
 }

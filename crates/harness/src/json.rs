@@ -196,15 +196,50 @@ impl<T: Into<Json>> From<Option<T>> for Json {
     }
 }
 
+/// Why a document did not parse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonError {
+    /// Malformed input, described with its byte offset.
+    Syntax(String),
+    /// A `\u` escape at byte `offset` names one half of a UTF-16
+    /// surrogate pair, and the other half does not follow it.
+    LoneSurrogate { code: u16, offset: usize },
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonError::Syntax(msg) => f.write_str(msg),
+            JsonError::LoneSurrogate { code, offset } => {
+                write!(f, "unpaired surrogate \\u{code:04x} at offset {offset}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+impl From<String> for JsonError {
+    fn from(msg: String) -> Self {
+        JsonError::Syntax(msg)
+    }
+}
+
+impl From<&str> for JsonError {
+    fn from(msg: &str) -> Self {
+        JsonError::Syntax(msg.into())
+    }
+}
+
 /// Parse a JSON document. Returns `Err` with a byte offset on malformed
 /// input.
-pub fn parse(text: &str) -> Result<Json, String> {
+pub fn parse(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
     let v = parse_value(bytes, &mut pos)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
+        return Err(format!("trailing bytes at offset {pos}").into());
     }
     Ok(v)
 }
@@ -215,16 +250,16 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
+fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
     if *pos < b.len() && b[*pos] == c {
         *pos += 1;
         Ok(())
     } else {
-        Err(format!("expected {:?} at offset {}", c as char, pos))
+        Err(format!("expected {:?} at offset {}", c as char, pos).into())
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
@@ -249,7 +284,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                         *pos += 1;
                         return Ok(Json::Arr(items));
                     }
-                    _ => return Err(format!("expected ',' or ']' at offset {pos}")),
+                    _ => return Err(format!("expected ',' or ']' at offset {pos}").into()),
                 }
             }
         }
@@ -275,7 +310,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                         *pos += 1;
                         return Ok(Json::Obj(fields));
                     }
-                    _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
+                    _ => return Err(format!("expected ',' or '}}' at offset {pos}").into()),
                 }
             }
         }
@@ -283,16 +318,16 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
+fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, JsonError> {
     if b[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
         Ok(v)
     } else {
-        Err(format!("bad literal at offset {pos}"))
+        Err(format!("bad literal at offset {pos}").into())
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     expect(b, pos, b'"')?;
     let mut s = String::new();
     loop {
@@ -312,17 +347,29 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'r') => s.push('\r'),
                     Some(b't') => s.push('\t'),
                     Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        if !hex.iter().all(u8::is_ascii_hexdigit) {
-                            return Err(format!("bad \\u escape at offset {pos}"));
-                        }
-                        let code = hex.iter().fold(0, |acc, &h| {
-                            acc * 16 + (h as char).to_digit(16).unwrap()
-                        });
-                        s.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
+                        let at = *pos - 1;
+                        let code = hex4(b, *pos + 1)?;
                         *pos += 4;
+                        let lone = JsonError::LoneSurrogate { code: code as u16, offset: at };
+                        let code = match code {
+                            // A high half joins the low half escaped next.
+                            0xd800..=0xdbff => {
+                                let low = match b.get(*pos + 1..*pos + 3) {
+                                    Some(b"\\u") => hex4(b, *pos + 3)?,
+                                    _ => return Err(lone),
+                                };
+                                if !(0xdc00..=0xdfff).contains(&low) {
+                                    return Err(lone);
+                                }
+                                *pos += 6;
+                                0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+                            }
+                            0xdc00..=0xdfff => return Err(lone),
+                            _ => code,
+                        };
+                        s.push(char::from_u32(code).expect("a scalar value: no surrogate"));
                     }
-                    _ => return Err(format!("bad escape at offset {pos}")),
+                    _ => return Err(format!("bad escape at offset {pos}").into()),
                 }
                 *pos += 1;
             }
@@ -340,7 +387,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, String> {
+/// The number the four hex digits at `b[at..]` spell.
+fn hex4(b: &[u8], at: usize) -> Result<u32, JsonError> {
+    let hex = b.get(at..at + 4).ok_or("truncated \\u escape")?;
+    if !hex.iter().all(u8::is_ascii_hexdigit) {
+        return Err(format!("bad \\u escape at offset {at}").into());
+    }
+    Ok(hex.iter().fold(0, |acc, &h| acc * 16 + (h as char).to_digit(16).unwrap()))
+}
+
+fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, JsonError> {
     let start = *pos;
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
@@ -348,7 +404,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, String> {
     std::str::from_utf8(&b[start..*pos])
         .map_err(|e| e.to_string())?
         .parse::<f64>()
-        .map_err(|e| format!("bad number at offset {start}: {e}"))
+        .map_err(|e| format!("bad number at offset {start}: {e}").into())
 }
 
 #[cfg(test)]
@@ -409,6 +465,27 @@ mod tests {
         assert!(parse(r#""\u041""#).is_err());
         assert!(parse(r#""\u 041""#).is_err());
         assert_eq!(parse(r#""\u0041""#).unwrap(), Json::Str("A".into()));
+    }
+
+    #[test]
+    fn surrogate_pairs_join_into_one_char() {
+        assert_eq!(parse(r#""\ud83c\udf89""#).unwrap(), Json::Str("🎉".into()));
+        assert_eq!(parse(r#""a\uD83D\uDE00z""#).unwrap(), Json::Str("a😀z".into()));
+        let v = parse(r#""\ud83c\udf89""#).unwrap();
+        assert_eq!(parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn lone_surrogate_halves_are_refused() {
+        let lone = |code, offset| Err(JsonError::LoneSurrogate { code, offset });
+        assert_eq!(parse(r#""\ud83c""#), lone(0xd83c, 1));
+        assert_eq!(parse(r#""ab\udf89\ud83c""#), lone(0xdf89, 3));
+        // A high half followed by anything but a low half's escape.
+        assert_eq!(parse(r#""\ud83c\u0041""#), lone(0xd83c, 1));
+        assert_eq!(parse(r#""\ud83c\ud83c""#), lone(0xd83c, 1));
+        assert_eq!(parse(r#""\ud83c\n""#), lone(0xd83c, 1));
+        assert_eq!(parse(r#""\ud83cx""#), lone(0xd83c, 1));
+        assert!(parse(r#""\ud83c\udf8""#).is_err());
     }
 
     #[test]

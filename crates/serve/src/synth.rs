@@ -9,6 +9,8 @@
 //! assigns each tenant a small stable phase vocabulary, and any two runs of
 //! the same seed are bit-identical.
 
+use std::sync::OnceLock;
+
 use dsm_phase::signature::IntervalSignature;
 
 /// Local splitmix64 (matches `dsm_sim::util::splitmix64`; re-implemented so
@@ -29,20 +31,45 @@ fn unit(h: u64) -> f64 {
 }
 
 /// A deterministic phase-structured signature generator for one tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// The fields are read-only: the base weights are derived from them once,
+/// on the first [`Self::signature`] call, and reused by every later call.
+#[derive(Debug, Clone)]
 pub struct SynthStream {
-    pub seed: u64,
-    pub n_procs: usize,
-    pub bbv_entries: usize,
-    /// Distinct stable phases the stream cycles through.
-    pub phases: u64,
-    /// Intervals per phase run before switching.
-    pub run_len: u64,
+    seed: u64,
+    n_procs: usize,
+    bbv_entries: usize,
+    phases: u64,
+    run_len: u64,
+    /// Unnormalized base BBV weights: `phases` rows of `bbv_entries`.
+    base: OnceLock<Box<[f64]>>,
 }
 
 impl SynthStream {
     pub fn new(seed: u64, n_procs: usize, bbv_entries: usize) -> Self {
-        Self { seed, n_procs, bbv_entries, phases: 4, run_len: 8 }
+        Self { seed, n_procs, bbv_entries, phases: 4, run_len: 8, base: OnceLock::new() }
+    }
+
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    pub fn n_procs(&self) -> usize {
+        self.n_procs
+    }
+
+    pub fn bbv_entries(&self) -> usize {
+        self.bbv_entries
+    }
+
+    /// Distinct stable phases the stream cycles through.
+    pub fn phases(&self) -> u64 {
+        self.phases
+    }
+
+    /// Intervals per phase run before switching.
+    pub fn run_len(&self) -> u64 {
+        self.run_len
     }
 
     /// Which phase interval `index` belongs to.
@@ -50,23 +77,39 @@ impl SynthStream {
         (index / self.run_len) % self.phases
     }
 
+    /// Every phase's stable base BBV: positive weights, not normalized,
+    /// built in one allocation.
+    fn base_weights(&self) -> Box<[f64]> {
+        let n = self.bbv_entries;
+        (0..self.phases as usize * n)
+            .map(|k| {
+                let (phase, e) = ((k / n) as u64, k % n);
+                let h = splitmix64(
+                    self.seed ^ phase.wrapping_mul(0x517c_c1b7_2722_0a95) ^ e as u64,
+                );
+                // Sparse-ish: a quarter of the entries carry most of the mass.
+                if h.is_multiple_of(4) {
+                    1.0 + unit(splitmix64(h))
+                } else {
+                    0.05 * unit(h)
+                }
+            })
+            .collect()
+    }
+
     /// The signature of interval `index` on `proc`. Pure: same arguments,
     /// same bits, on any call order.
     pub fn signature(&self, proc: usize, index: u64) -> IntervalSignature {
         assert!(proc < self.n_procs);
         let phase = self.phase_of(index);
-        // Stable per-phase base BBV: positive weights, normalized below.
-        let mut bbv = vec![0.0f64; self.bbv_entries];
-        for (e, w) in bbv.iter_mut().enumerate() {
-            let h = splitmix64(self.seed ^ phase.wrapping_mul(0x517c_c1b7_2722_0a95) ^ e as u64);
-            // Sparse-ish: a quarter of the entries carry most of the mass.
-            *w = if h.is_multiple_of(4) { 1.0 + unit(splitmix64(h)) } else { 0.05 * unit(h) };
-        }
+        let n = self.bbv_entries;
+        let base = self.base.get_or_init(|| self.base_weights());
+        let mut bbv = base[phase as usize * n..][..n].to_vec();
         // Per-interval jitter far below the BBV threshold, then normalize.
         let j = splitmix64(
             self.seed ^ ((proc as u64) << 32) ^ index.wrapping_mul(0x2545_f491_4f6c_dd1d),
         );
-        bbv[(j as usize) % self.bbv_entries] += 1e-3 * unit(splitmix64(j));
+        bbv[(j as usize) % n] += 1e-3 * unit(splitmix64(j));
         let total: f64 = bbv.iter().sum();
         for w in &mut bbv {
             *w /= total;
@@ -120,7 +163,7 @@ mod tests {
             for bbv_entries in [1, 7, 32] {
                 let s = SynthStream::new(seed, 3, bbv_entries);
                 let far = [1 << 40, u64::MAX / 3, u64::MAX];
-                for index in (0..2 * s.phases * s.run_len).chain(far) {
+                for index in (0..2 * s.phases() * s.run_len()).chain(far) {
                     for proc in 0..3 {
                         h = mix(h, &s.signature(proc, index));
                     }
@@ -128,6 +171,20 @@ mod tests {
             }
         }
         assert_eq!(h, 0xcd2e_1e65_57de_bafb, "synthetic signatures changed: digest {h:#018x}");
+    }
+
+    #[test]
+    fn signatures_do_not_depend_on_call_order() {
+        // The base weights are built on the first call, whichever interval
+        // it asks for; a clone carries them along.
+        let first = SynthStream::new(9, 2, 32).signature(1, 21);
+        let s = SynthStream::new(9, 2, 32);
+        for i in 0..64 {
+            s.signature((i % 2) as usize, i);
+        }
+        assert_eq!(s.signature(1, 21), first);
+        assert_eq!(s.clone().signature(1, 21), first);
+        assert_eq!(s.signature(1, 21), first);
     }
 
     #[test]
@@ -142,7 +199,7 @@ mod tests {
             ))
             .unwrap();
         let mut out = Vec::new();
-        for i in 0..(s.phases * s.run_len * 2) {
+        for i in 0..(s.phases() * s.run_len() * 2) {
             assert!(matches!(srv.offer(t, s.signature(0, i)).unwrap(), Ingest::Enqueued { .. }));
             if i % 8 == 7 {
                 srv.run_batch();
@@ -151,17 +208,17 @@ mod tests {
         }
         srv.run_batch();
         out.extend(srv.drain_output(t, usize::MAX).unwrap());
-        assert_eq!(out.len(), (s.phases * s.run_len * 2) as usize);
+        assert_eq!(out.len(), (s.phases() * s.run_len() * 2) as usize);
         // Exactly `phases` distinct phase ids, each new exactly once, and
         // the second cycle re-detects the first cycle's ids.
         let new_count = out.iter().filter(|c| c.is_new_phase).count() as u64;
-        assert_eq!(new_count, s.phases, "each synthetic phase detected once");
+        assert_eq!(new_count, s.phases(), "each synthetic phase detected once");
         let ids: std::collections::BTreeSet<u32> = out.iter().map(|c| c.phase_id).collect();
-        assert_eq!(ids.len() as u64, s.phases);
+        assert_eq!(ids.len() as u64, s.phases());
         for (i, c) in out.iter().enumerate() {
             assert_eq!(
                 c.phase_id,
-                out[i % (s.phases * s.run_len) as usize].phase_id,
+                out[i % (s.phases() * s.run_len()) as usize].phase_id,
                 "cycle 2 must repeat cycle 1 at interval {i}"
             );
         }

@@ -62,8 +62,8 @@ fn feed_threaded(
         .chain((0..streams.len()).flat_map(|k| std::iter::repeat_n(k, streams[k].1)))
         .collect();
     for k in full {
-        let (stream, len) = streams[k];
-        if next[k] as usize >= len {
+        let (stream, len) = &streams[k];
+        if next[k] as usize >= *len {
             continue;
         }
         let sig = stream.signature(0, next[k]);
@@ -106,7 +106,7 @@ proptest! {
         let cfg = ServeConfig { shards: 3, queue_capacity: 4, batch_size: 2, ..ServeConfig::default() };
         let (_, _, interleaved) = feed(cfg, &streams, &schedule);
         for (k, stream) in streams.iter().enumerate() {
-            let (_, _, solo) = feed(ServeConfig::default(), &[*stream], &[]);
+            let (_, _, solo) = feed(ServeConfig::default(), std::slice::from_ref(stream), &[]);
             prop_assert_eq!(&interleaved[k], &solo[0], "tenant {} diverged from solo run", k);
         }
     }

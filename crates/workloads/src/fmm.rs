@@ -59,7 +59,6 @@ pub struct Fmm {
     p: usize,
     input: FmmInput,
     cells: usize,
-    cells_per_proc: usize,
     /// Particle storage per leaf cell, homed at the cell's owner.
     particles: Vec<Region>,
     /// Multipole expansion per leaf cell, homed at the cell's owner.
@@ -73,12 +72,11 @@ impl Fmm {
     pub fn new(p: usize, input: FmmInput) -> Self {
         assert!(p.is_power_of_two());
         let cells = (input.particles / input.cell_cap).max(p);
-        let cells_per_proc = cells / p;
         let mut alloc = NodeAlloc::new(p);
         let mut particles = Vec::with_capacity(cells);
         let mut multipoles = Vec::with_capacity(cells);
         for c in 0..cells {
-            let owner = c / cells_per_proc;
+            let owner = c * p / cells;
             particles.push(alloc.alloc(owner, input.cell_cap as u64 * PARTICLE_BYTES));
             multipoles.push(alloc.alloc(owner, MULTIPOLE_LINES * 32));
         }
@@ -90,7 +88,6 @@ impl Fmm {
             p,
             input,
             cells,
-            cells_per_proc,
             particles,
             multipoles,
             tree,
@@ -98,17 +95,17 @@ impl Fmm {
         }
     }
 
-    /// Owner of a leaf cell (blocked distribution).
+    /// Owner of a leaf cell: a blocked distribution whose blocks differ by
+    /// at most one cell when `p` does not divide the cell count.
     #[inline]
     pub fn cell_owner(&self, c: usize) -> usize {
-        (c / self.cells_per_proc).min(self.p - 1)
+        c * self.p / self.cells
     }
 
-    /// Cells owned by `proc`.
+    /// Cells owned by `proc`: those [`Self::cell_owner`] gives it.
     fn own_cells(&self, proc: usize) -> std::ops::Range<usize> {
-        let lo = proc * self.cells_per_proc;
-        let hi = if proc == self.p - 1 { self.cells } else { lo + self.cells_per_proc };
-        lo..hi
+        let first = |q: usize| (q * self.cells).div_ceil(self.p);
+        first(proc)..first(proc + 1)
     }
 
     /// Effective occupancy of cell `c` at timestep `t` (particles drift
@@ -304,6 +301,23 @@ mod tests {
         let owners: std::collections::HashSet<usize> =
             (0..f.cells()).map(|c| f.cell_owner(c)).collect();
         assert_eq!(owners.len(), 8);
+    }
+
+    #[test]
+    fn uneven_cell_counts_split_into_blocks_one_cell_apart() {
+        // 192 cells over 128 procs: every proc owns one or two cells, and
+        // `own_cells` and `cell_owner` agree on each.
+        let f = Fmm::new(128, FmmInput::at(Scale::Scaled));
+        assert_eq!(f.cells(), 192);
+        let mut next = 0;
+        for proc in 0..128 {
+            let own = f.own_cells(proc);
+            assert_eq!(own.start, next);
+            assert!((1..=2).contains(&own.len()), "proc {proc} owns {own:?}");
+            assert!(own.clone().all(|c| f.cell_owner(c) == proc));
+            next = own.end;
+        }
+        assert_eq!(next, f.cells());
     }
 
     #[test]

@@ -106,3 +106,34 @@ proptest! {
         }
     }
 }
+
+/// Every application builds at every scale and at every power-of-two node
+/// count the machine takes, and each Test-scale stream runs to its end.
+#[test]
+fn every_app_builds_at_every_scale_and_node_count() {
+    let node_counts = || (0..).map(|k| 1usize << k).take_while(|&p| p <= dsm_sim::MAX_PROCS);
+    let mut buf = Vec::new();
+    for app in App::EXTENDED {
+        for scale in [Scale::Test, Scale::Scaled, Scale::Paper] {
+            for p in node_counts() {
+                let mut w = app.build(p, scale);
+                if scale != Scale::Test {
+                    continue;
+                }
+                for proc in 0..p {
+                    let mut events = 0usize;
+                    loop {
+                        buf.clear();
+                        w.fill(proc, &mut buf);
+                        if buf.is_empty() {
+                            break;
+                        }
+                        events += buf.len();
+                        assert!(events < 10_000_000, "{app:?} {p}P proc {proc} does not end");
+                    }
+                    assert!(events > 0, "{app:?} {p}P proc {proc} emits nothing");
+                }
+            }
+        }
+    }
+}
