@@ -90,9 +90,9 @@ const ALLOCS: [(&str, u64, u64, usize); 8] = [
 /// latency record are all built and dropped inside the run. The serve path
 /// has no feature-gated probes, so both columns agree.
 const SERVE_HEAP: [(usize, u64, u64); 3] = [
-    (64, 1_822_740, 1_822_740),
-    (256, 2_540_286, 2_540_286),
-    (1024, 5_409_370, 5_409_370),
+    (64, 1_821_716, 1_821_716),
+    (256, 2_536_190, 2_536_190),
+    (1024, 5_392_986, 5_392_986),
 ];
 
 /// The `ServeOutcome` counters of one smoke fleet.

@@ -31,7 +31,6 @@
 //! nearest rank off the merged counts without copying or sorting samples.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use dsm_diagnose::{Diagnosis, NodeTelemetry, TelemetryError};
 use dsm_phase::signature::IntervalSignature;
@@ -367,26 +366,6 @@ pub struct ServerReport {
     pub latency_ticks: (u64, u64, u64),
 }
 
-/// Hashes a tenant id with one multiply. The server issues every id and
-/// never reuses one, so no caller can choose keys that collide, and the
-/// odd multiplier spreads consecutive ids over the table's buckets.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("tenant ids hash as one u64")
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
 /// The multi-tenant phase-classification server. See the module docs for
 /// the execution model.
 #[derive(Debug)]
@@ -394,7 +373,7 @@ pub struct PhaseServer {
     cfg: ServeConfig,
     shards: Vec<Shard>,
     /// Tenant id → (shard, slot).
-    dir: HashMap<u64, (usize, usize), BuildHasherDefault<IdHasher>>,
+    dir: HashMap<u64, (usize, usize)>,
     next_id: u64,
     tick: u64,
     /// Accounting folded in from evicted tenants.
@@ -412,7 +391,7 @@ impl PhaseServer {
         Self {
             shards: (0..cfg.shards).map(|_| Shard::new()).collect(),
             cfg,
-            dir: HashMap::default(),
+            dir: HashMap::new(),
             next_id: 0,
             tick: 0,
             retired: TenantStats::default(),

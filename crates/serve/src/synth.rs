@@ -3,8 +3,8 @@
 //! Replayed traces cover fidelity; scale needs thousands of tenants, far
 //! more than the trace store holds. A [`SynthStream`] is a pure function
 //! from `(seed, proc, index)` to an [`IntervalSignature`] with realistic
-//! phase structure: the stream cycles through `phases` stable base
-//! signatures in runs of `run_len` intervals, with per-interval jitter well
+//! phase structure: the stream cycles through `PHASES` stable base
+//! signatures in runs of `RUN_LEN` intervals, with per-interval jitter well
 //! under the classification thresholds — so a correctly working server
 //! assigns each tenant a small stable phase vocabulary, and any two runs of
 //! the same seed are bit-identical.
@@ -39,49 +39,30 @@ pub struct SynthStream {
     seed: u64,
     n_procs: usize,
     bbv_entries: usize,
-    phases: u64,
-    run_len: u64,
-    /// Unnormalized base BBV weights: `phases` rows of `bbv_entries`.
+    /// Unnormalized base BBV weights: `PHASES` rows of `bbv_entries`.
     base: OnceLock<Box<[f64]>>,
 }
 
 impl SynthStream {
-    pub fn new(seed: u64, n_procs: usize, bbv_entries: usize) -> Self {
-        Self { seed, n_procs, bbv_entries, phases: 4, run_len: 8, base: OnceLock::new() }
-    }
-
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    pub fn n_procs(&self) -> usize {
-        self.n_procs
-    }
-
-    pub fn bbv_entries(&self) -> usize {
-        self.bbv_entries
-    }
-
     /// Distinct stable phases the stream cycles through.
-    pub fn phases(&self) -> u64 {
-        self.phases
-    }
-
+    pub const PHASES: u64 = 4;
     /// Intervals per phase run before switching.
-    pub fn run_len(&self) -> u64 {
-        self.run_len
+    pub const RUN_LEN: u64 = 8;
+
+    pub fn new(seed: u64, n_procs: usize, bbv_entries: usize) -> Self {
+        Self { seed, n_procs, bbv_entries, base: OnceLock::new() }
     }
 
     /// Which phase interval `index` belongs to.
     pub fn phase_of(&self, index: u64) -> u64 {
-        (index / self.run_len) % self.phases
+        (index / Self::RUN_LEN) % Self::PHASES
     }
 
     /// Every phase's stable base BBV: positive weights, not normalized,
     /// built in one allocation.
     fn base_weights(&self) -> Box<[f64]> {
         let n = self.bbv_entries;
-        (0..self.phases as usize * n)
+        (0..Self::PHASES as usize * n)
             .map(|k| {
                 let (phase, e) = ((k / n) as u64, k % n);
                 let h = splitmix64(
@@ -163,7 +144,7 @@ mod tests {
             for bbv_entries in [1, 7, 32] {
                 let s = SynthStream::new(seed, 3, bbv_entries);
                 let far = [1 << 40, u64::MAX / 3, u64::MAX];
-                for index in (0..2 * s.phases() * s.run_len()).chain(far) {
+                for index in (0..2 * SynthStream::PHASES * SynthStream::RUN_LEN).chain(far) {
                     for proc in 0..3 {
                         h = mix(h, &s.signature(proc, index));
                     }
@@ -199,7 +180,7 @@ mod tests {
             ))
             .unwrap();
         let mut out = Vec::new();
-        for i in 0..(s.phases() * s.run_len() * 2) {
+        for i in 0..(SynthStream::PHASES * SynthStream::RUN_LEN * 2) {
             assert!(matches!(srv.offer(t, s.signature(0, i)).unwrap(), Ingest::Enqueued { .. }));
             if i % 8 == 7 {
                 srv.run_batch();
@@ -208,17 +189,17 @@ mod tests {
         }
         srv.run_batch();
         out.extend(srv.drain_output(t, usize::MAX).unwrap());
-        assert_eq!(out.len(), (s.phases() * s.run_len() * 2) as usize);
-        // Exactly `phases` distinct phase ids, each new exactly once, and
+        assert_eq!(out.len(), (SynthStream::PHASES * SynthStream::RUN_LEN * 2) as usize);
+        // Exactly `PHASES` distinct phase ids, each new exactly once, and
         // the second cycle re-detects the first cycle's ids.
         let new_count = out.iter().filter(|c| c.is_new_phase).count() as u64;
-        assert_eq!(new_count, s.phases(), "each synthetic phase detected once");
+        assert_eq!(new_count, SynthStream::PHASES, "each synthetic phase detected once");
         let ids: std::collections::BTreeSet<u32> = out.iter().map(|c| c.phase_id).collect();
-        assert_eq!(ids.len() as u64, s.phases());
+        assert_eq!(ids.len() as u64, SynthStream::PHASES);
         for (i, c) in out.iter().enumerate() {
             assert_eq!(
                 c.phase_id,
-                out[i % (s.phases() * s.run_len()) as usize].phase_id,
+                out[i % (SynthStream::PHASES * SynthStream::RUN_LEN) as usize].phase_id,
                 "cycle 2 must repeat cycle 1 at interval {i}"
             );
         }
