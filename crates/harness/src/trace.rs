@@ -185,6 +185,195 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
     }
 
+    /// Little-endian byte sink whose digest is FNV-1a.
+    #[derive(Default)]
+    struct Bytes(Vec<u8>);
+
+    impl Bytes {
+        fn u64(&mut self, v: u64) {
+            self.0.extend_from_slice(&v.to_le_bytes());
+        }
+        /// A length, then each item widened to `u64`.
+        fn u64s<T: Into<u64>>(&mut self, v: impl ExactSizeIterator<Item = T>) {
+            self.u64(v.len() as u64);
+            v.for_each(|x| self.u64(x.into()));
+        }
+    }
+
+    #[test]
+    fn captures_are_pinned() {
+        // Every field of the 2-node Test capture of every workload: the
+        // records, every run counter and the DDV traffic. The structs are
+        // destructured in full, so a new field fails to compile until it
+        // is hashed here.
+        use dsm_sim::directory::DirectoryStats;
+        use dsm_sim::memctrl::MemCtrlStats;
+        use dsm_sim::network::NetworkStats;
+        use dsm_sim::{FaultStats, ProcStats, ReconfigStats};
+        let mut b = Bytes::default();
+        for app in App::EXTENDED {
+            let SystemTrace {
+                config,
+                records,
+                stats,
+                ddv_vectors_exchanged,
+            } = capture(ExperimentConfig::test(app, 2));
+            b.u64s(config.label().bytes());
+            for r in records.iter().flatten() {
+                b.u64s([r.proc as u64, r.index, r.insns, r.cycles].into_iter());
+                b.u64s(r.bbv().iter().copied());
+                b.u64s(r.fvec().iter().copied());
+                b.u64s(r.cvec().iter().copied());
+                b.u64(r.dds.to_bits());
+                b.u64s(r.ws_words());
+                b.u64(r.branches);
+            }
+            let SystemStats {
+                procs,
+                directory,
+                network,
+                memctrls,
+                faults,
+                reconfig,
+                finish_cycle,
+            } = stats;
+            for p in procs {
+                let ProcStats {
+                    cycles,
+                    insns,
+                    sync_ops,
+                    sync_wait_cycles,
+                    mem_refs,
+                    l1_misses,
+                    l2_misses,
+                    local_home_misses,
+                    remote_home_misses,
+                    mem_stall_cycles,
+                    contention_cycles,
+                    mispredicts,
+                    branches,
+                    intervals,
+                } = p;
+                b.u64s(
+                    [
+                        cycles,
+                        insns,
+                        sync_ops,
+                        sync_wait_cycles,
+                        mem_refs,
+                        l1_misses,
+                        l2_misses,
+                        local_home_misses,
+                        remote_home_misses,
+                        mem_stall_cycles,
+                        contention_cycles,
+                        mispredicts,
+                        branches,
+                        intervals,
+                    ]
+                    .into_iter(),
+                );
+            }
+            let DirectoryStats {
+                reads,
+                writes,
+                owner_forwards,
+                invalidations,
+                upgrades,
+                writebacks,
+                nacks,
+            } = directory;
+            b.u64s(
+                [
+                    reads,
+                    writes,
+                    owner_forwards,
+                    invalidations,
+                    upgrades,
+                    writebacks,
+                    nacks,
+                ]
+                .into_iter(),
+            );
+            let NetworkStats {
+                msgs,
+                payload_msgs,
+                total_hops,
+                link_wait_cycles,
+                total_flit_hops,
+                link_flits,
+            } = network;
+            b.u64s(
+                [
+                    msgs,
+                    payload_msgs,
+                    total_hops,
+                    link_wait_cycles,
+                    total_flit_hops,
+                ]
+                .into_iter(),
+            );
+            b.u64s(link_flits.into_iter());
+            for MemCtrlStats {
+                requests,
+                total_queue_delay,
+            } in memctrls
+            {
+                b.u64s([requests, total_queue_delay].into_iter());
+            }
+            let FaultStats {
+                messages,
+                drops,
+                retries,
+                forced_deliveries,
+                duplicates,
+                spikes,
+                spike_cycles,
+                timeout_wait_cycles,
+                slowdown_events,
+                slowdown_cycles,
+            } = faults;
+            b.u64s(
+                [
+                    messages,
+                    drops,
+                    retries,
+                    forced_deliveries,
+                    duplicates,
+                    spikes,
+                    spike_cycles,
+                    timeout_wait_cycles,
+                    slowdown_events,
+                    slowdown_cycles,
+                ]
+                .into_iter(),
+            );
+            let ReconfigStats {
+                migrations,
+                migration_stall_cycles,
+                dvfs_epochs,
+                dvfs_extra_cycles,
+                dvfs_saved_cycles,
+                core_switches,
+            } = reconfig;
+            b.u64s(
+                [
+                    migrations,
+                    migration_stall_cycles,
+                    dvfs_epochs,
+                    dvfs_extra_cycles,
+                    dvfs_saved_cycles,
+                    core_switches,
+                ]
+                .into_iter(),
+            );
+            b.u64(finish_cycle);
+            b.u64(ddv_vectors_exchanged);
+        }
+        let digest = (b.0.len(), crate::parallel::fnv1a64(&b.0));
+        assert_eq!(digest, (100_440, 0x9618_9bc3_1fd9_dc47), "{digest:#x?}");
+    }
+
     #[test]
     fn parallel_capture_populates_cache() {
         let cfgs = vec![
