@@ -2,8 +2,8 @@
 //! machine.
 //!
 //! Each actuator interprets the protocol's config space `0..n_configs` as a
-//! family of real reconfigurations applied through the
-//! [`Machine`](dsm_sim::reconfig::Machine) seam at interval boundaries.
+//! family of real reconfigurations applied through the [`Machine`] seam at
+//! interval boundaries.
 //! Config 0 is always the machine's default setting, so the untuned arm and
 //! the first trial of every phase run the stock machine — and the
 //! [`NoopActuator`] (every config inert) leaves any run bit-identical to a

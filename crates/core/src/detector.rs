@@ -695,8 +695,7 @@ impl TraceClassifier {
     /// point of `grid` (`None` gates on the signature alone). Every
     /// detector replays through here and differs only in its signature and
     /// `distance`, which writes each stored row's distance from the query
-    /// into `out`: BBV Manhattan distance
-    /// ([`manhattan_rows`](crate::distance::manhattan_rows)) for BBV,
+    /// into `out`: BBV Manhattan distance ([`manhattan_rows`]) for BBV,
     /// BBV+DDV and the vector-DDV extension, the relative signature
     /// distance for working sets, the relative difference for branch
     /// counts.

@@ -12,7 +12,7 @@ pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
 /// Rows [`manhattan_rows`] compares at once.
 const LANES: usize = 8;
 
-/// `out[l] = manhattan(a, rows[l])` for every row, [`LANES`] rows at a
+/// `out[l] = manhattan(a, rows[l])` for every row, `LANES` (8) rows at a
 /// time. Each lane sums its own terms left to right, exactly as
 /// [`manhattan`] does, so every result is bit-identical to the one-row
 /// form: the lanes only give the CPU independent add chains to overlap.

@@ -8,10 +8,10 @@
 //! 1. [`kernel`] — a pairwise distance over [`PhaseStream`]s combining
 //!    time-aligned phase-id disagreement, relative CPI divergence, and an
 //!    edit-style lag term, with degraded intervals down-weighted;
-//! 2. [`cluster`] — deterministic average-linkage clustering of the fleet,
+//! 2. [`cluster`](mod@cluster) — deterministic average-linkage clustering of the fleet,
 //!    a majority ("how the program behaves") cluster, a per-node outlier
 //!    score, and a flagged divergent interval range per outlier;
-//! 3. [`attribute`] — root-cause hints joining each outlier against
+//! 3. [`attribute`](mod@attribute) — root-cause hints joining each outlier against
 //!    per-node telemetry counters (remote-miss share, retries, stalls,
 //!    reconfig events) ranked by relative excess over the majority median;
 //! 4. [`sink`] — the online consumer: a windowed [`sink::DiagnosisSink`]

@@ -2,7 +2,7 @@
 //! gain comes from each term of `DDS = Σ F·D·C`, plus a DDS-only detector
 //! (no BBV gate).
 //!
-//! Usage: `ablation [--scale test|scaled|paper] [--jobs N] [--cold] [--no-cache]`
+//! Usage: `ablation [--scale test|scaled|paper] [--jobs N]`
 //! (default: scaled).
 
 use dsm_harness::cli;
@@ -11,11 +11,11 @@ use dsm_harness::report;
 use dsm_harness::sweep::{ablation_curve, bbv_curve, bbv_ddv_curve, vector_ddv_curve, DdsAblation};
 
 fn main() {
-    let cli = cli::parse("ablation [--scale test|scaled|paper] [--jobs N] [--cold] [--no-cache]");
+    let cli = cli::parse("ablation [--scale test|scaled|paper] [--jobs N]");
     let scale = cli.scale();
-    let jobs = cli.init_engine();
+    let jobs = cli.jobs();
     eprintln!("ablation: running with {jobs} worker(s)");
-    let (table, rows, run_report) = budget_table("ablation", 32, scale, 30, |trace| {
+    let (table, rows) = budget_table(32, scale, 30, |trace| {
         vec![
             ("BBV only", bbv_curve(trace)),
             ("BBV+DDV (full F*D*C)", bbv_ddv_curve(trace)),
@@ -34,8 +34,4 @@ fn main() {
         &report::write_csv("ablation.csv", &["app", "variant", "phases", "cov"], &rows)
             .expect("write"),
     );
-    report::announce(
-        &report::write_text("ablation-run.json", &run_report.to_json()).expect("write run report"),
-    );
-    eprintln!("{}", run_report.summary());
 }

@@ -1,26 +1,22 @@
 //! Regenerate the paper's Figure 4 (BBV vs BBV+DDV CoV curves at 8 and 32
 //! processors for LU, FMM, Art, Equake) and the §IV FMM headline.
 //!
-//! Usage: `fig4 [--scale test|scaled|paper] [--jobs N] [--cold] [--no-cache]
-//! [--telemetry-out <dir>]`
-//! (default: scaled; jobs defaults to the hardware parallelism; traces are
-//! cached under `.dsm-trace-cache/` unless `--no-cache`; `--telemetry-out`
-//! additionally writes one Chrome-trace / metrics / summary triple per
-//! workload at 2 processors plus the engine's cache counters).
+//! Usage: `fig4 [--scale test|scaled|paper] [--jobs N] [--telemetry-out <dir>]`
+//! (default: scaled; jobs defaults to the hardware parallelism;
+//! `--telemetry-out` additionally writes one Chrome-trace / metrics /
+//! summary triple per workload at 2 processors).
 
 use dsm_harness::cli;
-use dsm_harness::figures::{figure4_with_report, headline_fmm};
+use dsm_harness::figures::{figure4, headline_fmm};
 use dsm_harness::{report, telemetry};
 
 fn main() {
-    let cli = cli::parse(
-        "fig4 [--scale test|scaled|paper] [--jobs N] [--cold] [--no-cache] [--telemetry-out <dir>]",
-    );
+    let cli = cli::parse("fig4 [--scale test|scaled|paper] [--jobs N] [--telemetry-out <dir>]");
     let scale = cli.scale();
-    let jobs = cli.init_engine();
+    let jobs = cli.jobs();
     eprintln!("fig4: running with {jobs} worker(s)");
     let t0 = std::time::Instant::now();
-    let (fig, run_report) = figure4_with_report(scale);
+    let fig = figure4(scale);
     let ascii = fig.render_ascii();
     println!("{ascii}");
 
@@ -46,15 +42,10 @@ fn main() {
         &report::write_text("fig4.txt", &format!("{ascii}\n{headline}")).expect("write txt"),
     );
     report::announce(&report::write_json("fig4.json", &fig.to_json()).expect("write json"));
-    report::announce(
-        &report::write_json("fig4-run.json", &run_report.json_value())
-            .expect("write run report"),
-    );
-    eprintln!("{}", run_report.summary());
 
     if let Some(dir) = cli.telemetry_out() {
-        let paths = telemetry::export_figure(&dir, scale, "fig4-run", &run_report)
-            .expect("write telemetry artifacts");
+        let paths =
+            telemetry::export_workloads(&dir, scale, 2).expect("write telemetry artifacts");
         for p in &paths {
             report::announce(p);
         }

@@ -159,15 +159,6 @@ impl Cli {
         }
         parallel::jobs()
     }
-
-    /// [`Cli::jobs`], then the trace store: off under `--no-cache`, else
-    /// on at [`parallel::default_store_dir`] and emptied first under
-    /// `--cold`.
-    pub fn init_engine(&self) -> usize {
-        let jobs = self.jobs();
-        parallel::init_store(self.has("--cold"), self.has("--no-cache"));
-        jobs
-    }
 }
 
 /// A count.

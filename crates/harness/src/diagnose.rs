@@ -19,7 +19,7 @@
 //!   peers' soar, and attribution should surface `PlacementSkew`.
 //!
 //! Telemetry joined against each outlier comes from the run's own
-//! [`SystemStats`] — per-node miss/stall shares plus the global fault and
+//! [`dsm_sim::stats::SystemStats`] — per-node miss/stall shares plus the global fault and
 //! reconfiguration counters every node sees identically.
 
 use dsm_diagnose::{diagnose, DiagnoseConfig, Diagnosis, NodeTelemetry};

@@ -9,9 +9,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::experiment::ExperimentConfig;
 use crate::json::Json;
-use crate::parallel::{capture_matrix, RunReport};
 use crate::sweep::{bbv_curve, bbv_ddv_curve};
-use crate::trace::{capture_cached, SystemTrace};
+use crate::trace::{capture_all_cached, capture_cached, SystemTrace};
 
 /// Maximum phase count plotted (the paper's x-axes run to 25).
 pub const MAX_PHASES: usize = 25;
@@ -126,17 +125,12 @@ impl Figure {
 /// Figure 2: baseline BBV CoV curves for every application at 2, 8, and 32
 /// processors (one panel per application, one curve per system size).
 pub fn figure2(scale: Scale) -> Figure {
-    figure2_with_report(scale).0
-}
-
-/// [`figure2`] plus the engine's [`RunReport`] (cache traffic, wall time).
-pub fn figure2_with_report(scale: Scale) -> (Figure, RunReport) {
     let sizes = [2usize, 8, 32];
     let configs: Vec<ExperimentConfig> = App::ALL
         .iter()
         .flat_map(|&app| sizes.iter().map(move |&p| config_at(app, p, scale)))
         .collect();
-    let (_, report) = capture_matrix("fig2", &configs);
+    capture_all_cached(&configs);
 
     let panels = App::ALL
         .iter()
@@ -152,29 +146,21 @@ pub fn figure2_with_report(scale: Scale) -> (Figure, RunReport) {
                 .collect(),
         })
         .collect();
-    (
-        Figure {
-            name: "Figure 2: Baseline BBV results".into(),
-            panels,
-        },
-        report,
-    )
+    Figure {
+        name: "Figure 2: Baseline BBV results".into(),
+        panels,
+    }
 }
 
 /// Figure 4: BBV vs BBV+DDV curves for every application at 8 and 32
 /// processors (one panel per application × size).
 pub fn figure4(scale: Scale) -> Figure {
-    figure4_with_report(scale).0
-}
-
-/// [`figure4`] plus the engine's [`RunReport`] (cache traffic, wall time).
-pub fn figure4_with_report(scale: Scale) -> (Figure, RunReport) {
     let sizes = [8usize, 32];
     let configs: Vec<ExperimentConfig> = App::ALL
         .iter()
         .flat_map(|&app| sizes.iter().map(move |&p| config_at(app, p, scale)))
         .collect();
-    let (_, report) = capture_matrix("fig4", &configs);
+    capture_all_cached(&configs);
 
     let mut panels = Vec::new();
     for &p in &sizes {
@@ -190,13 +176,10 @@ pub fn figure4_with_report(scale: Scale) -> (Figure, RunReport) {
             });
         }
     }
-    (
-        Figure {
-            name: "Figure 4: BBV+DDV results".into(),
-            panels,
-        },
-        report,
-    )
+    Figure {
+        name: "Figure 4: BBV+DDV results".into(),
+        panels,
+    }
 }
 
 /// Experiment configuration for (app, size) at a scale.
@@ -211,17 +194,15 @@ pub fn config_at(app: App, p: usize, scale: Scale) -> ExperimentConfig {
 /// The detector-comparison table of `ablation` and `baselines`: every
 /// workload at `n_procs`, captured through the engine, then each of
 /// `curves(trace)` at the 7-, 15- and 25-phase budgets with its name padded
-/// to `width`. Returns the text, the CSV rows (`app, name, phases, cov`)
-/// and the engine's run report.
+/// to `width`. Returns the text and the CSV rows (`app, name, phases, cov`).
 pub fn budget_table(
-    name: &str,
     n_procs: usize,
     scale: Scale,
     width: usize,
     curves: impl Fn(&SystemTrace) -> Vec<(&'static str, CovCurve)>,
-) -> (String, Vec<Vec<String>>, RunReport) {
+) -> (String, Vec<Vec<String>>) {
     let configs: Vec<_> = App::ALL.iter().map(|&app| config_at(app, n_procs, scale)).collect();
-    let (traces, run_report) = capture_matrix(name, &configs);
+    let traces = capture_all_cached(&configs);
     let (mut out, mut rows) = (String::new(), Vec::new());
     for (app, trace) in App::ALL.into_iter().zip(&traces) {
         out.push_str(&format!("{}:\n", app.name()));
@@ -244,7 +225,7 @@ pub fn budget_table(
         }
         out.push('\n');
     }
-    (out, rows, run_report)
+    (out, rows)
 }
 
 /// The paper's §III-A LU headline: CoV at a fixed (7-phase) budget for

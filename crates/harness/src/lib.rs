@@ -26,9 +26,8 @@
 //! * [`topology`] — the interconnect-layout sweep: detector quality and
 //!   per-directed-link demand across hypercube, mesh, torus, ring, and
 //!   fat-tree fabrics;
-//! * [`parallel`] — the parallel experiment engine: a `--jobs` worker pool,
-//!   a content-addressed on-disk trace store, and structured run reports,
-//!   all with byte-identical serial/parallel output;
+//! * [`parallel`] — the parallel experiment engine: a `--jobs` worker pool
+//!   with byte-identical serial/parallel output;
 //! * [`json`] — the deterministic JSON value type the engine's artefacts
 //!   are written with;
 //! * [`report`] — results-directory output helpers;
@@ -59,7 +58,7 @@ pub mod trace;
 
 pub use experiment::ExperimentConfig;
 pub use faults::{fault_sweep, FaultPoint, FaultSweep};
-pub use parallel::{capture_matrix, par_map, RunReport, TraceStore};
+pub use parallel::par_map;
 pub use serve::{run_scenario, DisturbPlan, ServeOutcome, ServeScenario};
 pub use simpoint::{sampled_run, SimpointResult};
 pub use sweep::{bbv_curve, bbv_ddv_curve};

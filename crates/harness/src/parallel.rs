@@ -2,41 +2,19 @@
 //!
 //! The paper's methodology sweeps ~200 threshold values per detector over
 //! every (application, node count) point; every simulation and every sweep
-//! point is independent. This module provides the three layers that make
-//! the matrix run at hardware speed while staying bit-reproducible:
-//!
-//! 1. **a worker pool** ([`par_map`]) — an index-queue over scoped OS
-//!    threads with a process-wide `--jobs` knob. Results land in their
-//!    input slot, so output order (and therefore every downstream artefact)
-//!    is identical for any job count;
-//! 2. **a content-addressed trace store** ([`TraceStore`]) — captured
-//!    [`SystemTrace`]s persisted on disk keyed by a hash of
-//!    `(app, n_procs, scale, interval_base, SystemConfig, DetectorGeometry)`,
-//!    so re-running figures/sweeps/ablations skips simulation entirely.
-//!    Entries use the `DSMTRC5` layout ([`encode_trace`]/[`decode_trace`]),
-//!    declared as `Wire` field lists over `dsm_simpoint::wire`, the byte
-//!    layer of the checkpoint codec; decoding is total and any error is a
-//!    cache miss;
-//! 3. **a run report** ([`RunReport`]) — per-experiment wall time and
-//!    cache hit/miss counters, written as JSON next to the results.
+//! point is independent. [`par_map`] runs them on an index-queue over
+//! scoped OS threads with a process-wide `--jobs` knob. Results land in
+//! their input slot, so output order (and therefore every downstream
+//! artefact) is identical for any job count.
 //!
 //! Simulations were already deterministic per configuration (workload RNGs
 //! are seeded from fixed per-(app, proc, chunk) keys — see
 //! `dsm-workloads`), so serial and parallel runs produce byte-identical
 //! artefacts; `tests/determinism_parallel.rs` locks this down.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
-
-use dsm_phase::detector::DetectorGeometry;
-use dsm_simpoint::wire::{check_records, RecordShape, Wire, R, W};
-use dsm_simpoint::{wire_struct, CkptError};
-
-use crate::experiment::ExperimentConfig;
-use crate::json::Json;
-use crate::trace::{self, SystemTrace};
+use std::sync::Mutex;
 
 // ---------------------------------------------------------------------------
 // Jobs knob
@@ -114,12 +92,8 @@ where
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Content-addressed trace store
-// ---------------------------------------------------------------------------
-
 /// FNV-1a 64-bit (stable across platforms and Rust versions, unlike
-/// `DefaultHasher`).
+/// `DefaultHasher`, so the digest pins can hash with it).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -129,375 +103,13 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a digest of the `DSMTRC5` entries of every [`App::EXTENDED`]
-/// workload captured at 2 nodes and Test scale, in that order. It moves
-/// when the simulated output or the entry layout moves, and [`cache_key`]
-/// hashes it, so entries stored by other code become misses instead of
-/// stale hits. A change that shows only at Scaled or Paper inputs leaves
-/// it in place: run such a change `--cold`.
-///
-/// [`App::EXTENDED`]: dsm_workloads::App::EXTENDED
-pub const TRACE_DIGEST: u64 = 0xd055_88e7_d163_d09a;
-
-/// Content hash of everything that determines a captured trace: the
-/// simulator ([`TRACE_DIGEST`]), the experiment point, the derived machine
-/// configuration, and the collector geometry. Any field change (via
-/// `Debug` of the full structs) changes the key.
-pub fn cache_key(config: &ExperimentConfig) -> String {
-    key_for(TRACE_DIGEST, config)
-}
-
-fn key_for(digest: u64, config: &ExperimentConfig) -> String {
-    let desc = format!(
-        "{digest:016x}|{:?}|{}|{:?}|{}|{:?}|{:?}",
-        config.app,
-        config.n_procs,
-        config.scale,
-        config.interval_base,
-        config.system_config(),
-        DetectorGeometry::default(),
-    );
-    format!("{}-{:016x}", config.label(), fnv1a64(desc.as_bytes()))
-}
-
-/// Process-wide trace-store directory. Unset (the default) disables disk
-/// persistence; binaries enable it, unit tests run memory-only.
-static STORE_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Enable the on-disk trace store at `dir` (`None` disables it).
-pub fn set_trace_store_dir(dir: Option<PathBuf>) {
-    *STORE_DIR.lock().unwrap() = dir;
-}
-
-/// The configured store, if persistence is enabled.
-pub fn trace_store() -> Option<TraceStore> {
-    STORE_DIR
-        .lock()
-        .unwrap()
-        .as_ref()
-        .map(|d| TraceStore { dir: d.clone() })
-}
-
-/// The default store location: `$DSM_TRACE_CACHE`, or
-/// `.dsm-trace-cache/` under the working directory.
-pub fn default_store_dir() -> PathBuf {
-    std::env::var_os("DSM_TRACE_CACHE")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(".dsm-trace-cache"))
-}
-
-/// On-disk content-addressed store of captured traces.
-#[derive(Debug, Clone)]
-pub struct TraceStore {
-    dir: PathBuf,
-}
-
-impl TraceStore {
-    pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(Self { dir })
-    }
-
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn path_for(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{key}.trace"))
-    }
-
-    /// Load the trace stored under `key`, or `None` on absence or any
-    /// decode failure (treated as a miss, never an error).
-    pub fn load(&self, key: &str) -> Option<SystemTrace> {
-        let bytes = std::fs::read(self.path_for(key)).ok()?;
-        decode_trace(&bytes).ok()
-    }
-
-    /// Persist `trace` under `key` (atomic rename, so a concurrent reader
-    /// never observes a torn file).
-    pub fn store(&self, key: &str, trace: &SystemTrace) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(&self.dir)?;
-        let final_path = self.path_for(key);
-        let tmp = self.dir.join(format!(".{key}.tmp-{}", std::process::id()));
-        std::fs::write(&tmp, encode_trace(trace))?;
-        std::fs::rename(&tmp, &final_path)?;
-        Ok(final_path)
-    }
-
-    /// Delete every stored trace (`--cold` runs).
-    pub fn clear(&self) -> std::io::Result<()> {
-        if let Ok(entries) = std::fs::read_dir(&self.dir) {
-            for e in entries.flatten() {
-                if e.path().extension().is_some_and(|x| x == "trace") {
-                    std::fs::remove_file(e.path())?;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Run reports
-// ---------------------------------------------------------------------------
-
-/// Where a capture came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CaptureSource {
-    MemoryCache,
-    DiskCache,
-    Simulated,
-}
-
-impl CaptureSource {
-    fn as_str(self) -> &'static str {
-        match self {
-            CaptureSource::MemoryCache => "memory",
-            CaptureSource::DiskCache => "disk",
-            CaptureSource::Simulated => "simulated",
-        }
-    }
-}
-
-/// One experiment's outcome inside a [`RunReport`].
-#[derive(Debug, Clone)]
-pub struct ExperimentRun {
-    pub label: String,
-    pub key: String,
-    pub source: CaptureSource,
-    pub wall_ms: f64,
-    pub intervals: usize,
-}
-
-/// Structured record of one engine invocation: observability for long
-/// sweeps, and the stable part doubles as a determinism witness.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    pub name: String,
-    pub jobs: usize,
-    pub runs: Vec<ExperimentRun>,
-    pub total_wall_ms: f64,
-}
-
-impl RunReport {
-    pub fn mem_hits(&self) -> usize {
-        self.runs
-            .iter()
-            .filter(|r| r.source == CaptureSource::MemoryCache)
-            .count()
-    }
-
-    pub fn disk_hits(&self) -> usize {
-        self.runs
-            .iter()
-            .filter(|r| r.source == CaptureSource::DiskCache)
-            .count()
-    }
-
-    pub fn misses(&self) -> usize {
-        self.runs
-            .iter()
-            .filter(|r| r.source == CaptureSource::Simulated)
-            .count()
-    }
-
-    fn json_with(&self, timing: bool) -> Json {
-        let runs: Vec<Json> = self
-            .runs
-            .iter()
-            .map(|r| {
-                let mut o = Json::obj()
-                    .field("label", r.label.as_str())
-                    .field("key", r.key.as_str())
-                    .field("source", r.source.as_str())
-                    .field("intervals", r.intervals);
-                if timing {
-                    o = o.field("wall_ms", r.wall_ms);
-                }
-                o
-            })
-            .collect();
-        let mut o = Json::obj()
-            .field("name", self.name.as_str())
-            .field("jobs", self.jobs)
-            .field("experiments", self.runs.len())
-            .field("mem_hits", self.mem_hits())
-            .field("disk_hits", self.disk_hits())
-            .field("misses", self.misses());
-        if timing {
-            o = o.field("total_wall_ms", self.total_wall_ms);
-        }
-        o.field("runs", Json::Arr(runs))
-    }
-
-    /// Full JSON value, timing included.
-    pub fn json_value(&self) -> Json {
-        self.json_with(true)
-    }
-
-    /// Full JSON, timing included.
-    pub fn to_json(&self) -> String {
-        self.json_with(true).to_string()
-    }
-
-    /// Publish the deterministic run counters into a metrics registry
-    /// (wall times are excluded so the published metrics stay byte-stable
-    /// across reruns and job counts, like [`RunReport::stable_json`]).
-    pub fn publish(&self, reg: &mut dsm_telemetry::MetricsRegistry) {
-        reg.counter_add("harness/experiments", self.runs.len() as u64);
-        reg.counter_add("harness/cache/mem_hits", self.mem_hits() as u64);
-        reg.counter_add("harness/cache/disk_hits", self.disk_hits() as u64);
-        reg.counter_add("harness/cache/misses", self.misses() as u64);
-        reg.counter_add(
-            "harness/intervals",
-            self.runs.iter().map(|r| r.intervals as u64).sum(),
-        );
-    }
-
-    /// JSON with wall-time fields elided — byte-identical across reruns
-    /// and job counts (the determinism witness).
-    pub fn stable_json(&self) -> String {
-        self.json_with(false).to_string()
-    }
-
-    /// One-line human summary for stderr.
-    pub fn summary(&self) -> String {
-        format!(
-            "{}: {} experiments, jobs={}, cache {} mem + {} disk hits / {} simulated, {:.0} ms",
-            self.name,
-            self.runs.len(),
-            self.jobs,
-            self.mem_hits(),
-            self.disk_hits(),
-            self.misses(),
-            self.total_wall_ms
-        )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The engine
-// ---------------------------------------------------------------------------
-
-/// Capture every configuration in `configs` — memory cache, then disk
-/// store, then simulation — running misses concurrently on the worker
-/// pool. Returns traces in input order plus a [`RunReport`].
-pub fn capture_matrix(
-    name: &str,
-    configs: &[ExperimentConfig],
-) -> (Vec<Arc<SystemTrace>>, RunReport) {
-    let t0 = Instant::now();
-    let store = trace_store();
-    let results = par_map(configs.to_vec(), |config| {
-        let t = Instant::now();
-        let key = cache_key(&config);
-        let (trace, source) = if let Some(hit) = trace::memory_cache_get(&config.label()) {
-            (hit, CaptureSource::MemoryCache)
-        } else if let Some(hit) = store.as_ref().and_then(|s| s.load(&key)) {
-            let arc = Arc::new(hit);
-            trace::memory_cache_insert(config.label(), arc.clone());
-            (arc, CaptureSource::DiskCache)
-        } else {
-            let fresh = Arc::new(trace::capture(config));
-            if let Some(s) = &store {
-                // Best-effort: a full disk never fails the experiment.
-                let _ = s.store(&key, &fresh);
-            }
-            trace::memory_cache_insert(config.label(), fresh.clone());
-            (fresh, CaptureSource::Simulated)
-        };
-        let run = ExperimentRun {
-            label: config.label(),
-            key,
-            source,
-            wall_ms: t.elapsed().as_secs_f64() * 1e3,
-            intervals: trace.total_intervals(),
-        };
-        (trace, run)
-    });
-    let mut traces = Vec::with_capacity(results.len());
-    let mut runs = Vec::with_capacity(results.len());
-    for (trace, run) in results {
-        traces.push(trace);
-        runs.push(run);
-    }
-    let report = RunReport {
-        name: name.to_string(),
-        jobs: jobs(),
-        runs,
-        total_wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-    };
-    (traces, report)
-}
-
-/// The trace store of a binary run: off under `no_cache`, else on at
-/// [`default_store_dir`] and emptied first under `cold`.
-pub fn init_store(cold: bool, no_cache: bool) {
-    let dir = (!no_cache).then(default_store_dir);
-    if let Some(dir) = dir.as_ref().filter(|_| cold) {
-        if let Ok(store) = TraceStore::open(dir) {
-            store.clear().expect("clear trace store");
-        }
-    }
-    set_trace_store_dir(dir);
-}
-
-// ---------------------------------------------------------------------------
-// Binary trace codec
-// ---------------------------------------------------------------------------
-
-/// Trace-store entry magic. v2 added `DirectoryStats.nacks` and
-/// `SystemStats.faults` (fault injection); v3 the route-aware fabric
-/// (`NetworkStats.total_flit_hops` and per-link flit counters); v5 stores
-/// each record's BBV bucket counts, `F_i` and `C` as range-checked `u32`
-/// counts instead of a normalized `f64` BBV and `u64` counts. Entries of
-/// any other version decode as a cache miss, never a panic.
-const TRACE_MAGIC: &[u8; 8] = b"DSMTRC5\n";
-
-// The `DSMTRC5` layout: the experiment point, every interval record, the
-// run's statistics, then the DDV traffic total.
-wire_struct! {
-    ExperimentConfig { app, scale, n_procs, interval_base }
-    SystemTrace { config, records, stats, ddv_vectors_exchanged }
-}
-
-/// Encode `trace` as a `DSMTRC5` trace-store entry. Deterministic.
-pub fn encode_trace(trace: &SystemTrace) -> Vec<u8> {
-    let mut w = W::with_magic(TRACE_MAGIC);
-    trace.put(&mut w);
-    w.into_bytes()
-}
-
-/// Decode a `DSMTRC5` entry. Total: any input yields a trace or a typed
-/// [`CkptError`]; it never panics and never reserves more than the input
-/// could hold. An experiment point that fails
-/// [`ExperimentConfig::validate`], a record list per processor missing or
-/// extra, or a record the sweeps cannot take ([`check_records`], at the
-/// first record's BBV and working-set widths) is a `BadValue` naming the
-/// field.
-pub fn decode_trace(bytes: &[u8]) -> Result<SystemTrace, CkptError> {
-    let mut r = R::new(bytes.strip_prefix(TRACE_MAGIC).ok_or(CkptError::BadMagic)?);
-    let trace = SystemTrace::get(&mut r)?;
-    let n_procs = trace.config.n_procs;
-    trace
-        .config
-        .validate()
-        .map_err(|e| CkptError::BadValue { what: e.field() })?;
-    if trace.records.len() != n_procs {
-        return Err(CkptError::BadValue { what: "records per processor" });
-    }
-    let first = trace.records.iter().flatten().next();
-    let (bbv_entries, ws_words) = first.map_or((0, 0), |r| (r.bbv().len(), r.ws_words().len()));
-    check_records(&trace.records, RecordShape { n_procs, bbv_entries, ws_words })?;
-    r.finish()?;
-    Ok(trace)
-}
+/// Does nothing: captures live only in memory. Kept because the repository
+/// benchmark (`perfbench/src/main.rs`) still calls it with `None`.
+pub fn set_trace_store_dir(_dir: Option<PathBuf>) {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsm_workloads::App;
 
     #[test]
     fn par_map_preserves_order_for_any_job_count() {
@@ -515,241 +127,10 @@ mod tests {
     }
 
     #[test]
-    fn run_report_publishes_cache_counters() {
-        let report = RunReport {
-            name: "t".into(),
-            jobs: 2,
-            runs: vec![
-                ExperimentRun {
-                    label: "a".into(),
-                    key: "ka".into(),
-                    source: CaptureSource::MemoryCache,
-                    wall_ms: 1.0,
-                    intervals: 5,
-                },
-                ExperimentRun {
-                    label: "b".into(),
-                    key: "kb".into(),
-                    source: CaptureSource::Simulated,
-                    wall_ms: 2.0,
-                    intervals: 7,
-                },
-            ],
-            total_wall_ms: 3.0,
-        };
-        let mut reg = dsm_telemetry::MetricsRegistry::new();
-        report.publish(&mut reg);
-        assert_eq!(reg.counter_value("harness/experiments"), Some(2));
-        assert_eq!(reg.counter_value("harness/cache/mem_hits"), Some(1));
-        assert_eq!(reg.counter_value("harness/cache/disk_hits"), Some(0));
-        assert_eq!(reg.counter_value("harness/cache/misses"), Some(1));
-        assert_eq!(reg.counter_value("harness/intervals"), Some(12));
-        // No wall-time metric leaks in: the dump must stay deterministic.
-        assert!(reg.gauge_value("harness/total_wall_ms").is_none());
-    }
-
-    #[test]
     fn fnv_is_stable() {
-        // Known FNV-1a vectors — the cache key must never drift silently.
+        // Known FNV-1a vectors — the digest pins must never drift silently.
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn cache_key_separates_every_field() {
-        let base = ExperimentConfig::test(App::Lu, 2);
-        let variants = [
-            ExperimentConfig {
-                app: App::Fmm,
-                ..base
-            },
-            ExperimentConfig { n_procs: 4, ..base },
-            ExperimentConfig {
-                scale: dsm_workloads::Scale::Scaled,
-                ..base
-            },
-            ExperimentConfig {
-                interval_base: base.interval_base + 1,
-                ..base
-            },
-        ];
-        let k0 = cache_key(&base);
-        let same = ExperimentConfig { ..base };
-        assert_eq!(k0, cache_key(&same));
-        for v in variants {
-            assert_ne!(k0, cache_key(&v), "{v:?}");
-        }
-    }
-
-    #[test]
-    fn trace_codec_roundtrips_exactly() {
-        let trace = trace::capture(ExperimentConfig::test(App::Lu, 2));
-        let store = TraceStore::open(
-            std::env::temp_dir().join(format!("dsm-store-test-{}", std::process::id())),
-        )
-        .unwrap();
-        let key = cache_key(&trace.config);
-        store.store(&key, &trace).unwrap();
-        let back = store.load(&key).expect("load stored trace");
-        assert_eq!(back.config, trace.config);
-        assert_eq!(back.records, trace.records);
-        assert_eq!(back.stats, trace.stats);
-        assert_eq!(back.ddv_vectors_exchanged, trace.ddv_vectors_exchanged);
-        store.clear().unwrap();
-        assert!(store.load(&key).is_none());
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn trace_bytes_are_pinned() {
-        // The digest moves when the simulated output or the DSMTRC5 layout
-        // moves; `synthetic_trace_bytes_are_pinned` pins the layout
-        // alone. `cache_key` hashes the same constant, so re-pinning it
-        // turns every stored trace into a miss.
-        let mut bytes = Vec::new();
-        for app in App::EXTENDED {
-            bytes.extend(encode_trace(&trace::capture(ExperimentConfig::test(app, 2))));
-        }
-        assert_eq!(fnv1a64(&bytes), TRACE_DIGEST, "{:#x}", fnv1a64(&bytes));
-    }
-
-    #[test]
-    fn cache_key_follows_the_trace_digest() {
-        let c = ExperimentConfig::test(App::Lu, 2);
-        assert_eq!(key_for(TRACE_DIGEST, &c), cache_key(&c));
-        assert_ne!(key_for(TRACE_DIGEST ^ 1, &c), cache_key(&c));
-    }
-
-    /// A fixed trace with every encoded field set to a distinct value, so
-    /// reordering, dropping or retyping any field moves the digest.
-    fn pinned_trace() -> SystemTrace {
-        use dsm_phase::detector::IntervalRecord;
-        use dsm_sim::directory::DirectoryStats;
-        use dsm_sim::memctrl::MemCtrlStats;
-        use dsm_sim::network::NetworkStats;
-        use dsm_sim::stats::SystemStats;
-        use dsm_sim::{FaultStats, ProcStats, ReconfigStats};
-        let mut k = 0u64;
-        let mut n = || {
-            k += 1;
-            k * 1009
-        };
-        let records = (0..2)
-            .map(|p| {
-                (0..2)
-                    .map(|i| {
-                        IntervalRecord::new(
-                            p,
-                            i,
-                            n(),
-                            n(),
-                            [125, 500 + i as u32, 375],
-                            [n() as u32, n() as u32],
-                            [n() as u32, n() as u32],
-                            2.5 * (p as f64 + 1.0),
-                            &[n()],
-                            n(),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut proc_stats = || ProcStats {
-            cycles: n(),
-            insns: n(),
-            sync_ops: n(),
-            sync_wait_cycles: n(),
-            mem_refs: n(),
-            l1_misses: n(),
-            l2_misses: n(),
-            local_home_misses: n(),
-            remote_home_misses: n(),
-            mem_stall_cycles: n(),
-            contention_cycles: n(),
-            mispredicts: n(),
-            branches: n(),
-            intervals: n(),
-        };
-        let procs = vec![proc_stats(), proc_stats()];
-        SystemTrace {
-            config: ExperimentConfig {
-                app: App::Ocean,
-                n_procs: 2,
-                scale: dsm_workloads::Scale::Scaled,
-                interval_base: 20_000,
-            },
-            records,
-            stats: SystemStats {
-                procs,
-                directory: DirectoryStats {
-                    reads: n(),
-                    writes: n(),
-                    owner_forwards: n(),
-                    invalidations: n(),
-                    upgrades: n(),
-                    writebacks: n(),
-                    nacks: n(),
-                },
-                network: NetworkStats {
-                    msgs: n(),
-                    payload_msgs: n(),
-                    total_hops: n(),
-                    link_wait_cycles: n(),
-                    total_flit_hops: n(),
-                    link_flits: vec![n(), n(), n()],
-                },
-                memctrls: vec![
-                    MemCtrlStats { requests: n(), total_queue_delay: n() },
-                    MemCtrlStats { requests: n(), total_queue_delay: n() },
-                ],
-                faults: FaultStats {
-                    messages: n(),
-                    drops: n(),
-                    retries: n(),
-                    forced_deliveries: n(),
-                    duplicates: n(),
-                    spikes: n(),
-                    spike_cycles: n(),
-                    timeout_wait_cycles: n(),
-                    slowdown_events: n(),
-                    slowdown_cycles: n(),
-                },
-                reconfig: ReconfigStats {
-                    migrations: n(),
-                    migration_stall_cycles: n(),
-                    dvfs_epochs: n(),
-                    dvfs_extra_cycles: n(),
-                    dvfs_saved_cycles: n(),
-                    core_switches: n(),
-                },
-                finish_cycle: n(),
-            },
-            ddv_vectors_exchanged: n(),
-        }
-    }
-
-    #[test]
-    fn synthetic_trace_bytes_are_pinned() {
-        // Covers every field the captured pin above leaves zero (fault and
-        // reconfiguration counters among them). A digest change is a
-        // layout change: bump the magic instead of editing the pin.
-        let trace = pinned_trace();
-        let bytes = encode_trace(&trace);
-        assert_eq!((bytes.len(), fnv1a64(&bytes)), (1170, 0x62a8617419ff4a52));
-        let back = decode_trace(&bytes).expect("pinned trace decodes");
-        assert_eq!(back.config, trace.config);
-        assert_eq!(back.records, trace.records);
-        assert_eq!(back.stats, trace.stats);
-        assert_eq!(back.ddv_vectors_exchanged, trace.ddv_vectors_exchanged);
-    }
-
-    #[test]
-    fn corrupt_store_entries_are_misses() {
-        let dir = std::env::temp_dir().join(format!("dsm-store-corrupt-{}", std::process::id()));
-        let store = TraceStore::open(&dir).unwrap();
-        std::fs::write(store.dir().join("bad.trace"), b"DSMTRC2\n\x09garbage").unwrap();
-        assert!(store.load("bad").is_none());
-        let _ = std::fs::remove_dir_all(dir);
     }
 }

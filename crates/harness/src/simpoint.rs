@@ -9,7 +9,7 @@
 //!    ([`dsm_simpoint::signatures`]).
 //! 2. **Select** — cluster the signatures with deterministic k-means and
 //!    pick one representative interval per cluster
-//!    ([`dsm_simpoint::select`]).
+//!    ([`dsm_simpoint::select`](mod@dsm_simpoint::select)).
 //! 3. **Checkpoint** — re-run the workload once, snapshotting the complete
 //!    machine + collector state (`DSMCKPT9` codec) at each representative's
 //!    interval boundary; the continuation of this run doubles as a golden
@@ -153,8 +153,7 @@ pub fn capture_checkpoint_every(
 /// and restore the machine state. The result continues bit-identically to
 /// the run the checkpoint was taken from. Metadata that fails
 /// [`ExperimentConfig::validate`] is refused as a `BadValue` naming the
-/// field, as the trace store refuses it, instead of panicking in
-/// `System::new`. So is a fetch count past the end of the processor's
+/// field instead of panicking in `System::new`. So is a fetch count past the end of the processor's
 /// stream, and machine state whose lengths do not fit the rebuilt system
 /// ([`System::state_misfit`]).
 pub fn resume_checkpoint(ck: &Checkpoint) -> Result<(ExperimentConfig, AppSystem), CkptError> {

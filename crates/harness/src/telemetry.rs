@@ -159,16 +159,6 @@ pub fn export_run(dir: &Path, label: &str, snapshot: &Snapshot) -> io::Result<Ve
     Ok(paths)
 }
 
-/// Export a metrics-only registry (no span tracks) — used by binaries to
-/// dump harness-level counters such as the [`crate::parallel::RunReport`]
-/// cache statistics.
-pub fn export_registry(dir: &Path, label: &str, reg: &MetricsRegistry) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{label}.metrics.jsonl"));
-    std::fs::write(&path, metrics_jsonl(&reg.samples()))?;
-    Ok(path)
-}
-
 /// Capture every workload at `n_procs`/`scale` with telemetry and export
 /// one artifact triple per workload into `dir`. Returns all written paths.
 pub fn export_workloads(dir: &Path, scale: Scale, n_procs: usize) -> io::Result<Vec<PathBuf>> {
@@ -178,22 +168,6 @@ pub fn export_workloads(dir: &Path, scale: Scale, n_procs: usize) -> io::Result<
         let cap = capture_with_telemetry(config);
         paths.extend(export_run(dir, &config.label(), &cap.snapshot)?);
     }
-    Ok(paths)
-}
-
-/// The figure binaries' `--telemetry-out DIR`: [`export_workloads`] at 2
-/// nodes, then `run`'s deterministic counters as `<label>.metrics.jsonl`.
-/// Returns all written paths.
-pub fn export_figure(
-    dir: &Path,
-    scale: Scale,
-    label: &str,
-    run: &crate::parallel::RunReport,
-) -> io::Result<Vec<PathBuf>> {
-    let mut paths = export_workloads(dir, scale, 2)?;
-    let mut reg = MetricsRegistry::new();
-    run.publish(&mut reg);
-    paths.push(export_registry(dir, label, &reg)?);
     Ok(paths)
 }
 

@@ -4,9 +4,9 @@
 //! Classification does not feed back into execution in the paper's
 //! evaluation, so a single capture supports arbitrarily many threshold
 //! sweeps (see DESIGN.md §2, "online/offline equivalence"). Captures are
-//! cached in-memory keyed by configuration so figures and benches never
-//! re-simulate; the parallel engine ([`crate::parallel`]) layers a
-//! content-addressed on-disk store and a worker pool on top.
+//! cached in memory keyed by configuration, so figures and benches
+//! simulate each point once per process; [`capture_all_cached`] runs the
+//! misses on the worker pool ([`crate::parallel`]).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -109,24 +109,8 @@ pub fn capture_with(
 /// Process-wide in-memory trace cache, keyed by configuration label.
 static CACHE: Mutex<Option<HashMap<String, Arc<SystemTrace>>>> = Mutex::new(None);
 
-pub(crate) fn memory_cache_get(label: &str) -> Option<Arc<SystemTrace>> {
-    CACHE
-        .lock()
-        .unwrap()
-        .as_ref()
-        .and_then(|m| m.get(label).cloned())
-}
-
-pub(crate) fn memory_cache_insert(label: String, trace: Arc<SystemTrace>) {
-    CACHE
-        .lock()
-        .unwrap()
-        .get_or_insert_with(HashMap::new)
-        .insert(label, trace);
-}
-
-/// Drop every in-memory cached trace. Tests use this to force the engine
-/// back to the disk store or to fresh simulation.
+/// Drop every in-memory cached trace, so the next request simulates
+/// afresh.
 pub fn clear_memory_cache() {
     *CACHE.lock().unwrap() = None;
 }
@@ -135,19 +119,18 @@ pub fn clear_memory_cache() {
 /// free. Used by figures and benches.
 pub fn capture_cached(config: ExperimentConfig) -> Arc<SystemTrace> {
     let key = config.label();
-    if let Some(t) = memory_cache_get(&key) {
+    if let Some(t) = CACHE.lock().unwrap().as_ref().and_then(|m| m.get(&key).cloned()) {
         return t;
     }
     let trace = Arc::new(capture(config));
-    memory_cache_insert(key, trace.clone());
+    CACHE.lock().unwrap().get_or_insert_with(HashMap::new).insert(key, trace.clone());
     trace
 }
 
-/// Capture many configurations in parallel and populate the cache. Thin
-/// wrapper over [`crate::parallel::capture_matrix`] for callers that do not
-/// need the run report.
-pub fn capture_all_cached(configs: &[ExperimentConfig]) {
-    let _ = crate::parallel::capture_matrix("capture_all_cached", configs);
+/// [`capture_cached`] every configuration on the worker pool
+/// ([`crate::parallel::par_map`]); the traces come back in input order.
+pub fn capture_all_cached(configs: &[ExperimentConfig]) -> Vec<Arc<SystemTrace>> {
+    crate::parallel::par_map(configs.to_vec(), capture_cached)
 }
 
 #[cfg(test)]
@@ -380,9 +363,9 @@ mod tests {
             ExperimentConfig::test(App::Fmm, 2),
             ExperimentConfig::test(App::Fmm, 4),
         ];
-        capture_all_cached(&cfgs);
-        for c in cfgs {
-            let t = capture_cached(c);
+        let traces = capture_all_cached(&cfgs);
+        for (c, t) in cfgs.into_iter().zip(traces) {
+            assert!(Arc::ptr_eq(&t, &capture_cached(c)));
             assert!(t.total_intervals() > 0);
         }
     }

@@ -1,7 +1,7 @@
 //! Deterministic synthetic signature streams.
 //!
 //! Replayed traces cover fidelity; scale needs thousands of tenants, far
-//! more than the trace store holds. A [`SynthStream`] is a pure function
+//! more than there are captured traces. A [`SynthStream`] is a pure function
 //! from `(seed, proc, index)` to an [`IntervalSignature`] with realistic
 //! phase structure: the stream cycles through `PHASES` stable base
 //! signatures in runs of `RUN_LEN` intervals, with per-interval jitter well

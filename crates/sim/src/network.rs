@@ -185,8 +185,8 @@ impl Network {
     }
 
     /// One-way latency of a message injected at absolute cycle `now`,
-    /// following the deterministic route hop by hop (see [`Network::transmit`]'s
-    /// contention model). Without [`NetworkConfig::link_contention`] this is
+    /// following the deterministic route hop by hop (see the contention
+    /// model of `Network::transmit`). Without [`NetworkConfig::link_contention`] this is
     /// the analytic [`Network::latency`] of the route, whatever `now` is.
     pub fn send_at(&mut self, a: usize, b: usize, payload: bool, now: u64) -> u64 {
         self.transmit(a, b, payload, now, true)

@@ -10,9 +10,9 @@
 //!
 //! Decoding is total: corrupt or truncated input of any shape produces a
 //! typed [`CkptError`], never a panic or an attempted huge allocation. The
-//! byte layer and the layouts this format shares with the harness trace
-//! store (`DSMTRC5`) live in [`crate::wire`]. This module adds the
-//! checkpoint-only layouts, each one [`Wire`] field list or hand-written
+//! byte layer and the simulator and detector layouts live in
+//! [`crate::wire`]. This module adds the checkpoint's own layouts, each
+//! one [`Wire`] field list or hand-written
 //! tag encoding, and the invariants [`Checkpoint::decode`] checks once the
 //! layout has parsed.
 
@@ -576,7 +576,7 @@ mod tests {
         }
     }
 
-    /// FNV-1a 64, as the harness trace store keys entries.
+    /// FNV-1a 64, as the harness digest pins hash (`dsm_harness::parallel::fnv1a64`).
     fn fnv1a64(bytes: &[u8]) -> u64 {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
     }

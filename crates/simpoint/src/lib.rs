@@ -11,11 +11,11 @@
 //!   boundary, with the metadata needed to rebuild the machine and
 //!   fast-forward a fresh instruction stream to the same position. Decoding
 //!   is total — corrupt input yields a typed error, never a panic.
-//! * [`wire`] — the byte layer under both binary formats: the [`Wire`](wire::Wire)
+//! * [`wire`] — the byte layer under the checkpoint format: the [`Wire`](wire::Wire)
 //!   trait, its total little-endian primitives and containers, and the
 //!   [`wire_struct!`] macro that derives a struct's encoder, decoder and
 //!   length floor from one field list.
-//! * [`select`] — per-interval BBV ⊕ data-distribution signatures from a
+//! * [`select`](mod@select) — per-interval BBV ⊕ data-distribution signatures from a
 //!   profiling pass, clustered by deterministic k-means (k-means++ seeding,
 //!   Manhattan distance) with a BIC-style `k` sweep; each cluster's
 //!   centroid-nearest member becomes a representative interval with its

@@ -1,6 +1,4 @@
-//! The byte layer shared by the workspace's binary formats: the `DSMCKPT9`
-//! checkpoint codec ([`crate::codec`]) and the harness trace store's
-//! `DSMTRC5` entries.
+//! The byte layer under the `DSMCKPT9` checkpoint codec ([`crate::codec`]).
 //!
 //! Every encoded type implements [`Wire`]: `put` appends it to a [`W`],
 //! `get` reads it back from an [`R`], and `MIN_BYTES` is the fewest bytes
@@ -19,20 +17,17 @@
 //! is reserved, and every tag and boolean is range-checked, so any input
 //! yields a value or a typed [`CkptError`].
 //!
-//! The layouts both formats carry ([`IntervalRecord`] and the run
-//! counters) and the trace store's [`SystemStats`] live here, with the
-//! rules every decoded record must meet ([`check_records`]); the
-//! checkpoint-only layouts live in [`crate::codec`]. A record's BBV
-//! buckets, `F_i` and `C` are `u32` counts, so a count above `u32::MAX` is
-//! a `BadValue`, and a decoded BBV normalizes to a finite, non-negative
-//! vector by construction.
+//! The layouts of the simulator and detector values a checkpoint carries
+//! ([`IntervalRecord`], the run counters, the app and scale) live here,
+//! with the rules every decoded record must meet ([`check_records`]); the
+//! layouts of the checkpoint's own structure live in [`crate::codec`]. A
+//! record's BBV buckets, `F_i` and `C` are `u32` counts, so a count above
+//! `u32::MAX` is a `BadValue`, and a decoded BBV normalizes to a finite,
+//! non-negative vector by construction.
 
 use dsm_phase::detector::IntervalRecord;
 use dsm_sim::directory::DirectoryStats;
-use dsm_sim::memctrl::MemCtrlStats;
-use dsm_sim::network::NetworkStats;
 use dsm_sim::reconfig::ReconfigStats;
-use dsm_sim::stats::SystemStats;
 use dsm_sim::{FaultStats, ProcStats};
 use dsm_workloads::{App, Scale};
 
@@ -291,7 +286,7 @@ wire_tuple!(T0 0, T1 1, T2 2, T3 3);
 wire_tuple!(T0 0, T1 1, T2 2, T3 3, T4 4, T5 5, T6 6);
 
 // ---------------------------------------------------------------------------
-// Layouts both formats carry
+// Simulator and detector layouts
 // ---------------------------------------------------------------------------
 
 /// The app as its index in [`App::EXTENDED`].
@@ -368,8 +363,7 @@ pub struct RecordShape {
     pub ws_words: usize,
 }
 
-/// The rules every decoded record list meets, shared by the checkpoint and
-/// trace-store decoders: `records[p]` holds processor `p`'s records, each
+/// The rules every decoded record list meets: `records[p]` holds processor `p`'s records, each
 /// naming processor `p`, with `shape`'s BBV width, one `F_i` and one `C`
 /// count per processor, a non-empty working set of `shape`'s width, and a
 /// finite, non-negative DDS. The first rule broken is a `BadValue` naming
@@ -398,9 +392,20 @@ pub fn check_records(records: &[Vec<IntervalRecord>], shape: RecordShape) -> D<(
     Ok(())
 }
 
-// The trace store's run statistics, in `DSMTRC5` field order.
-crate::wire_struct! {
-    SystemStats { procs, directory, faults, network, memctrls, reconfig, finish_cycle }
-    NetworkStats { msgs, payload_msgs, total_hops, link_wait_cycles, total_flit_hops, link_flits }
-    MemCtrlStats { requests, total_queue_delay }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn count_past_u32_is_a_typed_error() {
+        // Record counts travel as `u64`; one that does not fit a `u32` is
+        // refused, not truncated.
+        let mut w = W::with_magic(b"");
+        w.u64(u64::from(u32::MAX));
+        w.u64(u64::from(u32::MAX) + 1);
+        let bytes = w.into_bytes();
+        let mut r = R::new(&bytes);
+        assert_eq!(u32::get(&mut r), Ok(u32::MAX));
+        assert_eq!(u32::get(&mut r), Err(CkptError::BadValue { what: "u32" }));
+    }
 }

@@ -2,9 +2,9 @@
 //!
 //! A unified telemetry layer for the simulator, the detectors, and the
 //! experiment harness, replacing the per-subsystem ad-hoc reporting paths
-//! (hand-rolled `SystemStats` fields, `RunReport` cache counters, detector
-//! degradation events, allocation tracking) with one registry and one span
-//! stream. Three pieces:
+//! (hand-rolled `SystemStats` fields, detector degradation events,
+//! allocation tracking) with one registry and one span stream. Three
+//! pieces:
 //!
 //! * [`metrics`] — a [`MetricsRegistry`] of typed counters, gauges, and
 //!   fixed-bucket log2 histograms. Metrics are allocated once at
